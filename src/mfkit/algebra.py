@@ -14,6 +14,12 @@ in graded lexicographic order (highest total degree first, ties broken
 lexicographically).  Equal polynomials are therefore equal as Python
 values, which the test suite relies on for bit-exact comparisons.
 
+:meth:`Polynomial.from_pairs` is the validating entry point: it checks
+arity and signs of exponent vectors and coerces every coefficient into
+the field.  Arithmetic does not re-validate; its results, whose terms
+are already well formed, go through the trusted ``Polynomial._canonical``,
+which only drops zero terms and sorts.
+
 The expression grammar accepted by :func:`parse_poly`::
 
     expr   := term (('+' | '-') term)*
@@ -36,6 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 NEG_INFINITY = float("-inf")
@@ -270,12 +277,6 @@ def GF(p: int) -> Field:
     return Field("Fp", p)
 
 
-def _order_key(exponents: tuple[int, ...]) -> tuple:
-    # Graded lexicographic, descending: ascending sort on this key puts
-    # the highest total degree first, ties broken by lex order on x0, x1, ...
-    return (-sum(exponents), tuple(-e for e in exponents))
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """Sparse multivariate polynomial in canonical form.
@@ -311,12 +312,39 @@ class Polynomial:
                 acc[exps] = acc[exps] + coeff
             else:
                 acc[exps] = coeff
-        terms = tuple(
-            (exps, acc[exps])
-            for exps in sorted(acc, key=_order_key)
-            if acc[exps]
+        return cls._canonical(field, nvars, acc)
+
+    @classmethod
+    def _canonical(
+        cls, field: Field, nvars: int, acc: Mapping[tuple[int, ...], Scalar]
+    ) -> "Polynomial":
+        """Trusted constructor: ``acc`` maps distinct exponent tuples of
+        arity ``nvars`` to coefficients already in ``field``.  Drops zero
+        coefficients and sorts in graded lexicographic order, highest
+        total degree first; nothing is checked."""
+        terms = sorted(
+            ((exps, coeff) for exps, coeff in acc.items() if coeff),
+            key=lambda term: (sum(term[0]), term[0]),
+            reverse=True,
         )
-        return cls(field, nvars, terms)
+        return cls(field, nvars, tuple(terms))
+
+    @classmethod
+    def _sum_of_products(
+        cls, field: Field, nvars: int, pairs: Iterable[tuple["Polynomial", "Polynomial"]]
+    ) -> "Polynomial":
+        """The sum of ``left * right`` over ``pairs``, accumulated in one
+        dict and canonicalized once.  Trusted: every operand must lie in
+        the ring (``field``, ``nvars``)."""
+        acc: dict[tuple[int, ...], Scalar] = {}
+        for left, right in pairs:
+            for e1, c1 in left.terms:
+                for e2, c2 in right.terms:
+                    exps = tuple(map(add, e1, e2))
+                    prod = c1 * c2
+                    old = acc.get(exps)
+                    acc[exps] = prod if old is None else old + prod
+        return cls._canonical(field, nvars, acc)
 
     @classmethod
     def zero(cls, field: Field, nvars: int) -> "Polynomial":
@@ -357,9 +385,10 @@ class Polynomial:
 
     @property
     def constant_term(self) -> Scalar:
-        zero_exps = (0,) * self.nvars
-        for exps, coeff in self.terms:
-            if exps == zero_exps:
+        # Graded order puts the constant term, if any, last.
+        if self.terms:
+            exps, coeff = self.terms[-1]
+            if not any(exps):
                 return coeff
         return self.field.zero
 
@@ -373,10 +402,14 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_compat(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         acc = dict(self.terms)
         for exps, coeff in other.terms:
             acc[exps] = acc[exps] + coeff if exps in acc else coeff
-        return Polynomial.from_pairs(self.field, self.nvars, acc)
+        return Polynomial._canonical(self.field, self.nvars, acc)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -388,13 +421,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return self.scalar_mul(other)
         self._check_compat(other)
-        acc: dict[tuple[int, ...], Scalar] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                prod = c1 * c2
-                acc[exps] = acc[exps] + prod if exps in acc else prod
-        return Polynomial.from_pairs(self.field, self.nvars, acc)
+        return Polynomial._sum_of_products(self.field, self.nvars, ((self, other),))
 
     def __rmul__(self, other) -> "Polynomial":
         return self.scalar_mul(other)
@@ -443,17 +470,6 @@ def _monomial_text(exps: tuple[int, ...]) -> str:
     return "*".join(factors)
 
 
-def _scalar_text(field: Field, c: Scalar) -> str:
-    if field.kind == "Q":
-        return str(c)
-    if field.kind == "Qi":
-        if c.im == 0:
-            return str(c.re)
-        sign = "+" if c.im > 0 else "-"
-        return f"({c.re} {sign} {abs(c.im)}*i)"
-    return str(c.value)
-
-
 def _term_text(field: Field, exps: tuple[int, ...], coeff: Scalar) -> tuple[str, str]:
     # Returns (sign, body); sign is "+" or "-" and body carries no sign.
     sign = "+"
@@ -464,10 +480,10 @@ def _term_text(field: Field, exps: tuple[int, ...], coeff: Scalar) -> tuple[str,
         sign, magnitude = "-", -coeff
     mono = _monomial_text(exps)
     if not mono:
-        return sign, _scalar_text(field, magnitude)
+        return sign, str(magnitude)
     if magnitude == field.one:
         return sign, mono
-    return sign, _scalar_text(field, magnitude) + "*" + mono
+    return sign, f"{magnitude}*{mono}"
 
 
 def degree_info(p: Polynomial) -> tuple[int | float, bool]:

@@ -82,7 +82,7 @@ def field_from_json(obj) -> Field:
         return QI
     if kind == "Fp":
         p = obj.get("p")
-        if not isinstance(p, int):
+        if type(p) is not int:
             raise SchemaError("field descriptor of type 'Fp' needs an integer 'p'")
         try:
             return GF(p)
@@ -114,17 +114,29 @@ def _expect(doc: dict, key: str, types) -> object:
     return value
 
 
+def _expect_int(doc: dict, key: str) -> int:
+    # JSON true/false load as bool, a subclass of int; the schemas do not
+    # admit them where they ask for an integer.
+    value = _expect(doc, key, int)
+    if type(value) is not int:
+        raise SchemaError(f"key {key!r} has the wrong type")
+    return value
+
+
 def _parse_degree_list(doc: dict, key: str) -> tuple[int, ...]:
     raw = _expect(doc, key, list)
-    if any(not isinstance(m, int) for m in raw):
+    if any(type(m) is not int for m in raw):
         raise SchemaError(f"{key} must be a list of integers")
     if any(raw[k] > raw[k + 1] for k in range(len(raw) - 1)):
         raise SchemaError(f"{key} must be sorted ascending")
     return tuple(raw)
 
 
-def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
-                  nrows: int, ncols: int) -> tuple[tuple[Polynomial, ...], ...]:
+def _parse_matrix(doc: dict, key: str, field: Field, nvars: int, nrows: int, ncols: int,
+                  memo: dict[str, Polynomial]) -> tuple[tuple[Polynomial, ...], ...]:
+    """Parse the entry strings of one matrix.  ``memo`` maps entry text
+    already parsed in this document to its polynomial; a string that
+    fails to parse is never stored, so it raises wherever it appears."""
     raw = _expect(doc, key, list)
     if len(raw) != nrows:
         raise SchemaError(f"{key} must have {nrows} rows, got {len(raw)}")
@@ -136,10 +148,13 @@ def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
         for c, text in enumerate(raw_row):
             if not isinstance(text, str):
                 raise SchemaError(f"{key}[{r}][{c}] must be a polynomial string")
-            try:
-                row.append(parse_poly(text, field, nvars))
-            except ParseError as exc:
-                raise SchemaError(f"{key}[{r}][{c}]: {exc}") from exc
+            poly = memo.get(text)
+            if poly is None:
+                try:
+                    poly = memo[text] = parse_poly(text, field, nvars)
+                except ParseError as exc:
+                    raise SchemaError(f"{key}[{r}][{c}]: {exc}") from exc
+            row.append(poly)
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -150,20 +165,21 @@ def document_to_mf(doc: dict) -> MatrixFactorization:
     if doc.get("schema") != MF_SCHEMA:
         raise SchemaError(f"expected schema {MF_SCHEMA!r}, got {doc.get('schema')!r}")
     field = field_from_json(_expect(doc, "field", dict))
-    nvars = _expect(doc, "nvars", int)
+    nvars = _expect_int(doc, "nvars")
     if nvars < 1:
         raise SchemaError("nvars must be >= 1")
     try:
         f = parse_poly(_expect(doc, "f", str), field, nvars)
     except ParseError as exc:
         raise SchemaError(f"f: {exc}") from exc
-    d = _expect(doc, "d", int)
+    d = _expect_int(doc, "d")
     if f.is_zero or not f.is_homogeneous or f.total_degree != d:
         raise SchemaError(f"f must be homogeneous of the declared degree d = {d}")
     f0 = _parse_degree_list(doc, "F0_degrees")
     f1 = _parse_degree_list(doc, "F1_degrees")
-    s0 = _parse_matrix(doc, "s0", field, nvars, len(f1), len(f0))
-    s1 = _parse_matrix(doc, "s1", field, nvars, len(f0), len(f1))
+    memo: dict[str, Polynomial] = {}
+    s0 = _parse_matrix(doc, "s0", field, nvars, len(f1), len(f0), memo)
+    s1 = _parse_matrix(doc, "s1", field, nvars, len(f0), len(f1), memo)
     F0 = DegreeMultiset(f0)
     F1 = DegreeMultiset(f1)
     return MatrixFactorization(
@@ -184,12 +200,12 @@ def table_to_document(table: CohomologyTable) -> dict:
 def document_to_table(doc: dict) -> CohomologyTable:
     if not isinstance(doc, dict) or doc.get("schema") != TABLE_SCHEMA:
         raise SchemaError(f"expected schema {TABLE_SCHEMA!r}")
-    n = _expect(doc, "n", int)
+    n = _expect_int(doc, "n")
     raw = _expect(doc, "entries", list)
     counts: dict[tuple[int, int], int] = {}
     for item in raw:
         if (not isinstance(item, list) or len(item) != 3
-                or any(not isinstance(x, int) for x in item)):
+                or any(type(x) is not int for x in item)):
             raise SchemaError("table entries must be [p, h, count] integer triples")
         p, h, value = item
         counts[(p, h)] = counts.get((p, h), 0) + value

@@ -107,20 +107,6 @@ class HomogeneousMatrix:
         )
         return cls(field, nvars, degrees, degrees, rows)
 
-    @classmethod
-    def scaled_identity(cls, f: Polynomial, degrees: DegreeMultiset) -> "HomogeneousMatrix":
-        """The map f * id from the module with the given degrees into its
-        twist by deg(f)."""
-        d = f.total_degree
-        if f.is_zero or not f.is_homogeneous or not isinstance(d, int):
-            raise ValueError("scaled_identity requires a nonzero homogeneous polynomial")
-        z = Polynomial.zero(f.field, f.nvars)
-        rows = tuple(
-            tuple(f if r == c else z for c in range(len(degrees)))
-            for r in range(len(degrees))
-        )
-        return cls(f.field, f.nvars, degrees, degrees.twist(d), rows)
-
     # -- queries ----------------------------------------------------------
 
     @property
@@ -130,9 +116,6 @@ class HomogeneousMatrix:
     @property
     def ncols(self) -> int:
         return len(self.source)
-
-    def entry(self, r: int, c: int) -> Polynomial:
-        return self.entries[r][c]
 
     def validate(self) -> list[str]:
         """Diagnostics for every entry violating the homogeneity
@@ -183,18 +166,20 @@ def compose(a: HomogeneousMatrix, b: HomogeneousMatrix) -> HomogeneousMatrix:
         raise ValueError(
             f"shape/degree mismatch: source of left factor {a.source} != target of right factor {b.target}"
         )
-    zero = Polynomial.zero(a.field, a.nvars)
+    field, nvars = a.field, a.nvars
+    zero = Polynomial.zero(field, nvars)
+    # Only nonzero entries take part: (m, a[r][m]) per row of a, and
+    # {m: b[m][c]} per column of b.
+    a_rows = [[(m, e) for m, e in enumerate(row) if e.terms] for row in a.entries]
+    b_cols = [
+        {m: row[c] for m, row in enumerate(b.entries) if row[c].terms}
+        for c in range(b.ncols)
+    ]
     rows = []
-    for r in range(a.nrows):
+    for a_row in a_rows:
         row = []
-        for c in range(b.ncols):
-            acc = zero
-            for m in range(a.ncols):
-                left = a.entries[r][m]
-                right = b.entries[m][c]
-                if left.is_zero or right.is_zero:
-                    continue
-                acc = acc + left * right
-            row.append(acc)
+        for b_col in b_cols:
+            pairs = [(left, b_col[m]) for m, left in a_row if m in b_col]
+            row.append(Polynomial._sum_of_products(field, nvars, pairs) if pairs else zero)
         rows.append(tuple(row))
-    return HomogeneousMatrix(a.field, a.nvars, b.source, a.target, tuple(rows))
+    return HomogeneousMatrix(field, nvars, b.source, a.target, tuple(rows))

@@ -144,12 +144,6 @@ def _mk(
     return MatrixFactorization(f, s0, s1)
 
 
-def _identity_grid(field: Field, nvars: int, size: int) -> list[list[Polynomial]]:
-    zero = Polynomial.zero(field, nvars)
-    one = Polynomial.constant(field, nvars, 1)
-    return [[one if r == c else zero for c in range(size)] for r in range(size)]
-
-
 def _kron(a: Grid, b: Grid, arows: int, acols: int, brows: int, bcols: int,
           field: Field, nvars: int) -> list[list[Polynomial]]:
     zero = Polynomial.zero(field, nvars)
@@ -353,10 +347,10 @@ def tensor(F: MatrixFactorization, G: MatrixFactorization, *, normalize: bool = 
 
     A0, A1 = F.s0.entries, F.s1.entries
     B0, B1 = G.s0.entries, G.s1.entries
-    eyeF0 = _identity_grid(field, nvars, rF0)
-    eyeF1 = _identity_grid(field, nvars, rF1)
-    eyeG0 = _identity_grid(field, nvars, rG0)
-    eyeG1 = _identity_grid(field, nvars, rG1)
+    eyeF0 = HomogeneousMatrix.identity(field, nvars, F.f0_degrees).entries
+    eyeF1 = HomogeneousMatrix.identity(field, nvars, F.f1_degrees).entries
+    eyeG0 = HomogeneousMatrix.identity(field, nvars, G.f0_degrees).entries
+    eyeG1 = HomogeneousMatrix.identity(field, nvars, G.f1_degrees).entries
 
     t0 = _block(
         [

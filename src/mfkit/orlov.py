@@ -261,7 +261,9 @@ def shamash_degrees(n: int, d: int, m: int) -> DegreeMultiset:
     if m > 0:
         raise ValueError("the resolution lives in cohomological degrees <= 0")
     degrees: list[int] = []
-    j = 0
+    # Terms with s = -m - 2j > n + 1 are empty: start at the first j with
+    # s <= n + 1, so the loop runs at most n + 2 times whatever m is.
+    j = max(0, (-m - n) // 2)
     while True:
         s = -m - 2 * j
         if s < 0:

@@ -5,7 +5,7 @@ import pytest
 
 from mfkit import mf
 from mfkit.algebra import GF, QI, parse_poly
-from mfkit.cli import document_to_mf, main, mf_to_document
+from mfkit.cli import SchemaError, document_to_mf, main, mf_to_document
 
 FERMAT_REPORT = """\
 operation: mf fermat
@@ -242,6 +242,27 @@ class TestFailureModes:
         (workdir / "u.json").write_text(json.dumps(doc))
         code, _, err = run(capsys, "mf", "validate", "u.json")
         assert code == 2 and "sorted" in err
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("nvars", True, "'nvars' has the wrong type"),
+        ("d", True, "'d' has the wrong type"),
+        ("F0_degrees", [True], "F0_degrees must be a list of integers"),
+    ])
+    def test_json_booleans_are_not_integers(self, workdir, capsys, key, value, message):
+        doc = mf_to_document(mf.fermat(1, 1))
+        doc[key] = value
+        (workdir / "b.json").write_text(json.dumps(doc))
+        code, _, err = run(capsys, "mf", "validate", "b.json")
+        assert code == 2 and message in err
+        with pytest.raises(SchemaError, match=message):
+            document_to_mf(doc)
+
+    def test_json_booleans_in_table_documents(self, workdir, capsys):
+        for doc in ({"schema": "mfkit/table-v1", "n": True, "entries": [[0, 0, 2]]},
+                    {"schema": "mfkit/table-v1", "n": 3, "entries": [[True, 0, 2]]}):
+            (workdir / "t.json").write_text(json.dumps(doc))
+            code, _, err = run(capsys, "rho", "from-table", "t.json")
+            assert code == 2 and "error [mfkit.cli]" in err
 
     def test_fermat_field_errors(self, capsys):
         code, _, err = run(capsys, "mf", "fermat", "--pairs", "1", "--half-degree", "2",

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 
 import pytest
 
@@ -221,6 +223,27 @@ class TestShamash:
         assert shamash_degrees(3, 4, -1) == DegreeMultiset((1, 1, 1, 1))
         assert shamash_degrees(3, 4, -2) == DegreeMultiset.from_iterable([2] * 6 + [4])
         assert shamash_degrees(3, 4, -3) == DegreeMultiset.from_iterable([3] * 4 + [5] * 4)
+
+    def test_bounded_loop_matches_full_scan(self):
+        def full_scan(n, d, m):
+            degrees, j = [], 0
+            while -m - 2 * j >= 0:
+                s = -m - 2 * j
+                if s <= n + 1:
+                    degrees.extend([s + j * d] * math.comb(n + 1, s))
+                j += 1
+            return DegreeMultiset.from_iterable(degrees)
+
+        for n in range(1, 7):
+            for d in range(1, 7):
+                for m in range(0, -41, -1):
+                    assert shamash_degrees(n, d, m) == full_scan(n, d, m)
+
+    def test_huge_negative_index_is_fast(self):
+        start = time.perf_counter()
+        degrees = shamash_degrees(3, 4, -10**9)
+        assert time.perf_counter() - start < 0.1
+        assert len(degrees) == 8  # C(4, 0) + C(4, 2) + C(4, 4): s = 0, 2, 4
 
     def test_rank_totals(self):
         import math
