@@ -376,7 +376,8 @@ class Polynomial:
         """Total degree, or NEG_INFINITY for the zero polynomial."""
         if not self.terms:
             return NEG_INFINITY
-        return max(sum(exps) for exps, _ in self.terms)
+        # Graded order puts a term of highest degree first.
+        return sum(self.terms[0][0])
 
     @property
     def is_homogeneous(self) -> bool:
@@ -515,11 +516,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, field: Field, nvars: int):
+    def __init__(self, text: str, field: Field, nvars: int, max_degree: int | None):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.field = field
         self.nvars = nvars
+        self.max_degree = max_degree
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -528,6 +530,12 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def check_degree(self, degree: int | float, at: int) -> None:
+        # Called before a product is formed, so that an expression whose
+        # expansion exceeds the bound costs no more than reading it.
+        if self.max_degree is not None and degree > self.max_degree:
+            raise ParseError(f"degree {degree} exceeds the bound {self.max_degree}", at)
 
     def parse(self) -> Polynomial:
         poly = self.expr()
@@ -550,10 +558,12 @@ class _Parser:
     def term(self) -> Polynomial:
         result = self.signed()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, at = self.peek()
             if kind == "op" and text == "*":
                 self.advance()
-                result = result * self.signed()
+                rhs = self.signed()
+                self.check_degree(result.total_degree + rhs.total_degree, at)
+                result = result * rhs
             else:
                 return result
 
@@ -571,7 +581,7 @@ class _Parser:
 
     def power(self) -> Polynomial:
         base = self.atom()
-        kind, text, _ = self.peek()
+        kind, text, at = self.peek()
         if kind == "op" and text == "^":
             self.advance()
             nkind, ntext, nat = self.advance()
@@ -580,6 +590,8 @@ class _Parser:
             exponent = int(ntext)
             if exponent > MAX_EXPONENT:
                 raise ParseError(f"exponent overflow (limit {MAX_EXPONENT})", nat)
+            if exponent:
+                self.check_degree(exponent * base.total_degree, at)
             return base ** exponent
         return base
 
@@ -624,8 +636,14 @@ class _Parser:
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", at)
 
 
-def parse_poly(text: str, field: Field, nvars: int) -> Polynomial:
-    """Parse an expression string into a canonical polynomial."""
+def parse_poly(text: str, field: Field, nvars: int,
+               max_degree: int | None = None) -> Polynomial:
+    """Parse an expression string into a canonical polynomial.
+
+    With ``max_degree``, every ``*`` and ``^`` whose result would have
+    total degree above it raises :class:`ParseError` before the product
+    is computed; sums are not checked, and a polynomial printed by this
+    module parses under its own total degree."""
     if nvars < 0:
         raise ValueError("nvars must be nonnegative")
-    return _Parser(text, field, nvars).parse()
+    return _Parser(text, field, nvars, max_degree).parse()

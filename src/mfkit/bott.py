@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 
 def binom(x: int, k: int) -> int:
@@ -136,15 +136,41 @@ def restricted_bott(n: int, d: int, r: int, t: int) -> CohomologyVector:
 
 
 def rho_structure_sheaf(n: int, d: int) -> int:
-    """rho(O_X) = 1 + sum_r C(d, d-r) * C(d-r-1, n-r), valid when
-    a = n+1-d <= 0; equals the total of the restricted Bott vectors."""
+    """rho(O_X), valid when a = n+1-d <= 0; equals the total of the
+    restricted Bott vectors and 1 + sum_r C(d, d-r) * C(d-r-1, n-r).
+
+    The generating function (1+2x)^d / (1+x) gives the alternating form
+    1 + sum_{k=0..n} (-1)^(n-k) * 2^k * C(d, k), evaluated here through
+    S(k) = 2^k * C(d, k) - S(k-1) with S = rho - 1."""
     if n < 1:
         raise ValueError("ambient dimension n must be >= 1")
     if n + 1 - d > 0:
         raise ValueError(
             f"rho(O_X) closed form requires a = n+1-d <= 0, got a = {n + 1 - d}"
         )
-    return 1 + sum(binom(d, d - r) * binom(d - r - 1, n - r) for r in range(n + 1))
+    s, c = 0, 1  # c = C(d, k)
+    for k in range(n + 1):
+        s = (c << k) - s
+        c = c * (d - k) // (k + 1)
+    return s + 1
+
+
+def rho_structure_sheaf_rows(n_max: int, d_max: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (n, d, rho(O_X)) for 1 <= n <= n_max and n < d <= d_max,
+    ordered by n, then d.
+
+    With S(n, d) = rho - 1, the coefficient of x^n in (1+2x)^d / (1+x),
+    each row follows from the previous one: S(0, d) = 1,
+    S(n, n+1) = 2^(n+1) - 1 and S(n, d+1) = S(n, d) + 2 * S(n-1, d).
+    The step is the product with 1+2x.  The seed holds because the
+    alternating sum of 2^k * C(n+1, k) over 0 <= k <= n+1 is
+    (2-1)^(n+1) = 1, and its k = n+1 term is 2^(n+1)."""
+    s = [1] * (d_max + 1)  # s[d] = S(n-1, d), overwritten by S(n, d)
+    for n in range(1, min(n_max, d_max - 1) + 1):
+        value = (2 << n) - 1
+        for d in range(n + 1, d_max + 1):
+            s[d], value = value, value + 2 * s[d]
+            yield n, d, s[d] + 1
 
 
 def rho_point(n: int) -> int:

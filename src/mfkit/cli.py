@@ -16,8 +16,11 @@ a machine-readable report; scalar queries print the bare value in text
 mode.  Exit codes: 0 success, 1 usage error, 2 validation failure or
 domain error (diagnostics go to stderr).
 
-``MFKIT_THREADS`` caps sweep concurrency; nothing else reads the
-environment.
+``sweep rho-structure-sheaf`` streams its CSV rows, one block per n, from
+the row recurrence of :func:`mfkit.bott.rho_structure_sheaf_rows`.
+``MFKIT_THREADS`` is validated (a value that is not a positive integer
+exits 2) but has no effect: the sweep runs in one thread.  Nothing else
+reads the environment.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from itertools import groupby
 
 from . import mf as mf_ops
 from . import orlov as orlov_ops
@@ -132,11 +135,15 @@ def _parse_degree_list(doc: dict, key: str) -> tuple[int, ...]:
     return tuple(raw)
 
 
-def _parse_matrix(doc: dict, key: str, field: Field, nvars: int, nrows: int, ncols: int,
-                  memo: dict[str, Polynomial]) -> tuple[tuple[Polynomial, ...], ...]:
-    """Parse the entry strings of one matrix.  ``memo`` maps entry text
-    already parsed in this document to its polynomial; a string that
-    fails to parse is never stored, so it raises wherever it appears."""
+def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
+                  source: tuple[int, ...], target: tuple[int, ...],
+                  memo: dict[tuple[str, int], Polynomial]) -> tuple[tuple[Polynomial, ...], ...]:
+    """Parse the entry strings of one matrix from ``source`` to ``target``
+    degrees.  Entry ``[r][c]`` parses under the degree bound
+    ``max(source[c] - target[r], 0)``.  ``memo`` maps (entry text, bound)
+    pairs already parsed in this document to their polynomial; a string
+    that fails to parse is never stored, so it raises wherever it appears."""
+    nrows, ncols = len(target), len(source)
     raw = _expect(doc, key, list)
     if len(raw) != nrows:
         raise SchemaError(f"{key} must have {nrows} rows, got {len(raw)}")
@@ -148,10 +155,11 @@ def _parse_matrix(doc: dict, key: str, field: Field, nvars: int, nrows: int, nco
         for c, text in enumerate(raw_row):
             if not isinstance(text, str):
                 raise SchemaError(f"{key}[{r}][{c}] must be a polynomial string")
-            poly = memo.get(text)
+            bound = max(source[c] - target[r], 0)
+            poly = memo.get((text, bound))
             if poly is None:
                 try:
-                    poly = memo[text] = parse_poly(text, field, nvars)
+                    poly = memo[text, bound] = parse_poly(text, field, nvars, bound)
                 except ParseError as exc:
                     raise SchemaError(f"{key}[{r}][{c}]: {exc}") from exc
             row.append(poly)
@@ -168,24 +176,25 @@ def document_to_mf(doc: dict) -> MatrixFactorization:
     nvars = _expect_int(doc, "nvars")
     if nvars < 1:
         raise SchemaError("nvars must be >= 1")
+    d = _expect_int(doc, "d")
     try:
-        f = parse_poly(_expect(doc, "f", str), field, nvars)
+        f = parse_poly(_expect(doc, "f", str), field, nvars, d)
     except ParseError as exc:
         raise SchemaError(f"f: {exc}") from exc
-    d = _expect_int(doc, "d")
     if f.is_zero or not f.is_homogeneous or f.total_degree != d:
         raise SchemaError(f"f must be homogeneous of the declared degree d = {d}")
     f0 = _parse_degree_list(doc, "F0_degrees")
     f1 = _parse_degree_list(doc, "F1_degrees")
-    memo: dict[str, Polynomial] = {}
-    s0 = _parse_matrix(doc, "s0", field, nvars, len(f1), len(f0), memo)
-    s1 = _parse_matrix(doc, "s1", field, nvars, len(f0), len(f1), memo)
     F0 = DegreeMultiset(f0)
     F1 = DegreeMultiset(f1)
+    F1d = F1.twist(-d)
+    memo: dict[tuple[str, int], Polynomial] = {}
+    s0 = _parse_matrix(doc, "s0", field, nvars, F0.degrees, F1.degrees, memo)
+    s1 = _parse_matrix(doc, "s1", field, nvars, F1d.degrees, F0.degrees, memo)
     return MatrixFactorization(
         f,
         HomogeneousMatrix(field, nvars, F0, F1, s0),
-        HomogeneousMatrix(field, nvars, F1.twist(-d), F0, s1),
+        HomogeneousMatrix(field, nvars, F1d, F0, s1),
     )
 
 
@@ -337,7 +346,7 @@ def _emit(args, report: dict, *, artifact: dict | None = None,
         sys.stdout.write(report_to_text(report))
 
 
-def _context_of_document(doc: dict, F: MatrixFactorization) -> HypersurfaceContext:
+def _context_of_document(F: MatrixFactorization) -> HypersurfaceContext:
     return HypersurfaceContext(n=F.nvars - 1, d=F.d)
 
 
@@ -345,9 +354,9 @@ def _context_of_document(doc: dict, F: MatrixFactorization) -> HypersurfaceConte
 # mf subcommands
 
 
-def _load_mf(path: str) -> tuple[MatrixFactorization, dict, str]:
+def _load_mf(path: str) -> tuple[MatrixFactorization, str]:
     doc, digest = _read_json(path)
-    return document_to_mf(doc), doc, digest
+    return document_to_mf(doc), digest
 
 
 def _mf_results(F: MatrixFactorization) -> dict:
@@ -363,7 +372,7 @@ def _mf_results(F: MatrixFactorization) -> dict:
 
 
 def cmd_mf_validate(args) -> int:
-    F, _, digest = _load_mf(args.file)
+    F, digest = _load_mf(args.file)
     diagnostics = mf_ops.validate(F)
     report = make_report(
         "mf validate",
@@ -393,7 +402,7 @@ def _transformed(args, operation: str, digest: str,
 
 
 def cmd_mf_reduce(args) -> int:
-    F, _, digest = _load_mf(args.file)
+    F, digest = _load_mf(args.file)
     mf_ops.require_valid(F)
     reduced = mf_ops.reduce(F)
     return _transformed(args, "mf reduce", digest, reduced,
@@ -401,26 +410,26 @@ def cmd_mf_reduce(args) -> int:
 
 
 def cmd_mf_shift(args) -> int:
-    F, _, digest = _load_mf(args.file)
+    F, digest = _load_mf(args.file)
     mf_ops.require_valid(F)
     return _transformed(args, "mf shift", digest, mf_ops.shift(F))
 
 
 def cmd_mf_twist(args) -> int:
-    F, _, digest = _load_mf(args.file)
+    F, digest = _load_mf(args.file)
     mf_ops.require_valid(F)
     return _transformed(args, "mf twist", digest, mf_ops.twist(F, args.t))
 
 
 def cmd_mf_dual(args) -> int:
-    F, _, digest = _load_mf(args.file)
+    F, digest = _load_mf(args.file)
     mf_ops.require_valid(F)
     return _transformed(args, "mf dual", digest, mf_ops.dual(F))
 
 
 def cmd_mf_tensor(args) -> int:
-    F, _, digest_f = _load_mf(args.file)
-    G, _, digest_g = _load_mf(args.file2)
+    F, digest_f = _load_mf(args.file)
+    G, digest_g = _load_mf(args.file2)
     mf_ops.require_valid(F)
     mf_ops.require_valid(G)
     T = mf_ops.tensor(F, G, normalize=args.normalize)
@@ -434,7 +443,7 @@ def cmd_mf_tensor(args) -> int:
 
 
 def cmd_mf_betti(args) -> int:
-    F, _, digest = _load_mf(args.file)
+    F, digest = _load_mf(args.file)
     mf_ops.require_valid(F)
     table = mf_ops.betti(F)
     report = make_report(
@@ -519,9 +528,9 @@ def cmd_rho_line_bundle(args) -> int:
 
 
 def cmd_rho_from_mf(args) -> int:
-    F, doc, digest = _load_mf(args.file)
+    F, digest = _load_mf(args.file)
     value = orlov_ops.rho_of_mf(F)
-    ctx = _context_of_document(doc, F)
+    ctx = _context_of_document(F)
     report = make_report(
         "rho from-mf",
         context=ctx,
@@ -550,9 +559,9 @@ def cmd_rho_from_table(args) -> int:
 
 
 def cmd_orlov_translate(args) -> int:
-    F, doc, digest = _load_mf(args.file)
+    F, digest = _load_mf(args.file)
     mf_ops.require_valid(F)
-    ctx = _context_of_document(doc, F)
+    ctx = _context_of_document(F)
     table = orlov_ops.betti_to_table(ctx, mf_ops.betti(F))
     diagnostics = [f"out-of-support entry (p={p}, h={h})" for p, h in table.out_of_support()]
     report = make_report(
@@ -659,8 +668,8 @@ def _emit_verdict(args, operation: str, ctx: HypersurfaceContext, verdict: Verdi
 
 
 def cmd_check_bgs(args) -> int:
-    F, doc, digest = _load_mf(args.file)
-    ctx = _context_of_document(doc, F)
+    F, digest = _load_mf(args.file)
+    ctx = _context_of_document(F)
     verdict = orlov_ops.check_bgs(ctx, F)
     return _emit_verdict(args, "check bgs", ctx, verdict,
                          inputs={os.path.basename(args.file): digest})
@@ -672,49 +681,41 @@ def cmd_check_rho(args) -> int:
     return _emit_verdict(args, "check rho", ctx, verdict)
 
 
-def _sweep_threads() -> int:
+def _sweep_threads() -> None:
+    """Validate ``MFKIT_THREADS``.  The sweep runs in one thread whatever
+    its value; a malformed value is still an error (exit 2)."""
     raw = os.environ.get("MFKIT_THREADS", "")
     if not raw:
-        return 1
+        return
     try:
         threads = int(raw)
     except ValueError as exc:
         raise SchemaError(f"MFKIT_THREADS must be a positive integer, got {raw!r}") from exc
     if threads < 1:
         raise SchemaError(f"MFKIT_THREADS must be a positive integer, got {raw!r}")
-    return threads
+
+
+def _sweep_csv_blocks(n_max: int, d_max: int):
+    """The sweep's CSV text: the header, then one block of lines per n."""
+    yield "n,d,a,e,rho,bound,pass\n"
+    cells = bott_ops.rho_structure_sheaf_rows(n_max, d_max)
+    for n, row in groupby(cells, key=lambda cell: cell[0]):
+        e = n // 2  # e and a = n + 1 - d as in HypersurfaceContext
+        bound = 2 ** (e + 1)
+        yield "".join(
+            f"{n},{d},{n + 1 - d},{e},{rho},{bound},{'true' if rho >= bound else 'false'}\n"
+            for _, d, rho in row
+        )
 
 
 def cmd_sweep_rho_structure_sheaf(args) -> int:
-    cells = [
-        (n, d)
-        for n in range(1, args.n_max + 1)
-        for d in range(n + 1, args.d_max + 1)
-    ]
-
-    def evaluate(cell: tuple[int, int]) -> tuple[int, int, int, int, int, int, bool]:
-        n, d = cell
-        ctx = HypersurfaceContext(n, d)
-        rho = bott_ops.rho_structure_sheaf(n, d)
-        bound = 2 ** (ctx.e + 1)
-        return (n, d, ctx.a, ctx.e, rho, bound, rho >= bound)
-
-    threads = _sweep_threads()
-    if threads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as executor:
-            rows = list(executor.map(evaluate, cells))
-    else:
-        rows = [evaluate(cell) for cell in cells]
-
-    lines = ["n,d,a,e,rho,bound,pass"]
-    for n, d, a, e, rho, bound, passed in rows:
-        lines.append(f"{n},{d},{a},{e},{rho},{bound},{'true' if passed else 'false'}")
-    payload = "\n".join(lines) + "\n"
+    _sweep_threads()
+    blocks = _sweep_csv_blocks(args.n_max, args.d_max)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+            handle.writelines(blocks)
     else:
-        sys.stdout.write(payload)
+        sys.stdout.writelines(blocks)
     return 0
 
 

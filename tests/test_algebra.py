@@ -105,6 +105,15 @@ class TestParsing:
         with pytest.raises(ParseError, match="exponent overflow"):
             parse_poly("x0^99999999", QQ, 1)
 
+    def test_degree_bound(self):
+        assert parse_poly("x0^2*x1", QQ, 2, max_degree=3) == parse_poly("x0^2*x1", QQ, 2)
+        with pytest.raises(ParseError, match=r"degree 4 exceeds the bound 3 \(at position 4\)"):
+            parse_poly("x0^2*x1^2", QQ, 2, max_degree=3)
+        with pytest.raises(ParseError, match=r"degree 200 exceeds the bound 1 \(at position 7\)"):
+            parse_poly("(x0+x1)^200", QQ, 2, max_degree=1)
+        # Zero factors and zeroth powers raise no degree.
+        assert parse_poly("(x0-x0)^9*x1^0 + x1", QQ, 2, max_degree=1) == parse_poly("x1", QQ, 2)
+
     def test_syntax_errors(self):
         with pytest.raises(ParseError):
             parse_poly("x0 +", QQ, 1)
@@ -227,6 +236,10 @@ class TestCanonicalForm:
     @given(polynomials())
     def test_roundtrip_through_text(self, p):
         assert parse_poly(str(p), p.field, p.nvars) == p
+
+    @given(polynomials())
+    def test_text_parses_under_its_own_degree(self, p):
+        assert parse_poly(str(p), p.field, p.nvars, max(p.total_degree, 0)) == p
 
     @given(polynomials(), polynomials())
     def test_sums_stay_canonical(self, p, q):

@@ -12,6 +12,7 @@ from mfkit.bott import (
     rho_line_bundle,
     rho_point,
     rho_structure_sheaf,
+    rho_structure_sheaf_rows,
 )
 
 
@@ -164,6 +165,35 @@ class TestRhoStructureSheaf:
     def test_fano_rejected(self):
         with pytest.raises(ValueError, match="a = n\\+1-d <= 0"):
             rho_structure_sheaf(3, 2)
+
+
+def reference_rho_structure_sheaf(n: int, d: int) -> int:
+    # The binomial sum rho_structure_sheaf evaluated before the
+    # alternating form; kept as the reference for both fast paths.
+    return 1 + sum(binom(d, d - r) * binom(d - r - 1, n - r) for r in range(n + 1))
+
+
+class TestRhoStructureSheafFastPaths:
+    """The alternating sum and the row recurrence against the binomial
+    sum.  Agreement with the restricted Bott formula is checked by
+    TestRhoStructureSheaf.test_matches_restricted_sum and
+    TestRhoLineBundle.test_agrees_with_structure_sheaf."""
+
+    def test_closed_form_matches_reference_sum(self):
+        for n in range(1, 40):
+            for d in range(n + 1, 90):
+                assert rho_structure_sheaf(n, d) == reference_rho_structure_sheaf(n, d)
+
+    @pytest.mark.parametrize("n_max, d_max", [
+        (60, 120), (0, 10), (-2, 5), (5, 2), (5, 1), (5, -3), (3, 3), (10, 6), (1, 2),
+    ])
+    def test_rows_match_single_cells(self, n_max, d_max):
+        expected = [
+            (n, d, rho_structure_sheaf(n, d))
+            for n in range(1, n_max + 1)
+            for d in range(n + 1, d_max + 1)
+        ]
+        assert list(rho_structure_sheaf_rows(n_max, d_max)) == expected
 
 
 class TestRhoPoint:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -207,6 +208,42 @@ class TestSweep:
         assert (workdir / "sweep.csv").read_text() == SWEEP_CSV
 
 
+def reference_sweep_csv(n_max, d_max):
+    # Rows from the binomial sum rho(O_X) = 1 + sum_r C(d, d-r) * C(d-r-1, n-r).
+    lines = ["n,d,a,e,rho,bound,pass"]
+    for n in range(1, n_max + 1):
+        for d in range(n + 1, d_max + 1):
+            rho = 1 + sum(math.comb(d, d - r) * math.comb(d - r - 1, n - r) for r in range(n + 1))
+            bound = 2 ** (n // 2 + 1)
+            lines.append(f"{n},{d},{n + 1 - d},{n // 2},{rho},{bound},{str(rho >= bound).lower()}")
+    return "\n".join(lines) + "\n"
+
+
+class TestStreamedSweep:
+    def test_no_rows_prints_header_only(self, capsys):
+        code, out, _ = run(capsys, "sweep", "rho-structure-sheaf", "--n-max", "0", "--d-max", "5")
+        assert code == 0 and out == "n,d,a,e,rho,bound,pass\n"
+
+    def test_rows_stop_at_d_max(self, capsys):
+        code, out, _ = run(capsys, "sweep", "rho-structure-sheaf", "--n-max", "5", "--d-max", "2")
+        assert code == 0 and out == "n,d,a,e,rho,bound,pass\n1,2,0,0,4,2,true\n"
+
+    def test_matches_reference_sum(self, workdir, capsys):
+        expected = reference_sweep_csv(20, 40)
+        argv = ("sweep", "rho-structure-sheaf", "--n-max", "20", "--d-max", "40")
+        assert run(capsys, *argv) == (0, expected, "")
+        assert run(capsys, *argv, "--output", "sweep.csv") == (0, "", "")
+        assert (workdir / "sweep.csv").read_text() == expected
+
+    def test_bad_thread_setting_writes_nothing(self, workdir, capsys, monkeypatch):
+        monkeypatch.setenv("MFKIT_THREADS", "zero")
+        argv = ("sweep", "rho-structure-sheaf", "--n-max", "20", "--d-max", "40")
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "MFKIT_THREADS" in err
+        code, out, _ = run(capsys, *argv, "--output", "sweep.csv")
+        assert code == 2 and out == "" and not (workdir / "sweep.csv").exists()
+
+
 class TestFailureModes:
     def test_usage_error_exit_1(self, capsys):
         assert run(capsys, "nonsense")[0] == 1
@@ -255,6 +292,18 @@ class TestFailureModes:
         code, _, err = run(capsys, "mf", "validate", "b.json")
         assert code == 2 and message in err
         with pytest.raises(SchemaError, match=message):
+            document_to_mf(doc)
+
+    def test_entry_degree_bound(self, workdir, capsys):
+        doc = mf_to_document(mf.fermat(1, 1))  # s0 and s1 entries have degree 1
+        doc["s0"][0][0] = "(x0+x1)^200"
+        (workdir / "p.json").write_text(json.dumps(doc))
+        code, out, err = run(capsys, "mf", "validate", "p.json")
+        assert code == 2 and out == ""
+        assert "s0[0][0]: degree 200 exceeds the bound 1" in err
+        doc = mf_to_document(mf.fermat(1, 1))
+        doc["f"] = "(x0+x1)^2*x0"
+        with pytest.raises(SchemaError, match=r"^f: degree 3 exceeds the bound 2"):
             document_to_mf(doc)
 
     def test_json_booleans_in_table_documents(self, workdir, capsys):
