@@ -30,7 +30,10 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
+from dataclasses import asdict
 from itertools import groupby
+from typing import Callable, NamedTuple
 
 from . import mf as mf_ops
 from . import orlov as orlov_ops
@@ -247,10 +250,7 @@ def make_report(operation: str, *, context: HypersurfaceContext | None = None,
     report["diagnostics"] = diagnostics or []
     report["verdicts"] = [_verdict_to_json(v) for v in (verdicts or [])]
     report["notes"] = notes or []
-    if verdicts:
-        report["unchecked_hypotheses"] = sorted({note for v in verdicts for note in v.notes})
-    else:
-        report["unchecked_hypotheses"] = []
+    report["unchecked_hypotheses"] = sorted({note for v in verdicts or [] for note in v.notes})
     return report
 
 
@@ -300,10 +300,6 @@ def report_to_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def _read_json(path: str) -> tuple[dict, str]:
     try:
         with open(path, "rb") as handle:
@@ -311,7 +307,7 @@ def _read_json(path: str) -> tuple[dict, str]:
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(data), _digest(data)
+        return json.loads(data), hashlib.sha256(data).hexdigest()
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -351,12 +347,7 @@ def _context_of_document(F: MatrixFactorization) -> HypersurfaceContext:
 
 
 # ---------------------------------------------------------------------------
-# mf subcommands
-
-
-def _load_mf(path: str) -> tuple[MatrixFactorization, str]:
-    doc, digest = _read_json(path)
-    return document_to_mf(doc), digest
+# Commands: one row of COMMANDS per leaf command, run by _run
 
 
 def _mf_results(F: MatrixFactorization) -> dict:
@@ -371,314 +362,79 @@ def _mf_results(F: MatrixFactorization) -> dict:
     }
 
 
-def cmd_mf_validate(args) -> int:
-    F, digest = _load_mf(args.file)
+def _factorization(F: MatrixFactorization, **extra) -> dict:
+    return {"results": {**_mf_results(F), **extra}, "artifact": mf_to_document(F)}
+
+
+def _entries(key: str, table: BettiTable | CohomologyTable) -> dict:
+    return {key: [[i, j, v] for (i, j), v in table.entries], "total": table.total()}
+
+
+def _value(value, context: HypersurfaceContext | None = None, **results) -> dict:
+    return {"context": context, "results": {"value": value, **results}, "scalar": value}
+
+
+def _mf_validate(args, F: MatrixFactorization) -> dict:
     diagnostics = mf_ops.validate(F)
-    report = make_report(
-        "mf validate",
-        inputs={os.path.basename(args.file): digest},
-        results={**_mf_results(F), "valid": not diagnostics},
-        diagnostics=diagnostics,
-    )
-    if diagnostics:
-        if args.json:
-            sys.stdout.write(json.dumps(report, indent=2) + "\n")
-        for diag in diagnostics:
-            sys.stderr.write(f"invalid: {diag}\n")
-        return 2
-    _emit(args, report)
-    return 0
+    return {"results": {**_mf_results(F), "valid": not diagnostics},
+            "diagnostics": diagnostics, "rejected": bool(diagnostics)}
 
 
-def _transformed(args, operation: str, digest: str,
-                 result: MatrixFactorization, extra: dict | None = None) -> int:
-    report = make_report(
-        operation,
-        inputs={os.path.basename(args.file): digest} if hasattr(args, "file") else {},
-        results={**_mf_results(result), **(extra or {})},
-    )
-    _emit(args, report, artifact=mf_to_document(result))
-    return 0
-
-
-def cmd_mf_reduce(args) -> int:
-    F, digest = _load_mf(args.file)
+def _mf_reduce(args, F: MatrixFactorization) -> dict:
     mf_ops.require_valid(F)
     reduced = mf_ops.reduce(F)
-    return _transformed(args, "mf reduce", digest, reduced,
-                        extra={"rank_before": F.rank0, "splits": F.rank0 - reduced.rank0})
+    return _factorization(reduced, rank_before=F.rank0, splits=F.rank0 - reduced.rank0)
 
 
-def cmd_mf_shift(args) -> int:
-    F, digest = _load_mf(args.file)
-    mf_ops.require_valid(F)
-    return _transformed(args, "mf shift", digest, mf_ops.shift(F))
-
-
-def cmd_mf_twist(args) -> int:
-    F, digest = _load_mf(args.file)
-    mf_ops.require_valid(F)
-    return _transformed(args, "mf twist", digest, mf_ops.twist(F, args.t))
-
-
-def cmd_mf_dual(args) -> int:
-    F, digest = _load_mf(args.file)
-    mf_ops.require_valid(F)
-    return _transformed(args, "mf dual", digest, mf_ops.dual(F))
-
-
-def cmd_mf_tensor(args) -> int:
-    F, digest_f = _load_mf(args.file)
-    G, digest_g = _load_mf(args.file2)
-    mf_ops.require_valid(F)
-    mf_ops.require_valid(G)
-    T = mf_ops.tensor(F, G, normalize=args.normalize)
-    report = make_report(
-        "mf tensor",
-        inputs={os.path.basename(args.file): digest_f, os.path.basename(args.file2): digest_g},
-        results=_mf_results(T),
-    )
-    _emit(args, report, artifact=mf_to_document(T))
-    return 0
-
-
-def cmd_mf_betti(args) -> int:
-    F, digest = _load_mf(args.file)
-    mf_ops.require_valid(F)
-    table = mf_ops.betti(F)
-    report = make_report(
-        "mf betti",
-        inputs={os.path.basename(args.file): digest},
-        results={
-            "betti": [[i, j, v] for (i, j), v in table.entries],
-            "total": table.total(),
-        },
-    )
-    _emit(args, report)
-    return 0
-
-
-def cmd_mf_fermat(args) -> int:
-    if args.field == "Qi":
-        field = QI
-    else:
-        if args.p is None:
-            raise SchemaError("--field Fp requires --p")
-        field = GF(args.p)
+def _mf_fermat(args) -> dict:
+    if args.field == "Fp" and args.p is None:
+        raise SchemaError("--field Fp requires --p")
+    field = QI if args.field == "Qi" else GF(args.p)
     F = mf_ops.fermat(args.pairs, args.half_degree, solo=args.solo, field=field)
-    report = make_report(
-        "mf fermat",
-        results=_mf_results(F),
-        notes=[FERMAT_NOTE],
-    )
-    _emit(args, report, artifact=mf_to_document(F))
-    return 0
+    return {**_factorization(F), "notes": [FERMAT_NOTE]}
 
 
-# ---------------------------------------------------------------------------
-# bott / rho subcommands
+def _vector(vector: CohomologyVector) -> dict:
+    return {"results": {"entries": [[q, v] for q, v in vector.entries], "total": vector.total()},
+            "scalar": str(vector)}
 
 
-def _vector_results(vector: CohomologyVector) -> dict:
-    return {"entries": [[q, v] for q, v in vector.entries], "total": vector.total()}
-
-
-def cmd_bott_eval(args) -> int:
-    value = bott_ops.bott(args.n, args.p, args.q, args.l)
-    report = make_report("bott eval", results={"value": value})
-    _emit(args, report, scalar=value)
-    return 0
-
-
-def cmd_bott_vector(args) -> int:
-    vector = bott_ops.bott_vector(args.n, args.p, args.l)
-    report = make_report("bott vector", results=_vector_results(vector))
-    _emit(args, report, scalar=str(vector))
-    return 0
-
-
-def cmd_bott_restricted(args) -> int:
-    vector = bott_ops.restricted_bott(args.n, args.d, args.r, args.t)
-    report = make_report("bott restricted", results=_vector_results(vector))
-    _emit(args, report, scalar=str(vector))
-    return 0
-
-
-def cmd_rho_structure_sheaf(args) -> int:
-    value = bott_ops.rho_structure_sheaf(args.n, args.d)
-    ctx = HypersurfaceContext(args.n, args.d)
-    report = make_report("rho structure-sheaf", context=ctx, results={"value": value})
-    _emit(args, report, scalar=value)
-    return 0
-
-
-def cmd_rho_point(args) -> int:
-    value = bott_ops.rho_point(args.n)
-    report = make_report("rho point", results={"value": value})
-    _emit(args, report, scalar=value)
-    return 0
-
-
-def cmd_rho_line_bundle(args) -> int:
-    value = bott_ops.rho_line_bundle(args.n, args.d, args.j)
-    ctx = HypersurfaceContext(args.n, args.d)
-    report = make_report("rho line-bundle", context=ctx, results={"value": value, "j": args.j})
-    _emit(args, report, scalar=value)
-    return 0
-
-
-def cmd_rho_from_mf(args) -> int:
-    F, digest = _load_mf(args.file)
-    value = orlov_ops.rho_of_mf(F)
-    ctx = _context_of_document(F)
-    report = make_report(
-        "rho from-mf",
-        context=ctx,
-        inputs={os.path.basename(args.file): digest},
-        results={"value": value},
-    )
-    _emit(args, report, scalar=value)
-    return 0
-
-
-def cmd_rho_from_table(args) -> int:
-    doc, digest = _read_json(args.file)
-    table = document_to_table(doc)
-    value = orlov_ops.rho_of_table(table)
-    report = make_report(
-        "rho from-table",
-        inputs={os.path.basename(args.file): digest},
-        results={"value": value},
-    )
-    _emit(args, report, scalar=value)
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# orlov subcommands
-
-
-def cmd_orlov_translate(args) -> int:
-    F, digest = _load_mf(args.file)
+def _orlov_translate(args, F: MatrixFactorization) -> dict:
     mf_ops.require_valid(F)
     ctx = _context_of_document(F)
     table = orlov_ops.betti_to_table(ctx, mf_ops.betti(F))
     diagnostics = [f"out-of-support entry (p={p}, h={h})" for p, h in table.out_of_support()]
-    report = make_report(
-        "orlov translate",
-        context=ctx,
-        inputs={os.path.basename(args.file): digest},
-        results={
-            "table": [[p, h, v] for (p, h), v in table.entries],
-            "total": table.total(),
-        },
-        diagnostics=diagnostics,
-    )
-    _emit(args, report, artifact=table_to_document(table))
-    return 0
+    return {"context": ctx, "results": _entries("table", table), "diagnostics": diagnostics,
+            "artifact": table_to_document(table)}
 
 
-def cmd_orlov_invert(args) -> int:
-    doc, digest = _read_json(args.file)
-    table = document_to_table(doc)
+def _table_in_context(args, table: CohomologyTable, operation, key: str, to_document) -> dict:
     ctx = HypersurfaceContext(args.n, args.d)
-    betti = orlov_ops.table_to_betti(ctx, table)
-    report = make_report(
-        "orlov invert",
-        context=ctx,
-        inputs={os.path.basename(args.file): digest},
-        results={
-            "betti": [[i, j, v] for (i, j), v in betti.entries],
-            "total": betti.total(),
-        },
-    )
-    _emit(args, report, artifact=betti_to_document(betti))
-    return 0
+    result = operation(ctx, table)
+    return {"context": ctx, "results": _entries(key, result), "artifact": to_document(result)}
 
 
-def cmd_orlov_phi0(args) -> int:
+def _orlov_phi0(args) -> dict:
     ctx = HypersurfaceContext(args.n, args.d)
     descriptor = orlov_ops.phi0_residue(ctx, args.l)
     if descriptor is None:
-        results = {"zero": True}
-        scalar = "0"
-    else:
-        results = {
-            "zero": False,
-            "exterior_power": descriptor.exterior_power,
-            "twist": descriptor.twist,
-            "shift": descriptor.shift,
-        }
-        scalar = str(descriptor)
-    report = make_report("orlov phi0", context=ctx, results={"l": args.l, **results})
-    _emit(args, report, scalar=scalar)
-    return 0
+        return {"context": ctx, "results": {"l": args.l, "zero": True}, "scalar": "0"}
+    return {"context": ctx, "results": {"l": args.l, "zero": False, **asdict(descriptor)},
+            "scalar": str(descriptor)}
 
 
-def cmd_orlov_shamash(args) -> int:
+def _orlov_shamash(args) -> dict:
     degrees = orlov_ops.shamash_degrees(args.n, args.d, args.m)
-    multiplicities: dict[int, int] = {}
-    for m in degrees:
-        multiplicities[m] = multiplicities.get(m, 0) + 1
-    report = make_report(
-        "orlov shamash",
-        results={
-            "m": args.m,
-            "degrees": [[deg, mult] for deg, mult in sorted(multiplicities.items())],
-            "rank": len(degrees),
-        },
-    )
-    scalar = ", ".join(f"degree {deg} x {mult}" for deg, mult in sorted(multiplicities.items()))
-    _emit(args, report, scalar=scalar or "(empty)")
-    return 0
+    pairs = sorted(Counter(degrees).items())
+    return {
+        "results": {"m": args.m, "degrees": [[deg, mult] for deg, mult in pairs],
+                    "rank": len(degrees)},
+        "scalar": ", ".join(f"degree {deg} x {mult}" for deg, mult in pairs) or "(empty)",
+    }
 
 
-def cmd_orlov_dual_table(args) -> int:
-    doc, digest = _read_json(args.file)
-    table = document_to_table(doc)
-    ctx = HypersurfaceContext(args.n, args.d)
-    dualized = orlov_ops.dual_table(ctx, table)
-    report = make_report(
-        "orlov dual-table",
-        context=ctx,
-        inputs={os.path.basename(args.file): digest},
-        results={
-            "table": [[p, h, v] for (p, h), v in dualized.entries],
-            "total": dualized.total(),
-        },
-    )
-    _emit(args, report, artifact=table_to_document(dualized))
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# check / sweep subcommands
-
-
-def _emit_verdict(args, operation: str, ctx: HypersurfaceContext, verdict: Verdict,
-                  inputs: dict | None = None) -> int:
-    report = make_report(operation, context=ctx, inputs=inputs, verdicts=[verdict])
-    _emit(args, report)
-    if verdict.applicable and not verdict.passed:
-        sys.stderr.write(
-            f"check failed: value {verdict.value} < bound {verdict.bound}\n"
-        )
-        return 2
-    return 0
-
-
-def cmd_check_bgs(args) -> int:
-    F, digest = _load_mf(args.file)
-    ctx = _context_of_document(F)
-    verdict = orlov_ops.check_bgs(ctx, F)
-    return _emit_verdict(args, "check bgs", ctx, verdict,
-                         inputs={os.path.basename(args.file): digest})
-
-
-def cmd_check_rho(args) -> int:
-    ctx = HypersurfaceContext(args.n, args.d)
-    verdict = orlov_ops.check_rho(ctx, args.value)
-    return _emit_verdict(args, "check rho", ctx, verdict)
+def _check(ctx: HypersurfaceContext, check, subject) -> dict:
+    return {"context": ctx, "verdicts": [check(ctx, subject)]}
 
 
 def _sweep_threads() -> None:
@@ -708,7 +464,7 @@ def _sweep_csv_blocks(n_max: int, d_max: int):
         )
 
 
-def cmd_sweep_rho_structure_sheaf(args) -> int:
+def _sweep_rho_structure_sheaf(args) -> None:
     _sweep_threads()
     blocks = _sweep_csv_blocks(args.n_max, args.d_max)
     if args.output:
@@ -716,123 +472,159 @@ def cmd_sweep_rho_structure_sheaf(args) -> int:
             handle.writelines(blocks)
     else:
         sys.stdout.writelines(blocks)
-    return 0
 
 
-# ---------------------------------------------------------------------------
-# Argument parsing
+class Command(NamedTuple):
+    """One leaf command.  ``compute(args, *documents)`` returns make_report
+    keywords plus optional ``artifact`` (the JSON document for --output),
+    ``scalar`` (the bare value of text mode) and ``rejected`` (invalid
+    input), or None when it wrote its own output.  It calls library
+    functions through their module at call time (``mf_ops.reduce(...)``),
+    so that a rebound module attribute reaches every command."""
+
+    group: str
+    name: str
+    help: str
+    compute: Callable[..., dict | None]
+    files: tuple[str, ...] = ()  # kind of each positional file: "mf" or "table"
+    ints: tuple[str, ...] = ()  # required integer options
+    options: tuple[tuple[str, dict], ...] = ()  # further (flag, add_argument keywords)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
-    parser.add_argument("--output", metavar="PATH", help="write the command's artifact to PATH")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized subcommands (accepted everywhere)")
+GROUPS = {
+    "mf": "matrix factorization operations",
+    "bott": "cohomology of twisted differentials",
+    "rho": "the rho invariant",
+    "orlov": "Betti/cohomology translation",
+    "check": "instance checks of the rank bounds",
+    "sweep": "batch sweeps over (n, d) grids",
+}
+
+COMMANDS = (
+    Command("mf", "validate", "validate a factorization document", _mf_validate, ("mf",)),
+    Command("mf", "reduce", "split off trivial summands", _mf_reduce, ("mf",)),
+    Command("mf", "tensor", "tensor two factorizations",
+            lambda args, F, G: _factorization(mf_ops.tensor(
+                mf_ops.require_valid(F), mf_ops.require_valid(G), normalize=args.normalize)),
+            ("mf", "mf"),
+            options=(("--normalize", {"action": "store_true",
+                                      "help": "twist so the minimum F1 degree is 0"}),)),
+    Command("mf", "shift", "triangulated shift [1]",
+            lambda args, F: _factorization(mf_ops.shift(mf_ops.require_valid(F))), ("mf",)),
+    Command("mf", "twist", "grading twist",
+            lambda args, F: _factorization(mf_ops.twist(mf_ops.require_valid(F), args.t)),
+            ("mf",), ("--t",)),
+    Command("mf", "dual", "transpose dual",
+            lambda args, F: _factorization(mf_ops.dual(mf_ops.require_valid(F))), ("mf",)),
+    Command("mf", "betti", "Betti table of a reduced factorization",
+            lambda args, F: {"results": _entries("betti", mf_ops.betti(mf_ops.require_valid(F)))},
+            ("mf",)),
+    Command("mf", "fermat", "Fermat-type generator", _mf_fermat,
+            ints=("--pairs", "--half-degree"),
+            options=(("--solo", {"action": "store_true"}),
+                     ("--field", {"choices": ["Qi", "Fp"], "default": "Qi"}),
+                     ("--p", {"type": int, "default": None, "help": "modulus for --field Fp"}))),
+    Command("bott", "eval", "one cohomology dimension",
+            lambda args: _value(bott_ops.bott(args.n, args.p, args.q, args.l)),
+            ints=("--n", "--p", "--q", "--l")),
+    Command("bott", "vector", "vector over all q",
+            lambda args: _vector(bott_ops.bott_vector(args.n, args.p, args.l)),
+            ints=("--n", "--p", "--l")),
+    Command("bott", "restricted", "restriction to a hypersurface",
+            lambda args: _vector(bott_ops.restricted_bott(args.n, args.d, args.r, args.t)),
+            ints=("--n", "--d", "--r", "--t")),
+    Command("rho", "structure-sheaf", "rho(O_X), closed form",
+            lambda args: _value(bott_ops.rho_structure_sheaf(args.n, args.d),
+                                HypersurfaceContext(args.n, args.d)),
+            ints=("--n", "--d")),
+    Command("rho", "point", "rho of a point sheaf",
+            lambda args: _value(bott_ops.rho_point(args.n)), ints=("--n",)),
+    Command("rho", "line-bundle", "rho(O_X(j))",
+            lambda args: _value(bott_ops.rho_line_bundle(args.n, args.d, args.j),
+                                HypersurfaceContext(args.n, args.d), j=args.j),
+            ints=("--n", "--d", "--j")),
+    Command("rho", "from-mf", "rho from a reduced factorization",
+            lambda args, F: _value(orlov_ops.rho_of_mf(F), _context_of_document(F)),
+            ("mf",)),
+    Command("rho", "from-table", "rho as a table total",
+            lambda args, table: _value(orlov_ops.rho_of_table(table)), ("table",)),
+    Command("orlov", "translate", "Betti table -> cohomology table", _orlov_translate, ("mf",)),
+    Command("orlov", "invert", "cohomology table -> Betti table",
+            lambda args, table: _table_in_context(args, table, orlov_ops.table_to_betti,
+                                                  "betti", betti_to_document),
+            ("table",), ("--n", "--d")),
+    Command("orlov", "phi0", "residue field image descriptor", _orlov_phi0,
+            ints=("--n", "--d", "--l")),
+    Command("orlov", "shamash", "Shamash resolution degrees", _orlov_shamash,
+            ints=("--n", "--d", "--m")),
+    Command("orlov", "dual-table", "duality involution of a table",
+            lambda args, table: _table_in_context(args, table, orlov_ops.dual_table,
+                                                  "table", table_to_document),
+            ("table",), ("--n", "--d")),
+    Command("check", "bgs", "rank(F0) >= 2^e on a factorization document",
+            lambda args, F: _check(_context_of_document(F), orlov_ops.check_bgs, F), ("mf",)),
+    Command("check", "rho", "rho >= 2^(e+1) for a supplied value",
+            lambda args: _check(HypersurfaceContext(args.n, args.d), orlov_ops.check_rho,
+                                args.value),
+            ints=("--n", "--d", "--value")),
+    Command("sweep", "rho-structure-sheaf", "CSV of rho(O_X) against the 2^(e+1) bound",
+            _sweep_rho_structure_sheaf, ints=("--n-max", "--d-max")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mfkit", description=__doc__.splitlines()[0])
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
-
-    def leaf(group, name: str, func, help_text: str):
-        sub = group.add_parser(name, help=help_text)
-        _add_common(sub)
-        sub.set_defaults(func=func)
-        return sub
-
-    mf_group = groups.add_parser("mf", help="matrix factorization operations")
-    mf_cmds = mf_group.add_subparsers(dest="command", required=True, metavar="CMD")
-    sub = leaf(mf_cmds, "validate", cmd_mf_validate, "validate a factorization document")
-    sub.add_argument("file")
-    sub = leaf(mf_cmds, "reduce", cmd_mf_reduce, "split off trivial summands")
-    sub.add_argument("file")
-    sub = leaf(mf_cmds, "tensor", cmd_mf_tensor, "tensor two factorizations")
-    sub.add_argument("file")
-    sub.add_argument("file2")
-    sub.add_argument("--normalize", action="store_true",
-                     help="twist so the minimum F1 degree is 0")
-    sub = leaf(mf_cmds, "shift", cmd_mf_shift, "triangulated shift [1]")
-    sub.add_argument("file")
-    sub = leaf(mf_cmds, "twist", cmd_mf_twist, "grading twist")
-    sub.add_argument("file")
-    sub.add_argument("--t", type=int, required=True)
-    sub = leaf(mf_cmds, "dual", cmd_mf_dual, "transpose dual")
-    sub.add_argument("file")
-    sub = leaf(mf_cmds, "betti", cmd_mf_betti, "Betti table of a reduced factorization")
-    sub.add_argument("file")
-    sub = leaf(mf_cmds, "fermat", cmd_mf_fermat, "Fermat-type generator")
-    sub.add_argument("--pairs", type=int, required=True)
-    sub.add_argument("--half-degree", type=int, required=True, dest="half_degree")
-    sub.add_argument("--solo", action="store_true")
-    sub.add_argument("--field", choices=["Qi", "Fp"], default="Qi")
-    sub.add_argument("--p", type=int, default=None, help="modulus for --field Fp")
-
-    bott_group = groups.add_parser("bott", help="cohomology of twisted differentials")
-    bott_cmds = bott_group.add_subparsers(dest="command", required=True, metavar="CMD")
-    sub = leaf(bott_cmds, "eval", cmd_bott_eval, "one cohomology dimension")
-    for flag in ("--n", "--p", "--q", "--l"):
-        sub.add_argument(flag, type=int, required=True)
-    sub = leaf(bott_cmds, "vector", cmd_bott_vector, "vector over all q")
-    for flag in ("--n", "--p", "--l"):
-        sub.add_argument(flag, type=int, required=True)
-    sub = leaf(bott_cmds, "restricted", cmd_bott_restricted, "restriction to a hypersurface")
-    for flag in ("--n", "--d", "--r", "--t"):
-        sub.add_argument(flag, type=int, required=True)
-
-    rho_group = groups.add_parser("rho", help="the rho invariant")
-    rho_cmds = rho_group.add_subparsers(dest="command", required=True, metavar="CMD")
-    sub = leaf(rho_cmds, "structure-sheaf", cmd_rho_structure_sheaf, "rho(O_X), closed form")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--d", type=int, required=True)
-    sub = leaf(rho_cmds, "point", cmd_rho_point, "rho of a point sheaf")
-    sub.add_argument("--n", type=int, required=True)
-    sub = leaf(rho_cmds, "line-bundle", cmd_rho_line_bundle, "rho(O_X(j))")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--d", type=int, required=True)
-    sub.add_argument("--j", type=int, required=True)
-    sub = leaf(rho_cmds, "from-mf", cmd_rho_from_mf, "rho from a reduced factorization")
-    sub.add_argument("file")
-    sub = leaf(rho_cmds, "from-table", cmd_rho_from_table, "rho as a table total")
-    sub.add_argument("file")
-
-    orlov_group = groups.add_parser("orlov", help="Betti/cohomology translation")
-    orlov_cmds = orlov_group.add_subparsers(dest="command", required=True, metavar="CMD")
-    sub = leaf(orlov_cmds, "translate", cmd_orlov_translate, "Betti table -> cohomology table")
-    sub.add_argument("file")
-    sub = leaf(orlov_cmds, "invert", cmd_orlov_invert, "cohomology table -> Betti table")
-    sub.add_argument("file")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--d", type=int, required=True)
-    sub = leaf(orlov_cmds, "phi0", cmd_orlov_phi0, "residue field image descriptor")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--d", type=int, required=True)
-    sub.add_argument("--l", type=int, required=True)
-    sub = leaf(orlov_cmds, "shamash", cmd_orlov_shamash, "Shamash resolution degrees")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--d", type=int, required=True)
-    sub.add_argument("--m", type=int, required=True)
-    sub = leaf(orlov_cmds, "dual-table", cmd_orlov_dual_table, "duality involution of a table")
-    sub.add_argument("file")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--d", type=int, required=True)
-
-    check_group = groups.add_parser("check", help="instance checks of the rank bounds")
-    check_cmds = check_group.add_subparsers(dest="command", required=True, metavar="CMD")
-    sub = leaf(check_cmds, "bgs", cmd_check_bgs, "rank(F0) >= 2^e on a factorization document")
-    sub.add_argument("file")
-    sub = leaf(check_cmds, "rho", cmd_check_rho, "rho >= 2^(e+1) for a supplied value")
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--d", type=int, required=True)
-    sub.add_argument("--value", type=int, required=True)
-
-    sweep_group = groups.add_parser("sweep", help="batch sweeps over (n, d) grids")
-    sweep_cmds = sweep_group.add_subparsers(dest="command", required=True, metavar="CMD")
-    sub = leaf(sweep_cmds, "rho-structure-sheaf", cmd_sweep_rho_structure_sheaf,
-               "CSV of rho(O_X) against the 2^(e+1) bound")
-    sub.add_argument("--n-max", type=int, required=True, dest="n_max")
-    sub.add_argument("--d-max", type=int, required=True, dest="d_max")
-
+    leaves = {}
+    for group, help_text in GROUPS.items():
+        sub = groups.add_parser(group, help=help_text)
+        leaves[group] = sub.add_subparsers(dest="command", required=True, metavar="CMD")
+    for row in COMMANDS:
+        sub = leaves[row.group].add_parser(row.name, help=row.help)
+        sub.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
+        sub.add_argument("--output", metavar="PATH", help="write the command's artifact to PATH")
+        sub.add_argument("--seed", type=int, default=0,
+                         help="seed for randomized subcommands (accepted everywhere)")
+        for dest in ("file", "file2")[:len(row.files)]:
+            sub.add_argument(dest)
+        for flag in row.ints:
+            sub.add_argument(flag, type=int, required=True)
+        for flag, keywords in row.options:
+            sub.add_argument(flag, **keywords)
+        sub.set_defaults(row=row)
     return parser
+
+
+def _run(args) -> int:
+    """Read and parse the row's input files, compute, write the report.
+    A ``rejected`` input prints the JSON report only with --json and its
+    diagnostics on stderr; a failing verdict is reported as usual, then
+    named on stderr.  Both exit 2."""
+    row = args.row
+    inputs, documents = {}, []
+    for dest, kind in zip(("file", "file2"), row.files):
+        path = getattr(args, dest)
+        doc, digest = _read_json(path)
+        inputs[os.path.basename(path)] = digest
+        documents.append(document_to_mf(doc) if kind == "mf" else document_to_table(doc))
+    out = row.compute(args, *documents)
+    if out is None:
+        return 0
+    artifact, scalar = out.pop("artifact", None), out.pop("scalar", None)
+    rejected = out.pop("rejected", False)
+    report = make_report(f"{row.group} {row.name}", inputs=inputs, **out)
+    if rejected:
+        if args.json:
+            sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        for diag in report["diagnostics"]:
+            sys.stderr.write(f"invalid: {diag}\n")
+        return 2
+    _emit(args, report, artifact=artifact, scalar=scalar)
+    for verdict in out.get("verdicts", ()):
+        if verdict.applicable and not verdict.passed:
+            sys.stderr.write(f"check failed: value {verdict.value} < bound {verdict.bound}\n")
+            return 2
+    return 0
 
 
 def _origin_module(exc: BaseException) -> str:
@@ -855,7 +647,7 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"{exc}\n")
         return 1
     try:
-        return args.func(args)
+        return _run(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         sys.stderr.write(f"error [{_origin_module(exc)}]: {exc}\n")
         return 2

@@ -31,6 +31,10 @@ from .graded import DegreeMultiset, HomogeneousMatrix, compose
 
 Grid = Sequence[Sequence[Polynomial]]
 
+# Largest rank fermat() builds: its matrices are dense, and each extra pair
+# costs about 2.5x the time and 4x the document size.
+MAX_FERMAT_RANK = 2**10
+
 
 @dataclass(frozen=True)
 class MatrixFactorization:
@@ -144,8 +148,9 @@ def _mk(
     return MatrixFactorization(f, s0, s1)
 
 
-def _kron(a: Grid, b: Grid, arows: int, acols: int, brows: int, bcols: int,
-          field: Field, nvars: int) -> list[list[Polynomial]]:
+def _kron(a: Grid, b: Grid, field: Field, nvars: int) -> list[list[Polynomial]]:
+    arows, acols = len(a), len(a[0]) if a else 0
+    brows, bcols = len(b), len(b[0]) if b else 0
     zero = Polynomial.zero(field, nvars)
     out = [[zero] * (acols * bcols) for _ in range(arows * brows)]
     for ia in range(arows):
@@ -354,19 +359,19 @@ def tensor(F: MatrixFactorization, G: MatrixFactorization, *, normalize: bool = 
 
     t0 = _block(
         [
-            [_kron(A0, eyeG0, rF1, rF0, rG0, rG0, field, nvars),
-             _kron(eyeF1, B1, rF1, rF1, rG0, rG1, field, nvars)],
-            [_kron(eyeF0, B0, rF0, rF0, rG1, rG0, field, nvars),
-             _neg_grid(_kron(A1, eyeG1, rF0, rF1, rG1, rG1, field, nvars))],
+            [_kron(A0, eyeG0, field, nvars),
+             _kron(eyeF1, B1, field, nvars)],
+            [_kron(eyeF0, B0, field, nvars),
+             _neg_grid(_kron(A1, eyeG1, field, nvars))],
         ],
         [rF1 * rG0, rF0 * rG1], [rF0 * rG0, rF1 * rG1], field, nvars,
     )
     t1 = _block(
         [
-            [_kron(A1, eyeG0, rF0, rF1, rG0, rG0, field, nvars),
-             _kron(eyeF0, B1, rF0, rF0, rG0, rG1, field, nvars)],
-            [_kron(eyeF1, B0, rF1, rF1, rG1, rG0, field, nvars),
-             _neg_grid(_kron(A0, eyeG1, rF1, rF0, rG1, rG1, field, nvars))],
+            [_kron(A1, eyeG0, field, nvars),
+             _kron(eyeF0, B1, field, nvars)],
+            [_kron(eyeF1, B0, field, nvars),
+             _neg_grid(_kron(A0, eyeG1, field, nvars))],
         ],
         [rF0 * rG0, rF1 * rG1], [rF1 * rG0, rF0 * rG1], field, nvars,
     )
@@ -527,12 +532,16 @@ def fermat(pairs: int, half_degree: int, *, solo: bool = False,
     (z^m, z^m) in a fresh variable.  The result factors the Fermat-type
     polynomial sum(x_k^(2m)) and is twist-normalized so the minimum
     degree of F1 is 0.  Rank is 2^(pairs-1), or 2^pairs with the solo
-    factor.  The field must contain a square root of -1.
+    factor; a rank above MAX_FERMAT_RANK raises ValueError before anything
+    is built.  The field must contain a square root of -1.
     """
     if pairs < 1:
         raise ValueError("pairs must be >= 1")
     if half_degree < 1:
         raise ValueError("half_degree must be >= 1")
+    log_rank = pairs if solo else pairs - 1
+    if log_rank >= MAX_FERMAT_RANK.bit_length():  # 2^log_rank > MAX_FERMAT_RANK
+        raise ValueError(f"rank 2^{log_rank} exceeds MAX_FERMAT_RANK = {MAX_FERMAT_RANK}")
     i_scalar = field.i()
     m = half_degree
     nvars = 2 * pairs + (1 if solo else 0)

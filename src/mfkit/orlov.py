@@ -239,8 +239,7 @@ def phi0_residue(ctx: HypersurfaceContext, l: int) -> Phi0Descriptor | None:
     of wedge^(r+a) T, twisted by -(r+a) and shifted by 2q + n - r - a - 1.
     """
     _require_non_fano(ctx)
-    q = -((-l) // ctx.d)
-    r = q * ctx.d - l
+    q, r = euclid_split(ctx, ctx.a - l)
     l0 = -r
     if l0 > ctx.a:
         return None

@@ -1,6 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -379,3 +384,151 @@ class TestDeterminism:
         _, json_out, _ = run(capsys, "check", "bgs", "g.json", "--json")
         verdict = json.loads(json_out)["verdicts"][0]
         assert f"value={verdict['value']} bound={verdict['bound']}" in text_out
+
+
+# ---------------------------------------------------------------------------
+# Golden bytes of every leaf command and failure path.  For each case,
+# cli_golden.json holds the exit code and the SHA-256 of stdout, stderr and
+# the --output file (null when no file is written).  argparse usage and
+# help text are left out: their wording differs between Python versions,
+# so usage errors check the exit code only.
+
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+
+GOLDEN_MODES = {"text": [], "json": ["--json"], "output": ["--output", "out.txt"],
+                "json+output": ["--json", "--output", "out.txt"]}
+
+GOLDEN_LEAVES = [
+    "mf validate g.json",
+    "mf reduce p.json",
+    "mf tensor g.json g.json",
+    "mf shift g.json",
+    "mf twist g.json --t 3",
+    "mf dual g.json",
+    "mf betti g.json",
+    "mf fermat --pairs 2 --half-degree 2",
+    "bott eval --n 3 --p 2 --q 3 --l -2",
+    "bott vector --n 3 --p 2 --l -2",
+    "bott restricted --n 3 --d 4 --r 0 --t 0",
+    "rho structure-sheaf --n 3 --d 4",
+    "rho point --n 3",
+    "rho line-bundle --n 2 --d 1 --j -1",
+    "rho from-mf g.json",
+    "rho from-table t.json",
+    "orlov translate g.json",
+    "orlov invert t.json --n 3 --d 4",
+    "orlov phi0 --n 3 --d 4 --l -2",
+    "orlov shamash --n 3 --d 4 --m -2",
+    "orlov dual-table s.json --n 3 --d 4",
+    "check bgs g.json",
+    "check rho --n 3 --d 4 --value 4",
+    "sweep rho-structure-sheaf --n-max 3 --d-max 6",
+    # Further inputs and options.
+    "mf validate p.json",
+    "mf tensor g.json p.json --normalize",
+    "mf fermat --pairs 2 --half-degree 1 --field Fp --p 13",
+    "mf fermat --pairs 1 --half-degree 2 --solo",
+    "orlov phi0 --n 3 --d 5 --l 0",
+    "check bgs triv.json",
+    "rho point --n 2 --seed 7",
+    "MFKIT_THREADS=4 sweep rho-structure-sheaf --n-max 2 --d-max 4",
+    # Failure paths.
+    "mf validate bad.json",
+    "check rho --n 4 --d 5 --value 3",
+    "check rho --n 2 --d 2 --value 2",
+    "mf fermat --pairs 1 --half-degree 2 --field Fp",
+    "mf fermat --pairs 1 --half-degree 2 --field Fp --p 7",
+    "MFKIT_THREADS=zero sweep rho-structure-sheaf --n-max 2 --d-max 4",
+    "mf validate missing.json",
+    "mf validate junk.json",
+    "mf reduce bad.json",
+    "mf tensor g.json junk.json",
+    "rho from-mf p.json",
+    "rho from-table g.json",
+    "orlov shamash --n 3 --d 4 --m 1",
+    "orlov dual-table t.json --n 3 --d 4",
+]
+
+GOLDEN_USAGE_ERRORS = [
+    "nonsense",
+    "mf",
+    "rho point",
+    "mf validate",
+    "mf fermat --pairs x --half-degree 2",
+    "orlov invert t.json --n 3",
+]
+
+
+def golden_inputs(root: Path) -> None:
+    F = mf.fermat(2, 2)
+    bad = mf_to_document(F)
+    bad["s0"][0][0] = "x0^2"  # breaks the composite identity
+    docs = {
+        "g.json": mf_to_document(F),
+        "p.json": mf_to_document(mf.direct_sum(F, mf.trivial_one_f(F.f))),
+        "triv.json": mf_to_document(mf.trivial_one_f(F.f)),
+        "bad.json": bad,
+        "t.json": {"schema": "mfkit/table-v1", "n": 3, "entries": [[0, 0, 2], [2, 3, 2]]},
+        "s.json": {"schema": "mfkit/table-v1", "n": 3, "entries": [[0, 0, 2], [2, 1, 2]]},
+    }
+    for name, doc in docs.items():
+        (root / name).write_text(json.dumps(doc))
+    (root / "junk.json").write_text("{not json")
+
+
+def golden_run(root, capsys, monkeypatch, case, extra):
+    monkeypatch.delenv("MFKIT_THREADS", raising=False)
+    argv = case.split()
+    while "=" in argv[0]:
+        key, value = argv.pop(0).split("=", 1)
+        monkeypatch.setenv(key, value)
+    golden_inputs(root)
+    code = main(argv + extra)
+    captured = capsys.readouterr()
+    out_file = root / "out.txt"
+    return code, captured.out, captured.err, out_file.read_bytes() if out_file.exists() else None
+
+
+def _sha(data):
+    return None if data is None else hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("key", [f"{case} [{mode}]" for case in GOLDEN_LEAVES for mode in GOLDEN_MODES])
+def test_golden_cli_bytes(workdir, capsys, monkeypatch, key):
+    case, mode = key[:-1].rsplit(" [", 1)
+    code, out, err, written = golden_run(workdir, capsys, monkeypatch, case, GOLDEN_MODES[mode])
+    actual = {"exit": code, "stdout": _sha(out.encode()), "stderr": _sha(err.encode()),
+              "output": _sha(written)}
+    assert actual == GOLDEN[key], (
+        f"exit {code}\n--- stdout\n{out}--- stderr\n{err}--- output file\n"
+        f"{written.decode() if written is not None else '(not written)'}"
+    )
+
+
+@pytest.mark.parametrize("case", GOLDEN_USAGE_ERRORS)
+def test_golden_usage_errors(workdir, capsys, monkeypatch, case):
+    code, out, _, written = golden_run(workdir, capsys, monkeypatch, case, [])
+    assert (code, out, written) == (1, "", None)
+
+
+def test_fermat_rank_bound_fails_fast(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "mf", "fermat", "--pairs", "40", "--half-degree", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and err.startswith("error [mfkit.mf]")
+
+
+def test_module_entry_point(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("MFKIT_THREADS", None)
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", "mfkit", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    done = python_m("rho", "point", "--n", "3")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "8\n", "")
+    done = python_m("check", "rho", "--n", "4", "--d", "5", "--value", "3")
+    assert done.returncode == 2 and "check failed" in done.stderr
+    assert python_m("rho", "point").returncode == 1

@@ -348,3 +348,31 @@ class TestConstructorsValidate:
         ]
         for out in outputs:
             assert mf.validate(out) == []
+
+
+class TestTensorWithZeroRank:
+    @pytest.mark.parametrize("side", ["left", "right", "both"])
+    def test_rank_zero_factor_gives_rank_zero(self, side):
+        F = mf.fermat(1, 2)  # f = x0^4 + x1^4
+        g = parse_poly("x0^4", QI, 2)
+        left = mf.zero_mf(F.f) if side in ("left", "both") else F
+        right = mf.zero_mf(g) if side in ("right", "both") else mf.trivial_one_f(g)
+        T = mf.tensor(left, right)
+        assert T.rank0 == T.rank1 == 0
+        assert T.f == left.f + right.f
+        assert mf.validate(T) == []
+
+
+class TestFermatRankBound:
+    @pytest.mark.parametrize("pairs, solo", [(12, False), (11, True), (40, False), (10**9, True)])
+    def test_rank_above_bound_rejected(self, pairs, solo):
+        with pytest.raises(ValueError, match="exceeds MAX_FERMAT_RANK"):
+            mf.fermat(pairs, 2, solo=solo)
+
+    def test_rank_at_bound_is_built(self, monkeypatch):
+        monkeypatch.setattr(mf, "MAX_FERMAT_RANK", 4)
+        assert mf.fermat(3, 1).rank0 == 4
+        assert mf.fermat(2, 1, solo=True).rank0 == 4
+        for pairs, solo in ((4, False), (3, True)):
+            with pytest.raises(ValueError, match="rank 2\\^3 exceeds MAX_FERMAT_RANK = 4"):
+                mf.fermat(pairs, 1, solo=solo)
