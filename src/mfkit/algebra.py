@@ -20,6 +20,15 @@ the field.  Arithmetic does not re-validate; its results, whose terms
 are already well formed, go through the trusted ``Polynomial._canonical``,
 which only drops zero terms and sorts.
 
+Products (``*`` and :func:`graded.compose`) share one loop,
+``Polynomial._sum_of_products``, that works on raw scalar components:
+GF(p) residues as plain ints, summed unreduced and reduced ``% p`` once
+per output term; QQ and QQ(i) parts as ints when integral, else as
+Fractions, combined with the Gaussian product formula.  Each surviving
+output term is wrapped into the public scalar type once, so terms always
+hold an ``FpElement`` in [0, p), a ``GaussianRational`` with Fraction
+parts, or a Fraction.
+
 The expression grammar accepted by :func:`parse_poly`::
 
     expr   := term (('+' | '-') term)*
@@ -42,7 +51,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from functools import cached_property
+from operator import add, attrgetter
 from typing import Iterable, Mapping, Union
 
 NEG_INFINITY = float("-inf")
@@ -52,6 +62,10 @@ PRIME_LIMIT = 2**31 - 1
 
 # Largest exponent accepted by the parser.
 MAX_EXPONENT = 2**20
+
+# Largest variable count accepted by the parser: every monomial stores an
+# nvars-tuple of exponents.
+MAX_NVARS = 2**10
 
 
 class ParseError(ValueError):
@@ -204,11 +218,13 @@ class Field:
         elif self.p is not None:
             raise ValueError(f"field {self.kind!r} takes no modulus")
 
-    @property
+    # Computed once per field; cached_property writes to the instance
+    # dict, which the frozen dataclass does not guard.
+    @cached_property
     def zero(self) -> Scalar:
         return self.coerce(0)
 
-    @property
+    @cached_property
     def one(self) -> Scalar:
         return self.coerce(1)
 
@@ -277,6 +293,11 @@ def GF(p: int) -> Field:
     return Field("Fp", p)
 
 
+def _raw(q: Fraction) -> int | Fraction:
+    # A rational component as a plain int when it is integral.
+    return q.numerator if q.denominator == 1 else q
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Sparse multivariate polynomial in canonical form.
@@ -335,15 +356,42 @@ class Polynomial:
     ) -> "Polynomial":
         """The sum of ``left * right`` over ``pairs``, accumulated in one
         dict and canonicalized once.  Trusted: every operand must lie in
-        the ring (``field``, ``nvars``)."""
-        acc: dict[tuple[int, ...], Scalar] = {}
-        for left, right in pairs:
-            for e1, c1 in left.terms:
-                for e2, c2 in right.terms:
-                    exps = tuple(map(add, e1, e2))
-                    prod = c1 * c2
-                    old = acc.get(exps)
-                    acc[exps] = prod if old is None else old + prod
+        the ring (``field``, ``nvars``).  Runs on raw scalar components
+        and wraps each surviving output term once (see the module
+        docstring)."""
+        kind = field.kind
+        if kind == "Qi":
+            acc_re: dict[tuple[int, ...], int | Fraction] = {}
+            acc_im: dict[tuple[int, ...], int | Fraction] = {}
+            for left, right in pairs:
+                rterms = [(e2, _raw(c2.re), _raw(c2.im)) for e2, c2 in right.terms]
+                for e1, c1 in left.terms:
+                    a, b = _raw(c1.re), _raw(c1.im)
+                    for e2, c, d in rterms:
+                        exps = tuple(map(add, e1, e2))
+                        acc_re[exps] = acc_re.get(exps, 0) + (a * c - b * d)
+                        acc_im[exps] = acc_im.get(exps, 0) + (a * d + b * c)
+            acc = {
+                exps: GaussianRational(Fraction(re), Fraction(acc_im[exps]))
+                for exps, re in acc_re.items()
+                if re or acc_im[exps]
+            }
+        else:
+            raw_acc: dict[tuple[int, ...], int | Fraction] = {}
+            raw = attrgetter("value") if kind == "Fp" else _raw
+            for left, right in pairs:
+                rterms = [(e2, raw(c2)) for e2, c2 in right.terms]
+                for e1, c1 in left.terms:
+                    a = raw(c1)
+                    for e2, c in rterms:
+                        exps = tuple(map(add, e1, e2))
+                        raw_acc[exps] = raw_acc.get(exps, 0) + a * c
+            if kind == "Fp":
+                p = field.p
+                acc = {exps: FpElement(residue, p)
+                       for exps, value in raw_acc.items() if (residue := value % p)}
+            else:
+                acc = {exps: Fraction(value) for exps, value in raw_acc.items() if value}
         return cls._canonical(field, nvars, acc)
 
     @classmethod
@@ -638,7 +686,8 @@ class _Parser:
 
 def parse_poly(text: str, field: Field, nvars: int,
                max_degree: int | None = None) -> Polynomial:
-    """Parse an expression string into a canonical polynomial.
+    """Parse an expression string into a canonical polynomial in at most
+    MAX_NVARS variables.
 
     With ``max_degree``, every ``*`` and ``^`` whose result would have
     total degree above it raises :class:`ParseError` before the product
@@ -646,4 +695,6 @@ def parse_poly(text: str, field: Field, nvars: int,
     module parses under its own total degree."""
     if nvars < 0:
         raise ValueError("nvars must be nonnegative")
+    if nvars > MAX_NVARS:
+        raise ValueError(f"nvars {nvars} exceeds MAX_NVARS = {MAX_NVARS}")
     return _Parser(text, field, nvars, max_degree).parse()

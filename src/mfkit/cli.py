@@ -37,7 +37,8 @@ from typing import Callable, NamedTuple
 
 from . import mf as mf_ops
 from . import orlov as orlov_ops
-from .algebra import GF, QI, QQ, Field, ParseError, Polynomial, parse_poly
+from .algebra import (GF, MAX_NVARS, NEG_INFINITY, QI, QQ, Field, ParseError, Polynomial,
+                      parse_poly)
 from . import bott as bott_ops
 from .bott import CohomologyVector
 from .graded import DegreeMultiset, HomogeneousMatrix
@@ -140,12 +141,18 @@ def _parse_degree_list(doc: dict, key: str) -> tuple[int, ...]:
 
 def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
                   source: tuple[int, ...], target: tuple[int, ...],
-                  memo: dict[tuple[str, int], Polynomial]) -> tuple[tuple[Polynomial, ...], ...]:
+                  memo: dict[str, tuple[Polynomial, int | float]]) -> tuple[tuple[Polynomial, ...], ...]:
     """Parse the entry strings of one matrix from ``source`` to ``target``
     degrees.  Entry ``[r][c]`` parses under the degree bound
-    ``max(source[c] - target[r], 0)``.  ``memo`` maps (entry text, bound)
-    pairs already parsed in this document to their polynomial; a string
-    that fails to parse is never stored, so it raises wherever it appears."""
+    ``max(source[c] - target[r], 0)``.  ``memo`` maps each entry text
+    already parsed in this document to its polynomial and the smallest
+    ``source[c] - target[r]`` known to admit it: NEG_INFINITY when it
+    parsed under the bound 0, or holds no ``*`` or ``^`` (the only places
+    the bound is checked).  A text that parses under one bound parses to
+    the same polynomial under any larger one, so a hit costs one
+    comparison and a text is parsed again only under a smaller bound.  A
+    string that fails to parse is never stored, so it raises wherever it
+    appears."""
     nrows, ncols = len(target), len(source)
     raw = _expect(doc, key, list)
     if len(raw) != nrows:
@@ -158,14 +165,16 @@ def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
         for c, text in enumerate(raw_row):
             if not isinstance(text, str):
                 raise SchemaError(f"{key}[{r}][{c}] must be a polynomial string")
-            bound = max(source[c] - target[r], 0)
-            poly = memo.get((text, bound))
-            if poly is None:
+            bound = source[c] - target[r]
+            hit = memo.get(text)
+            if hit is None or bound < hit[1]:
                 try:
-                    poly = memo[text, bound] = parse_poly(text, field, nvars, bound)
+                    poly = parse_poly(text, field, nvars, max(bound, 0))
                 except ParseError as exc:
                     raise SchemaError(f"{key}[{r}][{c}]: {exc}") from exc
-            row.append(poly)
+                bounded = bound > 0 and ("*" in text or "^" in text)
+                hit = memo[text] = (poly, bound if bounded else NEG_INFINITY)
+            row.append(hit[0])
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -179,6 +188,8 @@ def document_to_mf(doc: dict) -> MatrixFactorization:
     nvars = _expect_int(doc, "nvars")
     if nvars < 1:
         raise SchemaError("nvars must be >= 1")
+    if nvars > MAX_NVARS:
+        raise SchemaError(f"nvars must be <= {MAX_NVARS}")
     d = _expect_int(doc, "d")
     try:
         f = parse_poly(_expect(doc, "f", str), field, nvars, d)
@@ -191,7 +202,7 @@ def document_to_mf(doc: dict) -> MatrixFactorization:
     F0 = DegreeMultiset(f0)
     F1 = DegreeMultiset(f1)
     F1d = F1.twist(-d)
-    memo: dict[tuple[str, int], Polynomial] = {}
+    memo: dict[str, tuple[Polynomial, int | float]] = {}
     s0 = _parse_matrix(doc, "s0", field, nvars, F0.degrees, F1.degrees, memo)
     s1 = _parse_matrix(doc, "s1", field, nvars, F1d.degrees, F0.degrees, memo)
     return MatrixFactorization(
@@ -601,11 +612,15 @@ def _run(args) -> int:
     diagnostics on stderr; a failing verdict is reported as usual, then
     named on stderr.  Both exit 2."""
     row = args.row
+    paths = [getattr(args, dest) for dest in ("file", "file2")[:len(row.files)]]
+    names = [os.path.basename(path) for path in paths]
+    if len(set(names)) < len(names):
+        # When two inputs share a base name, each is keyed by its path as given.
+        names = paths
     inputs, documents = {}, []
-    for dest, kind in zip(("file", "file2"), row.files):
-        path = getattr(args, dest)
+    for path, name, kind in zip(paths, names, row.files):
         doc, digest = _read_json(path)
-        inputs[os.path.basename(path)] = digest
+        inputs[name] = digest
         documents.append(document_to_mf(doc) if kind == "mf" else document_to_table(doc))
     out = row.compute(args, *documents)
     if out is None:

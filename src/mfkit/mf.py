@@ -472,31 +472,26 @@ def _find_unit(grid: list[list[Polynomial]]) -> tuple[int, int] | None:
 
 def _split_summand(field: Field, a: list[list[Polynomial]], b: list[list[Polynomial]],
                    r: int, c: int) -> None:
-    """Clear row r and column c of ``a`` around the unit pivot a[r][c],
-    mirroring the inverse basis changes on the partner matrix ``b``, then
-    delete the pivot row/column from both matrices (b transposed-wise).
-    Mutates the grids in place."""
-    uinv = field.inv(a[r][c].constant_term)
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    # Clear column c (row operations on a, column operations on b).
-    for r2 in range(nrows):
-        if r2 == r or a[r2][c].is_zero:
+    """Split off the trivial summand at the unit pivot a[r][c] and delete
+    its generator pair: row r and column c of ``a``, row c and column r of
+    the partner ``b``.  Mutates the grids in place.
+
+    With a = [[u, p], [q, A]] (pivot first), the row operations R and the
+    column operations C that clear q and p give R*a*C = diag(u, A - q*p/u)
+    and C^-1*b*R^-1 = diag(f/u, B'): C^-1 changes only the pivot row of b
+    and R^-1 only its pivot column, so B' is b without them.  Clearing p
+    touches only the pivot row of a, which is deleted too.  What remains
+    is the Schur complement A - q*p/u, computed over the nonzero entries
+    of q and p."""
+    pivot = a[r]
+    uinv = field.inv(pivot[c].constant_term)
+    pivot_cols = [k for k, entry in enumerate(pivot) if k != c and entry.terms]
+    for r2, row in enumerate(a):
+        if r2 == r or row[c].is_zero:
             continue
-        lam = a[r2][c].scalar_mul(uinv)
-        a[r2] = [a[r2][k] - lam * a[r][k] for k in range(ncols)]
-        for x in range(len(b)):
-            b[x][r] = b[x][r] + lam * b[x][r2]
-    # Clear row r (column operations on a, row operations on b); after the
-    # row pass, column c is zero away from the pivot, so only row r moves.
-    for c2 in range(ncols):
-        if c2 == c or a[r][c2].is_zero:
-            continue
-        mu = a[r][c2].scalar_mul(uinv)
-        for r3 in range(nrows):
-            a[r3][c2] = a[r3][c2] - mu * a[r3][c]
-        b[c] = [b[c][k] + mu * b[c2][k] for k in range(len(b[c]))]
-    # Delete the split-off generator pair.
+        lam = row[c].scalar_mul(uinv)
+        for k in pivot_cols:
+            row[k] = row[k] - lam * pivot[k]
     del a[r]
     for row in a:
         del row[c]

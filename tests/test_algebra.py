@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mfkit.algebra import (
     GF,
+    MAX_NVARS,
     NEG_INFINITY,
     ParseError,
     Polynomial,
@@ -113,6 +114,14 @@ class TestParsing:
             parse_poly("(x0+x1)^200", QQ, 2, max_degree=1)
         # Zero factors and zeroth powers raise no degree.
         assert parse_poly("(x0-x0)^9*x1^0 + x1", QQ, 2, max_degree=1) == parse_poly("x1", QQ, 2)
+
+    def test_variable_count_bound(self):
+        top = f"x{MAX_NVARS - 1}"
+        assert parse_poly(top, QQ, MAX_NVARS).terms[0][0] == (0,) * (MAX_NVARS - 1) + (1,)
+        with pytest.raises(ValueError, match=f"nvars {MAX_NVARS + 1} exceeds MAX_NVARS"):
+            parse_poly("x0", QQ, MAX_NVARS + 1)
+        with pytest.raises(ValueError, match="exceeds MAX_NVARS"):
+            parse_poly("x0", QQ, 10**9)
 
     def test_syntax_errors(self):
         with pytest.raises(ParseError):

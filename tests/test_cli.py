@@ -532,3 +532,40 @@ def test_module_entry_point(tmp_path):
     done = python_m("check", "rho", "--n", "4", "--d", "5", "--value", "3")
     assert done.returncode == 2 and "check failed" in done.stderr
     assert python_m("rho", "point").returncode == 1
+
+
+def test_inputs_sharing_a_base_name_keep_both_digests(workdir, capsys):
+    F = mf.fermat(2, 2)
+    docs = {"a/g.json": mf_to_document(F), "b/g.json": mf_to_document(mf.trivial_one_f(F.f))}
+    digests = {}
+    for path, doc in docs.items():
+        (workdir / path).parent.mkdir()
+        (workdir / path).write_text(json.dumps(doc))
+        digests[path] = hashlib.sha256((workdir / path).read_bytes()).hexdigest()
+    assert len(set(digests.values())) == 2
+    code, out, err = run(capsys, "mf", "tensor", "a/g.json", "b/g.json", "--json",
+                         "--output", "t.json")
+    assert code == 0, err
+    assert json.loads(out)["inputs"] == digests
+    code, out, _ = run(capsys, "mf", "tensor", "a/g.json", "b/g.json", "--output", "t.json")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("input ")] == [
+        f"input {path}: sha256={digest}" for path, digest in sorted(digests.items())]
+    # Distinct base names keep their base-name keys.
+    (workdir / "b/g.json").rename(workdir / "b/h.json")
+    code, out, _ = run(capsys, "mf", "tensor", "a/g.json", "b/h.json", "--json",
+                       "--output", "t.json")
+    assert code == 0
+    assert json.loads(out)["inputs"] == {"g.json": digests["a/g.json"],
+                                         "h.json": digests["b/g.json"]}
+
+
+def test_huge_nvars_fails_fast(workdir, capsys):
+    doc = mf_to_document(mf.fermat(1, 1))
+    doc["nvars"] = 1000000000
+    (workdir / "v.json").write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "mf", "validate", "v.json")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err == "error [mfkit.cli]: nvars must be <= 1024\n"
