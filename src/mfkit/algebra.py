@@ -131,9 +131,6 @@ class GaussianRational:
             self.re * other.im + self.im * other.re,
         )
 
-    def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
-
     def inverse(self) -> "GaussianRational":
         norm = self.re * self.re + self.im * self.im
         if norm == 0:

@@ -17,13 +17,16 @@ factorization of f + g), transpose dual, unit-splitting reduction,
 reducedness test, Betti extraction, and the Fermat-type generator built
 from rank-one factors x^m + i*y^m / x^m - i*y^m.
 
+Every constructor describes its result by the nonzero entries of s0
+and s1; ``_mk`` sorts the generators and writes each entry once.
+
 Values are immutable and operations pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, permutations, product
+from itertools import chain, groupby, permutations, product
 from typing import Iterable, Mapping, Sequence
 
 from .algebra import QI, Field, Polynomial
@@ -31,8 +34,9 @@ from .graded import DegreeMultiset, HomogeneousMatrix, compose
 
 Grid = Sequence[Sequence[Polynomial]]
 
-# Largest rank fermat() builds: its matrices are dense, and each extra pair
-# costs about 2.5x the time and 4x the document size.
+# Largest rank that fermat(), tensor() and direct_sum() build: the matrices
+# are dense, and each doubling of the rank costs about 4x the time and the
+# document size.
 MAX_FERMAT_RANK = 2**10
 
 
@@ -116,6 +120,9 @@ class BettiTable:
 # ---------------------------------------------------------------------------
 # Construction helpers
 
+# A map given by its nonzero entries (row, column, polynomial).
+Entries = Iterable[tuple[int, int, Polynomial]]
+
 
 def _argsort(values: Sequence[int]) -> list[int]:
     return sorted(range(len(values)), key=lambda k: (values[k], k))
@@ -125,11 +132,13 @@ def _mk(
     f: Polynomial,
     f0_degrees: Sequence[int],
     f1_degrees: Sequence[int],
-    s0_grid: Grid,
-    s1_grid: Grid,
+    s0: Entries,
+    s1: Entries,
 ) -> MatrixFactorization:
-    """Assemble a factorization, sorting both generator lists (with the
-    matching row/column permutations applied to the matrices)."""
+    """Assemble a factorization from the nonzero entries of s0 (rows F1,
+    columns F0) and s1 (rows F0, columns F1), indexed by the generators
+    as listed.  Both generator lists are sorted, and each entry is written
+    once into a zero grid, at the row and column its generators sort to."""
     deg = f.total_degree
     if f.is_zero or not f.is_homogeneous or not isinstance(deg, int) or deg < 1:
         raise ValueError("f must be homogeneous of degree >= 1")
@@ -137,58 +146,33 @@ def _mk(
     p1 = _argsort(f1_degrees)
     F0 = DegreeMultiset(tuple(f0_degrees[k] for k in p0))
     F1 = DegreeMultiset(tuple(f1_degrees[k] for k in p1))
-    s0 = HomogeneousMatrix(
-        f.field, f.nvars, F0, F1,
-        tuple(tuple(s0_grid[r][c] for c in p0) for r in p1),
+    at0 = {k: pos for pos, k in enumerate(p0)}
+    at1 = {k: pos for pos, k in enumerate(p1)}
+    zero = Polynomial.zero(f.field, f.nvars)
+
+    def grid(entries: Entries, at_row: dict[int, int], at_col: dict[int, int]) -> list[list[Polynomial]]:
+        out = [[zero] * len(at_col) for _ in at_row]
+        for r, c, entry in entries:
+            out[at_row[r]][at_col[c]] = entry
+        return out
+
+    return MatrixFactorization(
+        f,
+        HomogeneousMatrix(f.field, f.nvars, F0, F1, grid(s0, at1, at0)),
+        HomogeneousMatrix(f.field, f.nvars, F1.twist(-deg), F0, grid(s1, at0, at1)),
     )
-    s1 = HomogeneousMatrix(
-        f.field, f.nvars, F1.twist(-deg), F0,
-        tuple(tuple(s1_grid[r][c] for c in p1) for r in p0),
-    )
-    return MatrixFactorization(f, s0, s1)
 
 
-def _kron(a: Grid, b: Grid, field: Field, nvars: int) -> list[list[Polynomial]]:
-    arows, acols = len(a), len(a[0]) if a else 0
-    brows, bcols = len(b), len(b[0]) if b else 0
-    zero = Polynomial.zero(field, nvars)
-    out = [[zero] * (acols * bcols) for _ in range(arows * brows)]
-    for ia in range(arows):
-        for ja in range(acols):
-            left = a[ia][ja]
-            if left.is_zero:
-                continue
-            for ib in range(brows):
-                for jb in range(bcols):
-                    right = b[ib][jb]
-                    if right.is_zero:
-                        continue
-                    out[ia * brows + ib][ja * bcols + jb] = left * right
-    return out
+def _nonzeros(grid: Grid) -> Entries:
+    for r, row in enumerate(grid):
+        for c, entry in enumerate(row):
+            if entry.terms:
+                yield r, c, entry
 
 
-def _block(blocks: Sequence[Sequence[Grid]], row_sizes: Sequence[int],
-           col_sizes: Sequence[int], field: Field, nvars: int) -> list[list[Polynomial]]:
-    zero = Polynomial.zero(field, nvars)
-    total_rows = sum(row_sizes)
-    total_cols = sum(col_sizes)
-    out = [[zero] * total_cols for _ in range(total_rows)]
-    r_off = 0
-    for bi, rsize in enumerate(row_sizes):
-        c_off = 0
-        for bj, csize in enumerate(col_sizes):
-            blk = blocks[bi][bj]
-            if blk is not None:
-                for r in range(rsize):
-                    for c in range(csize):
-                        out[r_off + r][c_off + c] = blk[r][c]
-            c_off += csize
-        r_off += rsize
-    return out
-
-
-def _neg_grid(grid: Grid) -> list[list[Polynomial]]:
-    return [[-e for e in row] for row in grid]
+def _check_rank(rank: int) -> None:
+    if rank > MAX_FERMAT_RANK:
+        raise ValueError(f"rank {rank} exceeds MAX_FERMAT_RANK = {MAX_FERMAT_RANK}")
 
 
 # ---------------------------------------------------------------------------
@@ -261,14 +245,14 @@ def require_valid(F: MatrixFactorization) -> MatrixFactorization:
 def trivial_one_f(f: Polynomial) -> MatrixFactorization:
     """The rank-1 trivial factorization (S, S, 1, f)."""
     one = Polynomial.constant(f.field, f.nvars, 1)
-    return _mk(f, (0,), (0,), [[one]], [[f]])
+    return _mk(f, (0,), (0,), [(0, 0, one)], [(0, 0, f)])
 
 
 def trivial_f_one(f: Polynomial) -> MatrixFactorization:
     """The rank-1 trivial factorization (S(-d), S, f, 1)."""
     one = Polynomial.constant(f.field, f.nvars, 1)
     deg = f.total_degree
-    return _mk(f, (deg,), (0,), [[f]], [[one]])
+    return _mk(f, (deg,), (0,), [(0, 0, f)], [(0, 0, one)])
 
 
 def zero_mf(f: Polynomial) -> MatrixFactorization:
@@ -281,7 +265,7 @@ def rank_one(f: Polynomial, u: Polynomial, v: Polynomial) -> MatrixFactorization
     deg = u.total_degree
     if not isinstance(deg, int):
         raise ValueError("u must be nonzero")
-    return _mk(f, (deg,), (0,), [[u]], [[v]])
+    return _mk(f, (deg,), (0,), [(0, 0, u)], [(0, 0, v)])
 
 
 # ---------------------------------------------------------------------------
@@ -302,17 +286,13 @@ def direct_sum(F: MatrixFactorization, G: MatrixFactorization) -> MatrixFactoriz
     """Block-diagonal sum; both summands must factor the same f."""
     if F.f != G.f:
         raise ValueError("direct sum requires factorizations of the same polynomial")
-    field, nvars = F.field, F.nvars
+    _check_rank(F.rank0 + G.rank0)
     f0 = list(F.f0_degrees) + list(G.f0_degrees)
     f1 = list(F.f1_degrees) + list(G.f1_degrees)
-    s0 = _block(
-        [[F.s0.entries, None], [None, G.s0.entries]],
-        [F.rank1, G.rank1], [F.rank0, G.rank0], field, nvars,
-    )
-    s1 = _block(
-        [[F.s1.entries, None], [None, G.s1.entries]],
-        [F.rank0, G.rank0], [F.rank1, G.rank1], field, nvars,
-    )
+    s0 = chain(_nonzeros(F.s0.entries),
+               ((F.rank1 + r, F.rank0 + c, e) for r, c, e in _nonzeros(G.s0.entries)))
+    s1 = chain(_nonzeros(F.s1.entries),
+               ((F.rank0 + r, F.rank1 + c, e) for r, c, e in _nonzeros(G.s1.entries)))
     return _mk(F.f, f0, f1, s0, s1)
 
 
@@ -341,42 +321,36 @@ def tensor(F: MatrixFactorization, G: MatrixFactorization, *, normalize: bool = 
     h = F.f + G.f
     if h.is_zero:
         raise ValueError("f + g = 0 admits no matrix factorization")
-    field, nvars = F.field, F.nvars
-
     rF0, rF1, rG0, rG1 = F.rank0, F.rank1, G.rank0, G.rank1
+    _check_rank(rF0 * rG0 + rF1 * rG1)
     f0F, f1F = list(F.f0_degrees), list(F.f1_degrees)
     f0G, f1G = list(G.f0_degrees), list(G.f1_degrees)
 
     t0_degrees = [a + b for a in f0F for b in f0G] + [u + v + d for u in f1F for v in f1G]
     t1_degrees = [u + b for u in f1F for b in f0G] + [a + v for a in f0F for v in f1G]
-
-    A0, A1 = F.s0.entries, F.s1.entries
     B0, B1 = G.s0.entries, G.s1.entries
-    eyeF0 = HomogeneousMatrix.identity(field, nvars, F.f0_degrees).entries
-    eyeF1 = HomogeneousMatrix.identity(field, nvars, F.f1_degrees).entries
-    eyeG0 = HomogeneousMatrix.identity(field, nvars, G.f0_degrees).entries
-    eyeG1 = HomogeneousMatrix.identity(field, nvars, G.f1_degrees).entries
 
-    t0 = _block(
-        [
-            [_kron(A0, eyeG0, field, nvars),
-             _kron(eyeF1, B1, field, nvars)],
-            [_kron(eyeF0, B0, field, nvars),
-             _neg_grid(_kron(A1, eyeG1, field, nvars))],
-        ],
-        [rF1 * rG0, rF0 * rG1], [rF0 * rG0, rF1 * rG1], field, nvars,
-    )
-    t1 = _block(
-        [
-            [_kron(A1, eyeG0, field, nvars),
-             _kron(eyeF0, B1, field, nvars)],
-            [_kron(eyeF1, B0, field, nvars),
-             _neg_grid(_kron(A0, eyeG1, field, nvars))],
-        ],
-        [rF0 * rG0, rF1 * rG1], [rF1 * rG0, rF0 * rG1], field, nvars,
-    )
+    def blocks(A: Grid, A_next: Grid, nrows: int, ncols: int) -> Entries:
+        # [[A⊗I, I⊗B1], [I⊗B0, -A_next⊗I]] for A of shape nrows x ncols;
+        # (X⊗Y)[x*rows(Y) + y][x'*cols(Y) + y'] = X[x][x'] * Y[y][y'].
+        dr, dc = nrows * rG0, ncols * rG0
+        for r, c, e in _nonzeros(A):
+            for k in range(rG0):
+                yield r * rG0 + k, c * rG0 + k, e
+        for r, c, e in _nonzeros(A_next):
+            e = -e
+            for k in range(rG1):
+                yield dr + r * rG1 + k, dc + c * rG1 + k, e
+        for r, c, e in _nonzeros(B1):
+            for k in range(nrows):
+                yield k * rG0 + r, dc + k * rG1 + c, e
+        for r, c, e in _nonzeros(B0):
+            for k in range(ncols):
+                yield dr + k * rG1 + r, k * rG0 + c, e
 
-    T = _mk(h, t0_degrees, t1_degrees, t0, t1)
+    T = _mk(h, t0_degrees, t1_degrees,
+            blocks(F.s0.entries, F.s1.entries, rF1, rF0),
+            blocks(F.s1.entries, F.s0.entries, rF0, rF1))
     problems = validate(T)
     if problems:
         raise AssertionError("tensor construction violated the factorization identity: " + problems[0])
@@ -398,18 +372,11 @@ def dual(F: MatrixFactorization) -> MatrixFactorization:
     d = F.d
     f0 = [-m for m in reversed(list(F.f0_degrees))]
     f1 = [-m - d for m in reversed(list(F.f1_degrees))]
-    s0 = _transpose_reversed(F.s1.entries, F.rank0, F.rank1)
-    s1 = _transpose_reversed(F.s0.entries, F.rank1, F.rank0)
+    # Both index orders reverse with the sorted degree lists under negation.
+    n0, n1 = F.rank0 - 1, F.rank1 - 1
+    s0 = ((n1 - c, n0 - r, e) for r, c, e in _nonzeros(F.s1.entries))
+    s1 = ((n0 - c, n1 - r, e) for r, c, e in _nonzeros(F.s0.entries))
     return _mk(F.f, f0, f1, s0, s1)
-
-
-def _transpose_reversed(grid: Grid, nrows: int, ncols: int) -> list[list[Polynomial]]:
-    # Transpose with both index orders reversed, matching the reversal of
-    # sorted degree lists under negation.
-    return [
-        [grid[nrows - 1 - c][ncols - 1 - r] for c in range(nrows)]
-        for r in range(ncols)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +385,7 @@ def _transpose_reversed(grid: Grid, nrows: int, ncols: int) -> list[list[Polynom
 
 def is_reduced(F: MatrixFactorization) -> bool:
     """True iff no entry of s0 or s1 has a nonzero constant term."""
-    for matrix in (F.s0, F.s1):
-        for row in matrix.entries:
-            for entry in row:
-                if entry.constant_term:
-                    return False
-    return True
+    return _find_unit(F.s0.entries, 0) is None and _find_unit(F.s1.entries, 0) is None
 
 
 def reduce(F: MatrixFactorization) -> MatrixFactorization:
@@ -433,38 +395,36 @@ def reduce(F: MatrixFactorization) -> MatrixFactorization:
     unit (nonzero constant) entry.  Each split performs exact row/column
     elimination over the polynomial ring and deletes one generator from
     F0 and one from F1.  Reduced inputs are returned unchanged.
+
+    Each matrix is scanned once, resuming at the row of the last pivot.
+    This finds the pivots, hence the output, of a scan from (0, 0) after
+    every split:
+    - A row above the pivot has no unit, so its entry q in the pivot
+      column has constant term 0.  Its update subtracts (q/u)*pivot[k],
+      which adds nothing to any constant term: the row stays unit-free.
+    - The partner matrix only loses a row and a column, so s0 gains no
+      units once the s1 splits begin.
     """
     f0 = list(F.f0_degrees)
     f1 = list(F.f1_degrees)
     s0 = [list(row) for row in F.s0.entries]
     s1 = [list(row) for row in F.s1.entries]
-    changed = False
-    while True:
-        pos = _find_unit(s0)
-        if pos is not None:
+    # (matrix, partner, its row degrees, its column degrees)
+    for a, b, rows, cols in ((s0, s1, f1, f0), (s1, s0, f0, f1)):
+        r = 0
+        while (pos := _find_unit(a, r)) is not None:
             r, c = pos
-            _split_summand(F.field, s0, s1, r, c)
-            del f0[c]
-            del f1[r]
-            changed = True
-            continue
-        pos = _find_unit(s1)
-        if pos is not None:
-            r, c = pos
-            _split_summand(F.field, s1, s0, r, c)
-            del f1[c]
-            del f0[r]
-            changed = True
-            continue
-        break
-    if not changed:
+            _split_summand(F.field, a, b, r, c)
+            del rows[r]
+            del cols[c]
+    if len(f0) == F.rank0:
         return F
-    return _mk(F.f, f0, f1, s0, s1)
+    return _mk(F.f, f0, f1, _nonzeros(s0), _nonzeros(s1))
 
 
-def _find_unit(grid: list[list[Polynomial]]) -> tuple[int, int] | None:
-    for r, row in enumerate(grid):
-        for c, entry in enumerate(row):
+def _find_unit(grid: Grid, start: int) -> tuple[int, int] | None:
+    for r in range(start, len(grid)):
+        for c, entry in enumerate(grid[r]):
             if entry.constant_term:
                 return (r, c)
     return None

@@ -518,6 +518,13 @@ def test_fermat_rank_bound_fails_fast(capsys):
     assert code == 2 and out == "" and err.startswith("error [mfkit.mf]")
 
 
+def test_tensor_rank_bound_exits_2(workdir, capsys):
+    (workdir / "big.json").write_text(json.dumps(mf_to_document(mf.fermat(7, 2))))
+    code, out, err = run(capsys, "mf", "tensor", "big.json", "big.json")
+    assert code == 2 and out == ""
+    assert err.startswith("error [mfkit.mf]") and "rank 8192 exceeds MAX_FERMAT_RANK" in err
+
+
 def test_module_entry_point(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -5,12 +5,14 @@ Arithmetic results skip validation and go through the trusted
 residues summed unreduced, integral rationals as ints) and wrap each
 output term once; ``compose`` multiplies only nonzero entries into one
 accumulator per output entry; ``mf.reduce`` updates only the Schur
-complement of each pivot; and ``document_to_mf`` parses each distinct
-entry string once.  Each fast path is compared here with a plain reference: polynomials as
-dicts of monomials with the public scalar operators, a triple-loop
-matrix product built with ``from_pairs``, a linear scan for the constant
-term, the original sort key, the original row and column elimination,
-and one parse per entry.
+complement of each pivot and scans each matrix once; ``document_to_mf``
+parses each distinct entry string once; and ``mf`` assembles
+factorizations from their nonzero entries.  Each fast path is compared
+here with a plain reference: polynomials as dicts of monomials with the
+public scalar operators, a triple-loop matrix product built with
+``from_pairs``, a linear scan for the constant term, the original sort
+key, the original row and column elimination, a rescan from (0, 0) after
+every split, one parse per entry, and dense Kronecker and block grids.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from mfkit.algebra import GF, QI, QQ, FpElement, GaussianRational, Polynomial, p
 from mfkit.cli import MF_SCHEMA, SchemaError, document_to_mf, field_to_json
 from mfkit.graded import DegreeMultiset, HomogeneousMatrix, compose
 
-from _factories import random_elementary, random_homogeneous
+from _factories import random_elementary, random_homogeneous, random_reduced_mf
 
 # GF(2^31 - 1): products of two residues come near 2^62, and the kernel
 # sums them unreduced.
@@ -308,6 +310,39 @@ def reference_split_summand(field, a, b, r, c):
         del row[r]
 
 
+def rescan_reduce(F):
+    """``mf.reduce`` as it was before it resumed at the last pivot row:
+    after every split, rescan s0 and then s1 from entry (0, 0)."""
+
+    def first_unit(grid):
+        for r, row in enumerate(grid):
+            for c, entry in enumerate(row):
+                if entry.constant_term:
+                    return r, c
+        return None
+
+    f0, f1 = list(F.f0_degrees), list(F.f1_degrees)
+    s0 = [list(row) for row in F.s0.entries]
+    s1 = [list(row) for row in F.s1.entries]
+    while True:
+        pos = first_unit(s0)
+        if pos is not None:
+            r, c = pos
+            mf._split_summand(F.field, s0, s1, r, c)
+            del f0[c]
+            del f1[r]
+            continue
+        pos = first_unit(s1)
+        if pos is not None:
+            r, c = pos
+            mf._split_summand(F.field, s1, s0, r, c)
+            del f1[c]
+            del f0[r]
+            continue
+        break
+    return grid_mk(F.f, f0, f1, s0, s1)
+
+
 def elementary(field, nvars, degrees, i, j, lam):
     # The identity on ``degrees`` with ``lam`` at (i, j).
     grid = [list(row) for row in HomogeneousMatrix.identity(field, nvars, degrees).entries]
@@ -366,8 +401,132 @@ def test_reduce_matches_full_elimination(field, rank, seed):
         expected = mf.reduce(F)
     got = mf.reduce(F)
     assert got == expected
+    assert got == rescan_reduce(F)
     assert mf.is_reduced(got) and got.rank < rank
     for matrix in (got.s0, got.s1):
         for row in matrix.entries:
             for entry in row:
                 assert_public_scalars(entry)
+
+
+# -- assembly from nonzero entries ------------------------------------------
+# Dense-grid assembly as it was before ``mf._mk`` took nonzero entries.
+
+
+def grid_mk(f, f0_degrees, f1_degrees, s0_grid, s1_grid):
+    p0 = sorted(range(len(f0_degrees)), key=lambda k: (f0_degrees[k], k))
+    p1 = sorted(range(len(f1_degrees)), key=lambda k: (f1_degrees[k], k))
+    F0 = DegreeMultiset(tuple(f0_degrees[k] for k in p0))
+    F1 = DegreeMultiset(tuple(f1_degrees[k] for k in p1))
+    s0 = HomogeneousMatrix(f.field, f.nvars, F0, F1,
+                           tuple(tuple(s0_grid[r][c] for c in p0) for r in p1))
+    s1 = HomogeneousMatrix(f.field, f.nvars, F1.twist(-f.total_degree), F0,
+                           tuple(tuple(s1_grid[r][c] for c in p1) for r in p0))
+    return mf.MatrixFactorization(f, s0, s1)
+
+
+def grid_kron(a, b, field, nvars):
+    arows, acols = len(a), len(a[0]) if a else 0
+    brows, bcols = len(b), len(b[0]) if b else 0
+    zero = Polynomial.zero(field, nvars)
+    out = [[zero] * (acols * bcols) for _ in range(arows * brows)]
+    for ia, ja, ib, jb in itertools.product(range(arows), range(acols), range(brows), range(bcols)):
+        if not (a[ia][ja].is_zero or b[ib][jb].is_zero):
+            out[ia * brows + ib][ja * bcols + jb] = a[ia][ja] * b[ib][jb]
+    return out
+
+
+def grid_block(blocks, row_sizes, col_sizes, field, nvars):
+    zero = Polynomial.zero(field, nvars)
+    out = [[zero] * sum(col_sizes) for _ in range(sum(row_sizes))]
+    for bi, bj in itertools.product(range(len(row_sizes)), range(len(col_sizes))):
+        blk = blocks[bi][bj]
+        if blk is None:
+            continue
+        r_off, c_off = sum(row_sizes[:bi]), sum(col_sizes[:bj])
+        for r, c in itertools.product(range(row_sizes[bi]), range(col_sizes[bj])):
+            out[r_off + r][c_off + c] = blk[r][c]
+    return out
+
+
+def grid_neg(grid):
+    return [[-e for e in row] for row in grid]
+
+
+def grid_transpose_reversed(grid, nrows, ncols):
+    return [[grid[nrows - 1 - c][ncols - 1 - r] for c in range(nrows)] for r in range(ncols)]
+
+
+def grid_direct_sum(F, G):
+    field, nvars = F.field, F.nvars
+    s0 = grid_block([[F.s0.entries, None], [None, G.s0.entries]],
+                    [F.rank1, G.rank1], [F.rank0, G.rank0], field, nvars)
+    s1 = grid_block([[F.s1.entries, None], [None, G.s1.entries]],
+                    [F.rank0, G.rank0], [F.rank1, G.rank1], field, nvars)
+    return grid_mk(F.f, list(F.f0_degrees) + list(G.f0_degrees),
+                   list(F.f1_degrees) + list(G.f1_degrees), s0, s1)
+
+
+def grid_tensor(F, G):
+    field, nvars, d = F.field, F.nvars, F.d
+    rF0, rF1, rG0, rG1 = F.rank0, F.rank1, G.rank0, G.rank1
+    t0_degrees = ([a + b for a in F.f0_degrees for b in G.f0_degrees]
+                  + [u + v + d for u in F.f1_degrees for v in G.f1_degrees])
+    t1_degrees = ([u + b for u in F.f1_degrees for b in G.f0_degrees]
+                  + [a + v for a in F.f0_degrees for v in G.f1_degrees])
+    A0, A1, B0, B1 = F.s0.entries, F.s1.entries, G.s0.entries, G.s1.entries
+    eye = {key: HomogeneousMatrix.identity(field, nvars, degrees).entries
+           for key, degrees in (("F0", F.f0_degrees), ("F1", F.f1_degrees),
+                                ("G0", G.f0_degrees), ("G1", G.f1_degrees))}
+
+    def kron(a, b):
+        return grid_kron(a, b, field, nvars)
+
+    t0 = grid_block([[kron(A0, eye["G0"]), kron(eye["F1"], B1)],
+                     [kron(eye["F0"], B0), grid_neg(kron(A1, eye["G1"]))]],
+                    [rF1 * rG0, rF0 * rG1], [rF0 * rG0, rF1 * rG1], field, nvars)
+    t1 = grid_block([[kron(A1, eye["G0"]), kron(eye["F0"], B1)],
+                     [kron(eye["F1"], B0), grid_neg(kron(A0, eye["G1"]))]],
+                    [rF0 * rG0, rF1 * rG1], [rF1 * rG0, rF0 * rG1], field, nvars)
+    T = grid_mk(F.f + G.f, t0_degrees, t1_degrees, t0, t1)
+    assert mf.validate(T) == []
+    return T
+
+
+def grid_dual(F):
+    f0 = [-m for m in reversed(list(F.f0_degrees))]
+    f1 = [-m - F.d for m in reversed(list(F.f1_degrees))]
+    return grid_mk(F.f, f0, f1, grid_transpose_reversed(F.s1.entries, F.rank0, F.rank1),
+                   grid_transpose_reversed(F.s0.entries, F.rank1, F.rank0))
+
+
+def assorted_factor(field, d, rng):
+    """A factorization of degree d in 4 variables: a reduced one, one with
+    trivial summands, a trivial one, or the rank-0 one; twisted so that
+    F0 and F1 differ, sometimes shifted."""
+    kind = rng.randrange(4)
+    if kind <= 1:
+        F = random_reduced_mf(rng, field=field, d=d)
+        if kind == 1:
+            trivial = mf.trivial_one_f if rng.random() < 0.5 else mf.trivial_f_one
+            F = mf.direct_sum(F, mf.twist(trivial(F.f), rng.randint(-2, 2)))
+    else:
+        f = random_homogeneous(field, 4, d, rng)
+        F = mf.zero_mf(f) if kind == 3 else mf.trivial_f_one(f)
+    F = mf.twist(F, rng.randint(-2, 2))
+    return mf.shift(F) if rng.random() < 0.3 else F
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(13)], ids=["QQ", "QQ(i)", "GF(13)"])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_assembly_matches_dense_grids(field, seed):
+    rng = random.Random(seed)
+    d = rng.choice([2, 3])
+    F = assorted_factor(field, d, rng)
+    G = assorted_factor(field, d, rng)
+    if not (F.f + G.f).is_zero:
+        assert mf.tensor(F, G) == grid_tensor(F, G)
+    assert mf.dual(F) == grid_dual(F)
+    for H in (F, mf.dual(F), mf.shift(F), mf.zero_mf(F.f), mf.twist(mf.trivial_one_f(F.f), 1)):
+        assert mf.direct_sum(F, H) == grid_direct_sum(F, H)
+        assert mf.direct_sum(H, F) == grid_direct_sum(H, F)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -376,3 +377,24 @@ class TestFermatRankBound:
         for pairs, solo in ((4, False), (3, True)):
             with pytest.raises(ValueError, match="rank 2\\^3 exceeds MAX_FERMAT_RANK = 4"):
                 mf.fermat(pairs, 1, solo=solo)
+
+
+class TestTensorAndSumRankBound:
+    def test_tensor_above_bound_fails_fast(self):
+        F = mf.fermat(7, 2)  # rank 64: the tensor square has rank 8,192
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^rank 8192 exceeds MAX_FERMAT_RANK = 1024$"):
+            mf.tensor(F, F)
+        assert time.perf_counter() - start < 1.0
+
+    def test_bound_on_tensor_and_direct_sum(self, monkeypatch):
+        monkeypatch.setattr(mf, "MAX_FERMAT_RANK", 4)
+        F = mf.fermat(2, 1)  # rank 2, f of degree 2 in 4 variables
+        G = mf.trivial_one_f(parse_poly("x0*x1", QI, 4))
+        assert mf.direct_sum(F, F).rank == 4
+        assert mf.tensor(F, G).rank == 4  # 2*1 + 2*1
+        three = mf.direct_sum(F, mf.trivial_one_f(F.f))
+        with pytest.raises(ValueError, match="^rank 5 exceeds MAX_FERMAT_RANK = 4$"):
+            mf.direct_sum(three, F)
+        with pytest.raises(ValueError, match="^rank 6 exceeds MAX_FERMAT_RANK = 4$"):
+            mf.tensor(three, G)
