@@ -481,15 +481,12 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        result = Polynomial.constant(self.field, self.nvars, 1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        if len(self.terms) == 1:
+            # (c*x^a)^k = c^k * x^(k*a), and c^k is nonzero in a field.
+            (exps, coeff), = self.terms
+            return Polynomial(self.field, self.nvars, (
+                (tuple(a * exponent for a in exps), _power(coeff, exponent, self.field.one)),))
+        return _power(self, exponent, Polynomial.constant(self.field, self.nvars, 1))
 
     # -- printing -------------------------------------------------------
 
@@ -504,6 +501,17 @@ class Polynomial:
             else:
                 pieces.append(f" {sign} {body}")
         return "".join(pieces)
+
+
+def _power(base, e: int, one):
+    # base^e by square-and-multiply.
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base if e > 1 else base
+        e >>= 1
+    return result
 
 
 def _monomial_text(exps: tuple[int, ...]) -> str:
@@ -548,14 +556,9 @@ _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])|(\S)")
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     for m in _TOKEN_RE.finditer(text):
-        if m.group(1) is not None:
-            tokens.append(("num", m.group(1), m.start()))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start()))
-        elif m.group(3) is not None:
-            tokens.append(("op", m.group(3), m.start()))
-        else:
+        if m.lastindex == 4:
             raise ParseError(f"unexpected character {m.group(4)!r}", m.start())
+        tokens.append((("num", "name", "op")[m.lastindex - 1], m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 

@@ -107,9 +107,18 @@ def mf_to_document(F: MatrixFactorization) -> dict:
         "d": F.d,
         "F0_degrees": list(F.f0_degrees),
         "F1_degrees": list(F.f1_degrees),
-        "s0": [[str(e) for e in row] for row in F.s0.entries],
-        "s1": [[str(e) for e in row] for row in F.s1.entries],
+        "s0": _matrix_texts(F.s0),
+        "s1": _matrix_texts(F.s1),
     }
+
+
+def _matrix_texts(matrix: HomogeneousMatrix) -> list[list[str]]:
+    # A zero entry prints as "0"; only the nonzeros are printed.
+    grid = [["0"] * matrix.ncols for _ in matrix.rows]
+    for texts, row in zip(grid, matrix.rows):
+        for c, entry in row:
+            texts[c] = str(entry)
+    return grid
 
 
 def _expect(doc: dict, key: str, types) -> object:
@@ -266,14 +275,7 @@ def make_report(operation: str, *, context: HypersurfaceContext | None = None,
 
 
 def _verdict_to_json(v: Verdict) -> dict:
-    return {
-        "check": v.check,
-        "value": v.value,
-        "bound": v.bound,
-        "passed": v.passed,
-        "applicable": v.applicable,
-        "trivial": v.trivial,
-    }
+    return {key: getattr(v, key) for key in ("check", "value", "bound", "passed", "applicable", "trivial")}
 
 
 def _fmt_value(value) -> str:
@@ -515,8 +517,7 @@ COMMANDS = (
     Command("mf", "validate", "validate a factorization document", _mf_validate, ("mf",)),
     Command("mf", "reduce", "split off trivial summands", _mf_reduce, ("mf",)),
     Command("mf", "tensor", "tensor two factorizations",
-            lambda args, F, G: _factorization(mf_ops.tensor(
-                mf_ops.require_valid(F), mf_ops.require_valid(G), normalize=args.normalize)),
+            lambda args, F, G: _factorization(mf_ops.tensor(F, G, normalize=args.normalize)),
             ("mf", "mf"),
             options=(("--normalize", {"action": "store_true",
                                       "help": "twist so the minimum F1 degree is 0"}),)),

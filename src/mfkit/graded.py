@@ -11,15 +11,22 @@ entry to be zero.  This convention makes the Koszul-type resolution
 ``S(-1)^{n+1} -> S`` carry linear entries.
 
 Degree multisets carry a fixed (sorted, stable) order so matrices are
-positionally unambiguous.  Everything here is immutable and pure.
+positionally unambiguous.  Matrices store their nonzero entries row by
+row, and products and degree checks visit those alone.  Everything here
+is immutable and pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator
 
 from .algebra import Field, Polynomial
+
+# The nonzero entries (column, polynomial) of one matrix row, in column order.
+Row = tuple[tuple[int, Polynomial], ...]
 
 
 @dataclass(frozen=True)
@@ -31,7 +38,8 @@ class DegreeMultiset:
     def __post_init__(self):
         degs = tuple(self.degrees)
         object.__setattr__(self, "degrees", degs)
-        if any(not isinstance(m, int) for m in degs):
+        # bool is an int subclass; a degree must be a plain int.
+        if any(type(m) is not int for m in degs):
             raise ValueError("generator degrees must be integers")
         if any(degs[k] > degs[k + 1] for k in range(len(degs) - 1)):
             raise ValueError(f"generator degrees must be sorted ascending: {degs}")
@@ -63,49 +71,63 @@ class DegreeMultiset:
         return "{" + ", ".join(str(m) for m in self.degrees) + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HomogeneousMatrix:
-    """Polynomial matrix between graded free modules.
+    """Polynomial matrix between graded free modules, stored sparsely.
 
-    ``entries`` has ``len(target)`` rows and ``len(source)`` columns.
-    Construction checks only shape and coefficient-field consistency;
-    the degree constraints are checked by :meth:`validate`.
+    ``rows`` holds one tuple per target generator: the nonzero entries
+    ``(column, polynomial)`` of that row, in column order.  ``entries`` is
+    the dense view, ``len(target)`` rows of ``len(source)`` polynomials,
+    built on demand.  The constructor takes such a dense grid and checks
+    its shape and the ring of every entry; the degree constraints are
+    checked by :meth:`validate`.
     """
 
     field: Field
     nvars: int
     source: DegreeMultiset
     target: DegreeMultiset
-    entries: tuple[tuple[Polynomial, ...], ...]
+    rows: tuple[Row, ...]
 
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.entries)
-        object.__setattr__(self, "entries", rows)
-        if len(rows) != len(self.target):
-            raise ValueError(f"expected {len(self.target)} rows, got {len(rows)}")
-        for r, row in enumerate(rows):
-            if len(row) != len(self.source):
-                raise ValueError(f"row {r}: expected {len(self.source)} columns, got {len(row)}")
+    def __init__(self, field: Field, nvars: int, source: DegreeMultiset,
+                 target: DegreeMultiset, entries: Iterable[Iterable[Polynomial]]):
+        grid = tuple(tuple(row) for row in entries)
+        if len(grid) != len(target):
+            raise ValueError(f"expected {len(target)} rows, got {len(grid)}")
+        for r, row in enumerate(grid):
+            if len(row) != len(source):
+                raise ValueError(f"row {r}: expected {len(source)} columns, got {len(row)}")
             for c, entry in enumerate(row):
-                if entry.field != self.field or entry.nvars != self.nvars:
+                if (entry.field is not field and entry.field != field) or entry.nvars != nvars:
                     raise ValueError(f"entry ({r},{c}) lives in the wrong polynomial ring")
+        rows = tuple(tuple((c, e) for c, e in enumerate(row) if e.terms) for row in grid)
+        # The frozen dataclass guards __setattr__, not the instance dict.
+        self.__dict__.update(field=field, nvars=nvars, source=source, target=target, rows=rows)
+
+    @classmethod
+    def _from_rows(cls, field: Field, nvars: int, source: DegreeMultiset,
+                   target: DegreeMultiset, rows: tuple[Row, ...]) -> "HomogeneousMatrix":
+        """Trusted constructor: ``rows`` as stored, nonzero entries only,
+        columns ascending and below ``len(source)``.  Only the ring of
+        each entry is checked."""
+        for r, row in enumerate(rows):
+            for c, entry in row:
+                if (entry.field is not field and entry.field != field) or entry.nvars != nvars:
+                    raise ValueError(f"entry ({r},{c}) lives in the wrong polynomial ring")
+        matrix = object.__new__(cls)
+        matrix.__dict__.update(field=field, nvars=nvars, source=source, target=target, rows=rows)
+        return matrix
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def zero(cls, field: Field, nvars: int, source: DegreeMultiset, target: DegreeMultiset) -> "HomogeneousMatrix":
-        z = Polynomial.zero(field, nvars)
-        return cls(field, nvars, source, target, tuple(tuple(z for _ in source) for _ in target))
+        return cls._from_rows(field, nvars, source, target, ((),) * len(target))
 
     @classmethod
     def identity(cls, field: Field, nvars: int, degrees: DegreeMultiset) -> "HomogeneousMatrix":
-        z = Polynomial.zero(field, nvars)
         one = Polynomial.constant(field, nvars, 1)
-        rows = tuple(
-            tuple(one if r == c else z for c in range(len(degrees)))
-            for r in range(len(degrees))
-        )
-        return cls(field, nvars, degrees, degrees, rows)
+        return cls._from_rows(field, nvars, degrees, degrees, tuple(((r, one),) for r in range(len(degrees))))
 
     # -- queries ----------------------------------------------------------
 
@@ -117,49 +139,48 @@ class HomogeneousMatrix:
     def ncols(self) -> int:
         return len(self.source)
 
+    # Built once per matrix, in the instance dict.
+    @cached_property
+    def entries(self) -> tuple[tuple[Polynomial, ...], ...]:
+        zero = Polynomial.zero(self.field, self.nvars)
+        return tuple(tuple(map(dict(row).get, range(self.ncols), repeat(zero))) for row in self.rows)
+
     def validate(self) -> list[str]:
         """Diagnostics for every entry violating the homogeneity
         constraint; empty iff the matrix is homogeneous of degree 0."""
         problems = []
-        for r, row in enumerate(self.entries):
-            for c, entry in enumerate(row):
+        for r, row in enumerate(self.rows):
+            for c, entry in row:
                 expected = self.source[c] - self.target[r]
-                if entry.is_zero:
-                    continue
                 if expected < 0:
-                    problems.append(
-                        f"entry ({r},{c}): expected degree {expected} < 0, entry must be zero"
-                    )
+                    problem = f"expected degree {expected} < 0, entry must be zero"
                 elif not entry.is_homogeneous:
-                    problems.append(
-                        f"entry ({r},{c}): not homogeneous, expected degree {expected}"
-                    )
+                    problem = f"not homogeneous, expected degree {expected}"
                 elif entry.total_degree != expected:
-                    problems.append(
-                        f"entry ({r},{c}): degree {entry.total_degree}, expected {expected}"
-                    )
+                    problem = f"degree {entry.total_degree}, expected {expected}"
+                else:
+                    continue
+                problems.append(f"entry ({r},{c}): {problem}")
         return problems
 
     # -- operations -------------------------------------------------------
 
     def twist(self, t: int) -> "HomogeneousMatrix":
         """Twist source and target by the same t; entries are unchanged."""
-        return HomogeneousMatrix(
-            self.field, self.nvars, self.source.twist(t), self.target.twist(t), self.entries
+        return HomogeneousMatrix._from_rows(
+            self.field, self.nvars, self.source.twist(t), self.target.twist(t), self.rows
         )
 
     def __neg__(self) -> "HomogeneousMatrix":
-        return HomogeneousMatrix(
-            self.field,
-            self.nvars,
-            self.source,
-            self.target,
-            tuple(tuple(-e for e in row) for row in self.entries),
-        )
+        rows = tuple(tuple((c, -e) for c, e in row) for row in self.rows)
+        return HomogeneousMatrix._from_rows(self.field, self.nvars, self.source, self.target, rows)
 
 
 def compose(a: HomogeneousMatrix, b: HomogeneousMatrix) -> HomogeneousMatrix:
-    """The matrix product a ∘ b (apply b first)."""
+    """The matrix product a ∘ b (apply b first), row by row over the
+    nonzero entries (Gustavson, ACM TOMS 4(3), 1978): row r of the
+    product gathers, for each nonzero a[r][m], the nonzeros of row m of
+    b, so the work is the number of nonzero products."""
     if a.field != b.field or a.nvars != b.nvars:
         raise ValueError("cannot compose matrices over different polynomial rings")
     if a.source != b.target:
@@ -167,19 +188,12 @@ def compose(a: HomogeneousMatrix, b: HomogeneousMatrix) -> HomogeneousMatrix:
             f"shape/degree mismatch: source of left factor {a.source} != target of right factor {b.target}"
         )
     field, nvars = a.field, a.nvars
-    zero = Polynomial.zero(field, nvars)
-    # Only nonzero entries take part: (m, a[r][m]) per row of a, and
-    # {m: b[m][c]} per column of b.
-    a_rows = [[(m, e) for m, e in enumerate(row) if e.terms] for row in a.entries]
-    b_cols = [
-        {m: row[c] for m, row in enumerate(b.entries) if row[c].terms}
-        for c in range(b.ncols)
-    ]
     rows = []
-    for a_row in a_rows:
-        row = []
-        for b_col in b_cols:
-            pairs = [(left, b_col[m]) for m, left in a_row if m in b_col]
-            row.append(Polynomial._sum_of_products(field, nvars, pairs) if pairs else zero)
-        rows.append(tuple(row))
-    return HomogeneousMatrix(field, nvars, b.source, a.target, tuple(rows))
+    for a_row in a.rows:
+        pairs: dict[int, list[tuple[Polynomial, Polynomial]]] = {}
+        for m, left in a_row:
+            for c, right in b.rows[m]:
+                pairs.setdefault(c, []).append((left, right))
+        row = ((c, Polynomial._sum_of_products(field, nvars, pairs[c])) for c in sorted(pairs))
+        rows.append(tuple((c, e) for c, e in row if e.terms))
+    return HomogeneousMatrix._from_rows(field, nvars, b.source, a.target, tuple(rows))

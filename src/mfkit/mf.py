@@ -18,7 +18,9 @@ reducedness test, Betti extraction, and the Fermat-type generator built
 from rank-one factors x^m + i*y^m / x^m - i*y^m.
 
 Every constructor describes its result by the nonzero entries of s0
-and s1; ``_mk`` sorts the generators and writes each entry once.
+and s1; ``_mk`` sorts the generators and files each entry once in the
+sparse rows of its matrix.  Validation, tensor products and reduction
+work over those nonzero entries only.
 
 Values are immutable and operations pure.
 """
@@ -27,16 +29,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, groupby, permutations, product
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Iterable, Mapping, Sequence, Union
 
 from .algebra import QI, Field, Polynomial
-from .graded import DegreeMultiset, HomogeneousMatrix, compose
+from .graded import DegreeMultiset, HomogeneousMatrix, Row, compose
 
-Grid = Sequence[Sequence[Polynomial]]
+# A matrix under reduction: {row: {column: nonzero entry}} over the generators left.
+SparseRows = dict[int, dict[int, Polynomial]]
 
-# Largest rank that fermat(), tensor() and direct_sum() build: the matrices
-# are dense, and each doubling of the rank costs about 4x the time and the
-# document size.
+# Largest rank that fermat(), tensor() and direct_sum() build: a document
+# holds all 2r^2 entry strings of the two maps, zeros included, so each
+# doubling of the rank costs 4x its size and the time to write and read it.
 MAX_FERMAT_RANK = 2**10
 
 
@@ -96,14 +100,10 @@ class BettiTable:
         for key, value in counts.items():
             if value < 0:
                 raise ValueError(f"negative count {value} at {key}")
-        items = tuple(sorted((k, v) for k, v in counts.items() if v))
-        return cls(items)
+        return cls(tuple(sorted((k, v) for k, v in counts.items() if v)))
 
     def get(self, i: int, j: int) -> int:
-        for (ii, jj), value in self.entries:
-            if (ii, jj) == (i, j):
-                return value
-        return 0
+        return dict(self.entries).get((i, j), 0)
 
     def total(self) -> int:
         return sum(v for _, v in self.entries)
@@ -122,52 +122,48 @@ class BettiTable:
 
 # A map given by its nonzero entries (row, column, polynomial).
 Entries = Iterable[tuple[int, int, Polynomial]]
+# Generator degrees by generator index: a list, or a dict of the indices in use.
+Degrees = Union[Sequence[int], Mapping[int, int]]
 
 
-def _argsort(values: Sequence[int]) -> list[int]:
-    return sorted(range(len(values)), key=lambda k: (values[k], k))
+def _argsort(values: Degrees) -> list[int]:
+    keys = values.keys() if isinstance(values, Mapping) else range(len(values))
+    return sorted(keys, key=lambda k: (values[k], k))
 
 
-def _mk(
-    f: Polynomial,
-    f0_degrees: Sequence[int],
-    f1_degrees: Sequence[int],
-    s0: Entries,
-    s1: Entries,
-) -> MatrixFactorization:
+def _mk(f: Polynomial, f0_degrees: Degrees, f1_degrees: Degrees,
+        s0: Entries, s1: Entries) -> MatrixFactorization:
     """Assemble a factorization from the nonzero entries of s0 (rows F1,
     columns F0) and s1 (rows F0, columns F1), indexed by the generators
-    as listed.  Both generator lists are sorted, and each entry is written
-    once into a zero grid, at the row and column its generators sort to."""
+    as listed.  Both generator lists are sorted, and each entry is filed
+    once in the sparse row its generators sort to."""
     deg = f.total_degree
     if f.is_zero or not f.is_homogeneous or not isinstance(deg, int) or deg < 1:
         raise ValueError("f must be homogeneous of degree >= 1")
-    p0 = _argsort(f0_degrees)
-    p1 = _argsort(f1_degrees)
+    p0, p1 = _argsort(f0_degrees), _argsort(f1_degrees)
     F0 = DegreeMultiset(tuple(f0_degrees[k] for k in p0))
     F1 = DegreeMultiset(tuple(f1_degrees[k] for k in p1))
     at0 = {k: pos for pos, k in enumerate(p0)}
     at1 = {k: pos for pos, k in enumerate(p1)}
-    zero = Polynomial.zero(f.field, f.nvars)
 
-    def grid(entries: Entries, at_row: dict[int, int], at_col: dict[int, int]) -> list[list[Polynomial]]:
-        out = [[zero] * len(at_col) for _ in at_row]
+    def rows(entries: Entries, at_row: dict[int, int], at_col: dict[int, int]) -> tuple[Row, ...]:
+        out: list[list[tuple[int, Polynomial]]] = [[] for _ in at_row]
         for r, c, entry in entries:
-            out[at_row[r]][at_col[c]] = entry
-        return out
+            if entry.terms:
+                out[at_row[r]].append((at_col[c], entry))
+        return tuple(tuple(sorted(row, key=itemgetter(0))) for row in out)
 
     return MatrixFactorization(
         f,
-        HomogeneousMatrix(f.field, f.nvars, F0, F1, grid(s0, at1, at0)),
-        HomogeneousMatrix(f.field, f.nvars, F1.twist(-deg), F0, grid(s1, at0, at1)),
+        HomogeneousMatrix._from_rows(f.field, f.nvars, F0, F1, rows(s0, at1, at0)),
+        HomogeneousMatrix._from_rows(f.field, f.nvars, F1.twist(-deg), F0, rows(s1, at0, at1)),
     )
 
 
-def _nonzeros(grid: Grid) -> Entries:
-    for r, row in enumerate(grid):
-        for c, entry in enumerate(row):
-            if entry.terms:
-                yield r, c, entry
+def _nonzeros(rows: Iterable[Iterable[tuple[int, Polynomial]]]) -> Entries:
+    for r, row in enumerate(rows):
+        for c, entry in row:
+            yield r, c, entry
 
 
 def _check_rank(rank: int) -> None:
@@ -181,7 +177,13 @@ def _check_rank(rank: int) -> None:
 
 def validate(F: MatrixFactorization) -> list[str]:
     """Diagnostics list; empty iff F is a valid graded matrix
-    factorization of its polynomial."""
+    factorization of its polynomial.
+
+    Only s1*s0 is computed when it equals f*id; s0*s1 is computed only to
+    report its own mismatch.  At that point rank(F0) = rank(F1) = r and
+    f != 0, and k[x] is a domain: det(s1)*det(s0) = f^r != 0, so s0 is
+    invertible over the fraction field, s1 = f*s0^-1, and
+    s0*s1 = s0*(f*s0^-1) = f*id."""
     problems: list[str] = []
     f = F.f
     deg = f.total_degree
@@ -194,9 +196,8 @@ def validate(F: MatrixFactorization) -> list[str]:
     if f0.rank != f1.rank:
         problems.append(f"rank mismatch: rank(F0) = {f0.rank}, rank(F1) = {f1.rank}")
     if F.s1.source != f1.twist(-deg):
-        problems.append(
-            f"s1 source degrees {F.s1.source} must be F1 degrees shifted by d = {deg}: {f1.twist(-deg)}"
-        )
+        problems.append(f"s1 source degrees {F.s1.source} must be F1 degrees shifted by d = {deg}: "
+                        f"{f1.twist(-deg)}")
     if F.s1.target != f0:
         problems.append(f"s1 target degrees {F.s1.target} must equal F0 degrees {f0}")
     problems.extend(f"s0 {msg}" for msg in F.s0.validate())
@@ -205,25 +206,26 @@ def validate(F: MatrixFactorization) -> list[str]:
         return problems
 
     # Composite identities; report the first offending entry of each.
-    for name, prod_matrix in (
-        ("s1*s0", compose(F.s1.twist(deg), F.s0)),
-        ("s0*s1", compose(F.s0, F.s1)),
-    ):
-        mismatch = _first_composite_mismatch(prod_matrix, f)
+    mismatch = _first_composite_mismatch(compose(F.s1.twist(deg), F.s0), f)
+    if mismatch is not None:
+        problems.append(f"s1*s0 disagrees with f*id at {mismatch}")
+        mismatch = _first_composite_mismatch(compose(F.s0, F.s1), f)
         if mismatch is not None:
-            problems.append(f"{name} disagrees with f*id at {mismatch}")
+            problems.append(f"s0*s1 disagrees with f*id at {mismatch}")
     return problems
 
 
 def _first_composite_mismatch(prod_matrix: HomogeneousMatrix, f: Polynomial) -> str | None:
+    # Row r differs from f*id at its nonzeros off the diagonal and, unless
+    # it holds f there, at (r, r); report the first in column order.
     zero = Polynomial.zero(f.field, f.nvars)
-    for r in range(prod_matrix.nrows):
-        for c in range(prod_matrix.ncols):
-            expected = f if r == c else zero
-            got = prod_matrix.entries[r][c]
-            if got != expected:
-                diff = got - expected
-                return f"entry ({r},{c}): got {got}, expected {expected}, difference {diff}"
+    for r, row in enumerate(prod_matrix.rows):
+        got = dict(row)
+        bad = [c for c in got if c != r] + ([r] if got.get(r) != f else [])
+        if bad:
+            c = min(bad)
+            expected, entry = (f if r == c else zero), got.get(c, zero)
+            return f"entry ({r},{c}): got {entry}, expected {expected}, difference {entry - expected}"
     return None
 
 
@@ -251,8 +253,7 @@ def trivial_one_f(f: Polynomial) -> MatrixFactorization:
 def trivial_f_one(f: Polynomial) -> MatrixFactorization:
     """The rank-1 trivial factorization (S(-d), S, f, 1)."""
     one = Polynomial.constant(f.field, f.nvars, 1)
-    deg = f.total_degree
-    return _mk(f, (deg,), (0,), [(0, 0, f)], [(0, 0, one)])
+    return _mk(f, (f.total_degree,), (0,), [(0, 0, f)], [(0, 0, one)])
 
 
 def zero_mf(f: Polynomial) -> MatrixFactorization:
@@ -289,10 +290,10 @@ def direct_sum(F: MatrixFactorization, G: MatrixFactorization) -> MatrixFactoriz
     _check_rank(F.rank0 + G.rank0)
     f0 = list(F.f0_degrees) + list(G.f0_degrees)
     f1 = list(F.f1_degrees) + list(G.f1_degrees)
-    s0 = chain(_nonzeros(F.s0.entries),
-               ((F.rank1 + r, F.rank0 + c, e) for r, c, e in _nonzeros(G.s0.entries)))
-    s1 = chain(_nonzeros(F.s1.entries),
-               ((F.rank0 + r, F.rank1 + c, e) for r, c, e in _nonzeros(G.s1.entries)))
+    s0 = chain(_nonzeros(F.s0.rows),
+               ((F.rank1 + r, F.rank0 + c, e) for r, c, e in _nonzeros(G.s0.rows)))
+    s1 = chain(_nonzeros(F.s1.rows),
+               ((F.rank0 + r, F.rank1 + c, e) for r, c, e in _nonzeros(G.s1.rows)))
     return _mk(F.f, f0, f1, s0, s1)
 
 
@@ -309,10 +310,17 @@ def tensor(F: MatrixFactorization, G: MatrixFactorization, *, normalize: bool = 
         t0 = [[A0⊗I, I⊗B1], [I⊗B0, -A1⊗I]]
         t1 = [[A1⊗I, I⊗B1], [I⊗B0, -A0⊗I]]
 
-    The sign placement is certified by a construction-time validity
-    check.  With ``normalize=True`` the result is twisted so that the
-    minimum degree of T1 is zero.
+    The result is certified by its factors, which must pass
+    ``require_valid``.  Valid factors give A1*A0 = A0*A1 = f*I and
+    B1*B0 = B0*B1 = g*I (see ``validate``), and (X⊗Y)(X'⊗Y') = XX'⊗YY'.
+    So the diagonal blocks of t1*t0 are A1A0⊗I + I⊗B1B0 and
+    I⊗B0B1 + A0A1⊗I, both (f+g)*I, and its off-diagonal blocks are
+    A1⊗B1 - A1⊗B1 = 0 and A0⊗B0 - A0⊗B0 = 0; t0*t1 is the same with
+    the subscripts 0 and 1 swapped.  With ``normalize=True`` the result
+    is twisted so that the minimum degree of T1 is zero.
     """
+    require_valid(F)
+    require_valid(G)
     if F.field != G.field or F.nvars != G.nvars:
         raise ValueError("tensor factors must share one field and variable count")
     d = F.d
@@ -328,9 +336,9 @@ def tensor(F: MatrixFactorization, G: MatrixFactorization, *, normalize: bool = 
 
     t0_degrees = [a + b for a in f0F for b in f0G] + [u + v + d for u in f1F for v in f1G]
     t1_degrees = [u + b for u in f1F for b in f0G] + [a + v for a in f0F for v in f1G]
-    B0, B1 = G.s0.entries, G.s1.entries
+    B0, B1 = G.s0.rows, G.s1.rows
 
-    def blocks(A: Grid, A_next: Grid, nrows: int, ncols: int) -> Entries:
+    def blocks(A: tuple[Row, ...], A_next: tuple[Row, ...], nrows: int, ncols: int) -> Entries:
         # [[A⊗I, I⊗B1], [I⊗B0, -A_next⊗I]] for A of shape nrows x ncols;
         # (X⊗Y)[x*rows(Y) + y][x'*cols(Y) + y'] = X[x][x'] * Y[y][y'].
         dr, dc = nrows * rG0, ncols * rG0
@@ -349,11 +357,8 @@ def tensor(F: MatrixFactorization, G: MatrixFactorization, *, normalize: bool = 
                 yield dr + k * rG1 + r, k * rG0 + c, e
 
     T = _mk(h, t0_degrees, t1_degrees,
-            blocks(F.s0.entries, F.s1.entries, rF1, rF0),
-            blocks(F.s1.entries, F.s0.entries, rF0, rF1))
-    problems = validate(T)
-    if problems:
-        raise AssertionError("tensor construction violated the factorization identity: " + problems[0])
+            blocks(F.s0.rows, F.s1.rows, rF1, rF0),
+            blocks(F.s1.rows, F.s0.rows, rF0, rF1))
     if normalize and T.rank1:
         T = twist(T, min(T.f1_degrees))
     return T
@@ -374,8 +379,8 @@ def dual(F: MatrixFactorization) -> MatrixFactorization:
     f1 = [-m - d for m in reversed(list(F.f1_degrees))]
     # Both index orders reverse with the sorted degree lists under negation.
     n0, n1 = F.rank0 - 1, F.rank1 - 1
-    s0 = ((n1 - c, n0 - r, e) for r, c, e in _nonzeros(F.s1.entries))
-    s1 = ((n0 - c, n1 - r, e) for r, c, e in _nonzeros(F.s0.entries))
+    s0 = ((n1 - c, n0 - r, e) for r, c, e in _nonzeros(F.s1.rows))
+    s1 = ((n0 - c, n1 - r, e) for r, c, e in _nonzeros(F.s0.rows))
     return _mk(F.f, f0, f1, s0, s1)
 
 
@@ -385,7 +390,7 @@ def dual(F: MatrixFactorization) -> MatrixFactorization:
 
 def is_reduced(F: MatrixFactorization) -> bool:
     """True iff no entry of s0 or s1 has a nonzero constant term."""
-    return _find_unit(F.s0.entries, 0) is None and _find_unit(F.s1.entries, 0) is None
+    return not any(e.constant_term for m in (F.s0, F.s1) for row in m.rows for _, e in row)
 
 
 def reduce(F: MatrixFactorization) -> MatrixFactorization:
@@ -404,37 +409,37 @@ def reduce(F: MatrixFactorization) -> MatrixFactorization:
       which adds nothing to any constant term: the row stays unit-free.
     - The partner matrix only loses a row and a column, so s0 gains no
       units once the s1 splits begin.
+    Generators keep their indices while the splits run, so row-major
+    order over the generators left is that of the compacted matrices.
     """
-    f0 = list(F.f0_degrees)
-    f1 = list(F.f1_degrees)
-    s0 = [list(row) for row in F.s0.entries]
-    s1 = [list(row) for row in F.s1.entries]
-    # (matrix, partner, its row degrees, its column degrees)
-    for a, b, rows, cols in ((s0, s1, f1, f0), (s1, s0, f0, f1)):
+    s0: SparseRows = {r: dict(row) for r, row in enumerate(F.s0.rows)}
+    s1: SparseRows = {r: dict(row) for r, row in enumerate(F.s1.rows)}
+    for a, b in ((s0, s1), (s1, s0)):
         r = 0
         while (pos := _find_unit(a, r)) is not None:
             r, c = pos
             _split_summand(F.field, a, b, r, c)
-            del rows[r]
-            del cols[c]
-    if len(f0) == F.rank0:
+    if len(s1) == F.rank0:
         return F
-    return _mk(F.f, f0, f1, _nonzeros(s0), _nonzeros(s1))
+    # The rows of s1 are the F0 generators left, those of s0 the F1 ones.
+    return _mk(F.f, {k: F.f0_degrees[k] for k in s1}, {k: F.f1_degrees[k] for k in s0},
+               ((r, c, e) for r, row in s0.items() for c, e in row.items()),
+               ((r, c, e) for r, row in s1.items() for c, e in row.items()))
 
 
-def _find_unit(grid: Grid, start: int) -> tuple[int, int] | None:
-    for r in range(start, len(grid)):
-        for c, entry in enumerate(grid[r]):
-            if entry.constant_term:
-                return (r, c)
+def _find_unit(rows: SparseRows, start: int) -> tuple[int, int] | None:
+    for r, row in rows.items():
+        if r >= start:
+            units = [c for c, entry in row.items() if entry.constant_term]
+            if units:
+                return r, min(units)
     return None
 
 
-def _split_summand(field: Field, a: list[list[Polynomial]], b: list[list[Polynomial]],
-                   r: int, c: int) -> None:
+def _split_summand(field: Field, a: SparseRows, b: SparseRows, r: int, c: int) -> None:
     """Split off the trivial summand at the unit pivot a[r][c] and delete
     its generator pair: row r and column c of ``a``, row c and column r of
-    the partner ``b``.  Mutates the grids in place.
+    the partner ``b``.  Mutates the rows in place.
 
     With a = [[u, p], [q, A]] (pivot first), the row operations R and the
     column operations C that clear q and p give R*a*C = diag(u, A - q*p/u)
@@ -443,21 +448,22 @@ def _split_summand(field: Field, a: list[list[Polynomial]], b: list[list[Polynom
     touches only the pivot row of a, which is deleted too.  What remains
     is the Schur complement A - q*p/u, computed over the nonzero entries
     of q and p."""
-    pivot = a[r]
-    uinv = field.inv(pivot[c].constant_term)
-    pivot_cols = [k for k, entry in enumerate(pivot) if k != c and entry.terms]
-    for r2, row in enumerate(a):
-        if r2 == r or row[c].is_zero:
-            continue
-        lam = row[c].scalar_mul(uinv)
-        for k in pivot_cols:
-            row[k] = row[k] - lam * pivot[k]
-    del a[r]
-    for row in a:
-        del row[c]
+    pivot = a.pop(r)
     del b[c]
-    for row in b:
-        del row[r]
+    uinv = field.inv(pivot.pop(c).constant_term)
+    for row in a.values():
+        q = row.pop(c, None)
+        if q is None:
+            continue
+        lam = q.scalar_mul(uinv)
+        for k, p in pivot.items():
+            entry = row[k] - lam * p if k in row else -(lam * p)
+            if entry.terms:
+                row[k] = entry
+            else:
+                del row[k]
+    for row in b.values():
+        row.pop(r, None)
 
 
 # ---------------------------------------------------------------------------
@@ -533,17 +539,13 @@ def presentation_equivalent(F: MatrixFactorization, G: MatrixFactorization) -> b
         return False
     if F == G:
         return True
-    for p0 in _block_permutations(list(F.f0_degrees)):
-        for p1 in _block_permutations(list(F.f1_degrees)):
-            if all(
-                F.s0.entries[p1[r]][p0[c]] == G.s0.entries[r][c]
-                for r in range(F.rank1) for c in range(F.rank0)
-            ) and all(
-                F.s1.entries[p0[r]][p1[c]] == G.s1.entries[r][c]
-                for r in range(F.rank0) for c in range(F.rank1)
-            ):
-                return True
-    return False
+
+    def permuted(matrix: HomogeneousMatrix, rows: list[int], cols: list[int]):
+        return tuple(tuple(matrix.entries[r][c] for c in cols) for r in rows)
+
+    return any(permuted(F.s0, p1, p0) == G.s0.entries and permuted(F.s1, p0, p1) == G.s1.entries
+               for p0 in _block_permutations(list(F.f0_degrees))
+               for p1 in _block_permutations(list(F.f1_degrees)))
 
 
 def _block_permutations(degrees: list[int]) -> Iterable[list[int]]:
@@ -555,7 +557,4 @@ def _block_permutations(degrees: list[int]) -> Iterable[list[int]]:
         blocks.append(list(range(start, start + size)))
         start += size
     for combo in product(*(permutations(block) for block in blocks)):
-        flat: list[int] = []
-        for part in combo:
-            flat.extend(part)
-        yield flat
+        yield [k for part in combo for k in part]

@@ -83,10 +83,7 @@ class CohomologyTable:
         return cls(n, tuple(sorted((k, v) for k, v in counts.items() if v)))
 
     def get(self, p: int, h: int) -> int:
-        for (pp, hh), value in self.entries:
-            if (pp, hh) == (p, h):
-                return value
-        return 0
+        return dict(self.entries).get((p, h), 0)
 
     def total(self) -> int:
         return sum(v for _, v in self.entries)
@@ -286,18 +283,8 @@ def check_bgs(ctx: HypersurfaceContext, F: MatrixFactorization) -> Verdict:
         raise ValueError("invalid matrix factorization: " + problems[0])
     trivial = mf_ops.reduce(F).rank0 == 0
     bound = 2 ** ctx.e
-    return Verdict(
-        check="rank >= 2^e",
-        n=ctx.n,
-        d=ctx.d,
-        a=ctx.a,
-        e=ctx.e,
-        value=F.rank0,
-        bound=bound,
-        passed=True if trivial else F.rank0 >= bound,
-        applicable=not trivial,
-        trivial=trivial,
-    )
+    return _verdict(ctx, "rank >= 2^e", F.rank0, bound, passed=True if trivial else F.rank0 >= bound,
+                    applicable=not trivial, trivial=trivial)
 
 
 def check_rho(ctx: HypersurfaceContext, value: int) -> Verdict:
@@ -311,13 +298,9 @@ def check_rho(ctx: HypersurfaceContext, value: int) -> Verdict:
             "line and rho(O_X) = 2 on a plane conic"
         )
     bound = 2 ** (ctx.e + 1)
-    return Verdict(
-        check="rho >= 2^(e+1)",
-        n=ctx.n,
-        d=ctx.d,
-        a=ctx.a,
-        e=ctx.e,
-        value=value,
-        bound=bound,
-        passed=value >= bound,
-    )
+    return _verdict(ctx, "rho >= 2^(e+1)", value, bound, passed=value >= bound)
+
+
+def _verdict(ctx: HypersurfaceContext, check: str, value: int, bound: int, **outcome) -> Verdict:
+    return Verdict(check=check, n=ctx.n, d=ctx.d, a=ctx.a, e=ctx.e, value=value, bound=bound,
+                   **outcome)

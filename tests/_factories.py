@@ -103,9 +103,10 @@ def random_reduced_mf(rng: random.Random, field: Field = FP13, nvars: int = 4,
     return F
 
 
-def random_valid_mf(rng: random.Random, field: Field = FP13) -> mf.MatrixFactorization:
+def random_valid_mf(rng: random.Random, field: Field = FP13,
+                    d: int | None = None) -> mf.MatrixFactorization:
     """Valid factorization that may carry trivial summands."""
-    F = random_reduced_mf(rng, field=field)
+    F = random_reduced_mf(rng, field=field, d=d)
     for _ in range(rng.randint(0, 2)):
         trivial = mf.trivial_one_f(F.f) if rng.random() < 0.5 else mf.trivial_f_one(F.f)
         F = mf.direct_sum(F, mf.twist(trivial, rng.randint(-2, 2)))

@@ -33,6 +33,12 @@ class TestDegreeMultiset:
             DegreeMultiset((2, 0))
         assert DegreeMultiset.from_iterable([2, 0]) == DegreeMultiset((0, 2))
 
+    def test_bool_degrees_rejected(self):
+        for degrees in ((False, True), (0, True), (True,)):
+            with pytest.raises(ValueError, match="integers"):
+                DegreeMultiset(degrees)
+        assert str(DegreeMultiset((0, 1))) == "{0, 1}"
+
 
 class TestValidate:
     def test_valid_one_by_one(self):
@@ -63,6 +69,30 @@ class TestValidate:
     def test_inhomogeneous_entry(self):
         m = _matrix(QQ, 1, (2,), (0,), [["x0^2 + x0"]])
         assert any("not homogeneous" in p for p in m.validate())
+
+
+class TestSparseRows:
+    def test_rows_hold_the_nonzeros(self):
+        m = _matrix(QQ, 2, (1, 2, 2), (0, 1), [["x0", "0", "x1^2"], ["0", "0", "x0"]])
+        x0, x1 = (parse_poly(t, QQ, 2) for t in ("x0", "x1"))
+        assert m.rows == (((0, x0), (2, x1 ** 2)), ((2, x0),))
+        assert m.entries[1][0].is_zero and m.entries[0][2] == x1 ** 2
+        assert HomogeneousMatrix(QQ, 2, m.source, m.target, m.entries) == m
+        z = HomogeneousMatrix.zero(QQ, 2, m.source, m.target)
+        assert z.rows == ((), ()) and all(e.is_zero for row in z.entries for e in row)
+
+    def test_every_entry_is_checked(self):
+        zero_q = parse_poly("0", QQ, 1)
+        with pytest.raises(ValueError, match=r"entry \(0,1\) lives in the wrong"):
+            HomogeneousMatrix(QI, 1, DegreeMultiset((0, 0)), DegreeMultiset((0,)),
+                              [[parse_poly("0", QI, 1), zero_q]])
+        with pytest.raises(ValueError, match=r"entry \(0,0\) lives in the wrong"):
+            HomogeneousMatrix._from_rows(QI, 1, DegreeMultiset((0,)), DegreeMultiset((0,)),
+                                         (((0, parse_poly("x0", QQ, 1)),),))
+        with pytest.raises(ValueError, match="row 0: expected 2 columns"):
+            HomogeneousMatrix(QQ, 1, DegreeMultiset((0, 0)), DegreeMultiset((0,)), [[zero_q]])
+        with pytest.raises(ValueError, match="expected 1 rows"):
+            HomogeneousMatrix(QQ, 1, DegreeMultiset((0,)), DegreeMultiset((0,)), [])
 
 
 class TestCompose:

@@ -3,16 +3,20 @@
 Arithmetic results skip validation and go through the trusted
 ``Polynomial._canonical``; products run on raw scalar components (GF(p)
 residues summed unreduced, integral rationals as ints) and wrap each
-output term once; ``compose`` multiplies only nonzero entries into one
-accumulator per output entry; ``mf.reduce`` updates only the Schur
-complement of each pivot and scans each matrix once; ``document_to_mf``
-parses each distinct entry string once; and ``mf`` assembles
-factorizations from their nonzero entries.  Each fast path is compared
-here with a plain reference: polynomials as dicts of monomials with the
-public scalar operators, a triple-loop matrix product built with
-``from_pairs``, a linear scan for the constant term, the original sort
-key, the original row and column elimination, a rescan from (0, 0) after
-every split, one parse per entry, and dense Kronecker and block grids.
+output term once; a one-term power scales its exponents; matrices store
+sparse rows and ``compose`` multiplies them row by row; ``mf.reduce``
+updates only the Schur complement of each pivot, on sparse rows, and
+scans each matrix once; ``mf.validate`` forms ``s1*s0`` alone when it is
+``f*id``; ``mf.tensor`` validates its factors, not its product;
+``document_to_mf`` parses each distinct entry string once; and ``mf``
+assembles factorizations from their nonzero entries.  Each fast path is
+compared here with a plain reference: polynomials as dicts of monomials
+with the public scalar operators, repeated products, a triple-loop
+matrix product built with ``from_pairs`` and the dense per-column
+product, a linear scan for the constant term, the original sort key, the
+original and the dense row and column elimination, a rescan from (0, 0)
+after every split, both composites on dense grids, one parse per entry,
+and dense Kronecker and block grids.
 """
 
 from __future__ import annotations
@@ -27,11 +31,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mfkit import mf
-from mfkit.algebra import GF, QI, QQ, FpElement, GaussianRational, Polynomial, parse_poly
+from mfkit.algebra import GF, MAX_EXPONENT, QI, QQ, FpElement, GaussianRational, Polynomial, parse_poly
 from mfkit.cli import MF_SCHEMA, SchemaError, document_to_mf, field_to_json
 from mfkit.graded import DegreeMultiset, HomogeneousMatrix, compose
 
-from _factories import random_elementary, random_homogeneous, random_reduced_mf
+from _factories import (random_elementary, random_homogeneous, random_reduced_mf,
+                        random_valid_mf)
 
 # GF(2^31 - 1): products of two residues come near 2^62, and the kernel
 # sums them unreduced.
@@ -167,6 +172,28 @@ def naive_compose(a, b):
     return tuple(rows)
 
 
+def dense_compose(a, b):
+    """``compose`` as it was on dense grids, before sparse rows: the
+    nonzeros of each row of a and each column of b, gathered per call."""
+    zero = Polynomial.zero(a.field, a.nvars)
+    a_rows = [[(m, e) for m, e in enumerate(row) if e.terms] for row in a.entries]
+    b_cols = [{m: row[c] for m, row in enumerate(b.entries) if row[c].terms}
+              for c in range(b.ncols)]
+    return tuple(
+        tuple(Polynomial._sum_of_products(a.field, a.nvars, pairs) if pairs else zero
+              for pairs in ([(left, b_col[m]) for m, left in a_row if m in b_col]
+                            for b_col in b_cols))
+        for a_row in a_rows)
+
+
+def assert_sparse_rows(matrix):
+    # Stored rows hold the nonzeros of the dense view, columns ascending.
+    assert len(matrix.rows) == matrix.nrows
+    for row, dense in zip(matrix.rows, matrix.entries):
+        assert [c for c, _ in row] == [c for c, e in enumerate(dense) if e.terms]
+        assert all(dense[c] is e for c, e in row)
+
+
 def sparse_matrices(field, nvars, nrows, ncols):
     # An empty term list gives a zero entry.
     entry = term_lists(field, nvars, max_size=3).map(
@@ -187,8 +214,10 @@ def test_compose_matches_triple_loop(field, data):
     a = HomogeneousMatrix(field, nvars, inner, rows_k, left)
     b = HomogeneousMatrix(field, nvars, cols_n, inner, right)
     product = compose(a, b)
-    assert product.entries == naive_compose(a, b)
+    assert product.entries == naive_compose(a, b) == dense_compose(a, b)
     assert (product.source, product.target) == (cols_n, rows_k)
+    assert_sparse_rows(product)
+    assert product == HomogeneousMatrix(field, nvars, cols_n, rows_k, product.entries)
     for row in product.entries:
         for entry in row:
             assert_public_scalars(entry)
@@ -210,7 +239,7 @@ def test_long_unreduced_sums_match_reference(data):
     a = HomogeneousMatrix(field, 2, inner, one, left)
     b = HomogeneousMatrix(field, 2, one, inner, right)
     product = compose(a, b)
-    assert product.entries == naive_compose(a, b)
+    assert product.entries == naive_compose(a, b) == dense_compose(a, b)
     assert_public_scalars(product.entries[0][0])
 
 
@@ -282,6 +311,26 @@ def test_memo_parses_again_under_a_smaller_bound():
 # -- reduce -----------------------------------------------------------------
 
 
+def dense_split_summand(field, a, b, r, c):
+    """``mf._split_summand`` as it was on dense grids, before sparse rows:
+    only the Schur complement of the pivot is updated."""
+    pivot = a[r]
+    uinv = field.inv(pivot[c].constant_term)
+    pivot_cols = [k for k, entry in enumerate(pivot) if k != c and entry.terms]
+    for r2, row in enumerate(a):
+        if r2 == r or row[c].is_zero:
+            continue
+        lam = row[c].scalar_mul(uinv)
+        for k in pivot_cols:
+            row[k] = row[k] - lam * pivot[k]
+    del a[r]
+    for row in a:
+        del row[c]
+    del b[c]
+    for row in b:
+        del row[r]
+
+
 def reference_split_summand(field, a, b, r, c):
     """``mf._split_summand`` as it was before it skipped zero operands:
     every entry of the moved rows and columns is updated."""
@@ -310,17 +359,33 @@ def reference_split_summand(field, a, b, r, c):
         del row[r]
 
 
+def first_unit(grid, start=0):
+    for r in range(start, len(grid)):
+        for c, entry in enumerate(grid[r]):
+            if entry.constant_term:
+                return r, c
+    return None
+
+
+def dense_reduce(F, split):
+    """``mf.reduce`` as it was on dense grids: scan s0 and then s1 once,
+    resuming at the last pivot row, and split with ``split``."""
+    f0, f1 = list(F.f0_degrees), list(F.f1_degrees)
+    s0 = [list(row) for row in F.s0.entries]
+    s1 = [list(row) for row in F.s1.entries]
+    for a, b, rows, cols in ((s0, s1, f1, f0), (s1, s0, f0, f1)):
+        r = 0
+        while (pos := first_unit(a, r)) is not None:
+            r, c = pos
+            split(F.field, a, b, r, c)
+            del rows[r]
+            del cols[c]
+    return grid_mk(F.f, f0, f1, s0, s1)
+
+
 def rescan_reduce(F):
     """``mf.reduce`` as it was before it resumed at the last pivot row:
     after every split, rescan s0 and then s1 from entry (0, 0)."""
-
-    def first_unit(grid):
-        for r, row in enumerate(grid):
-            for c, entry in enumerate(row):
-                if entry.constant_term:
-                    return r, c
-        return None
-
     f0, f1 = list(F.f0_degrees), list(F.f1_degrees)
     s0 = [list(row) for row in F.s0.entries]
     s1 = [list(row) for row in F.s1.entries]
@@ -328,14 +393,14 @@ def rescan_reduce(F):
         pos = first_unit(s0)
         if pos is not None:
             r, c = pos
-            mf._split_summand(F.field, s0, s1, r, c)
+            dense_split_summand(F.field, s0, s1, r, c)
             del f0[c]
             del f1[r]
             continue
         pos = first_unit(s1)
         if pos is not None:
             r, c = pos
-            mf._split_summand(F.field, s1, s0, r, c)
+            dense_split_summand(F.field, s1, s0, r, c)
             del f1[c]
             del f0[r]
             continue
@@ -397,11 +462,13 @@ def partly_reducible(field, rank, rng):
 def test_reduce_matches_full_elimination(field, rank, seed):
     F = partly_reducible(field, rank, random.Random(f"{field}-{rank}-{seed}"))
     assert F.rank == rank and mf.validate(F) == [] and not mf.is_reduced(F)
-    with mock.patch.object(mf, "_split_summand", reference_split_summand):
-        expected = mf.reduce(F)
+    assert first_unit(F.s0.entries) or first_unit(F.s1.entries)
     got = mf.reduce(F)
-    assert got == expected
+    assert got == dense_reduce(F, reference_split_summand)
+    assert got == dense_reduce(F, dense_split_summand)
     assert got == rescan_reduce(F)
+    assert mf.reduce(got) is got
+    assert first_unit(got.s0.entries) is None and first_unit(got.s1.entries) is None
     assert mf.is_reduced(got) and got.rank < rank
     for matrix in (got.s0, got.s1):
         for row in matrix.entries:
@@ -530,3 +597,166 @@ def test_assembly_matches_dense_grids(field, seed):
     for H in (F, mf.dual(F), mf.shift(F), mf.zero_mf(F.f), mf.twist(mf.trivial_one_f(F.f), 1)):
         assert mf.direct_sum(F, H) == grid_direct_sum(F, H)
         assert mf.direct_sum(H, F) == grid_direct_sum(H, F)
+
+
+# -- validate: one composite --------------------------------------------------
+
+
+def dense_mismatch(grid, f):
+    zero = Polynomial.zero(f.field, f.nvars)
+    for r, row in enumerate(grid):
+        for c, got in enumerate(row):
+            expected = f if r == c else zero
+            if got != expected:
+                return f"entry ({r},{c}): got {got}, expected {expected}, difference {got - expected}"
+    return None
+
+
+def two_composite_validate(F):
+    """``mf.validate`` as it was before it skipped s0*s1: both composites
+    are formed on dense grids and compared entry by entry with f*id."""
+    problems = []
+    f = F.f
+    deg = f.total_degree
+    if f.is_zero or not f.is_homogeneous or not isinstance(deg, int) or deg < 1:
+        return [f"f = {f} must be homogeneous of degree >= 1"]
+    for name, matrix in (("s0", F.s0), ("s1", F.s1)):
+        if matrix.field != f.field or matrix.nvars != f.nvars:
+            return [f"{name} lives in a different polynomial ring than f"]
+    f0, f1 = F.s0.source, F.s0.target
+    if f0.rank != f1.rank:
+        problems.append(f"rank mismatch: rank(F0) = {f0.rank}, rank(F1) = {f1.rank}")
+    if F.s1.source != f1.twist(-deg):
+        problems.append(
+            f"s1 source degrees {F.s1.source} must be F1 degrees shifted by d = {deg}: {f1.twist(-deg)}"
+        )
+    if F.s1.target != f0:
+        problems.append(f"s1 target degrees {F.s1.target} must equal F0 degrees {f0}")
+    problems.extend(f"s0 {msg}" for msg in F.s0.validate())
+    problems.extend(f"s1 {msg}" for msg in F.s1.validate())
+    if problems:
+        return problems
+    for name, grid in (("s1*s0", dense_compose(F.s1.twist(deg), F.s0)),
+                       ("s0*s1", dense_compose(F.s0, F.s1))):
+        mismatch = dense_mismatch(grid, f)
+        if mismatch is not None:
+            problems.append(f"{name} disagrees with f*id at {mismatch}")
+    return problems
+
+
+def perturbed(F, rng):
+    """F with one entry of s0 or s1 changed: set to zero, or plus a random
+    polynomial of the entry's degree (or of degree 1 where it must be 0)."""
+    name = rng.choice(["s0", "s1"])
+    matrix = getattr(F, name)
+    grid = [list(row) for row in matrix.entries]
+    r, c = rng.randrange(matrix.nrows), rng.randrange(matrix.ncols)
+    degree = matrix.source[c] - matrix.target[r]
+    if rng.random() < 0.25:
+        grid[r][c] = Polynomial.zero(F.field, F.nvars)
+    else:
+        grid[r][c] += random_homogeneous(F.field, F.nvars, max(degree, 1), rng)
+    changed = HomogeneousMatrix(F.field, F.nvars, matrix.source, matrix.target, grid)
+    if name == "s0":
+        return mf.MatrixFactorization(F.f, changed, F.s1)
+    return mf.MatrixFactorization(F.f, F.s0, changed)
+
+
+def rank_mismatched(F):
+    # F with its last F1 generator dropped: s0 loses a row, s1 a column.
+    keep = F.rank1 - 1
+    s0 = HomogeneousMatrix(F.field, F.nvars, F.s0.source, DegreeMultiset(F.f1_degrees[:keep]),
+                           F.s0.entries[:keep])
+    s1 = HomogeneousMatrix(F.field, F.nvars, DegreeMultiset(F.s1.source[:keep]), F.s1.target,
+                           [row[:keep] for row in F.s1.entries])
+    return mf.MatrixFactorization(F.f, s0, s1)
+
+
+def validate_inputs(field, rng):
+    F = partly_reducible(field, rng.choice([4, 8]), rng)
+    R = mf.reduce(F)
+    G = mf.shift(mf.tensor(random_elementary(field, 3, F.d, rng),
+                           random_elementary(field, 3, F.d, rng, variables=[0])))
+    x0 = Polynomial.variable(field, F.nvars, 0)
+    yield from (F, R, G, mf.dual(R), rank_mismatched(F))
+    for base in (F, R, G):
+        for _ in range(6):
+            yield perturbed(base, rng)
+    yield mf.MatrixFactorization(F.f * x0, F.s0, F.s1)   # f of the wrong degree
+    yield mf.MatrixFactorization(F.f + F.f, F.s0, F.s1)  # f of the right degree, not s1*s0
+    yield mf.MatrixFactorization(R.f, R.s1.twist(R.d), R.s0)  # the shift without signs
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(13)], ids=["QQ", "QQ(i)", "GF(13)"])
+@pytest.mark.parametrize("seed", range(4))
+def test_validate_matches_two_composites(field, seed):
+    rng = random.Random(f"validate-{field}-{seed}")
+    outcomes = set()
+    for F in validate_inputs(field, rng):
+        got = mf.validate(F)
+        assert got == two_composite_validate(F)
+        outcomes.add(tuple(p.split(" ", 1)[0] for p in got))
+    # Valid inputs, degree and rank diagnostics, and both composites.
+    assert () in outcomes and ("s1*s0", "s0*s1") in outcomes
+    assert any(diagnostics and diagnostics[0] in ("s0", "s1") for diagnostics in outcomes)
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(13)], ids=["QQ", "QQ(i)", "GF(13)"])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_tensor_of_valid_factors_is_valid(field, seed):
+    rng = random.Random(seed)
+    d = rng.choice([2, 3])
+    F = random_valid_mf(rng, field=field, d=d)
+    G = random_valid_mf(rng, field=field, d=d)
+    if not (F.f + G.f).is_zero:
+        T = mf.tensor(F, G)
+        assert mf.validate(T) == [] == two_composite_validate(T)
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(13)], ids=["QQ", "QQ(i)", "GF(13)"])
+def test_tensor_rejects_an_invalid_factor(field):
+    rng = random.Random(f"tensor-{field}")
+    F = random_reduced_mf(rng, field=field, d=2)
+    G = random_reduced_mf(rng, field=field, d=2)
+    bad = F
+    while not mf.validate(bad):
+        bad = perturbed(F, rng)
+    message = "invalid matrix factorization: " + "; ".join(mf.validate(bad))
+    for left, right in ((bad, G), (G, bad), (bad, bad)):
+        with pytest.raises(ValueError) as info:
+            mf.tensor(left, right)
+        assert str(info.value) == message
+    assert mf.validate(mf.tensor(F, G)) == []
+
+
+# -- powers ---------------------------------------------------------------------
+
+
+def loop_pow(poly, exponent):
+    """``Polynomial.__pow__`` as it was before its one-term fast path:
+    square-and-multiply by full polynomial products."""
+    result = Polynomial.constant(poly.field, poly.nvars, 1)
+    base, e = poly, exponent
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base if e > 1 else base
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@given(data=st.data())
+def test_power_matches_repeated_products(field, data):
+    nvars = data.draw(st.integers(1, 3))
+    pairs = data.draw(term_lists(field, nvars, max_size=1))
+    poly = Polynomial.from_pairs(field, nvars, pairs)
+    exponent = data.draw(st.one_of(st.integers(0, 6), st.integers(0, MAX_EXPONENT)))
+    power = poly ** exponent
+    assert power == loop_pow(poly, exponent)
+    assert_public_scalars(power)
+    if exponent <= 6:
+        product = Polynomial.constant(field, nvars, 1)
+        for _ in range(exponent):
+            product = product * poly
+        assert power == product
