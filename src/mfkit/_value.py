@@ -1,0 +1,53 @@
+"""Immutable value classes without :mod:`dataclasses`.
+
+``@value_class`` gives a class with annotated fields what
+``@dataclass(frozen=True)`` gives it: an ``__init__`` that takes the
+fields in order (class attributes are defaults) and then calls
+``__post_init__`` if there is one, ``__eq__`` and ``__hash__`` on the
+tuple of fields, a ``__repr__`` that names them, and assignment and
+deletion that raise AttributeError.  A class that defines its own
+``__init__`` keeps it.  The methods are generated as source code, as
+dataclasses does, so an equality test is one inline tuple compare;
+importing dataclasses would cost more than most commands (it imports
+inspect).
+"""
+
+
+def _no_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _no_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def value_class(cls: type) -> type:
+    names = list(cls.__annotations__)
+    namespace = {"_setattr": object.__setattr__}
+    params = []
+    for name in names:
+        if name in cls.__dict__:
+            namespace[f"_default_{name}"] = cls.__dict__[name]
+            name = f"{name}=_default_{name}"
+        params.append(name)
+    fields = lambda obj: "".join(f"{obj}.{name}, " for name in names)
+    source = (
+        f"def __init__(self, {', '.join(params)}):\n"
+        + "".join(f"    _setattr(self, {name!r}, {name})\n" for name in names)
+        + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else "")
+        + "def __eq__(self, other):\n"
+        "    if other.__class__ is self.__class__:\n"
+        f"        return ({fields('self')}) == ({fields('other')})\n"
+        "    return NotImplemented\n"
+        f"def __hash__(self):\n    return hash(({fields('self')}))\n"
+        "def __repr__(self):\n"
+        "    return f'{self.__class__.__qualname__}("
+        + ", ".join(f"{name}={{self.{name}!r}}" for name in names) + ")'\n"
+    )
+    exec(source, namespace)
+    if "__init__" not in cls.__dict__:
+        cls.__init__ = namespace["__init__"]
+    for method in ("__eq__", "__hash__", "__repr__"):
+        setattr(cls, method, namespace[method])
+    cls.__setattr__, cls.__delattr__ = _no_setattr, _no_delattr
+    return cls

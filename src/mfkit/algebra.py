@@ -49,11 +49,12 @@ they may be freely shared between concurrent tasks.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add, attrgetter
 from typing import Iterable, Mapping, Union
+
+from ._value import value_class
 
 NEG_INFINITY = float("-inf")
 
@@ -66,6 +67,10 @@ MAX_EXPONENT = 2**20
 # Largest variable count accepted by the parser: every monomial stores an
 # nvars-tuple of exponents.
 MAX_NVARS = 2**10
+
+# Deepest parenthesis nesting accepted by the parser, which recurses
+# through five frames per level: well inside the interpreter's limit.
+MAX_NESTING = 64
 
 
 class ParseError(ValueError):
@@ -101,7 +106,7 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@value_class
 class GaussianRational:
     """Element a + b*i of the field Q(i), with rational a and b."""
 
@@ -144,7 +149,7 @@ class GaussianRational:
         return f"({self.re} {sign} {abs(self.im)}*i)"
 
 
-@dataclass(frozen=True)
+@value_class
 class FpElement:
     """Residue in [0, p) of the prime field F_p."""
 
@@ -193,7 +198,7 @@ def _sqrt_minus_one(p: int) -> int:
     raise ValueError(f"no square root of -1 modulo {p}")
 
 
-@dataclass(frozen=True)
+@value_class
 class Field:
     """Descriptor for one of the supported coefficient fields.
 
@@ -216,7 +221,7 @@ class Field:
             raise ValueError(f"field {self.kind!r} takes no modulus")
 
     # Computed once per field; cached_property writes to the instance
-    # dict, which the frozen dataclass does not guard.
+    # dict, which the frozen value class does not guard.
     @cached_property
     def zero(self) -> Scalar:
         return self.coerce(0)
@@ -295,7 +300,7 @@ def _raw(q: Fraction) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
-@dataclass(frozen=True)
+@value_class
 class Polynomial:
     """Sparse multivariate polynomial in canonical form.
 
@@ -570,6 +575,7 @@ class _Parser:
         self.field = field
         self.nvars = nvars
         self.max_degree = max_degree
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -646,7 +652,11 @@ class _Parser:
     def atom(self) -> Polynomial:
         kind, text, at = self.advance()
         if kind == "op" and text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", at)
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             ckind, ctext, cat = self.advance()
             if not (ckind == "op" and ctext == ")"):
                 raise ParseError("expected ')'", cat)

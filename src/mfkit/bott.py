@@ -29,8 +29,9 @@ each the total of Beilinson-type cohomology tables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Mapping
+
+from ._value import value_class
 
 
 def binom(x: int, k: int) -> int:
@@ -40,7 +41,7 @@ def binom(x: int, k: int) -> int:
     return math.comb(x, k)
 
 
-@dataclass(frozen=True)
+@value_class
 class CohomologyVector:
     """Counts q -> h^q for q in [0, n], stored sparsely."""
 

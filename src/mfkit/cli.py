@@ -21,29 +21,45 @@ the row recurrence of :func:`mfkit.bott.rho_structure_sheaf_rows`.
 ``MFKIT_THREADS`` is validated (a value that is not a positive integer
 exits 2) but has no effect: the sweep runs in one thread.  Nothing else
 reads the environment.
+
+A command imports what it runs on first use: ``bott`` queries and ``rho
+point`` load :mod:`mfkit.bott` alone, other scalar queries add orlov, and
+document commands add algebra, graded, mf, json and hashlib.  ``main``
+builds the leaves of the group named on the command line only.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict
+from importlib import import_module
 from itertools import groupby
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import mf as mf_ops
-from . import orlov as orlov_ops
-from .algebra import (GF, MAX_NVARS, NEG_INFINITY, QI, QQ, Field, ParseError, Polynomial,
-                      parse_poly)
-from . import bott as bott_ops
-from .bott import CohomologyVector
-from .graded import DegreeMultiset, HomogeneousMatrix
-from .mf import BettiTable, MatrixFactorization
-from .orlov import CohomologyTable, HypersurfaceContext, Verdict
+if TYPE_CHECKING:
+    from .algebra import Field, Polynomial
+    from .bott import CohomologyVector
+    from .graded import HomogeneousMatrix
+    from .mf import BettiTable, MatrixFactorization
+    from .orlov import CohomologyTable, HypersurfaceContext, Verdict
+
+
+class _Module:
+    """A module imported on its first attribute access.  Each access
+    reads the module's attribute at that time, so a rebound module
+    attribute reaches every command."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __getattr__(self, attr: str):
+        return getattr(sys.modules.get(self._name) or import_module(self._name), attr)
+
+
+algebra, graded, mf_ops, orlov_ops, bott_ops, json, hashlib = map(_Module, (
+    "mfkit.algebra", "mfkit.graded", "mfkit.mf", "mfkit.orlov", "mfkit.bott", "json", "hashlib"))
 
 MF_SCHEMA = "mfkit/mf-v1"
 TABLE_SCHEMA = "mfkit/table-v1"
@@ -84,15 +100,15 @@ def field_from_json(obj) -> Field:
         raise SchemaError("field descriptor must be an object with a 'type' key")
     kind = obj["type"]
     if kind == "Q":
-        return QQ
+        return algebra.QQ
     if kind == "Qi":
-        return QI
+        return algebra.QI
     if kind == "Fp":
         p = obj.get("p")
         if type(p) is not int:
             raise SchemaError("field descriptor of type 'Fp' needs an integer 'p'")
         try:
-            return GF(p)
+            return algebra.GF(p)
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
     raise SchemaError(f"unknown field type {kind!r}")
@@ -178,11 +194,11 @@ def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
             hit = memo.get(text)
             if hit is None or bound < hit[1]:
                 try:
-                    poly = parse_poly(text, field, nvars, max(bound, 0))
-                except ParseError as exc:
+                    poly = algebra.parse_poly(text, field, nvars, max(bound, 0))
+                except algebra.ParseError as exc:
                     raise SchemaError(f"{key}[{r}][{c}]: {exc}") from exc
                 bounded = bound > 0 and ("*" in text or "^" in text)
-                hit = memo[text] = (poly, bound if bounded else NEG_INFINITY)
+                hit = memo[text] = (poly, bound if bounded else algebra.NEG_INFINITY)
             row.append(hit[0])
         rows.append(tuple(row))
     return tuple(rows)
@@ -197,27 +213,27 @@ def document_to_mf(doc: dict) -> MatrixFactorization:
     nvars = _expect_int(doc, "nvars")
     if nvars < 1:
         raise SchemaError("nvars must be >= 1")
-    if nvars > MAX_NVARS:
-        raise SchemaError(f"nvars must be <= {MAX_NVARS}")
+    if nvars > algebra.MAX_NVARS:
+        raise SchemaError(f"nvars must be <= {algebra.MAX_NVARS}")
     d = _expect_int(doc, "d")
     try:
-        f = parse_poly(_expect(doc, "f", str), field, nvars, d)
-    except ParseError as exc:
+        f = algebra.parse_poly(_expect(doc, "f", str), field, nvars, d)
+    except algebra.ParseError as exc:
         raise SchemaError(f"f: {exc}") from exc
     if f.is_zero or not f.is_homogeneous or f.total_degree != d:
         raise SchemaError(f"f must be homogeneous of the declared degree d = {d}")
     f0 = _parse_degree_list(doc, "F0_degrees")
     f1 = _parse_degree_list(doc, "F1_degrees")
-    F0 = DegreeMultiset(f0)
-    F1 = DegreeMultiset(f1)
+    F0 = graded.DegreeMultiset(f0)
+    F1 = graded.DegreeMultiset(f1)
     F1d = F1.twist(-d)
     memo: dict[str, tuple[Polynomial, int | float]] = {}
     s0 = _parse_matrix(doc, "s0", field, nvars, F0.degrees, F1.degrees, memo)
     s1 = _parse_matrix(doc, "s1", field, nvars, F1d.degrees, F0.degrees, memo)
-    return MatrixFactorization(
+    return mf_ops.MatrixFactorization(
         f,
-        HomogeneousMatrix(field, nvars, F0, F1, s0),
-        HomogeneousMatrix(field, nvars, F1d, F0, s1),
+        graded.HomogeneousMatrix(field, nvars, F0, F1, s0),
+        graded.HomogeneousMatrix(field, nvars, F1d, F0, s1),
     )
 
 
@@ -242,7 +258,7 @@ def document_to_table(doc: dict) -> CohomologyTable:
         p, h, value = item
         counts[(p, h)] = counts.get((p, h), 0) + value
     try:
-        return CohomologyTable.from_mapping(n, counts)
+        return orlov_ops.CohomologyTable.from_mapping(n, counts)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -321,8 +337,15 @@ def _read_json(path: str) -> tuple[dict, str]:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(data), hashlib.sha256(data).hexdigest()
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _dump(obj: dict, handle) -> None:
+    # json.dump streams the encoder's chunks; json.dumps with indent holds
+    # them all before the join, several times the document's size.
+    json.dump(obj, handle, indent=2)
+    handle.write("\n")
 
 
 def _emit(args, report: dict, *, artifact: dict | None = None,
@@ -334,21 +357,22 @@ def _emit(args, report: dict, *, artifact: dict | None = None,
     ``--output`` is given, the artifact (falling back to the report) is
     written there and stdout keeps the report/value."""
     if artifact is not None:
-        payload = json.dumps(artifact, indent=2) + "\n"
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(payload)
+                _dump(artifact, handle)
         else:
-            sys.stdout.write(payload)
+            _dump(artifact, sys.stdout)
             if not args.json:
                 return
     elif args.output:
-        body = json.dumps(report, indent=2) + "\n" if args.json else report_to_text(report)
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(body)
+            if args.json:
+                _dump(report, handle)
+            else:
+                handle.write(report_to_text(report))
         return
     if args.json:
-        sys.stdout.write(json.dumps(report, indent=2) + "\n")
+        _dump(report, sys.stdout)
     elif scalar is not None:
         sys.stdout.write(f"{scalar}\n")
     else:
@@ -356,7 +380,7 @@ def _emit(args, report: dict, *, artifact: dict | None = None,
 
 
 def _context_of_document(F: MatrixFactorization) -> HypersurfaceContext:
-    return HypersurfaceContext(n=F.nvars - 1, d=F.d)
+    return orlov_ops.HypersurfaceContext(n=F.nvars - 1, d=F.d)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +426,7 @@ def _mf_reduce(args, F: MatrixFactorization) -> dict:
 def _mf_fermat(args) -> dict:
     if args.field == "Fp" and args.p is None:
         raise SchemaError("--field Fp requires --p")
-    field = QI if args.field == "Qi" else GF(args.p)
+    field = algebra.QI if args.field == "Qi" else algebra.GF(args.p)
     F = mf_ops.fermat(args.pairs, args.half_degree, solo=args.solo, field=field)
     return {**_factorization(F), "notes": [FERMAT_NOTE]}
 
@@ -422,17 +446,19 @@ def _orlov_translate(args, F: MatrixFactorization) -> dict:
 
 
 def _table_in_context(args, table: CohomologyTable, operation, key: str, to_document) -> dict:
-    ctx = HypersurfaceContext(args.n, args.d)
+    ctx = orlov_ops.HypersurfaceContext(args.n, args.d)
     result = operation(ctx, table)
     return {"context": ctx, "results": _entries(key, result), "artifact": to_document(result)}
 
 
 def _orlov_phi0(args) -> dict:
-    ctx = HypersurfaceContext(args.n, args.d)
+    ctx = orlov_ops.HypersurfaceContext(args.n, args.d)
     descriptor = orlov_ops.phi0_residue(ctx, args.l)
     if descriptor is None:
         return {"context": ctx, "results": {"l": args.l, "zero": True}, "scalar": "0"}
-    return {"context": ctx, "results": {"l": args.l, "zero": False, **asdict(descriptor)},
+    return {"context": ctx, "results": {"l": args.l, "zero": False,
+                                        "exterior_power": descriptor.exterior_power,
+                                        "twist": descriptor.twist, "shift": descriptor.shift},
             "scalar": str(descriptor)}
 
 
@@ -547,13 +573,13 @@ COMMANDS = (
             ints=("--n", "--d", "--r", "--t")),
     Command("rho", "structure-sheaf", "rho(O_X), closed form",
             lambda args: _value(bott_ops.rho_structure_sheaf(args.n, args.d),
-                                HypersurfaceContext(args.n, args.d)),
+                                orlov_ops.HypersurfaceContext(args.n, args.d)),
             ints=("--n", "--d")),
     Command("rho", "point", "rho of a point sheaf",
             lambda args: _value(bott_ops.rho_point(args.n)), ints=("--n",)),
     Command("rho", "line-bundle", "rho(O_X(j))",
             lambda args: _value(bott_ops.rho_line_bundle(args.n, args.d, args.j),
-                                HypersurfaceContext(args.n, args.d), j=args.j),
+                                orlov_ops.HypersurfaceContext(args.n, args.d), j=args.j),
             ints=("--n", "--d", "--j")),
     Command("rho", "from-mf", "rho from a reduced factorization",
             lambda args, F: _value(orlov_ops.rho_of_mf(F), _context_of_document(F)),
@@ -576,7 +602,7 @@ COMMANDS = (
     Command("check", "bgs", "rank(F0) >= 2^e on a factorization document",
             lambda args, F: _check(_context_of_document(F), orlov_ops.check_bgs, F), ("mf",)),
     Command("check", "rho", "rho >= 2^(e+1) for a supplied value",
-            lambda args: _check(HypersurfaceContext(args.n, args.d), orlov_ops.check_rho,
+            lambda args: _check(orlov_ops.HypersurfaceContext(args.n, args.d), orlov_ops.check_rho,
                                 args.value),
             ints=("--n", "--d", "--value")),
     Command("sweep", "rho-structure-sheaf", "CSV of rho(O_X) against the 2^(e+1) bound",
@@ -584,14 +610,18 @@ COMMANDS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(group: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser: every group with its leaves, or with ``group``
+    every group but only that group's leaves."""
     parser = _Parser(prog="mfkit", description=__doc__.splitlines()[0])
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
     leaves = {}
-    for group, help_text in GROUPS.items():
-        sub = groups.add_parser(group, help=help_text)
-        leaves[group] = sub.add_subparsers(dest="command", required=True, metavar="CMD")
+    for name, help_text in GROUPS.items():
+        sub = groups.add_parser(name, help=help_text)
+        leaves[name] = sub.add_subparsers(dest="command", required=True, metavar="CMD")
     for row in COMMANDS:
+        if group is not None and row.group != group:
+            continue
         sub = leaves[row.group].add_parser(row.name, help=row.help)
         sub.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
         sub.add_argument("--output", metavar="PATH", help="write the command's artifact to PATH")
@@ -631,7 +661,7 @@ def _run(args) -> int:
     report = make_report(f"{row.group} {row.name}", inputs=inputs, **out)
     if rejected:
         if args.json:
-            sys.stdout.write(json.dumps(report, indent=2) + "\n")
+            _dump(report, sys.stdout)
         for diag in report["diagnostics"]:
             sys.stderr.write(f"invalid: {diag}\n")
         return 2
@@ -656,7 +686,9 @@ def _origin_module(exc: BaseException) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # A command line that starts with a group needs that group's leaves only.
+    parser = build_parser(argv[0] if argv and argv[0] in GROUPS else None)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

@@ -18,18 +18,18 @@ is immutable and pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from typing import Iterable, Iterator
 
+from ._value import value_class
 from .algebra import Field, Polynomial
 
 # The nonzero entries (column, polynomial) of one matrix row, in column order.
 Row = tuple[tuple[int, Polynomial], ...]
 
 
-@dataclass(frozen=True)
+@value_class
 class DegreeMultiset:
     """Sorted tuple of generator degrees of a graded free module."""
 
@@ -71,7 +71,7 @@ class DegreeMultiset:
         return "{" + ", ".join(str(m) for m in self.degrees) + "}"
 
 
-@dataclass(frozen=True, init=False)
+@value_class
 class HomogeneousMatrix:
     """Polynomial matrix between graded free modules, stored sparsely.
 
@@ -101,7 +101,7 @@ class HomogeneousMatrix:
                 if (entry.field is not field and entry.field != field) or entry.nvars != nvars:
                     raise ValueError(f"entry ({r},{c}) lives in the wrong polynomial ring")
         rows = tuple(tuple((c, e) for c, e in enumerate(row) if e.terms) for row in grid)
-        # The frozen dataclass guards __setattr__, not the instance dict.
+        # The frozen value class guards __setattr__, not the instance dict.
         self.__dict__.update(field=field, nvars=nvars, source=source, target=target, rows=rows)
 
     @classmethod

@@ -27,11 +27,11 @@ Values are immutable and operations pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, groupby, permutations, product
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence, Union
 
+from ._value import value_class
 from .algebra import QI, Field, Polynomial
 from .graded import DegreeMultiset, HomogeneousMatrix, Row, compose
 
@@ -44,7 +44,7 @@ SparseRows = dict[int, dict[int, Polynomial]]
 MAX_FERMAT_RANK = 2**10
 
 
-@dataclass(frozen=True)
+@value_class
 class MatrixFactorization:
     """The tuple (F0, F1, s0, s1); F0/F1 are recoverable from the maps."""
 
@@ -89,7 +89,7 @@ class MatrixFactorization:
         return self.rank0
 
 
-@dataclass(frozen=True)
+@value_class
 class BettiTable:
     """Finitely supported counts b^i_j of degree-j generators of F^i."""
 

@@ -24,13 +24,16 @@ the general statements, and they carry the hypotheses left unchecked
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from . import mf as mf_ops
-from .graded import DegreeMultiset
-from .mf import BettiTable, MatrixFactorization
+from ._value import value_class
 from .bott import binom
+
+# The functions that use mf and graded import them, so that the scalar
+# commands load neither.
+if TYPE_CHECKING:
+    from .graded import DegreeMultiset
+    from .mf import BettiTable, MatrixFactorization
 
 UNCHECKED_HYPOTHESES = (
     "f is assumed irreducible (not verified)",
@@ -38,7 +41,7 @@ UNCHECKED_HYPOTHESES = (
 )
 
 
-@dataclass(frozen=True)
+@value_class
 class HypersurfaceContext:
     """Ambient dimension n and hypersurface degree d; a and e derived."""
 
@@ -63,7 +66,7 @@ class HypersurfaceContext:
         return f"n={self.n} d={self.d} a={self.a} e={self.e}"
 
 
-@dataclass(frozen=True)
+@value_class
 class CohomologyTable:
     """Finitely supported counts (p, h) -> h^h(P^n, i_*(C) ⊗ Omega^p(p)).
 
@@ -101,7 +104,7 @@ class CohomologyTable:
         return ", ".join(f"T[{p}][{h}]={v}" for (p, h), v in self.entries)
 
 
-@dataclass(frozen=True)
+@value_class
 class Phi0Descriptor:
     """Shape of the image of a twisted residue field in D^b(X): the
     pullback of the exterior_power-th wedge of the tangent bundle,
@@ -115,7 +118,7 @@ class Phi0Descriptor:
         return f"i^*(wedge^{self.exterior_power} T)({self.twist})[{self.shift}]"
 
 
-@dataclass(frozen=True)
+@value_class
 class Verdict:
     """Outcome of one instance-level bound check."""
 
@@ -129,7 +132,7 @@ class Verdict:
     passed: bool
     applicable: bool = True
     trivial: bool = False
-    notes: tuple[str, ...] = dataclass_field(default=UNCHECKED_HYPOTHESES)
+    notes: tuple[str, ...] = UNCHECKED_HYPOTHESES
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +178,7 @@ def table_to_betti(ctx: HypersurfaceContext, table: CohomologyTable) -> BettiTab
     q = (p + 1 - h - i)/2 and j = a - q*d + r.  Entries need p in
     [a, n] so that r lies in [0, d).
     """
+    from .mf import BettiTable
     _require_non_fano(ctx)
     counts: dict[tuple[int, int], int] = {}
     for (p, h), value in table.entries:
@@ -203,6 +207,7 @@ def rho_of_table(table: CohomologyTable) -> int:
 def rho_of_mf(F: MatrixFactorization) -> int:
     """rho of the sheaf-theoretic image of F: rank(F0) + rank(F1),
     requiring F valid and reduced."""
+    from . import mf as mf_ops
     problems = mf_ops.validate(F)
     if problems:
         raise ValueError("invalid matrix factorization: " + problems[0])
@@ -250,6 +255,7 @@ def shamash_degrees(n: int, d: int, m: int) -> DegreeMultiset:
 
         term m = ⊕_{s+2j = -m, j >= 0, 0 <= s <= n+1} R(-s-jd)^C(n+1, s)
     """
+    from .graded import DegreeMultiset
     if n < 1:
         raise ValueError("n must be >= 1")
     if d < 1:
@@ -278,6 +284,7 @@ def check_bgs(ctx: HypersurfaceContext, F: MatrixFactorization) -> Verdict:
     """Instance check of the rank lower bound rank(F0) >= 2^e for
     nontrivial factorizations.  Trivial inputs (those reducing to rank 0)
     are marked not applicable."""
+    from . import mf as mf_ops
     problems = mf_ops.validate(F)
     if problems:
         raise ValueError("invalid matrix factorization: " + problems[0])

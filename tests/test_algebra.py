@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mfkit.algebra import (
     GF,
+    MAX_NESTING,
     MAX_NVARS,
     NEG_INFINITY,
     ParseError,
@@ -122,6 +123,21 @@ class TestParsing:
             parse_poly("x0", QQ, MAX_NVARS + 1)
         with pytest.raises(ValueError, match="exceeds MAX_NVARS"):
             parse_poly("x0", QQ, 10**9)
+
+    def test_nesting_bound(self):
+        def nested(depth, inner="x0"):
+            return "(" * depth + inner + ")" * depth
+
+        assert parse_poly(nested(MAX_NESTING), QQ, 1) == parse_poly("x0", QQ, 1)
+        # The bound counts open parentheses, wherever they sit.
+        deep = f"2*{nested(MAX_NESTING - 1, '-x0^2')} + x0*x0"
+        assert parse_poly(f"({deep})^1", QQ, 1) == parse_poly("-x0^2", QQ, 1)
+        for text, at in ((nested(MAX_NESTING + 1), MAX_NESTING),
+                         (f"x0 + ({nested(MAX_NESTING)})", 5 + MAX_NESTING),
+                         (nested(1000), MAX_NESTING)):
+            with pytest.raises(ParseError, match=rf"parentheses nested deeper than {MAX_NESTING} "
+                                                 rf"\(at position {at}\)"):
+                parse_poly(text, QQ, 1)
 
     def test_syntax_errors(self):
         with pytest.raises(ParseError):

@@ -311,6 +311,22 @@ class TestFailureModes:
         with pytest.raises(SchemaError, match=r"^f: degree 3 exceeds the bound 2"):
             document_to_mf(doc)
 
+    def test_deeply_nested_json(self, workdir, capsys):
+        # The JSON decoder recurses once per level.
+        (workdir / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
+        code, out, err = run(capsys, "mf", "validate", "deep.json")
+        assert code == 2 and out == ""
+        assert err.startswith("error [mfkit.cli]: deep.json is not valid JSON: ")
+
+    def test_deeply_nested_entry(self, workdir, capsys):
+        doc = mf_to_document(mf.fermat(1, 1))
+        doc["s0"][0][0] = "(" * 1000 + "x0" + ")" * 1000
+        (workdir / "n.json").write_text(json.dumps(doc))
+        code, out, err = run(capsys, "mf", "validate", "n.json")
+        assert code == 2 and out == ""
+        assert err == ("error [mfkit.cli]: s0[0][0]: parentheses nested deeper than 64 "
+                       "(at position 64)\n")
+
     def test_json_booleans_in_table_documents(self, workdir, capsys):
         for doc in ({"schema": "mfkit/table-v1", "n": True, "entries": [[0, 0, 2]]},
                     {"schema": "mfkit/table-v1", "n": 3, "entries": [[True, 0, 2]]}):

@@ -302,7 +302,7 @@ def test_memo_parses_again_under_a_smaller_bound():
     # A text without '*' or '^' parses under every bound: once per document.
     doc["s0"] = [["1", "x0 + x1"], ["x0 + x1", "0"]]
     doc["s1"] = [["0", "x0*x1"], ["1", "0"]]
-    with mock.patch("mfkit.cli.parse_poly", wraps=parse_poly) as parse:
+    with mock.patch("mfkit.algebra.parse_poly", wraps=parse_poly) as parse:
         F = document_to_mf(doc)
     assert parse.call_count == 5  # f and four distinct entry texts
     assert F.s0.entries[1][0] is F.s0.entries[0][1]

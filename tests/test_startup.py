@@ -1,0 +1,117 @@
+"""What a command loads: the package resolves its names on access, and
+the CLI imports and builds only what the command runs."""
+
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import mfkit
+from mfkit import mf
+from mfkit.cli import COMMANDS, GROUPS, _UsageError, build_parser, mf_to_document
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The names that mfkit/__init__ imported from each module before it
+# resolved them on access.
+OLD_EXPORTS = {
+    "algebra": ["GF", "QI", "QQ", "Field", "FpElement", "GaussianRational", "NEG_INFINITY",
+                "ParseError", "Polynomial", "degree_info", "parse_poly"],
+    "graded": ["DegreeMultiset", "HomogeneousMatrix", "compose"],
+    "mf": ["BettiTable", "MatrixFactorization", "betti", "direct_sum", "dual", "fermat",
+           "is_reduced", "is_valid", "presentation_equivalent", "rank_one", "reduce",
+           "require_valid", "shift", "tensor", "trivial_f_one", "trivial_one_f", "twist",
+           "validate", "zero_mf"],
+    "bott": ["CohomologyVector", "binom", "bott_vector", "restricted_bott", "rho_line_bundle",
+             "rho_point", "rho_structure_sheaf"],
+    "orlov": ["CohomologyTable", "HypersurfaceContext", "Phi0Descriptor", "Verdict",
+              "betti_to_table", "check_bgs", "check_rho", "dual_table", "euclid_split",
+              "phi0_residue", "rho_of_mf", "rho_of_table", "shamash_degrees", "table_to_betti"],
+}
+
+# Run cli.main in a fresh interpreter without site (so that nothing but
+# the command loads modules), then print the loaded module names.
+CHILD = """\
+import sys
+from mfkit import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.write(f"\\n{code} " + " ".join(sorted(sys.modules)) + "\\n")
+"""
+
+HEAVY = {"dataclasses", "inspect", "fractions", "json", "hashlib",
+         "mfkit.algebra", "mfkit.graded", "mfkit.mf"}
+
+
+def loaded_modules(*argv, cwd=None) -> set[str]:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    env.pop("MFKIT_THREADS", None)
+    done = subprocess.run([sys.executable, "-S", "-c", CHILD, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    code, *modules = done.stdout.splitlines()[-1].split()
+    assert (done.returncode, code) == (0, "0"), done.stderr
+    return set(modules)
+
+
+@pytest.mark.parametrize("argv", [
+    ("rho", "point", "--n", "3"),
+    ("bott", "eval", "--n", "3", "--p", "1", "--q", "0", "--l", "2"),
+])
+def test_scalar_commands_load_no_algebra(argv):
+    modules = loaded_modules(*argv)
+    assert "mfkit.bott" in modules
+    assert not HEAVY & modules
+
+
+def test_validate_loads_no_dataclasses(tmp_path):
+    (tmp_path / "g.json").write_text(json.dumps(mf_to_document(mf.fermat(2, 2))))
+    modules = loaded_modules("mf", "validate", "g.json", cwd=tmp_path)
+    assert {"mfkit.algebra", "mfkit.mf"} <= modules
+    assert not {"dataclasses", "inspect"} & modules
+
+
+def test_package_names_resolve():
+    for module, names in OLD_EXPORTS.items():
+        assert getattr(mfkit, module) is sys.modules[f"mfkit.{module}"]
+        for name in names:
+            assert getattr(mfkit, name) is getattr(sys.modules[f"mfkit.{module}"], name), name
+    every = {name for names in OLD_EXPORTS.values() for name in names}
+    namespace = {}
+    exec("from mfkit import *", namespace)
+    assert every | set(OLD_EXPORTS) == set(namespace) - {"__builtins__"}
+    assert every | set(OLD_EXPORTS) <= set(dir(mfkit))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mfkit.no_such_name
+
+
+def test_package_names_follow_a_rebound_attribute(monkeypatch):
+    sentinel = object()
+    monkeypatch.setattr(mf, "fermat", sentinel)
+    assert mfkit.fermat is sentinel
+
+
+def parser_output(parser, argv) -> str:
+    """What parsing argv prints or raises: a --help text or a usage error."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            parser.parse_args(argv)
+        except _UsageError as exc:
+            return f"usage error: {exc}"
+        except SystemExit:
+            pass
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("group", list(GROUPS))
+def test_group_parser_matches_full_tree(group):
+    cases = [[group, "--help"], [group], [group, "no-such-command"]]
+    cases += [[group, row.name, "--help"] for row in COMMANDS if row.group == group]
+    cases += [[group, row.name] for row in COMMANDS if row.group == group]
+    full, alone = build_parser(), build_parser(group)
+    for argv in cases:
+        assert parser_output(alone, argv) == parser_output(full, argv), argv
