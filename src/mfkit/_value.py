@@ -10,6 +10,9 @@ deletion that raise AttributeError.  A class that defines its own
 dataclasses does, so an equality test is one inline tuple compare;
 importing dataclasses would cost more than most commands (it imports
 inspect).
+
+``Counts`` is the one sparse count container behind ``mf.BettiTable``,
+``orlov.CohomologyTable`` and ``bott.CohomologyVector``.
 """
 
 
@@ -51,3 +54,33 @@ def value_class(cls: type) -> type:
         setattr(cls, method, namespace[method])
     cls.__setattr__, cls.__delattr__ = _no_setattr, _no_delattr
     return cls
+
+
+class Counts:
+    """What the count tables share.  A subclass is a value class whose
+    last field, ``entries``, holds ``(key, count)`` pairs sorted by key,
+    every count positive; it sets ``term_format`` (one term of ``str``)
+    and ``empty_text``, unannotated so that they are not fields."""
+
+    @classmethod
+    def from_pairs(cls, pairs, *fields):
+        # cls(*fields, entries): the counts summed by key, zero sums dropped.
+        counts = {}
+        for key, value in pairs:
+            counts[key] = counts.get(key, 0) + value
+        for key, value in counts.items():
+            if value < 0:
+                raise ValueError(f"negative count {value} at {key}")
+        return cls(*fields, tuple(sorted(item for item in counts.items() if item[1])))
+
+    def get(self, *key) -> int:
+        # get(i, j) or get(q); 0 outside the support.
+        return dict(self.entries).get(key if len(key) > 1 else key[0], 0)
+
+    def total(self) -> int:
+        return sum(value for _, value in self.entries)
+
+    def __str__(self) -> str:
+        if not self.entries:
+            return self.empty_text
+        return ", ".join(self.term_format.format(key, value) for key, value in self.entries)

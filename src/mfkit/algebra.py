@@ -49,10 +49,10 @@ they may be freely shared between concurrent tasks.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property
-from operator import add, attrgetter
-from typing import Iterable, Mapping, Union
+from operator import add, attrgetter, mul
 
 from ._value import value_class
 
@@ -71,6 +71,12 @@ MAX_NVARS = 2**10
 # Deepest parenthesis nesting accepted by the parser, which recurses
 # through five frames per level: well inside the interpreter's limit.
 MAX_NESTING = 64
+
+# Most term products one parse may form: the sum over its products of
+# len(a.terms) * len(b.terms), charged before each product.  The degree
+# bound alone admits expansions such as (x0 + ... + x11)^400, which has
+# about 10^20 terms.
+MAX_PARSE_PRODUCTS = 2**16
 
 
 class ParseError(ValueError):
@@ -187,7 +193,7 @@ class FpElement:
         return str(self.value)
 
 
-Scalar = Union[Fraction, GaussianRational, FpElement]
+Scalar = Fraction | GaussianRational | FpElement
 
 
 def _sqrt_minus_one(p: int) -> int:
@@ -508,13 +514,13 @@ class Polynomial:
         return "".join(pieces)
 
 
-def _power(base, e: int, one):
-    # base^e by square-and-multiply.
+def _power(base, e: int, one, times=mul):
+    # base^e by square-and-multiply, each product formed by times.
     result = one
     while e:
         if e & 1:
-            result = result * base
-        base = base * base if e > 1 else base
+            result = times(result, base)
+        base = times(base, base) if e > 1 else base
         e >>= 1
     return result
 
@@ -576,6 +582,7 @@ class _Parser:
         self.nvars = nvars
         self.max_degree = max_degree
         self.depth = 0
+        self.products = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -590,6 +597,19 @@ class _Parser:
         # expansion exceeds the bound costs no more than reading it.
         if self.max_degree is not None and degree > self.max_degree:
             raise ParseError(f"degree {degree} exceeds the bound {self.max_degree}", at)
+
+    def product(self, a: Polynomial, b: Polynomial, at: int) -> Polynomial:
+        # Charge the term products of a * b before forming it.  A product
+        # of two monomials is not charged: it is one term product, and
+        # there are no more of them than tokens, so a printed polynomial
+        # parses back whatever its size.
+        cost = len(a.terms) * len(b.terms)
+        if cost > 1:
+            self.products += cost
+            if self.products > MAX_PARSE_PRODUCTS:
+                raise ParseError(
+                    f"expansion needs more than {MAX_PARSE_PRODUCTS} term products", at)
+        return a * b
 
     def parse(self) -> Polynomial:
         poly = self.expr()
@@ -617,7 +637,7 @@ class _Parser:
                 self.advance()
                 rhs = self.signed()
                 self.check_degree(result.total_degree + rhs.total_degree, at)
-                result = result * rhs
+                result = self.product(result, rhs, at)
             else:
                 return result
 
@@ -646,6 +666,9 @@ class _Parser:
                 raise ParseError(f"exponent overflow (limit {MAX_EXPONENT})", nat)
             if exponent:
                 self.check_degree(exponent * base.total_degree, at)
+            if len(base.terms) > 1:
+                one = Polynomial.constant(self.field, self.nvars, 1)
+                return _power(base, exponent, one, lambda a, b: self.product(a, b, at))
             return base ** exponent
         return base
 
@@ -702,7 +725,9 @@ def parse_poly(text: str, field: Field, nvars: int,
     With ``max_degree``, every ``*`` and ``^`` whose result would have
     total degree above it raises :class:`ParseError` before the product
     is computed; sums are not checked, and a polynomial printed by this
-    module parses under its own total degree."""
+    module parses under its own total degree.  A parse whose products
+    would form more than MAX_PARSE_PRODUCTS term products in all raises
+    :class:`ParseError` at the operator that crosses the budget."""
     if nvars < 0:
         raise ValueError("nvars must be nonnegative")
     if nvars > MAX_NVARS:

@@ -29,9 +29,9 @@ each the total of Beilinson-type cohomology tables.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping
+from collections.abc import Iterator, Mapping
 
-from ._value import value_class
+from ._value import Counts, value_class
 
 
 def binom(x: int, k: int) -> int:
@@ -42,11 +42,13 @@ def binom(x: int, k: int) -> int:
 
 
 @value_class
-class CohomologyVector:
+class CohomologyVector(Counts):
     """Counts q -> h^q for q in [0, n], stored sparsely."""
 
     n: int
     entries: tuple[tuple[int, int], ...]
+    term_format = "h^{0}={1}"
+    empty_text = "0"
 
     def __post_init__(self):
         for q, value in self.entries:
@@ -59,27 +61,13 @@ class CohomologyVector:
 
     @classmethod
     def from_mapping(cls, n: int, counts: Mapping[int, int]) -> "CohomologyVector":
-        return cls(n, tuple(sorted((q, v) for q, v in counts.items() if v)))
-
-    def get(self, q: int) -> int:
-        for qq, value in self.entries:
-            if qq == q:
-                return value
-        return 0
-
-    def total(self) -> int:
-        return sum(v for _, v in self.entries)
+        return cls.from_pairs(counts.items(), n)
 
     def euler(self) -> int:
         return sum(v if q % 2 == 0 else -v for q, v in self.entries)
 
     def nonzero_degrees(self) -> tuple[int, ...]:
         return tuple(q for q, _ in self.entries)
-
-    def __str__(self) -> str:
-        if not self.entries:
-            return "0"
-        return ", ".join(f"h^{q}={v}" for q, v in self.entries)
 
 
 def bott(n: int, p: int, q: int, l: int) -> int:

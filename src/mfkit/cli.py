@@ -34,14 +34,18 @@ import argparse
 import os
 import sys
 from collections import Counter
+from collections.abc import Callable
 from importlib import import_module
 from itertools import groupby
-from typing import TYPE_CHECKING, Callable, NamedTuple
 
+from ._value import value_class
+
+# Type checkers take this name for typing's; no command imports typing.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .algebra import Field, Polynomial
     from .bott import CohomologyVector
-    from .graded import HomogeneousMatrix
+    from .graded import DegreeMultiset, HomogeneousMatrix
     from .mf import BettiTable, MatrixFactorization
     from .orlov import CohomologyTable, HypersurfaceContext, Verdict
 
@@ -165,10 +169,11 @@ def _parse_degree_list(doc: dict, key: str) -> tuple[int, ...]:
 
 
 def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
-                  source: tuple[int, ...], target: tuple[int, ...],
-                  memo: dict[str, tuple[Polynomial, int | float]]) -> tuple[tuple[Polynomial, ...], ...]:
+                  source: DegreeMultiset, target: DegreeMultiset,
+                  memo: dict[str, tuple[Polynomial, int | float]]) -> HomogeneousMatrix:
     """Parse the entry strings of one matrix from ``source`` to ``target``
-    degrees.  Entry ``[r][c]`` parses under the degree bound
+    degrees into its sparse rows, the nonzero ``(column, polynomial)``
+    pairs of each row.  Entry ``[r][c]`` parses under the degree bound
     ``max(source[c] - target[r], 0)``.  ``memo`` maps each entry text
     already parsed in this document to its polynomial and the smallest
     ``source[c] - target[r]`` known to admit it: NEG_INFINITY when it
@@ -178,7 +183,8 @@ def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
     comparison and a text is parsed again only under a smaller bound.  A
     string that fails to parse is never stored, so it raises wherever it
     appears."""
-    nrows, ncols = len(target), len(source)
+    sources, targets = source.degrees, target.degrees
+    nrows, ncols = len(targets), len(sources)
     raw = _expect(doc, key, list)
     if len(raw) != nrows:
         raise SchemaError(f"{key} must have {nrows} rows, got {len(raw)}")
@@ -190,7 +196,7 @@ def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
         for c, text in enumerate(raw_row):
             if not isinstance(text, str):
                 raise SchemaError(f"{key}[{r}][{c}] must be a polynomial string")
-            bound = source[c] - target[r]
+            bound = sources[c] - targets[r]
             hit = memo.get(text)
             if hit is None or bound < hit[1]:
                 try:
@@ -199,9 +205,10 @@ def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
                     raise SchemaError(f"{key}[{r}][{c}]: {exc}") from exc
                 bounded = bound > 0 and ("*" in text or "^" in text)
                 hit = memo[text] = (poly, bound if bounded else algebra.NEG_INFINITY)
-            row.append(hit[0])
+            if hit[0].terms:
+                row.append((c, hit[0]))
         rows.append(tuple(row))
-    return tuple(rows)
+    return graded.HomogeneousMatrix._from_rows(field, nvars, source, target, tuple(rows))
 
 
 def document_to_mf(doc: dict) -> MatrixFactorization:
@@ -222,18 +229,13 @@ def document_to_mf(doc: dict) -> MatrixFactorization:
         raise SchemaError(f"f: {exc}") from exc
     if f.is_zero or not f.is_homogeneous or f.total_degree != d:
         raise SchemaError(f"f must be homogeneous of the declared degree d = {d}")
-    f0 = _parse_degree_list(doc, "F0_degrees")
-    f1 = _parse_degree_list(doc, "F1_degrees")
-    F0 = graded.DegreeMultiset(f0)
-    F1 = graded.DegreeMultiset(f1)
-    F1d = F1.twist(-d)
+    F0 = graded.DegreeMultiset(_parse_degree_list(doc, "F0_degrees"))
+    F1 = graded.DegreeMultiset(_parse_degree_list(doc, "F1_degrees"))
     memo: dict[str, tuple[Polynomial, int | float]] = {}
-    s0 = _parse_matrix(doc, "s0", field, nvars, F0.degrees, F1.degrees, memo)
-    s1 = _parse_matrix(doc, "s1", field, nvars, F1d.degrees, F0.degrees, memo)
     return mf_ops.MatrixFactorization(
         f,
-        graded.HomogeneousMatrix(field, nvars, F0, F1, s0),
-        graded.HomogeneousMatrix(field, nvars, F1d, F0, s1),
+        _parse_matrix(doc, "s0", field, nvars, F0, F1, memo),
+        _parse_matrix(doc, "s1", field, nvars, F1.twist(-d), F0, memo),
     )
 
 
@@ -250,15 +252,12 @@ def document_to_table(doc: dict) -> CohomologyTable:
         raise SchemaError(f"expected schema {TABLE_SCHEMA!r}")
     n = _expect_int(doc, "n")
     raw = _expect(doc, "entries", list)
-    counts: dict[tuple[int, int], int] = {}
     for item in raw:
         if (not isinstance(item, list) or len(item) != 3
                 or any(type(x) is not int for x in item)):
             raise SchemaError("table entries must be [p, h, count] integer triples")
-        p, h, value = item
-        counts[(p, h)] = counts.get((p, h), 0) + value
     try:
-        return orlov_ops.CohomologyTable.from_mapping(n, counts)
+        return orlov_ops.CohomologyTable.from_pairs((((p, h), v) for p, h, v in raw), n)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -513,7 +512,8 @@ def _sweep_rho_structure_sheaf(args) -> None:
         sys.stdout.writelines(blocks)
 
 
-class Command(NamedTuple):
+@value_class
+class Command:
     """One leaf command.  ``compute(args, *documents)`` returns make_report
     keywords plus optional ``artifact`` (the JSON document for --output),
     ``scalar`` (the bare value of text mode) and ``rejected`` (invalid

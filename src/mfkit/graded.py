@@ -18,9 +18,9 @@ is immutable and pure.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, Iterator
 
 from ._value import value_class
 from .algebra import Field, Polynomial

@@ -27,11 +27,11 @@ Values are immutable and operations pure.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import chain, groupby, permutations, product
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence, Union
 
-from ._value import value_class
+from ._value import Counts, value_class
 from .algebra import QI, Field, Polynomial
 from .graded import DegreeMultiset, HomogeneousMatrix, Row, compose
 
@@ -90,31 +90,19 @@ class MatrixFactorization:
 
 
 @value_class
-class BettiTable:
+class BettiTable(Counts):
     """Finitely supported counts b^i_j of degree-j generators of F^i."""
 
     entries: tuple[tuple[tuple[int, int], int], ...]
+    term_format = "b[{0[0]}][{0[1]}]={1}"
+    empty_text = "(empty)"
 
     @classmethod
     def from_mapping(cls, counts: Mapping[tuple[int, int], int]) -> "BettiTable":
-        for key, value in counts.items():
-            if value < 0:
-                raise ValueError(f"negative count {value} at {key}")
-        return cls(tuple(sorted((k, v) for k, v in counts.items() if v)))
-
-    def get(self, i: int, j: int) -> int:
-        return dict(self.entries).get((i, j), 0)
-
-    def total(self) -> int:
-        return sum(v for _, v in self.entries)
+        return cls.from_pairs(counts.items())
 
     def mapping(self) -> dict[tuple[int, int], int]:
         return dict(self.entries)
-
-    def __str__(self) -> str:
-        if not self.entries:
-            return "(empty)"
-        return ", ".join(f"b[{i}][{j}]={v}" for (i, j), v in self.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +111,7 @@ class BettiTable:
 # A map given by its nonzero entries (row, column, polynomial).
 Entries = Iterable[tuple[int, int, Polynomial]]
 # Generator degrees by generator index: a list, or a dict of the indices in use.
-Degrees = Union[Sequence[int], Mapping[int, int]]
+Degrees = Sequence[int] | Mapping[int, int]
 
 
 def _argsort(values: Degrees) -> list[int]:
@@ -475,11 +463,8 @@ def betti(F: MatrixFactorization) -> BettiTable:
     non-reduced one these counts exceed the Betti numbers of coker s0)."""
     if not is_reduced(F):
         raise ValueError("Betti extraction requires a reduced factorization; call reduce() first")
-    counts: dict[tuple[int, int], int] = {}
-    for i, degrees in ((0, F.f0_degrees), (1, F.f1_degrees)):
-        for m in degrees:
-            counts[(i, m)] = counts.get((i, m), 0) + 1
-    return BettiTable.from_mapping(counts)
+    return BettiTable.from_pairs(
+        ((i, m), 1) for i, degrees in ((0, F.f0_degrees), (1, F.f1_degrees)) for m in degrees)
 
 
 # ---------------------------------------------------------------------------

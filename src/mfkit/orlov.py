@@ -24,13 +24,14 @@ the general statements, and they carry the hypotheses left unchecked
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from collections.abc import Mapping
 
-from ._value import value_class
+from ._value import Counts, value_class
 from .bott import binom
 
 # The functions that use mf and graded import them, so that the scalar
-# commands load neither.
+# commands load neither.  Type checkers take this name for typing's.
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .graded import DegreeMultiset
     from .mf import BettiTable, MatrixFactorization
@@ -67,7 +68,7 @@ class HypersurfaceContext:
 
 
 @value_class
-class CohomologyTable:
+class CohomologyTable(Counts):
     """Finitely supported counts (p, h) -> h^h(P^n, i_*(C) ⊗ Omega^p(p)).
 
     Entries outside the sheaf support (p outside [0, n] or h outside
@@ -77,19 +78,12 @@ class CohomologyTable:
 
     n: int
     entries: tuple[tuple[tuple[int, int], int], ...]
+    term_format = "T[{0[0]}][{0[1]}]={1}"
+    empty_text = "(empty)"
 
     @classmethod
     def from_mapping(cls, n: int, counts: Mapping[tuple[int, int], int]) -> "CohomologyTable":
-        for key, value in counts.items():
-            if value < 0:
-                raise ValueError(f"negative count {value} at {key}")
-        return cls(n, tuple(sorted((k, v) for k, v in counts.items() if v)))
-
-    def get(self, p: int, h: int) -> int:
-        return dict(self.entries).get((p, h), 0)
-
-    def total(self) -> int:
-        return sum(v for _, v in self.entries)
+        return cls.from_pairs(counts.items(), n)
 
     def out_of_support(self) -> tuple[tuple[int, int], ...]:
         return tuple(
@@ -97,11 +91,6 @@ class CohomologyTable:
             for (p, h), _ in self.entries
             if not (0 <= p <= self.n and 0 <= h <= self.n - 1)
         )
-
-    def __str__(self) -> str:
-        if not self.entries:
-            return "(empty)"
-        return ", ".join(f"T[{p}][{h}]={v}" for (p, h), v in self.entries)
 
 
 @value_class
@@ -162,13 +151,11 @@ def betti_to_table(ctx: HypersurfaceContext, table: BettiTable) -> CohomologyTab
     the table, not dropped; the total always equals the Betti total.
     """
     _require_non_fano(ctx)
-    counts: dict[tuple[int, int], int] = {}
+    pairs = []
     for (i, j), value in table.entries:
         q, r = euclid_split(ctx, j)
-        p = r + ctx.a
-        h = r + ctx.a - 2 * q - i + 1
-        counts[(p, h)] = counts.get((p, h), 0) + value
-    return CohomologyTable.from_mapping(ctx.n, counts)
+        pairs.append(((r + ctx.a, r + ctx.a - 2 * q - i + 1), value))
+    return CohomologyTable.from_pairs(pairs, ctx.n)
 
 
 def table_to_betti(ctx: HypersurfaceContext, table: CohomologyTable) -> BettiTable:
@@ -180,7 +167,7 @@ def table_to_betti(ctx: HypersurfaceContext, table: CohomologyTable) -> BettiTab
     """
     from .mf import BettiTable
     _require_non_fano(ctx)
-    counts: dict[tuple[int, int], int] = {}
+    pairs = []
     for (p, h), value in table.entries:
         r = p - ctx.a
         if not 0 <= r < ctx.d:
@@ -190,9 +177,8 @@ def table_to_betti(ctx: HypersurfaceContext, table: CohomologyTable) -> BettiTab
             )
         i = (p + 1 - h) % 2
         q = (p + 1 - h - i) // 2
-        j = ctx.a - q * ctx.d + r
-        counts[(i, j)] = counts.get((i, j), 0) + value
-    return BettiTable.from_mapping(counts)
+        pairs.append(((i, ctx.a - q * ctx.d + r), value))
+    return BettiTable.from_pairs(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +209,8 @@ def dual_table(ctx: HypersurfaceContext, table: CohomologyTable) -> CohomologyTa
     flagged = table.out_of_support()
     if flagged:
         raise ValueError(f"dual_table rejects out-of-support entries: {list(flagged)}")
-    counts = {(ctx.n - p, ctx.n - 1 - h): v for (p, h), v in table.entries}
-    return CohomologyTable.from_mapping(ctx.n, counts)
+    pairs = (((ctx.n - p, ctx.n - 1 - h), v) for (p, h), v in table.entries)
+    return CohomologyTable.from_pairs(pairs, ctx.n)
 
 
 # ---------------------------------------------------------------------------

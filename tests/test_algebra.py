@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mfkit import algebra
 from mfkit.algebra import (
     GF,
     MAX_NESTING,
@@ -152,6 +153,45 @@ class TestParsing:
     def test_prime_field_denominator_divisible_by_p(self):
         with pytest.raises(ParseError):
             parse_poly("1/13", GF(13), 1)
+
+
+class TestProductBudget:
+    """Each product a * b charges len(a.terms) * len(b.terms) against
+    MAX_PARSE_PRODUCTS before it is formed; products of two monomials
+    are free."""
+
+    def test_products_at_and_past_the_budget(self, monkeypatch):
+        # 2 * 3 for the first product, then its 5 terms times x2.
+        text = "(x0 + x1)*(x0 + x1 + x2)*x2"
+        x0, x1, x2 = (Polynomial.variable(QQ, 3, k) for k in range(3))
+        monkeypatch.setattr(algebra, "MAX_PARSE_PRODUCTS", 11)
+        assert parse_poly(text, QQ, 3) == (x0 + x1) * (x0 + x1 + x2) * x2
+        monkeypatch.setattr(algebra, "MAX_PARSE_PRODUCTS", 10)
+        with pytest.raises(ParseError, match=r"^expansion needs more than 10 term products "
+                                             r"\(at position 24\)$"):
+            parse_poly(text, QQ, 3)
+
+    def test_power_steps_at_and_past_the_budget(self, monkeypatch):
+        # Square-and-multiply for e = 3: 1 * 2, then 2 * 2, then 2 * 3.
+        text = "(x0 + x1)^3"
+        monkeypatch.setattr(algebra, "MAX_PARSE_PRODUCTS", 12)
+        x0, x1 = Polynomial.variable(QQ, 2, 0), Polynomial.variable(QQ, 2, 1)
+        assert parse_poly(text, QQ, 2) == (x0 + x1) * (x0 + x1) * (x0 + x1)
+        monkeypatch.setattr(algebra, "MAX_PARSE_PRODUCTS", 11)
+        with pytest.raises(ParseError, match=r"more than 11 term products \(at position 9\)"):
+            parse_poly(text, QQ, 2)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_monomial_products_are_free(self, monkeypatch, field):
+        poly = parse_poly("(x0 + 2*x1 + 1/3)^4 - x1^7", field, 2)
+        monkeypatch.setattr(algebra, "MAX_PARSE_PRODUCTS", 0)
+        assert parse_poly(str(poly), field, 2) == poly
+        assert parse_poly("(2*x0*x1)^5*x0^3", field, 2) == parse_poly("32*x0^8*x1^5", field, 2)
+
+    def test_expansion_admitted_by_the_degree_bound_fails_fast(self):
+        text = "(" + " + ".join(f"x{k}" for k in range(12)) + ")^400"
+        with pytest.raises(ParseError, match="term products"):
+            parse_poly(text, QQ, 12, max_degree=400)
 
 
 class TestPrinter:

@@ -592,3 +592,89 @@ def test_huge_nvars_fails_fast(workdir, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err == "error [mfkit.cli]: nvars must be <= 1024\n"
+
+
+# -- rejected documents: exit 2, "error [module]: message" on stderr ----------
+
+DROP = object()
+
+
+def fermat_document(**changes):
+    doc = mf_to_document(mf.fermat(2, 1))  # rank 2 in four variables, d = 2
+    for key, value in changes.items():
+        if value is DROP:
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+def rejected_documents():
+    s0, s1 = fermat_document()["s0"], fermat_document()["s1"]
+    invalid = fermat_document()
+    invalid["s0"][0][0] = "x0"
+    mismatch = ("invalid matrix factorization: s1*s0 disagrees with f*id at entry (0,0): "
+                "got x0^2 + (0 - 1*i)*x0*x1 + x2^2 + x3^2, expected x0^2 + x1^2 + x2^2 + x3^2, "
+                "difference (0 - 1*i)*x0*x1 - x1^2")
+    return {
+        "field not an object": ("mf validate", fermat_document(field="Qi"),
+                                "mfkit.cli", "key 'field' has the wrong type"),
+        "field without type": ("mf validate", fermat_document(field={"p": 13}),
+                               "mfkit.cli", "field descriptor must be an object with a 'type' key"),
+        "Fp without p": ("mf validate", fermat_document(field={"type": "Fp"}),
+                         "mfkit.cli", "field descriptor of type 'Fp' needs an integer 'p'"),
+        "Fp with text p": ("mf validate", fermat_document(field={"type": "Fp", "p": "13"}),
+                           "mfkit.cli", "field descriptor of type 'Fp' needs an integer 'p'"),
+        "Fp composite": ("mf validate", fermat_document(field={"type": "Fp", "p": 15}),
+                         "mfkit.cli", "15 is not prime"),
+        "unknown field": ("mf validate", fermat_document(field={"type": "R"}),
+                          "mfkit.cli", "unknown field type 'R'"),
+        "missing key": ("mf validate", fermat_document(nvars=DROP),
+                        "mfkit.cli", "missing key 'nvars'"),
+        "text nvars": ("mf validate", fermat_document(nvars="4"),
+                       "mfkit.cli", "key 'nvars' has the wrong type"),
+        "row count": ("mf validate", fermat_document(s0=s0[:1]),
+                      "mfkit.cli", "s0 must have 2 rows, got 1"),
+        "short row": ("mf validate", fermat_document(s1=[s1[0], s1[1][:1]]),
+                      "mfkit.cli", "s1 row 1 must be a list of 2 strings"),
+        "row not a list": ("mf validate", fermat_document(s1=[s1[0], "x0"]),
+                           "mfkit.cli", "s1 row 1 must be a list of 2 strings"),
+        "entry not a string": ("mf validate", fermat_document(s0=[[s0[0][0], 0], s0[1]]),
+                               "mfkit.cli", "s0[0][1] must be a polynomial string"),
+        "document not an object": ("mf validate", [], "mfkit.cli",
+                                   "document must be a JSON object"),
+        "nvars 0": ("mf validate", fermat_document(nvars=0), "mfkit.cli", "nvars must be >= 1"),
+        "f inhomogeneous": ("mf validate", fermat_document(f="x0^2 + x1"), "mfkit.cli",
+                            "f must be homogeneous of the declared degree d = 2"),
+        "f of lower degree": ("mf validate", fermat_document(f="x0 + x1"), "mfkit.cli",
+                              "f must be homogeneous of the declared degree d = 2"),
+        "negative table count": (
+            "rho from-table",
+            {"schema": "mfkit/table-v1", "n": 3, "entries": [[0, 0, 2], [0, 0, -3]]},
+            "mfkit.cli", "negative count -1 at (0, 0)"),
+        "rho of an invalid factorization": ("rho from-mf", invalid, "mfkit.orlov", mismatch),
+        "bgs of an invalid factorization": ("check bgs", invalid, "mfkit.orlov", mismatch),
+    }
+
+
+@pytest.mark.parametrize("case", list(rejected_documents()))
+def test_rejected_document_exits_2(workdir, capsys, case):
+    command, doc, module, message = rejected_documents()[case]
+    (workdir / "in.json").write_text(json.dumps(doc))
+    code, out, err = run(capsys, *command.split(), "in.json")
+    assert (code, out, err) == (2, "", f"error [{module}]: {message}\n")
+
+
+def test_expansion_past_the_product_budget_exits_2(workdir, capsys):
+    # 200 bytes whose one entry has degree 400, within its bound, and
+    # expands to about 10^20 terms.
+    entry = "(" + " + ".join(f"x{k}" for k in range(12)) + ")^400"
+    doc = {"schema": "mfkit/mf-v1", "field": {"type": "Q"}, "nvars": 12, "d": 400,
+           "f": "x0^400", "F0_degrees": [400], "F1_degrees": [0], "s0": [[entry]], "s1": [["1"]]}
+    (workdir / "h.json").write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "mf", "validate", "h.json")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error [mfkit.cli]: s0[0][0]: expansion needs more than 65536 term products "
+                   "(at position 61)\n")

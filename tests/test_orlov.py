@@ -5,6 +5,7 @@ import time
 import pytest
 
 from mfkit import mf
+from mfkit.bott import CohomologyVector
 from mfkit.graded import DegreeMultiset
 from mfkit.mf import BettiTable
 from mfkit.orlov import (
@@ -301,3 +302,34 @@ class TestCheckRho:
     def test_fano_rejected(self):
         with pytest.raises(ValueError, match="a = n\\+1-d <= 0"):
             check_rho(HypersurfaceContext(2, 2), 2)
+
+
+class TestCountTables:
+    """The three count tables share one container: summed, sorted,
+    zero-free entries, positional lookup, a total and a text form."""
+
+    def test_str(self):
+        assert str(BettiTable.from_mapping({(1, 0): 2, (0, 2): 2})) == "b[0][2]=2, b[1][0]=2"
+        assert str(BettiTable(())) == "(empty)"
+        table = CohomologyTable.from_mapping(3, {(2, 3): 2, (0, 0): 1})
+        assert str(table) == "T[0][0]=1, T[2][3]=2"
+        assert str(CohomologyTable(3, ())) == "(empty)"
+        assert str(CohomologyVector.from_mapping(3, {2: 1, 0: 4})) == "h^0=4, h^2=1"
+        assert str(CohomologyVector(2, ())) == "0"
+
+    def test_get_total_and_zero_counts(self):
+        betti = BettiTable.from_mapping({(0, 2): 3, (1, 0): 0, (1, 1): 1})
+        assert betti.entries == (((0, 2), 3), ((1, 1), 1))
+        assert (betti.get(0, 2), betti.get(1, 0), betti.total()) == (3, 0, 4)
+        table = CohomologyTable.from_mapping(3, {(1, 1): 5, (0, 0): 0})
+        assert (table.get(1, 1), table.get(0, 0), table.total()) == (5, 0, 5)
+        vector = CohomologyVector.from_mapping(3, {3: 6, 1: 0})
+        assert (vector.get(3), vector.get(1), vector.total()) == (6, 0, 6)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match=r"^negative count -1 at \(0, 1\)$"):
+            BettiTable.from_mapping({(0, 1): -1})
+        with pytest.raises(ValueError, match=r"^negative count -2 at \(1, 0\)$"):
+            CohomologyTable.from_mapping(3, {(1, 0): -2})
+        with pytest.raises(ValueError, match=r"^negative count -3 at 1$"):
+            CohomologyVector.from_mapping(3, {1: -3})

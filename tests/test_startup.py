@@ -67,11 +67,21 @@ def test_scalar_commands_load_no_algebra(argv):
     assert not HEAVY & modules
 
 
+@pytest.mark.parametrize("argv", [
+    ("rho", "point", "--n", "3"),
+    ("bott", "eval", "--n", "3", "--p", "1", "--q", "0", "--l", "2"),
+    ("orlov", "phi0", "--n", "3", "--d", "4", "--l", "-2"),
+])
+def test_scalar_commands_load_no_typing(argv):
+    assert "typing" not in loaded_modules(*argv)
+
+
 def test_validate_loads_no_dataclasses(tmp_path):
     (tmp_path / "g.json").write_text(json.dumps(mf_to_document(mf.fermat(2, 2))))
     modules = loaded_modules("mf", "validate", "g.json", cwd=tmp_path)
     assert {"mfkit.algebra", "mfkit.mf"} <= modules
     assert not {"dataclasses", "inspect"} & modules
+    assert "typing" not in modules
 
 
 def test_package_names_resolve():
