@@ -20,14 +20,16 @@ the field.  Arithmetic does not re-validate; its results, whose terms
 are already well formed, go through the trusted ``Polynomial._canonical``,
 which only drops zero terms and sorts.
 
-Products (``*`` and :func:`graded.compose`) share one loop,
-``Polynomial._sum_of_products``, that works on raw scalar components:
-GF(p) residues as plain ints, summed unreduced and reduced ``% p`` once
-per output term; QQ and QQ(i) parts as ints when integral, else as
-Fractions, combined with the Gaussian product formula.  Each surviving
-output term is wrapped into the public scalar type once, so terms always
-hold an ``FpElement`` in [0, p), a ``GaussianRational`` with Fraction
-parts, or a Fraction.
+Sums and products share one loop, ``Polynomial._sum_of_products``: ``+``
+is a sum of two products with the unit, a parsed sum of N summands is
+one call with right factors +1 and -1, and ``*``, :func:`graded.compose`
+and the Schur updates of :func:`mf.reduce` call it directly.  It works on
+raw scalar components: GF(p) residues as plain ints, summed unreduced and
+reduced ``% p`` once per output term; QQ and QQ(i) parts as ints when
+integral, else as Fractions, combined with the Gaussian product formula.
+Each surviving output term is wrapped into the public scalar type once,
+so terms always hold an ``FpElement`` in [0, p), a ``GaussianRational``
+with Fraction parts, or a Fraction.
 
 The expression grammar accepted by :func:`parse_poly`::
 
@@ -42,6 +44,12 @@ emits terms in monomial order with explicit ``*`` and ``^``, rationals as
 ``a/b`` and Gaussian coefficients as ``(a/b + c/d*i)``; printed output
 parses back to the same polynomial.
 
+The parser bounds the work of one parse: an optional degree bound on
+every ``*`` and ``^``, MAX_PARSE_PRODUCTS term products, and
+MAX_PARSE_BITS coefficient bits, charged before each ``^`` as the
+exponent times the bits one power step can add (nothing over GF(p), and
+nothing for the coefficients 1 and i, so printed output always parses).
+
 All values in this module are immutable and all operations are pure, so
 they may be freely shared between concurrent tasks.
 """
@@ -52,6 +60,7 @@ import re
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from operator import add, attrgetter, mul
 
 from ._value import value_class
@@ -77,6 +86,12 @@ MAX_NESTING = 64
 # bound alone admits expansions such as (x0 + ... + x11)^400, which has
 # about 10^20 terms.
 MAX_PARSE_PRODUCTS = 2**16
+
+# Most coefficient bits the powers of one parse may add, charged before
+# each `^` as exponent * _power_step_bits(base).  One-term bases pass the
+# product budget free, so without it (((2*x0)^1024)^1024)^1024 would
+# build a 2^30-bit integer within any degree bound of 2^30 or more.
+MAX_PARSE_BITS = 2**24
 
 
 class ParseError(ValueError):
@@ -408,14 +423,15 @@ class Polynomial:
 
     @classmethod
     def constant(cls, field: Field, nvars: int, value) -> "Polynomial":
-        return cls.from_pairs(field, nvars, [((0,) * nvars, field.coerce(value))])
+        coeff = field.coerce(value)
+        return cls(field, nvars, (((0,) * nvars, coeff),) if coeff else ())
 
     @classmethod
     def variable(cls, field: Field, nvars: int, index: int) -> "Polynomial":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         exps = tuple(1 if k == index else 0 for k in range(nvars))
-        return cls.from_pairs(field, nvars, [(exps, field.one)])
+        return cls(field, nvars, ((exps, field.one),))
 
     @classmethod
     def monomial(cls, field: Field, nvars: int, exponents: Iterable[int], coeff=1) -> "Polynomial":
@@ -459,14 +475,8 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_compat(other)
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        acc = dict(self.terms)
-        for exps, coeff in other.terms:
-            acc[exps] = acc[exps] + coeff if exps in acc else coeff
-        return Polynomial._canonical(self.field, self.nvars, acc)
+        one = Polynomial.constant(self.field, self.nvars, 1)
+        return Polynomial._sum_of_products(self.field, self.nvars, ((self, one), (other, one)))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
@@ -523,6 +533,21 @@ def _power(base, e: int, one, times=mul):
         base = times(base, base) if e > 1 else base
         e >>= 1
     return result
+
+
+def _power_step_bits(poly: Polynomial) -> int:
+    # The bits, up to rounding, that one multiplication by poly can add to
+    # a coefficient of a power of poly: bit_length - 1 of the sum of the
+    # absolute numerators plus that of the product of the denominators,
+    # over both parts in QQ(i).  The coefficients 1 and i give 0; GF(p)
+    # residues never grow.
+    kind = poly.field.kind
+    if kind == "Fp":
+        return 0
+    parts = [q for _, c in poly.terms for q in ((c.re, c.im) if kind == "Qi" else (c,))]
+    numerators = sum(abs(q.numerator) for q in parts)
+    denominators = prod(q.denominator for q in parts)
+    return max(numerators.bit_length() - 1, 0) + denominators.bit_length() - 1
 
 
 def _monomial_text(exps: tuple[int, ...]) -> str:
@@ -583,6 +608,12 @@ class _Parser:
         self.max_degree = max_degree
         self.depth = 0
         self.products = 0
+        self.bits = 0
+
+    @cached_property
+    def signs(self) -> dict[str, Polynomial]:
+        # The right factors of the summands of a sum, built once per parse.
+        return {op: Polynomial.constant(self.field, self.nvars, k) for op, k in (("+", 1), ("-", -1))}
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -619,15 +650,14 @@ class _Parser:
         return poly
 
     def expr(self) -> Polynomial:
-        result = self.term()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                rhs = self.term()
-                result = result + rhs if text == "+" else result - rhs
-            else:
-                return result
+        summands = [(self.term(), "+")]
+        while (op := self.peek())[0] == "op" and op[1] in "+-":
+            self.advance()
+            summands.append((self.term(), op[1]))
+        if len(summands) == 1:
+            return summands[0][0]
+        return Polynomial._sum_of_products(
+            self.field, self.nvars, ((poly, self.signs[op]) for poly, op in summands))
 
     def term(self) -> Polynomial:
         result = self.signed()
@@ -666,6 +696,10 @@ class _Parser:
                 raise ParseError(f"exponent overflow (limit {MAX_EXPONENT})", nat)
             if exponent:
                 self.check_degree(exponent * base.total_degree, at)
+                self.bits += exponent * _power_step_bits(base)
+                if self.bits > MAX_PARSE_BITS:
+                    raise ParseError(
+                        f"powers need more than {MAX_PARSE_BITS} coefficient bits", at)
             if len(base.terms) > 1:
                 one = Polynomial.constant(self.field, self.nvars, 1)
                 return _power(base, exponent, one, lambda a, b: self.product(a, b, at))
@@ -726,8 +760,9 @@ def parse_poly(text: str, field: Field, nvars: int,
     total degree above it raises :class:`ParseError` before the product
     is computed; sums are not checked, and a polynomial printed by this
     module parses under its own total degree.  A parse whose products
-    would form more than MAX_PARSE_PRODUCTS term products in all raises
-    :class:`ParseError` at the operator that crosses the budget."""
+    would form more than MAX_PARSE_PRODUCTS term products in all, or whose
+    powers could add more than MAX_PARSE_BITS coefficient bits in all,
+    raises :class:`ParseError` at the operator that crosses the budget."""
     if nvars < 0:
         raise ValueError("nvars must be nonnegative")
     if nvars > MAX_NVARS:

@@ -307,8 +307,15 @@ def tensor(F: MatrixFactorization, G: MatrixFactorization, *, normalize: bool = 
     the subscripts 0 and 1 swapped.  With ``normalize=True`` the result
     is twisted so that the minimum degree of T1 is zero.
     """
-    require_valid(F)
-    require_valid(G)
+    T = _tensor(require_valid(F), require_valid(G))
+    if normalize and T.rank1:
+        T = twist(T, min(T.f1_degrees))
+    return T
+
+
+def _tensor(F: MatrixFactorization, G: MatrixFactorization) -> MatrixFactorization:
+    """``tensor`` of two factors known to be valid, without validating
+    them and without normalizing."""
     if F.field != G.field or F.nvars != G.nvars:
         raise ValueError("tensor factors must share one field and variable count")
     d = F.d
@@ -344,12 +351,9 @@ def tensor(F: MatrixFactorization, G: MatrixFactorization, *, normalize: bool = 
             for k in range(ncols):
                 yield dr + k * rG1 + r, k * rG0 + c, e
 
-    T = _mk(h, t0_degrees, t1_degrees,
-            blocks(F.s0.rows, F.s1.rows, rF1, rF0),
-            blocks(F.s1.rows, F.s0.rows, rF0, rF1))
-    if normalize and T.rank1:
-        T = twist(T, min(T.f1_degrees))
-    return T
+    return _mk(h, t0_degrees, t1_degrees,
+               blocks(F.s0.rows, F.s1.rows, rF1, rF0),
+               blocks(F.s1.rows, F.s0.rows, rF0, rF1))
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +442,16 @@ def _split_summand(field: Field, a: SparseRows, b: SparseRows, r: int, c: int) -
     of q and p."""
     pivot = a.pop(r)
     del b[c]
-    uinv = field.inv(pivot.pop(c).constant_term)
+    u = pivot.pop(c)
+    minus_uinv = -field.inv(u.constant_term)
+    one, zero = Polynomial.constant(field, u.nvars, 1), Polynomial.zero(field, u.nvars)
     for row in a.values():
         q = row.pop(c, None)
         if q is None:
             continue
-        lam = q.scalar_mul(uinv)
+        lam = q.scalar_mul(minus_uinv)
         for k, p in pivot.items():
-            entry = row[k] - lam * p if k in row else -(lam * p)
+            entry = Polynomial._sum_of_products(field, u.nvars, ((row.get(k, zero), one), (lam, p)))
             if entry.terms:
                 row[k] = entry
             else:
@@ -503,8 +509,11 @@ def fermat(pairs: int, half_degree: int, *, solo: bool = False,
         w = power(2 * pairs)
         factors.append(rank_one(w * w, w, w))
     result = factors[0]
+    # The factors are valid, (u + i*v)(u - i*v) = u^2 + v^2 and w*w = w^2,
+    # hence so is each product (see tensor); validating them again would
+    # be most of the cost.
     for factor in factors[1:]:
-        result = tensor(result, factor)
+        result = _tensor(result, factor)
     if result.rank1:
         result = twist(result, min(result.f1_degrees))
     return result

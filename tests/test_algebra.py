@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from mfkit import algebra
 from mfkit.algebra import (
     GF,
+    FpElement,
     MAX_NESTING,
     MAX_NVARS,
     NEG_INFINITY,
@@ -49,6 +50,19 @@ class TestFields:
         assert not QQ.has_sqrt_minus_one()
         with pytest.raises(ValueError, match="square root"):
             QQ.i()
+
+    @pytest.mark.parametrize("n", [1373653, 25326001])
+    def test_strong_pseudoprimes_are_rejected(self, n):
+        # Strong pseudoprimes to the bases 2, 3 (and 5) without a factor
+        # below 41: only the witness loop of the primality test sees them.
+        with pytest.raises(ValueError, match="not prime"):
+            GF(n)
+
+    def test_prime_that_runs_the_squaring_loop(self):
+        assert GF(2147483629).p == 2147483629
+
+    def test_square_root_of_minus_one_in_characteristic_two(self):
+        assert GF(2).i() == FpElement(1, 2)
 
     def test_rationals_stay_reduced(self):
         half = QQ.coerce(Fraction(2, 4))
@@ -192,6 +206,73 @@ class TestProductBudget:
         text = "(" + " + ".join(f"x{k}" for k in range(12)) + ")^400"
         with pytest.raises(ParseError, match="term products"):
             parse_poly(text, QQ, 12, max_degree=400)
+
+
+class TestBitsBudget:
+    """Each ``^`` charges its exponent times the bits one power step can
+    add to a coefficient against MAX_PARSE_BITS before the power is formed;
+    GF(p) and the coefficients 1 and i charge nothing."""
+
+    @pytest.mark.parametrize("field, text, cost", [
+        (QQ, "(2*x0)^3 * (1/3*x1 + 1)^2", 3 * 1 + 2 * (1 + 1)),
+        (QI, "((1/2 + 1/4*i)*x0)^2 * ((1 + 2*i)*x1)^3", 2 * (1 + 3) + 3 * 1),
+    ], ids=str)
+    def test_powers_at_and_past_the_budget(self, monkeypatch, field, text, cost):
+        expected = parse_poly(text, field, 2)
+        monkeypatch.setattr(algebra, "MAX_PARSE_BITS", cost)
+        assert parse_poly(text, field, 2) == expected
+        monkeypatch.setattr(algebra, "MAX_PARSE_BITS", cost - 1)
+        with pytest.raises(ParseError, match=rf"^powers need more than {cost - 1} coefficient "
+                                             rf"bits \(at position {text.rindex('^')}\)$"):
+            parse_poly(text, field, 2)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_printed_polynomials_and_unit_coefficients_are_free(self, monkeypatch, field):
+        poly = parse_poly("(x0 + 2*x1 + 1/3)^4 - x1^7", field, 2)
+        monkeypatch.setattr(algebra, "MAX_PARSE_BITS", 0)
+        assert parse_poly(str(poly), field, 2) == poly
+        assert parse_poly("(x0^3)^4*(-x1)^5", field, 2) == parse_poly("-x0^12*x1^5", field, 2)
+        if field == QI:
+            assert parse_poly("(i*x0)^3", field, 1) == parse_poly("-i*x0^3", field, 1)
+
+    def test_prime_fields_are_free(self, monkeypatch):
+        monkeypatch.setattr(algebra, "MAX_PARSE_BITS", 0)
+        assert parse_poly("(2*x0 + 3)^2", GF(13), 1) == parse_poly("4*x0^2 + 12*x0 + 9", GF(13), 1)
+
+
+class TestSums:
+    """A sum of two or more summands is one call of the product kernel
+    with constant right factors +1 and -1."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("n", [2, 3, 50])
+    def test_one_kernel_call_per_sum(self, monkeypatch, field, n):
+        calls = []
+        kernel = Polynomial._sum_of_products.__func__
+
+        def counting(cls, *args):
+            calls.append(args)
+            return kernel(cls, *args)
+
+        monkeypatch.setattr(Polynomial, "_sum_of_products", classmethod(counting))
+        text = "x0^0" + "".join(f" {'+-'[k % 2]} x{k % 3}^{k}" for k in range(1, n))
+        poly = parse_poly(text, field, 3)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        x = [Polynomial.variable(field, 3, k) for k in range(3)]
+        expected = x[0] ** 0
+        for k in range(1, n):
+            expected = expected - x[k % 3] ** k if k % 2 else expected + x[k % 3] ** k
+        assert poly == expected
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_long_sum_round_trip(self, field):
+        terms = [((2000 - k, k), Fraction(k % 7 - 3, 1 + k % 4) or 1) for k in range(2000)]
+        poly = Polynomial.from_pairs(field, 2, terms)
+        assert len(poly.terms) == 2000
+        text = str(poly)
+        again = parse_poly(text, field, 2)
+        assert again == poly and str(again) == text
 
 
 class TestPrinter:

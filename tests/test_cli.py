@@ -678,3 +678,18 @@ def test_expansion_past_the_product_budget_exits_2(workdir, capsys):
     assert (code, out) == (2, "")
     assert err == ("error [mfkit.cli]: s0[0][0]: expansion needs more than 65536 term products "
                    "(at position 61)\n")
+
+
+def test_coefficient_growth_past_the_bits_budget_exits_2(workdir, capsys):
+    # 221 bytes whose entries have the declared degree 2^40; the s0 entry's
+    # coefficient would need 2^40 bits.
+    doc = {"schema": "mfkit/mf-v1", "field": {"type": "Q"}, "nvars": 1, "d": 2**40,
+           "f": "(x0^1048576)^1048576", "F0_degrees": [2**40], "F1_degrees": [0],
+           "s0": [["((((2*x0)^1024)^1024)^1024)^1024"]], "s1": [["1"]]}
+    (workdir / "b.json").write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "mf", "validate", "b.json")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error [mfkit.cli]: s0[0][0]: powers need more than 16777216 coefficient bits "
+                   "(at position 21)\n")

@@ -287,6 +287,27 @@ class TestFermat:
         assert mf.validate(F) == []
         assert F.rank0 == 2
 
+    @pytest.mark.parametrize("field", [QI, GF(13)], ids=str)
+    @pytest.mark.parametrize("solo", [False, True])
+    @pytest.mark.parametrize("pairs", range(1, 7))
+    def test_equals_chain_of_public_tensors(self, field, solo, pairs):
+        # fermat does not validate its own intermediates; the public tensor
+        # validates both of its factors at every step.
+        nvars = 2 * pairs + solo
+        x = [Polynomial.variable(field, nvars, k) ** 2 for k in range(nvars)]
+        i = field.i()
+        factors = [mf.rank_one(u * u + v * v, u + v * i, u - v * i)
+                   for u, v in zip(x[0:2 * pairs:2], x[1:2 * pairs:2])]
+        if solo:
+            factors.append(mf.rank_one(x[-1] * x[-1], x[-1], x[-1]))
+        expected = factors[0]
+        for G in factors[1:]:
+            expected = mf.tensor(expected, G)
+        expected = mf.twist(expected, min(expected.f1_degrees))
+        F = mf.fermat(pairs, 2, solo=solo, field=field)
+        assert F == expected
+        assert mf.validate(F) == []
+
     def test_field_without_i_rejected(self):
         with pytest.raises(ValueError, match="square root of -1"):
             mf.fermat(1, 2, field=QQ)
