@@ -20,16 +20,33 @@ the field.  Arithmetic does not re-validate; its results, whose terms
 are already well formed, go through the trusted ``Polynomial._canonical``,
 which only drops zero terms and sorts.
 
-Sums and products share one loop, ``Polynomial._sum_of_products``: ``+``
-is a sum of two products with the unit, a parsed sum of N summands is
-one call with right factors +1 and -1, and ``*``, :func:`graded.compose`
-and the Schur updates of :func:`mf.reduce` call it directly.  It works on
-raw scalar components: GF(p) residues as plain ints, summed unreduced and
-reduced ``% p`` once per output term; QQ and QQ(i) parts as ints when
-integral, else as Fractions, combined with the Gaussian product formula.
-Each surviving output term is wrapped into the public scalar type once,
-so terms always hold an ``FpElement`` in [0, p), a ``GaussianRational``
-with Fraction parts, or a Fraction.
+Sums and products share one loop, ``Polynomial._product_rows``, which
+forms the rows of a product of two sparse polynomial matrices:
+``_sum_of_products`` (behind ``*``, ``+``, ``-`` and a parsed sum of N
+summands, one call with right factors +1 and -1) is its 1 x n by n x 1
+case, :func:`graded.compose` passes it the rows of its two factors, and
+a split of :func:`mf.reduce` updates every row of the Schur complement
+in one call.  Each output row is accumulated in one dict keyed by column
+and monomial and sorted once (Gustavson, ACM TOMS 4(3), 1978).
+
+The loop runs on each polynomial's kernel view, built once on first use
+and attached to every output of the loop, so chained products do not
+build it again.  The view packs each monomial into one int (Monagan and
+Pearce, CASC 2007): the total degree in the top field, then x0, x1, ...
+in fields of equal width, so that adding two ints multiplies the
+monomials and int order is graded lexicographic order.  The width is 32
+bits, doubled until the degree of every operand stays below half of the
+field range; one loop thus covers every degree.  Coefficients are raw:
+GF(p) residues as plain ints, summed unreduced and reduced ``% p`` once
+per output term; QQ values as ints when integral, else as Fractions.
+Over QQ(i) a coefficient splits into its nonzero real and imaginary
+halves, the exponent of i kept in the two low bits of the key, so a
+product of halves is one multiplication and i*i, which lands at i^2, is
+folded in as -1 once per output term: the coefficients 1 and i of
+Fermat-type factorizations cost one dict update per term product, not
+two.  Each surviving output term is unpacked and wrapped into the public
+scalar type once, so terms always hold an ``FpElement`` in [0, p), a
+``GaussianRational`` with Fraction parts, or a Fraction.
 
 The expression grammar accepted by :func:`parse_poly`::
 
@@ -51,17 +68,20 @@ exponent times the bits one power step can add (nothing over GF(p), and
 nothing for the coefficients 1 and i, so printed output always parses).
 
 All values in this module are immutable and all operations are pure, so
-they may be freely shared between concurrent tasks.
+they may be freely shared between concurrent tasks; a kernel view is a
+cache, and two tasks that build it at once build the same value.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import groupby
 from math import prod
-from operator import add, attrgetter, mul
+from operator import mul
+from struct import Struct
 
 from ._value import value_class
 
@@ -321,6 +341,63 @@ def _raw(q: Fraction) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
+def _width(degree: int) -> int:
+    # Bits per field of the packed monomials of a polynomial of total
+    # degree `degree`: the least 32 * 2^k with degree < 2^(width - 1), so
+    # that the degree of a product of two such polynomials still fits.
+    width = 32
+    while degree >> (width - 1):
+        width *= 2
+    return width
+
+
+@lru_cache(maxsize=64)
+def _codec(nvars: int, width: int):
+    """(pack, unpack) for monomials in ``nvars`` variables packed into
+    ``width``-bit fields, the total degree in the top field, then x0,
+    x1, ...: integer order is graded lexicographic order.  ``pack`` maps
+    an exponent tuple to its int, ``unpack`` an int to its tuple."""
+    if width <= 64:
+        code = "I" if width == 32 else "Q"
+        full, tail = Struct(f">{nvars + 1}{code}"), Struct(f">{nvars}{code}")
+        size, skip = full.size, width // 8
+
+        def pack(exponents):
+            return int.from_bytes(full.pack(sum(exponents), *exponents), "big")
+
+        def unpack(packed):
+            return tail.unpack_from(packed.to_bytes(size, "big"), skip)
+    else:
+        size = width // 8
+        offsets = range(size, size * (nvars + 1), size)
+
+        def pack(exponents):
+            return int.from_bytes(b"".join(e.to_bytes(size, "big") for e in (sum(exponents), *exponents)),
+                                  "big")
+
+        def unpack(packed):
+            data = packed.to_bytes(size * (nvars + 1), "big")
+            return tuple(int.from_bytes(data[k:k + size], "big") for k in offsets)
+    return pack, unpack
+
+
+def _terms_at(poly: "Polynomial", width: int) -> tuple:
+    # The view terms of poly at the given width, once poly has its view.
+    view = poly._view
+    return view[1] if view[0] == width else poly._view_at(width)[1]
+
+
+def _halves(items):
+    # The view terms of QQ(i) items (key, re, im): (4 * key, re) and
+    # (4 * key + 1, im), nonzero halves only.  Keys add under products
+    # and the exponents of i add in the low two bits, which never carry.
+    for k, re, im in items:
+        if re:
+            yield k << 2, re
+        if im:
+            yield k << 2 | 1, im
+
+
 @value_class
 class Polynomial:
     """Sparse multivariate polynomial in canonical form.
@@ -377,45 +454,133 @@ class Polynomial:
     def _sum_of_products(
         cls, field: Field, nvars: int, pairs: Iterable[tuple["Polynomial", "Polynomial"]]
     ) -> "Polynomial":
-        """The sum of ``left * right`` over ``pairs``, accumulated in one
-        dict and canonicalized once.  Trusted: every operand must lie in
-        the ring (``field``, ``nvars``).  Runs on raw scalar components
-        and wraps each surviving output term once (see the module
-        docstring)."""
+        """The sum of ``left * right`` over ``pairs``: the one entry of a
+        1 x n by n x 1 :meth:`_product_rows`."""
+        lefts, rights = [], []
+        for left, right in pairs:
+            lefts.append((len(rights), left))
+            rights.append(((0, right),))
+        (row,) = cls._product_rows(field, nvars, (lefts,), rights)
+        return row[0][1] if row else cls(field, nvars, ())
+
+    @classmethod
+    def _product_rows(
+        cls, field: Field, nvars: int, left_rows: Sequence[Iterable[tuple[int, "Polynomial"]]],
+        right_rows: Sequence[Iterable[tuple[int, "Polynomial"]]],
+    ) -> list[list[tuple[int, "Polynomial"]]]:
+        """The kernel: the rows of the matrix product L * R, with L and R
+        given by their sparse rows of (column, polynomial), zeros allowed.
+        Row r of the result lists the nonzero sums of L[r][m] * R[m][c]
+        over m as (c, polynomial), c ascending (Gustavson, ACM TOMS 4(3),
+        1978).  Each result row is accumulated in one dict keyed by column
+        and packed monomial and sorted once; each row of R is packed once
+        per call.  Trusted: every operand must lie in the ring (``field``,
+        ``nvars``).  See the module docstring."""
+        # Every operand gets its view here, and the widest sets the width.
+        width = max([p._kernel_view()[0] for rows in (left_rows, right_rows) for row in rows
+                     for _, p in row], default=32)
+        shift = width * (nvars + 1) + (2 if field.kind == "Qi" else 0)
+        right_terms: dict[int, list] = {}
+        out = []
+        for row in left_rows:
+            acc: dict[int, int | Fraction] = {}
+            for m, left in row:
+                rterms = right_terms.get(m)
+                if rterms is None:
+                    rterms = right_terms[m] = []
+                    for c, right in right_rows[m]:
+                        terms = _terms_at(right, width)
+                        if c:
+                            base = c << shift
+                            terms = [(base + k, value) for k, value in terms]
+                        rterms += terms
+                for m1, a in _terms_at(left, width):
+                    for m2, c in rterms:
+                        k = m1 + m2
+                        acc[k] = acc.get(k, 0) + a * c
+            out.append(cls._row_from_sums(field, nvars, width, acc) if acc else [])
+        return out
+
+    @classmethod
+    def _row_from_sums(cls, field: Field, nvars: int, width: int,
+                       acc: dict[int, int | Fraction]) -> list[tuple[int, "Polynomial"]]:
+        # The nonzero polynomials of one accumulated row, each with its
+        # view: items are (key, value) over GF(p) and QQ, (key, re, im)
+        # over QQ(i), keys descending.
         kind = field.kind
-        if kind == "Qi":
-            acc_re: dict[tuple[int, ...], int | Fraction] = {}
-            acc_im: dict[tuple[int, ...], int | Fraction] = {}
-            for left, right in pairs:
-                rterms = [(e2, _raw(c2.re), _raw(c2.im)) for e2, c2 in right.terms]
-                for e1, c1 in left.terms:
-                    a, b = _raw(c1.re), _raw(c1.im)
-                    for e2, c, d in rterms:
-                        exps = tuple(map(add, e1, e2))
-                        acc_re[exps] = acc_re.get(exps, 0) + (a * c - b * d)
-                        acc_im[exps] = acc_im.get(exps, 0) + (a * d + b * c)
-            acc = {
-                exps: GaussianRational(Fraction(re), Fraction(acc_im[exps]))
-                for exps, re in acc_re.items()
-                if re or acc_im[exps]
-            }
+        if kind == "Fp":
+            p = field.p
+            items = sorted([(k, residue) for k, value in acc.items() if (residue := value % p)],
+                           reverse=True)
+        elif kind == "Q":
+            items = sorted([(k, value) for k, value in acc.items() if value], reverse=True)
         else:
-            raw_acc: dict[tuple[int, ...], int | Fraction] = {}
-            raw = attrgetter("value") if kind == "Fp" else _raw
-            for left, right in pairs:
-                rterms = [(e2, raw(c2)) for e2, c2 in right.terms]
-                for e1, c1 in left.terms:
-                    a = raw(c1)
-                    for e2, c in rterms:
-                        exps = tuple(map(add, e1, e2))
-                        raw_acc[exps] = raw_acc.get(exps, 0) + a * c
+            # Fold the halves: (re, im) = (sum at i^0 - sum at i^2, sum at i^1).
+            re: dict[int, int | Fraction] = {}
+            im: dict[int, int | Fraction] = {}
+            for k, value in acc.items():
+                if value:
+                    power = k & 3
+                    k >>= 2
+                    if power == 1:
+                        im[k] = value
+                    else:
+                        re[k] = re.get(k, 0) + (value if power == 0 else -value)
+            items = sorted([(k, re.get(k, 0), im.get(k, 0))
+                            for k in {k for k, value in re.items() if value} | im.keys()], reverse=True)
+        if not items:
+            return []
+        shift = width * (nvars + 1)
+        if items[0][0] >> shift:
+            # Several slots: strip each from its keys.
+            groups = [(slot, [(k - (slot << shift), *rest) for k, *rest in group])
+                      for slot, group in groupby(items, lambda item: item[0] >> shift)]
+        else:
+            groups = ((0, items),)
+        unpack = _codec(nvars, width)[1]
+        row = []
+        for slot, group in groups:
             if kind == "Fp":
-                p = field.p
-                acc = {exps: FpElement(residue, p)
-                       for exps, value in raw_acc.items() if (residue := value % p)}
+                terms = [(unpack(k), FpElement(value, p)) for k, value in group]
+            elif kind == "Q":
+                terms = [(unpack(k), Fraction(value)) for k, value in group]
             else:
-                acc = {exps: Fraction(value) for exps, value in raw_acc.items() if value}
-        return cls._canonical(field, nvars, acc)
+                terms = [(unpack(k), GaussianRational(Fraction(a), Fraction(b))) for k, a, b in group]
+                group = _halves(group)
+            poly = cls(field, nvars, tuple(terms))
+            if _width(sum(terms[0][0])) == width:
+                object.__setattr__(poly, "_view", (width, tuple(group)))
+            row.append((slot, poly))
+        row.reverse()
+        return row
+
+    # The kernel's view of a polynomial: (width, terms), each term a
+    # (key, raw coefficient) pair.  The key is the monomial packed by
+    # _codec(nvars, width); the coefficient is an int residue over GF(p)
+    # and an int or a Fraction over QQ.  Over QQ(i) a term splits into
+    # its nonzero halves: key * 4 with the real part and key * 4 + 1 with
+    # the imaginary part.  Built on first use at the width of the total
+    # degree, or attached by the kernel to its outputs; it is not a field,
+    # so equality, hashing and printing never see it.
+    _view = None
+
+    def _kernel_view(self) -> tuple[int, tuple]:
+        view = self._view
+        if view is None:
+            view = self._view_at(_width(sum(self.terms[0][0]) if self.terms else 0))
+            object.__setattr__(self, "_view", view)
+        return view
+
+    def _view_at(self, width: int) -> tuple[int, tuple]:
+        terms = self.terms
+        pack = _codec(self.nvars, width)[0]
+        monomials = [pack(e) for e, _ in terms]
+        kind = self.field.kind
+        if kind == "Fp":
+            return width, tuple(zip(monomials, [c.value for _, c in terms]))
+        if kind == "Q":
+            return width, tuple(zip(monomials, [_raw(c) for _, c in terms]))
+        return width, tuple(_halves((k, _raw(c.re), _raw(c.im)) for k, (_, c) in zip(monomials, terms)))
 
     @classmethod
     def zero(cls, field: Field, nvars: int) -> "Polynomial":
@@ -474,12 +639,16 @@ class Polynomial:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_compat(other)
-        one = Polynomial.constant(self.field, self.nvars, 1)
-        return Polynomial._sum_of_products(self.field, self.nvars, ((self, one), (other, one)))
+        return self._sum(other, "+")
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._sum(other, "-")
+
+    def _sum(self, other: "Polynomial", op: str) -> "Polynomial":
+        self._check_compat(other)
+        signs = _signs(self.field, self.nvars)
+        return Polynomial._sum_of_products(
+            self.field, self.nvars, ((self, signs[0]), (other, signs[op == "-"])))
 
     def __neg__(self) -> "Polynomial":
         return Polynomial(self.field, self.nvars, tuple((e, -c) for e, c in self.terms))
@@ -505,8 +674,10 @@ class Polynomial:
         if len(self.terms) == 1:
             # (c*x^a)^k = c^k * x^(k*a), and c^k is nonzero in a field.
             (exps, coeff), = self.terms
-            return Polynomial(self.field, self.nvars, (
-                (tuple(a * exponent for a in exps), _power(coeff, exponent, self.field.one)),))
+            one = self.field.one
+            if coeff != one:
+                coeff = _power(coeff, exponent, one)
+            return Polynomial(self.field, self.nvars, ((tuple(a * exponent for a in exps), coeff),))
         return _power(self, exponent, Polynomial.constant(self.field, self.nvars, 1))
 
     # -- printing -------------------------------------------------------
@@ -522,6 +693,13 @@ class Polynomial:
             else:
                 pieces.append(f" {sign} {body}")
         return "".join(pieces)
+
+
+@lru_cache(maxsize=64)
+def _signs(field: Field, nvars: int) -> tuple[Polynomial, Polynomial]:
+    # The constants +1 and -1, the right factors of the summands of a sum
+    # (index op == "-"), kept with their kernel views from call to call.
+    return Polynomial.constant(field, nvars, 1), Polynomial.constant(field, nvars, -1)
 
 
 def _power(base, e: int, one, times=mul):
@@ -610,11 +788,6 @@ class _Parser:
         self.products = 0
         self.bits = 0
 
-    @cached_property
-    def signs(self) -> dict[str, Polynomial]:
-        # The right factors of the summands of a sum, built once per parse.
-        return {op: Polynomial.constant(self.field, self.nvars, k) for op, k in (("+", 1), ("-", -1))}
-
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
@@ -640,6 +813,10 @@ class _Parser:
             if self.products > MAX_PARSE_PRODUCTS:
                 raise ParseError(
                     f"expansion needs more than {MAX_PARSE_PRODUCTS} term products", at)
+        for scale, poly in ((a, b), (b, a)):
+            if len(scale.terms) == 1 and not any(scale.terms[0][0]):
+                # A constant factor scales the other, and no terms meet.
+                return poly.scalar_mul(scale.terms[0][1])
         return a * b
 
     def parse(self) -> Polynomial:
@@ -654,10 +831,16 @@ class _Parser:
         while (op := self.peek())[0] == "op" and op[1] in "+-":
             self.advance()
             summands.append((self.term(), op[1]))
-        if len(summands) == 1:
-            return summands[0][0]
-        return Polynomial._sum_of_products(
-            self.field, self.nvars, ((poly, self.signs[op]) for poly, op in summands))
+        # Zero summands add nothing, and one summand needs no kernel call.
+        summands = [(poly, op) for poly, op in summands if poly.terms]
+        if len(summands) > 1:
+            signs = _signs(self.field, self.nvars)
+            return Polynomial._sum_of_products(
+                self.field, self.nvars, ((poly, signs[op == "-"]) for poly, op in summands))
+        if not summands:
+            return Polynomial.zero(self.field, self.nvars)
+        poly, op = summands[0]
+        return poly if op == "+" else -poly
 
     def term(self) -> Polynomial:
         result = self.signed()

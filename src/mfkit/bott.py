@@ -163,10 +163,11 @@ def rho_structure_sheaf_rows(n_max: int, d_max: int) -> Iterator[tuple[int, int,
 
 
 def rho_point(n: int) -> int:
-    """rho of a point sheaf: sum of the ranks of Omega^r, i.e. 2^n."""
+    """rho of a point sheaf: the sum over r of the ranks C(n, r) of
+    Omega^r, which is 2^n."""
     if n < 1:
         raise ValueError("ambient dimension n must be >= 1")
-    return sum(math.comb(n, r) for r in range(n + 1))
+    return 1 << n
 
 
 def rho_line_bundle(n: int, d: int, j: int) -> int:

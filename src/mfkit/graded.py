@@ -180,7 +180,8 @@ def compose(a: HomogeneousMatrix, b: HomogeneousMatrix) -> HomogeneousMatrix:
     """The matrix product a ∘ b (apply b first), row by row over the
     nonzero entries (Gustavson, ACM TOMS 4(3), 1978): row r of the
     product gathers, for each nonzero a[r][m], the nonzeros of row m of
-    b, so the work is the number of nonzero products."""
+    b, so the work is the number of nonzero products.  All rows are one
+    call of the polynomial kernel, which sums each row in one dict."""
     if a.field != b.field or a.nvars != b.nvars:
         raise ValueError("cannot compose matrices over different polynomial rings")
     if a.source != b.target:
@@ -188,12 +189,5 @@ def compose(a: HomogeneousMatrix, b: HomogeneousMatrix) -> HomogeneousMatrix:
             f"shape/degree mismatch: source of left factor {a.source} != target of right factor {b.target}"
         )
     field, nvars = a.field, a.nvars
-    rows = []
-    for a_row in a.rows:
-        pairs: dict[int, list[tuple[Polynomial, Polynomial]]] = {}
-        for m, left in a_row:
-            for c, right in b.rows[m]:
-                pairs.setdefault(c, []).append((left, right))
-        row = ((c, Polynomial._sum_of_products(field, nvars, pairs[c])) for c in sorted(pairs))
-        rows.append(tuple((c, e) for c, e in row if e.terms))
-    return HomogeneousMatrix._from_rows(field, nvars, b.source, a.target, tuple(rows))
+    rows = tuple(map(tuple, Polynomial._product_rows(field, nvars, a.rows, b.rows)))
+    return HomogeneousMatrix._from_rows(field, nvars, b.source, a.target, rows)

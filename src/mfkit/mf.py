@@ -444,18 +444,18 @@ def _split_summand(field: Field, a: SparseRows, b: SparseRows, r: int, c: int) -
     del b[c]
     u = pivot.pop(c)
     minus_uinv = -field.inv(u.constant_term)
-    one, zero = Polynomial.constant(field, u.nvars, 1), Polynomial.zero(field, u.nvars)
+    one = Polynomial.constant(field, u.nvars, 1)
+    # Row j of the update is 1 * row_j + lam_j * pivot over the pivot's
+    # columns, lam_j = -q_j/u: one matrix product for all the rows.
+    rows, lefts, rights = [], [], [tuple(pivot.items())]
     for row in a.values():
         q = row.pop(c, None)
-        if q is None:
-            continue
-        lam = q.scalar_mul(minus_uinv)
-        for k, p in pivot.items():
-            entry = Polynomial._sum_of_products(field, u.nvars, ((row.get(k, zero), one), (lam, p)))
-            if entry.terms:
-                row[k] = entry
-            else:
-                del row[k]
+        if q is not None:
+            rows.append(row)
+            lefts.append(((0, q.scalar_mul(minus_uinv)), (len(rights), one)))
+            rights.append([(k, row.pop(k)) for k in pivot if k in row])
+    for row, update in zip(rows, Polynomial._product_rows(field, u.nvars, lefts, rights)):
+        row.update(update)
     for row in b.values():
         row.pop(r, None)
 

@@ -144,6 +144,12 @@ def _require_non_fano(ctx: HypersurfaceContext) -> None:
         )
 
 
+def _require_table_of(ctx: HypersurfaceContext, table: CohomologyTable) -> None:
+    # A table's support and indices are read in its own n.
+    if table.n != ctx.n:
+        raise ValueError(f"table has n = {table.n}, but the context has n = {ctx.n}")
+
+
 def betti_to_table(ctx: HypersurfaceContext, table: BettiTable) -> CohomologyTable:
     """Translate generator counts b^i_j into the cohomology table.
 
@@ -163,10 +169,11 @@ def table_to_betti(ctx: HypersurfaceContext, table: CohomologyTable) -> BettiTab
 
     Given (p, h): r = p - a, i is the parity of p + 1 - h, then
     q = (p + 1 - h - i)/2 and j = a - q*d + r.  Entries need p in
-    [a, n] so that r lies in [0, d).
+    [a, n] so that r lies in [0, d), and the table the context's n.
     """
     from .mf import BettiTable
     _require_non_fano(ctx)
+    _require_table_of(ctx, table)
     pairs = []
     for (p, h), value in table.entries:
         r = p - ctx.a
@@ -204,8 +211,10 @@ def rho_of_mf(F: MatrixFactorization) -> int:
 
 def dual_table(ctx: HypersurfaceContext, table: CohomologyTable) -> CohomologyTable:
     """The duality involution (p, h) -> (n-p, n-1-h); totals (hence rho)
-    are preserved.  Out-of-support entries are rejected."""
+    are preserved.  A table of another n than the context's, and
+    out-of-support entries, are rejected."""
     _require_non_fano(ctx)
+    _require_table_of(ctx, table)
     flagged = table.out_of_support()
     if flagged:
         raise ValueError(f"dual_table rejects out-of-support entries: {list(flagged)}")

@@ -9,6 +9,7 @@ from mfkit import algebra
 from mfkit.algebra import (
     GF,
     FpElement,
+    GaussianRational,
     MAX_NESTING,
     MAX_NVARS,
     NEG_INFINITY,
@@ -273,6 +274,27 @@ class TestSums:
         text = str(poly)
         again = parse_poly(text, field, 2)
         assert again == poly and str(again) == text
+
+
+class TestUnitPowers:
+    """A one-term power whose coefficient is 1 keeps the coefficient."""
+
+    def test_no_scalar_multiplications(self, monkeypatch):
+        calls = []
+        for cls in (GaussianRational, Fraction):
+            multiply = cls.__mul__
+
+            def counting(a, b, multiply=multiply):
+                calls.append((a, b))
+                return multiply(a, b)
+
+            monkeypatch.setattr(cls, "__mul__", counting)
+        x0 = Polynomial.variable(QI, 2, 0)
+        assert parse_poly("x0^2", QI, 2).terms == (((2, 0), QI.one),)
+        assert (x0 ** 5).terms == (((5, 0), QI.one),)
+        assert calls == []
+        assert (parse_poly("2*x0", QI, 2) ** 3).terms == (((3, 0), QI.coerce(8)),)
+        assert calls
 
 
 class TestPrinter:

@@ -206,6 +206,24 @@ class TestRhoPoint:
         for n in range(1, 11):
             assert rho_point(n) == 2 ** n
 
+    def test_matches_binomial_sum(self):
+        # The sum over r of the ranks C(n, r) of Omega^r, term by term.
+        for n in list(range(1, 65)) + [500, 1000]:
+            assert rho_point(n) == sum(math.comb(n, r) for r in range(n + 1))
+
+    def test_large_n(self):
+        # The binomial sum at n = 14400 takes tens of seconds; modulo the
+        # prime p = 2^61 - 1 > n its terms follow from
+        # C(n, r + 1) = C(n, r) * (n - r) / (r + 1).
+        n, p = 14400, 2**61 - 1
+        value = rho_point(n)
+        assert value == 2**n and value.bit_length() == n + 1
+        term, total = 1, 1
+        for r in range(n):
+            term = term * (n - r) % p * pow(r + 1, -1, p) % p
+            total += term
+        assert value % p == total % p
+
 
 class TestRhoLineBundle:
     def test_fano_counterexamples(self):

@@ -327,6 +327,26 @@ class TestFailureModes:
         assert err == ("error [mfkit.cli]: s0[0][0]: parentheses nested deeper than 64 "
                        "(at position 64)\n")
 
+    @pytest.mark.parametrize("command", ["dual-table", "invert"])
+    @pytest.mark.parametrize("entry", [[5, 4, 1], [1, 0, 1]])
+    def test_table_of_another_n_exit_2(self, workdir, capsys, command, entry):
+        doc = {"schema": "mfkit/table-v1", "n": 5, "entries": [entry]}
+        (workdir / "t5.json").write_text(json.dumps(doc))
+        code, out, err = run(capsys, "orlov", command, "t5.json", "--n", "3", "--d", "4")
+        assert (code, out) == (2, "")
+        assert err == "error [mfkit.orlov]: table has n = 5, but the context has n = 3\n"
+
+    def test_degree_two_to_the_40_factorization(self, workdir, capsys):
+        # The trivial factorization (f, 1) of a two-term f of degree 2^40:
+        # the kernel packs its monomials into 64-bit fields.
+        f = "(x0^1048576)^1048576 + (x1^1048576)^1048576"
+        doc = {"schema": "mfkit/mf-v1", "field": {"type": "Q"}, "nvars": 2, "d": 2**40,
+               "f": f, "F0_degrees": [2**40], "F1_degrees": [0], "s0": [[f]], "s1": [["1"]]}
+        (workdir / "wide.json").write_text(json.dumps(doc))
+        code, out, err = run(capsys, "mf", "validate", "wide.json")
+        assert (code, err) == (0, "")
+        assert "valid = true" in out and "d = 1099511627776" in out
+
     def test_json_booleans_in_table_documents(self, workdir, capsys):
         for doc in ({"schema": "mfkit/table-v1", "n": True, "entries": [[0, 0, 2]]},
                     {"schema": "mfkit/table-v1", "n": 3, "entries": [[True, 0, 2]]}):

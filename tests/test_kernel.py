@@ -1,22 +1,29 @@
 """Differential tests of the polynomial kernel.
 
 Arithmetic results skip validation and go through the trusted
-``Polynomial._canonical``; products run on raw scalar components (GF(p)
-residues summed unreduced, integral rationals as ints) and wrap each
-output term once; a one-term power scales its exponents; matrices store
-sparse rows and ``compose`` multiplies them row by row; ``mf.reduce``
-updates only the Schur complement of each pivot, on sparse rows, and
-scans each matrix once; ``mf.validate`` forms ``s1*s0`` alone when it is
-``f*id``; ``mf.tensor`` validates its factors, not its product;
-``document_to_mf`` parses each distinct entry string once; and ``mf``
-assembles factorizations from their nonzero entries.  Each fast path is
-compared here with a plain reference: polynomials as dicts of monomials
-with the public scalar operators, repeated products, a triple-loop
-matrix product built with ``from_pairs`` and the dense per-column
-product, a linear scan for the constant term, the original sort key, the
-original and the dense row and column elimination, a rescan from (0, 0)
-after every split, both composites on dense grids, one parse per entry,
-and dense Kronecker and block grids.
+``Polynomial._canonical`` or the kernel ``Polynomial._product_rows``.
+The kernel runs on each polynomial's view: monomials packed into one int
+each, with fields of 32 bits doubled until the operands' degrees fit, and
+raw coefficients (GF(p) residues summed unreduced, integral rationals as
+ints, QQ(i) coefficients split into real and imaginary halves); it wraps
+each output term once and attaches the view to each output.  A one-term
+power scales its exponents; matrices store sparse rows and ``compose``
+sums each row in one kernel call; ``mf.reduce`` updates only the Schur
+complement of each pivot, all rows in one kernel call, and scans each
+matrix once; ``mf.validate`` forms ``s1*s0`` alone when it is ``f*id``;
+``mf.tensor`` validates its factors, not its product; ``document_to_mf``
+parses each distinct entry string once; and ``mf`` assembles
+factorizations from their nonzero entries.  Each fast path is compared
+here with a plain reference: polynomials as dicts of monomials with the
+public scalar operators, the tuple kernel that the packed one replaced
+(exponent tuples added with ``map(add)``), repeated products, a
+triple-loop matrix product built with ``from_pairs`` and the dense
+per-column product, a linear scan for the constant term, the original
+sort key, the original and the dense row and column elimination, a
+rescan from (0, 0) after every split, both composites on dense grids,
+one parse per entry, and dense Kronecker and block grids.  Degrees just
+below and above each field width, up to 2^127, and ``MAX_NVARS``
+variables run through the same comparisons.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from operator import add, attrgetter
 from unittest import mock
 
 import pytest
@@ -31,7 +39,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mfkit import mf
-from mfkit.algebra import GF, MAX_EXPONENT, QI, QQ, FpElement, GaussianRational, Polynomial, parse_poly
+from mfkit.algebra import (GF, MAX_EXPONENT, MAX_NVARS, QI, QQ, FpElement, GaussianRational,
+                           Polynomial, parse_poly)
 from mfkit.cli import MF_SCHEMA, SchemaError, document_to_mf, field_to_json
 from mfkit.graded import DegreeMultiset, HomogeneousMatrix, compose
 
@@ -241,6 +250,124 @@ def test_long_unreduced_sums_match_reference(data):
     product = compose(a, b)
     assert product.entries == naive_compose(a, b) == dense_compose(a, b)
     assert_public_scalars(product.entries[0][0])
+
+
+# -- the packed kernel against the tuple kernel -----------------------------
+
+
+def _raw(q):
+    return q.numerator if q.denominator == 1 else q
+
+
+def tuple_sum_of_products(field, nvars, pairs):
+    """``Polynomial._sum_of_products`` as it was before packed monomials:
+    exponent tuples added with ``map(add)``, raw scalar components (GF(p)
+    residues summed unreduced, integral rationals as ints, both parts over
+    QQ(i) by the Gaussian product formula) and one wrap per surviving
+    term, then ``_canonical``."""
+    if field.kind == "Qi":
+        acc_re, acc_im = {}, {}
+        for left, right in pairs:
+            rterms = [(e2, _raw(c2.re), _raw(c2.im)) for e2, c2 in right.terms]
+            for e1, c1 in left.terms:
+                a, b = _raw(c1.re), _raw(c1.im)
+                for e2, c, d in rterms:
+                    exps = tuple(map(add, e1, e2))
+                    acc_re[exps] = acc_re.get(exps, 0) + (a * c - b * d)
+                    acc_im[exps] = acc_im.get(exps, 0) + (a * d + b * c)
+        acc = {exps: GaussianRational(Fraction(re), Fraction(acc_im[exps]))
+               for exps, re in acc_re.items() if re or acc_im[exps]}
+    else:
+        raw_acc = {}
+        raw = attrgetter("value") if field.kind == "Fp" else _raw
+        for left, right in pairs:
+            rterms = [(e2, raw(c2)) for e2, c2 in right.terms]
+            for e1, c1 in left.terms:
+                a = raw(c1)
+                for e2, c in rterms:
+                    exps = tuple(map(add, e1, e2))
+                    raw_acc[exps] = raw_acc.get(exps, 0) + a * c
+        if field.kind == "Fp":
+            acc = {exps: FpElement(residue, field.p)
+                   for exps, value in raw_acc.items() if (residue := value % field.p)}
+        else:
+            acc = {exps: Fraction(value) for exps, value in raw_acc.items() if value}
+    return Polynomial._canonical(field, nvars, acc)
+
+
+def natural_width(poly):
+    # The field width of a view: the least 32 * 2^k above the total degree
+    # by one bit, so that the degree of a product still fits.
+    degree, width = sum(poly.terms[0][0]) if poly.terms else 0, 32
+    while degree >= 2 ** (width - 1):
+        width *= 2
+    return width
+
+
+def assert_view(poly):
+    # A view that the kernel attached is the one built from the terms, at
+    # the width of the total degree.
+    if poly._view is not None:
+        assert poly._view == poly._view_at(natural_width(poly))
+
+
+# Exponents just below and above the degrees that each field width holds
+# (a view of width w holds total degrees below 2^(w-1)), near MAX_EXPONENT,
+# and at 2^40.
+WIDE_EXPONENTS = [0, 1, 2, MAX_EXPONENT - 1, MAX_EXPONENT, 2**30, 2**31 - 2, 2**31 - 1, 2**31,
+                  2**32, 2**40, 2**62, 2**63 - 1, 2**63, 2**126, 2**127]
+
+
+def wide_term_lists(field, nvars, max_size=4):
+    # Up to three nonzero exponents per term, so that MAX_NVARS stays cheap.
+    position = st.integers(0, nvars - 1)
+    exps = st.dictionaries(position, st.sampled_from(WIDE_EXPONENTS), max_size=3).map(
+        lambda sparse: tuple(sparse.get(k, 0) for k in range(nvars)))
+    coeff = scalars(field)
+    if field.kind == "Q":
+        coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    return st.lists(st.tuples(exps, coeff), max_size=max_size)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@given(data=st.data())
+def test_packed_kernel_matches_tuple_kernel(field, data):
+    nvars = data.draw(st.sampled_from([1, 2, 3, MAX_NVARS]))
+    size = 4 if nvars < MAX_NVARS else 2
+    polys = st.builds(lambda pairs: Polynomial.from_pairs(field, nvars, pairs),
+                      wide_term_lists(field, nvars, max_size=size))
+    pairs = data.draw(st.lists(st.tuples(polys, polys), min_size=1, max_size=size))
+    got = Polynomial._sum_of_products(field, nvars, pairs)
+    assert got == tuple_sum_of_products(field, nvars, pairs)
+    assert_public_scalars(got)
+    for poly in [got] + [p for pair in pairs for p in pair]:
+        assert_view(poly)
+    # Outputs carry their views into the next call.
+    again = Polynomial._sum_of_products(field, nvars, [(got, got), (got, pairs[0][0])])
+    assert again == tuple_sum_of_products(field, nvars, [(got, got), (got, pairs[0][0])])
+    assert_view(again)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@given(data=st.data())
+def test_compose_across_widths_matches_triple_loop(field, data):
+    nvars = data.draw(st.sampled_from([1, 3, MAX_NVARS]))
+    size = 3 if nvars < MAX_NVARS else 2
+    entry = wide_term_lists(field, nvars, max_size=size).map(
+        lambda pairs: Polynomial.from_pairs(field, nvars, pairs))
+    k, m, n = (data.draw(st.integers(1, size)) for _ in range(3))
+    grid = lambda rows, cols: st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                                       min_size=rows, max_size=rows)
+    rows_k, inner, cols_n = (DegreeMultiset((0,) * rank) for rank in (k, m, n))
+    a = HomogeneousMatrix(field, nvars, inner, rows_k, data.draw(grid(k, m)))
+    b = HomogeneousMatrix(field, nvars, cols_n, inner, data.draw(grid(m, n)))
+    product = compose(a, b)
+    assert product.entries == naive_compose(a, b)
+    assert_sparse_rows(product)
+    for row in product.rows:
+        for _, entry in row:
+            assert_public_scalars(entry)
+            assert_view(entry)
 
 
 # -- per-document parse memo -----------------------------------------------
@@ -474,6 +601,39 @@ def test_reduce_matches_full_elimination(field, rank, seed):
         for row in matrix.entries:
             for entry in row:
                 assert_public_scalars(entry)
+
+
+def inflate(F, N):
+    """F under the substitution x_k -> x_k^N, a ring map: the result
+    factors f(x^N), every degree times N, with the same unit entries."""
+    def poly(p):
+        return Polynomial.from_pairs(p.field, p.nvars,
+                                     [(tuple(N * e for e in exps), c) for exps, c in p.terms])
+
+    def matrix(m):
+        return HomogeneousMatrix(m.field, m.nvars, DegreeMultiset(tuple(N * x for x in m.source)),
+                                 DegreeMultiset(tuple(N * x for x in m.target)),
+                                 [[poly(e) for e in row] for row in m.entries])
+
+    return mf.MatrixFactorization(poly(F.f), matrix(F.s0), matrix(F.s1))
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(2**31 - 1)], ids=["QQ", "QQ(i)", "GF(2^31-1)"])
+@pytest.mark.parametrize("N", [2**28, 2**30, 2**62])
+def test_reduce_across_widths_matches_dense_elimination(field, N):
+    # With N = 2^28 every degree stays below 2^31; N = 2^30 and N = 2^62
+    # put operands of 32, 64 and 128-bit fields into one Schur update.
+    F = partly_reducible(field, 8, random.Random(f"wide-{field}-{N}"))
+    wide = inflate(F, N)
+    assert mf.validate(wide) == []
+    got = mf.reduce(wide)
+    assert got == dense_reduce(wide, reference_split_summand) == inflate(mf.reduce(F), N)
+    assert mf.is_reduced(got) and mf.validate(got) == []
+    for matrix in (got.s0, got.s1):
+        for row in matrix.rows:
+            for _, entry in row:
+                assert_public_scalars(entry)
+                assert_view(entry)
 
 
 # -- assembly from nonzero entries ------------------------------------------

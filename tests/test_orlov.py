@@ -182,6 +182,17 @@ class TestDualTable:
         with pytest.raises(ValueError, match="out-of-support"):
             dual_table(CTX34, table)
 
+    def test_table_of_another_n_rejected(self):
+        # Both entries lie in the support for n = 5; read with n = 3, the
+        # involution would send (5, 4) to (-2, -2) and table_to_betti
+        # would accept (1, 0).
+        for entry in ((5, 4), (1, 0)):
+            table = CohomologyTable.from_mapping(5, {entry: 1})
+            assert table.out_of_support() == ()
+            for operation in (dual_table, table_to_betti):
+                with pytest.raises(ValueError, match=r"^table has n = 5, but the context has n = 3$"):
+                    operation(CTX34, table)
+
 
 class TestPhi0:
     def test_structure_sheaf_window(self):
