@@ -41,12 +41,19 @@ GF(p) residues as plain ints, summed unreduced and reduced ``% p`` once
 per output term; QQ values as ints when integral, else as Fractions.
 Over QQ(i) a coefficient splits into its nonzero real and imaginary
 halves, the exponent of i kept in the two low bits of the key, so a
-product of halves is one multiplication and i*i, which lands at i^2, is
-folded in as -1 once per output term: the coefficients 1 and i of
+product of halves is one multiplication: the coefficients 1 and i of
 Fermat-type factorizations cost one dict update per term product, not
-two.  Each surviving output term is unpacked and wrapped into the public
-scalar type once, so terms always hold an ``FpElement`` in [0, p), a
-``GaussianRational`` with Fraction parts, or a Fraction.
+two.  A view lists its (key, value) pairs by descending key, so over
+QQ(i) a monomial's imaginary half comes before its real half.
+
+Every field settles an output row into that one format: residues
+reduced, zero sums dropped, and over QQ(i) each sum at i^2 folded onto
+the real half with its sign flipped.  The row is sorted once and split
+at its column slots, and each slot's pairs become its polynomial's view
+as they are.  Wrapping is then the one step per field: each output term
+is unpacked and wrapped into the public scalar type once, so terms
+always hold an ``FpElement`` in [0, p), a ``GaussianRational`` with
+Fraction parts, or a Fraction.
 
 The expression grammar accepted by :func:`parse_poly`::
 
@@ -381,21 +388,17 @@ def _codec(nvars: int, width: int):
     return pack, unpack
 
 
-def _terms_at(poly: "Polynomial", width: int) -> tuple:
-    # The view terms of poly at the given width, once poly has its view.
-    view = poly._view
-    return view[1] if view[0] == width else poly._view_at(width)[1]
-
-
-def _halves(items):
-    # The view terms of QQ(i) items (key, re, im): (4 * key, re) and
-    # (4 * key + 1, im), nonzero halves only.  Keys add under products
-    # and the exponents of i add in the low two bits, which never carry.
-    for k, re, im in items:
-        if re:
-            yield k << 2, re
-        if im:
-            yield k << 2 | 1, im
+def _halves(pack, terms):
+    # The view terms of QQ(i) terms: (4 * key + 1, im) and (4 * key, re),
+    # nonzero halves only, so that keys descend as in a kernel output.
+    # Keys add under products and the exponents of i add in the low two
+    # bits, which never carry.
+    for exponents, c in terms:
+        k = pack(exponents) << 2
+        if c.im:
+            yield k | 1, _raw(c.im)
+        if c.re:
+            yield k, _raw(c.re)
 
 
 @value_class
@@ -489,98 +492,84 @@ class Polynomial:
                 if rterms is None:
                     rterms = right_terms[m] = []
                     for c, right in right_rows[m]:
-                        terms = _terms_at(right, width)
+                        terms = right._kernel_view(width)[1]
                         if c:
                             base = c << shift
                             terms = [(base + k, value) for k, value in terms]
                         rterms += terms
-                for m1, a in _terms_at(left, width):
+                for m1, a in left._kernel_view(width)[1]:
                     for m2, c in rterms:
                         k = m1 + m2
                         acc[k] = acc.get(k, 0) + a * c
-            out.append(cls._row_from_sums(field, nvars, width, acc) if acc else [])
+            out.append(cls._row_from_sums(field, nvars, width, shift, acc) if acc else [])
         return out
 
     @classmethod
-    def _row_from_sums(cls, field: Field, nvars: int, width: int,
+    def _row_from_sums(cls, field: Field, nvars: int, width: int, shift: int,
                        acc: dict[int, int | Fraction]) -> list[tuple[int, "Polynomial"]]:
         # The nonzero polynomials of one accumulated row, each with its
-        # view: items are (key, value) over GF(p) and QQ, (key, re, im)
-        # over QQ(i), keys descending.
+        # view: the settled (key, value) pairs, sorted once, split at the
+        # column slots above ``shift`` and kept as the views.
         kind = field.kind
         if kind == "Fp":
             p = field.p
-            items = sorted([(k, residue) for k, value in acc.items() if (residue := value % p)],
-                           reverse=True)
-        elif kind == "Q":
-            items = sorted([(k, value) for k, value in acc.items() if value], reverse=True)
+            items = [(k, residue) for k, value in acc.items() if (residue := value % p)]
         else:
-            # Fold the halves: (re, im) = (sum at i^0 - sum at i^2, sum at i^1).
-            re: dict[int, int | Fraction] = {}
-            im: dict[int, int | Fraction] = {}
-            for k, value in acc.items():
-                if value:
-                    power = k & 3
-                    k >>= 2
-                    if power == 1:
-                        im[k] = value
-                    else:
-                        re[k] = re.get(k, 0) + (value if power == 0 else -value)
-            items = sorted([(k, re.get(k, 0), im.get(k, 0))
-                            for k in {k for k, value in re.items() if value} | im.keys()], reverse=True)
-        if not items:
-            return []
-        shift = width * (nvars + 1)
-        if items[0][0] >> shift:
-            # Several slots: strip each from its keys.
-            groups = [(slot, [(k - (slot << shift), *rest) for k, *rest in group])
-                      for slot, group in groupby(items, lambda item: item[0] >> shift)]
-        else:
-            groups = ((0, items),)
+            if kind == "Qi":
+                # i^2 = -1: fold each sum at i^2 onto the real half.
+                for k in [k for k in acc if k & 2]:
+                    acc[k ^ 2] = acc.get(k ^ 2, 0) - acc.pop(k)
+            items = [(k, value) for k, value in acc.items() if value]
+        items.sort(reverse=True)
+        mask = (1 << shift) - 1
         unpack = _codec(nvars, width)[1]
         row = []
-        for slot, group in groups:
+        for slot, group in groupby(items, lambda item: item[0] >> shift):
+            view = [(k & mask, value) for k, value in group]
             if kind == "Fp":
-                terms = [(unpack(k), FpElement(value, p)) for k, value in group]
+                terms = [(unpack(k), FpElement(value, p)) for k, value in view]
             elif kind == "Q":
-                terms = [(unpack(k), Fraction(value)) for k, value in group]
+                terms = [(unpack(k), Fraction(value)) for k, value in view]
             else:
-                terms = [(unpack(k), GaussianRational(Fraction(a), Fraction(b))) for k, a, b in group]
-                group = _halves(group)
+                parts: dict[int, list] = {}
+                for k, value in view:
+                    parts.setdefault(k >> 2, [0, 0])[k & 1] = value
+                terms = [(unpack(k), GaussianRational(Fraction(re), Fraction(im)))
+                         for k, (re, im) in parts.items()]
             poly = cls(field, nvars, tuple(terms))
             if _width(sum(terms[0][0])) == width:
-                object.__setattr__(poly, "_view", (width, tuple(group)))
+                object.__setattr__(poly, "_view", (width, view))
             row.append((slot, poly))
         row.reverse()
         return row
 
     # The kernel's view of a polynomial: (width, terms), each term a
-    # (key, raw coefficient) pair.  The key is the monomial packed by
-    # _codec(nvars, width); the coefficient is an int residue over GF(p)
-    # and an int or a Fraction over QQ.  Over QQ(i) a term splits into
-    # its nonzero halves: key * 4 with the real part and key * 4 + 1 with
-    # the imaginary part.  Built on first use at the width of the total
-    # degree, or attached by the kernel to its outputs; it is not a field,
-    # so equality, hashing and printing never see it.
+    # (key, raw coefficient) pair, keys descending.  The key is the
+    # monomial packed by _codec(nvars, width); the coefficient is an int
+    # residue over GF(p) and an int or a Fraction over QQ.  Over QQ(i) a
+    # term splits into its nonzero halves: key * 4 + 1 with the imaginary
+    # part, then key * 4 with the real part.  Built on first use at the
+    # width of the total degree, or attached by the kernel to its outputs;
+    # it is not a field, so equality, hashing and printing never see it.
     _view = None
 
-    def _kernel_view(self) -> tuple[int, tuple]:
+    def _kernel_view(self, width: int = 0) -> tuple[int, list]:
+        # The view, built and kept on first use; at a wider ``width``, one
+        # built at that width and not kept.
         view = self._view
         if view is None:
             view = self._view_at(_width(sum(self.terms[0][0]) if self.terms else 0))
             object.__setattr__(self, "_view", view)
-        return view
+        return view if view[0] >= width else self._view_at(width)
 
-    def _view_at(self, width: int) -> tuple[int, tuple]:
-        terms = self.terms
+    def _view_at(self, width: int) -> tuple[int, list]:
         pack = _codec(self.nvars, width)[0]
-        monomials = [pack(e) for e, _ in terms]
         kind = self.field.kind
         if kind == "Fp":
-            return width, tuple(zip(monomials, [c.value for _, c in terms]))
+            return width, [(pack(e), c.value) for e, c in self.terms]
         if kind == "Q":
-            return width, tuple(zip(monomials, [_raw(c) for _, c in terms]))
-        return width, tuple(_halves((k, _raw(c.re), _raw(c.im)) for k, (_, c) in zip(monomials, terms)))
+            return width, [(pack(e), _raw(c)) for e, c in self.terms]
+        return width, list(_halves(pack, self.terms))
 
     @classmethod
     def zero(cls, field: Field, nvars: int) -> "Polynomial":

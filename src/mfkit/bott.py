@@ -7,9 +7,10 @@ Bott's formula gives, for 0 <= p, q <= n and any twist l,
                            C(p-l, -l) * C(-l-1, n-p)  if q = n and l < p-n,
                            0                          otherwise,
 
-so each vector q -> h^q has at most one nonzero entry.  Binomials are
-extended by C(x, k) = 0 whenever k < 0 or x < k, which makes every
-branch total.
+so each vector q -> h^q has at most one nonzero entry, and every branch
+value is positive; `bott`, `bott_vector` and `restricted_bott` compute
+that entry alone.  Binomials are extended by C(x, k) = 0 whenever k < 0
+or x < k, which makes every branch total.
 
 Restriction to a degree-d hypersurface X uses the short exact sequence
 
@@ -70,24 +71,28 @@ class CohomologyVector(Counts):
         return tuple(q for q, _ in self.entries)
 
 
+def _bott_entry(n: int, p: int, l: int) -> tuple[int, int]:
+    # (q, h^q) at the one q where h^q(P^n, Omega^p(l)) can be nonzero, or (0, 0).
+    if n < 0 or not 0 <= p <= n:
+        return 0, 0
+    if l > p:
+        return 0, binom(l + n - p, l) * binom(l - 1, p)
+    if l == 0:
+        return p, 1
+    if l < p - n:
+        return n, binom(p - l, -l) * binom(-l - 1, n - p)
+    return 0, 0
+
+
 def bott(n: int, p: int, q: int, l: int) -> int:
     """h^q(P^n, Omega^p(l)); 0 outside 0 <= p, q <= n."""
-    if n < 0 or not (0 <= p <= n and 0 <= q <= n):
-        return 0
-    if q == 0 and l > p:
-        return binom(l + n - p, l) * binom(l - 1, p)
-    if l == 0 and q == p:
-        return 1
-    if q == n and l < p - n:
-        return binom(p - l, -l) * binom(-l - 1, n - p)
-    return 0
+    degree, value = _bott_entry(n, p, l)
+    return value if degree == q else 0
 
 
 def bott_vector(n: int, p: int, l: int) -> CohomologyVector:
     """The full vector q -> h^q(P^n, Omega^p(l)); at most one entry."""
-    return CohomologyVector.from_mapping(
-        n, {q: bott(n, p, q, l) for q in range(n + 1)}
-    )
+    return CohomologyVector.from_pairs([_bott_entry(n, p, l)], n)
 
 
 def restricted_bott(n: int, d: int, r: int, t: int) -> CohomologyVector:
@@ -99,13 +104,9 @@ def restricted_bott(n: int, d: int, r: int, t: int) -> CohomologyVector:
         raise ValueError("hypersurface degree d must be >= 1")
     if not 0 <= r <= n:
         raise ValueError(f"r = {r} outside [0, {n}]")
-    sub = bott_vector(n, r, r + t - d)   # Omega^r(r+t-d), the subsheaf
-    amb = bott_vector(n, r, r + t)       # Omega^r(r+t), the ambient middle term
-    sub_deg = sub.nonzero_degrees()
-    amb_deg = amb.nonzero_degrees()
-    if sub_deg and amb_deg and sub_deg == amb_deg:
-        q = sub_deg[0]
-        alpha, beta = sub.get(q), amb.get(q)
+    sub_q, alpha = _bott_entry(n, r, r + t - d)  # Omega^r(r+t-d), the subsheaf
+    q, beta = _bott_entry(n, r, r + t)           # Omega^r(r+t), the ambient middle term
+    if alpha and beta and sub_q == q:
         if q == 0:
             # multiplication by f is injective on global sections
             assert beta >= alpha, "H^0 injectivity violated"
@@ -118,10 +119,9 @@ def restricted_bott(n: int, d: int, r: int, t: int) -> CohomologyVector:
             f"ambient cohomology collided in middle degree q={q}; "
             "this requires twist 0 twice and cannot occur for d >= 1"
         )
-    # No collision: every connecting segment splits.
-    assert sub.get(0) == 0, "H^0 of the subsheaf must inject into the ambient H^0"
-    counts = {q: amb.get(q) + sub.get(q + 1) for q in range(n + 1)}
-    return CohomologyVector.from_mapping(n, counts)
+    # No collision: every connecting segment splits; the subsheaf's H^q lands in q - 1.
+    assert not (alpha and sub_q == 0), "H^0 of the subsheaf must inject into the ambient H^0"
+    return CohomologyVector.from_pairs([(q, beta), (sub_q - 1, alpha)], n)
 
 
 def rho_structure_sheaf(n: int, d: int) -> int:

@@ -653,24 +653,31 @@ def _run(args) -> int:
         doc, digest = _read_json(path)
         inputs[name] = digest
         documents.append(document_to_mf(doc) if kind == "mf" else document_to_table(doc))
-    out = row.compute(args, *documents)
-    if out is None:
-        return 0
-    artifact, scalar = out.pop("artifact", None), out.pop("scalar", None)
-    rejected = out.pop("rejected", False)
-    report = make_report(f"{row.group} {row.name}", inputs=inputs, **out)
-    if rejected:
-        if args.json:
-            _dump(report, sys.stdout)
-        for diag in report["diagnostics"]:
-            sys.stderr.write(f"invalid: {diag}\n")
-        return 2
-    _emit(args, report, artifact=artifact, scalar=scalar)
-    for verdict in out.get("verdicts", ()):
-        if verdict.applicable and not verdict.passed:
-            sys.stderr.write(f"check failed: value {verdict.value} < bound {verdict.bound}\n")
+    # Exact results print at any size.  The digit limit guards the input
+    # only, where int() of a long decimal string is quadratic.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        out = row.compute(args, *documents)
+        if out is None:
+            return 0
+        artifact, scalar = out.pop("artifact", None), out.pop("scalar", None)
+        rejected = out.pop("rejected", False)
+        report = make_report(f"{row.group} {row.name}", inputs=inputs, **out)
+        if rejected:
+            if args.json:
+                _dump(report, sys.stdout)
+            for diag in report["diagnostics"]:
+                sys.stderr.write(f"invalid: {diag}\n")
             return 2
-    return 0
+        _emit(args, report, artifact=artifact, scalar=scalar)
+        for verdict in out.get("verdicts", ()):
+            if verdict.applicable and not verdict.passed:
+                sys.stderr.write(f"check failed: value {verdict.value} < bound {verdict.bound}\n")
+                return 2
+        return 0
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _origin_module(exc: BaseException) -> str:

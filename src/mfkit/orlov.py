@@ -36,6 +36,10 @@ if TYPE_CHECKING:
     from .graded import DegreeMultiset
     from .mf import BettiTable, MatrixFactorization
 
+# Largest rank shamash_degrees() builds: it lists one degree per
+# generator, and `orlov shamash` answers at this rank in about 1 s.
+MAX_SHAMASH_RANK = 2**22
+
 UNCHECKED_HYPOTHESES = (
     "f is assumed irreducible (not verified)",
     "X = V(f) is assumed smooth (not verified)",
@@ -249,25 +253,26 @@ def shamash_degrees(n: int, d: int, m: int) -> DegreeMultiset:
     the Shamash resolution of the residue field over S/(f):
 
         term m = ⊕_{s+2j = -m, j >= 0, 0 <= s <= n+1} R(-s-jd)^C(n+1, s)
+
+    Its rank, the sum of the binomials, must not exceed MAX_SHAMASH_RANK.
     """
-    from .graded import DegreeMultiset
     if n < 1:
         raise ValueError("n must be >= 1")
     if d < 1:
         raise ValueError("d must be >= 1")
     if m > 0:
         raise ValueError("the resolution lives in cohomological degrees <= 0")
+    # Terms with s = -m - 2j > n + 1 are empty: j runs from the first with
+    # s <= n + 1 to the last with s >= 0, at most n + 2 values whatever m is.
+    js = range(max(0, (-m - n) // 2), -m // 2 + 1)
+    counts = [binom(n + 1, -m - 2 * j) for j in js]
+    if (rank := sum(counts)) > MAX_SHAMASH_RANK:
+        raise ValueError(f"Shamash term {m} has rank {rank}, "
+                         f"above MAX_SHAMASH_RANK = {MAX_SHAMASH_RANK}")
+    from .graded import DegreeMultiset
     degrees: list[int] = []
-    # Terms with s = -m - 2j > n + 1 are empty: start at the first j with
-    # s <= n + 1, so the loop runs at most n + 2 times whatever m is.
-    j = max(0, (-m - n) // 2)
-    while True:
-        s = -m - 2 * j
-        if s < 0:
-            break
-        if s <= n + 1:
-            degrees.extend([s + j * d] * binom(n + 1, s))
-        j += 1
+    for j, count in zip(js, counts):
+        degrees.extend([-m - 2 * j + j * d] * count)
     return DegreeMultiset.from_iterable(degrees)
 
 

@@ -236,3 +236,69 @@ class TestRhoLineBundle:
         for n in range(1, 6):
             for d in range(n + 1, 9):
                 assert rho_line_bundle(n, d, 0) == rho_structure_sheaf(n, d)
+
+
+# -- dense reference ---------------------------------------------------------
+
+
+def dense_bott_vector(n: int, p: int, l: int) -> CohomologyVector:
+    # Every degree q in [0, n] through bott(), as the vector was formed
+    # before it was computed from its one entry.
+    return CohomologyVector.from_mapping(n, {q: reference_bott(n, p, q, l) for q in range(n + 1)})
+
+
+def reference_bott(n: int, p: int, q: int, l: int) -> int:
+    # Bott's formula branch by branch, as in the module docstring.
+    if n < 0 or not (0 <= p <= n and 0 <= q <= n):
+        return 0
+    if q == 0 and l > p:
+        return binom(l + n - p, l) * binom(l - 1, p)
+    if l == 0 and q == p:
+        return 1
+    if q == n and l < p - n:
+        return binom(p - l, -l) * binom(-l - 1, n - p)
+    return 0
+
+
+def dense_restricted_bott(n: int, d: int, r: int, t: int) -> CohomologyVector:
+    # The long exact sequence read over every degree q in [0, n].
+    sub = dense_bott_vector(n, r, r + t - d)
+    amb = dense_bott_vector(n, r, r + t)
+    sub_deg, amb_deg = sub.nonzero_degrees(), amb.nonzero_degrees()
+    if sub_deg and amb_deg and sub_deg == amb_deg:
+        q = sub_deg[0]
+        alpha, beta = sub.get(q), amb.get(q)
+        if q == 0:
+            assert beta >= alpha
+            return CohomologyVector.from_mapping(n, {0: beta - alpha})
+        assert q == n and alpha >= beta
+        return CohomologyVector.from_mapping(n, {n - 1: alpha - beta})
+    assert sub.get(0) == 0
+    return CohomologyVector.from_mapping(n, {q: amb.get(q) + sub.get(q + 1) for q in range(n + 1)})
+
+
+TWISTS = range(-15, 16)
+
+
+class TestOneEntryMatchesDense:
+    def test_bott_and_vector(self):
+        for n in range(-1, 9):
+            for p in range(-1, n + 2):
+                for l in TWISTS:
+                    vector = bott_vector(n, p, l)
+                    assert vector == dense_bott_vector(n, p, l), (n, p, l)
+                    for q in range(-1, n + 2):
+                        assert bott(n, p, q, l) == reference_bott(n, p, q, l), (n, p, q, l)
+
+    def test_restricted(self):
+        for n in range(1, 9):
+            for r in range(n + 1):
+                for d in range(1, 11):
+                    for t in TWISTS:
+                        assert restricted_bott(n, d, r, t) == dense_restricted_bott(n, d, r, t), \
+                            (n, d, r, t)
+
+    def test_line_bundle_sum(self):
+        for n, d, j in [(1, 1, -3), (3, 4, 0), (4, 2, 5), (6, 9, -7), (8, 10, 15)]:
+            expected = sum(dense_restricted_bott(n, d, r, j).total() for r in range(n + 1))
+            assert rho_line_bundle(n, d, j) == expected

@@ -713,3 +713,73 @@ def test_coefficient_growth_past_the_bits_budget_exits_2(workdir, capsys):
     assert (code, out) == (2, "")
     assert err == ("error [mfkit.cli]: s0[0][0]: powers need more than 16777216 coefficient bits "
                    "(at position 21)\n")
+
+
+# -- exact integers at any size, the digit limit kept for the input ----------
+
+
+def exact_decimal(value: int) -> str:
+    # str(value) past the interpreter's digit limit, which stays as it was.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_rho_point_prints_every_digit(capsys):
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    code, out, err = run(capsys, "rho", "point", "--n", "14400")
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "")
+    assert out == exact_decimal(1 << 14400) + "\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
+POWER_DOCUMENT = {"schema": "mfkit/mf-v1", "field": {"type": "Q"}, "nvars": 1, "d": 20000,
+                  "f": "(2*x0)^20000", "F0_degrees": [0], "F1_degrees": [0],
+                  "s0": [["1"]], "s1": [["(2*x0)^20000"]]}
+
+
+def test_shift_prints_a_coefficient_of_6021_digits(workdir, capsys):
+    # The factorization (1, (2*x0)^20000): its printed entries need every
+    # digit of 2^20000.
+    limit = sys.get_int_max_str_digits()
+    (workdir / "power.json").write_text(json.dumps(POWER_DOCUMENT))
+    assert run(capsys, "mf", "validate", "power.json")[0] == 0
+    code, out, err = run(capsys, "mf", "shift", "power.json")
+    assert (code, err) == (0, "")
+    power = exact_decimal(2**20000) + "*x0^20000"
+    doc = json.loads(out)
+    assert (doc["f"], doc["s0"], doc["s1"]) == (power, [["-" + power]], [["-1"]])
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_literal_past_the_digit_limit_exits_2(workdir, capsys):
+    limit = sys.get_int_max_str_digits()
+    (workdir / "literal.json").write_text(json.dumps(dict(POWER_DOCUMENT, s0=[["1" * 5000]])))
+    code, out, err = run(capsys, "mf", "validate", "literal.json")
+    assert (code, out) == (2, "")
+    assert err.startswith("error [mfkit.algebra]: Exceeds the limit (4300 digits)")
+    assert sys.get_int_max_str_digits() == limit
+
+
+# -- the Shamash rank bound ---------------------------------------------------
+
+
+def test_shamash_at_the_rank_bound(capsys):
+    code, out, err = run(capsys, "orlov", "shamash", "--n", "23", "--d", "4", "--m", "-11",
+                         "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["rank"] == 2**22
+
+
+def test_shamash_past_the_rank_bound_exits_2(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "orlov", "shamash", "--n", "30", "--d", "4", "--m", "-15")
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (2, "")
+    assert err == ("error [mfkit.orlov]: Shamash term -15 has rank 614429672, "
+                   "above MAX_SHAMASH_RANK = 4194304\n")

@@ -9,6 +9,7 @@ from mfkit.bott import CohomologyVector
 from mfkit.graded import DegreeMultiset
 from mfkit.mf import BettiTable
 from mfkit.orlov import (
+    MAX_SHAMASH_RANK,
     CohomologyTable,
     HypersurfaceContext,
     Phi0Descriptor,
@@ -272,6 +273,19 @@ class TestShamash:
     def test_positive_degree_rejected(self):
         with pytest.raises(ValueError):
             shamash_degrees(3, 4, 1)
+
+    def test_rank_at_the_bound(self):
+        degrees = shamash_degrees(23, 4, -11)
+        assert len(degrees) == MAX_SHAMASH_RANK == 2**22
+        assert degrees == DegreeMultiset.from_iterable(
+            [11 - 2 * j + 4 * j for j in range(6) for _ in range(math.comb(24, 11 - 2 * j))])
+
+    def test_rank_past_the_bound_fails_fast(self):
+        for n, m, rank in ((23, -12, 5546382), (30, -15, 614429672)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match=f"has rank {rank}, above MAX_SHAMASH_RANK"):
+                shamash_degrees(n, 4, m)
+            assert time.perf_counter() - start < 0.1
 
 
 class TestCheckBgs:
