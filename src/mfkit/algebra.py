@@ -554,13 +554,13 @@ class Polynomial:
     _view = None
 
     def _kernel_view(self, width: int = 0) -> tuple[int, list]:
-        # The view, built and kept on first use; at a wider ``width``, one
+        # The view, built and kept on first use; at another ``width``, one
         # built at that width and not kept.
         view = self._view
         if view is None:
             view = self._view_at(_width(sum(self.terms[0][0]) if self.terms else 0))
             object.__setattr__(self, "_view", view)
-        return view if view[0] >= width else self._view_at(width)
+        return view if width in (0, view[0]) else self._view_at(width)
 
     def _view_at(self, width: int) -> tuple[int, list]:
         pack = _codec(self.nvars, width)[0]

@@ -14,7 +14,8 @@ in the expression grammar of :mod:`mfkit.algebra`; cohomology tables and
 Betti tables have their own small schemas.  ``--json`` switches stdout to
 a machine-readable report; scalar queries print the bare value in text
 mode.  Exit codes: 0 success, 1 usage error, 2 validation failure or
-domain error (diagnostics go to stderr).
+domain error (diagnostics go to stderr).  Integers are read and printed
+exactly up to MAX_DIGITS decimal digits each.
 
 ``sweep rho-structure-sheaf`` streams its CSV rows, one block per n, from
 the row recurrence of :func:`mfkit.bott.rho_structure_sheaf_rows`.
@@ -69,6 +70,15 @@ MF_SCHEMA = "mfkit/mf-v1"
 TABLE_SCHEMA = "mfkit/table-v1"
 BETTI_SCHEMA = "mfkit/betti-v1"
 REPORT_SCHEMA = "mfkit/report-v1"
+
+# Most decimal digits of one integer that a command reads (JSON numbers,
+# entry literals, integer options) or prints.  Converting between an int
+# and its decimal string is quadratic before Python 3.12 (CPython issue
+# 95778); printing an int of this many digits takes about 1.6 s on
+# 2 vCPUs under Python 3.11, and reading one back about 0.7 s.  Reading
+# and printing share the cap, so every document a command prints parses
+# back.  Past it the command exits 2.
+MAX_DIGITS = 300_000
 
 FERMAT_NOTE = (
     "generator parameters (pairs, half-degree) fix nvars and degree; "
@@ -653,31 +663,24 @@ def _run(args) -> int:
         doc, digest = _read_json(path)
         inputs[name] = digest
         documents.append(document_to_mf(doc) if kind == "mf" else document_to_table(doc))
-    # Exact results print at any size.  The digit limit guards the input
-    # only, where int() of a long decimal string is quadratic.
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        out = row.compute(args, *documents)
-        if out is None:
-            return 0
-        artifact, scalar = out.pop("artifact", None), out.pop("scalar", None)
-        rejected = out.pop("rejected", False)
-        report = make_report(f"{row.group} {row.name}", inputs=inputs, **out)
-        if rejected:
-            if args.json:
-                _dump(report, sys.stdout)
-            for diag in report["diagnostics"]:
-                sys.stderr.write(f"invalid: {diag}\n")
-            return 2
-        _emit(args, report, artifact=artifact, scalar=scalar)
-        for verdict in out.get("verdicts", ()):
-            if verdict.applicable and not verdict.passed:
-                sys.stderr.write(f"check failed: value {verdict.value} < bound {verdict.bound}\n")
-                return 2
+    out = row.compute(args, *documents)
+    if out is None:
         return 0
-    finally:
-        sys.set_int_max_str_digits(limit)
+    artifact, scalar = out.pop("artifact", None), out.pop("scalar", None)
+    rejected = out.pop("rejected", False)
+    report = make_report(f"{row.group} {row.name}", inputs=inputs, **out)
+    if rejected:
+        if args.json:
+            _dump(report, sys.stdout)
+        for diag in report["diagnostics"]:
+            sys.stderr.write(f"invalid: {diag}\n")
+        return 2
+    _emit(args, report, artifact=artifact, scalar=scalar)
+    for verdict in out.get("verdicts", ()):
+        if verdict.applicable and not verdict.passed:
+            sys.stderr.write(f"check failed: value {verdict.value} < bound {verdict.bound}\n")
+            return 2
+    return 0
 
 
 def _origin_module(exc: BaseException) -> str:
@@ -694,18 +697,24 @@ def _origin_module(exc: BaseException) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # A command line that starts with a group needs that group's leaves only.
-    parser = build_parser(argv[0] if argv and argv[0] in GROUPS else None)
+    # One digit cap for every integer read or printed, restored on return.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(MAX_DIGITS)
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return 1
-    try:
-        return _run(args)
-    except (ValueError, ZeroDivisionError, OSError) as exc:
-        sys.stderr.write(f"error [{_origin_module(exc)}]: {exc}\n")
-        return 2
+        # A command line that starts with a group needs that group's leaves only.
+        parser = build_parser(argv[0] if argv and argv[0] in GROUPS else None)
+        try:
+            args = parser.parse_args(argv)
+        except _UsageError as exc:
+            sys.stderr.write(f"{exc}\n")
+            return 1
+        try:
+            return _run(args)
+        except (ValueError, ZeroDivisionError, OSError) as exc:
+            sys.stderr.write(f"error [{_origin_module(exc)}]: {exc}\n")
+            return 2
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":
