@@ -7,53 +7,58 @@ Three coefficient fields are supported:
 * ``GF(p)`` -- prime fields F_p for prime p < 2**31 (so that a product of
   two residues always fits in a 64-bit signed integer).
 
-A polynomial is stored as a tuple of (exponent vector, coefficient) pairs
-over a fixed field and variable count x0..x{nvars-1}, kept in canonical
-form: no zero coefficients, no repeated exponent vectors, and terms sorted
+A polynomial's value, ``terms``, is a tuple of (exponent vector,
+coefficient) pairs over a fixed field and variable count x0..x{nvars-1},
+kept in canonical form: no zero coefficients, no repeated exponent vectors, and terms sorted
 in graded lexicographic order (highest total degree first, ties broken
 lexicographically).  Equal polynomials are therefore equal as Python
 values, which the test suite relies on for bit-exact comparisons.
 
 :meth:`Polynomial.from_pairs` is the validating entry point: it checks
 arity and signs of exponent vectors and coerces every coefficient into
-the field.  Arithmetic does not re-validate; its results, whose terms
-are already well formed, go through the trusted ``Polynomial._canonical``,
-which only drops zero terms and sorts.
+the field.  Arithmetic does not re-validate; its results are made by
+the trusted constructors ``Polynomial._canonical``, which only drops zero
+terms and sorts, and ``Polynomial._from_view`` (below).
 
 Sums and products share one loop, ``Polynomial._product_rows``, which
 forms the rows of a product of two sparse polynomial matrices:
-``_sum_of_products`` (behind ``*``, ``+``, ``-`` and a parsed sum of N
-summands, one call with right factors +1 and -1) is its 1 x n by n x 1
-case, :func:`graded.compose` passes it the rows of its two factors, and
-a split of :func:`mf.reduce` updates every row of the Schur complement
-in one call.  Each output row is accumulated in one dict keyed by column
-and monomial and sorted once (Gustavson, ACM TOMS 4(3), 1978).
+``_sum_of_products`` (behind ``*``, ``+`` and ``-``, one call with right
+factors +1 and -1) is its 1 x n by n x 1 case, :func:`graded.compose`
+passes it the rows of its two factors, and a split of :func:`mf.reduce`
+updates every row of the Schur complement in one call.  Each output row
+is accumulated in one dict keyed by column and monomial and sorted once
+(Gustavson, ACM TOMS 4(3), 1978).
 
-The loop runs on each polynomial's kernel view, built once on first use
-and attached to every output of the loop, so chained products do not
-build it again.  The view packs each monomial into one int (Monagan and
-Pearce, CASC 2007): the total degree in the top field, then x0, x1, ...
-in fields of equal width, so that adding two ints multiplies the
-monomials and int order is graded lexicographic order.  The width is 32
-bits, doubled until the degree of every operand stays below half of the
-field range; one loop thus covers every degree.  Coefficients are raw:
-GF(p) residues as plain ints, summed unreduced and reduced ``% p`` once
-per output term; QQ values as ints when integral, else as Fractions.
-Over QQ(i) a coefficient splits into its nonzero real and imaginary
-halves, the exponent of i kept in the two low bits of the key, so a
-product of halves is one multiplication: the coefficients 1 and i of
-Fermat-type factorizations cost one dict update per term product, not
-two.  A view lists its (key, value) pairs by descending key, so over
-QQ(i) a monomial's imaginary half comes before its real half.
+The loop runs on each polynomial's kernel view.  The view packs each
+monomial into one int (Monagan and Pearce, CASC 2007): the total degree
+in the top field, then x0, x1, ... in fields of equal width, so that
+adding two ints multiplies the monomials and int order is graded
+lexicographic order.  The width is 32 bits, doubled until the degree of
+every operand stays below half of the field range; one loop thus covers
+every degree.  Coefficients are raw: GF(p) residues as plain ints,
+summed unreduced and reduced ``% p`` once per output term; QQ values as
+ints or Fractions.  Over QQ(i) a coefficient splits into its nonzero
+real and imaginary halves, the exponent of i kept in the two low bits of
+the key, so a product of halves is one multiplication: the coefficients
+1 and i of Fermat-type factorizations cost one dict update per term
+product, not two.  A view lists its (key, value) pairs by descending
+key, so over QQ(i) a monomial's imaginary half comes before its real
+half.  Sums of such pairs are settled into that one format by one step,
+``_settle``: residues reduced, zero sums dropped, and over QQ(i) each
+sum at i^2 folded onto the real half with its sign flipped.
 
-Every field settles an output row into that one format: residues
-reduced, zero sums dropped, and over QQ(i) each sum at i^2 folded onto
-the real half with its sign flipped.  The row is sorted once and split
-at its column slots, and each slot's pairs become its polynomial's view
-as they are.  Wrapping is then the one step per field: each output term
-is unpacked and wrapped into the public scalar type once, so terms
-always hold an ``FpElement`` in [0, p), a ``GaussianRational`` with
-Fraction parts, or a Fraction.
+Storage rule: a polynomial carries its view from parse to print.  The
+outputs of the loop and of :func:`parse_poly` are made from their views
+(``Polynomial._from_view``), and ``terms`` is built from the view the
+first time it is read, by ``_terms_from_view``: each term unpacked and
+wrapped into the public scalar type once, so terms always hold an
+``FpElement`` in [0, p), a ``GaussianRational`` with Fraction parts, or
+a Fraction.  ``is_zero``, ``total_degree``, ``is_homogeneous`` and
+``constant_term`` read the view, so a product that is only tested,
+compared by view or multiplied again is never wrapped.  A polynomial
+built from terms (``from_pairs`` and the other constructors) builds its
+view on first use by the loop, at the width of its total degree; a view
+is kept only at that width, so equal polynomials have equal views.
 
 The expression grammar accepted by :func:`parse_poly`::
 
@@ -68,6 +73,14 @@ emits terms in monomial order with explicit ``*`` and ``^``, rationals as
 ``a/b`` and Gaussian coefficients as ``(a/b + c/d*i)``; printed output
 parses back to the same polynomial.
 
+The parser evaluates on plain dicts of raw coefficients, keyed and
+settled as a view: a variable is one packed key, ``*`` adds keys, ``^``
+of one term scales its key, and a sum of N summands is one dict.  No
+scalar object, polynomial or kernel call is made per operator; the one
+``Polynomial`` of a parse is made from the final dict.  Keys start at
+width 32, and a parse whose degrees outgrow its width runs again at a
+width that holds them.
+
 The parser bounds the work of one parse: an optional degree bound on
 every ``*`` and ``^``, MAX_PARSE_PRODUCTS term products, and
 MAX_PARSE_BITS coefficient bits, charged before each ``^`` as the
@@ -75,18 +88,19 @@ exponent times the bits one power step can add (nothing over GF(p), and
 nothing for the coefficients 1 and i, so printed output always parses).
 
 All values in this module are immutable and all operations are pure, so
-they may be freely shared between concurrent tasks; a kernel view is a
-cache, and two tasks that build it at once build the same value.
+they may be freely shared between concurrent tasks; a kernel view and
+the terms built from one are caches, and two tasks that build one at
+once build the same value.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import groupby
-from math import prod
+from math import gcd, prod
 from operator import mul
 from struct import Struct
 
@@ -358,6 +372,26 @@ def _width(degree: int) -> int:
     return width
 
 
+def _settle(field: Field, acc: dict[int, int | Fraction]) -> dict[int, int | Fraction]:
+    # The (key, value) pairs of sums of view values in the one format of a
+    # view: residues reduced, each sum at i^2 folded onto the real half
+    # (i^2 = -1), zero sums dropped.  Consumes ``acc``.
+    if field.kind == "Fp":
+        p = field.p
+        return {k: residue for k, value in acc.items() if (residue := value % p)}
+    if field.kind == "Qi":
+        for k in [k for k in acc if k & 2]:
+            acc[k ^ 2] = acc.get(k ^ 2, 0) - acc.pop(k)
+    return {k: value for k, value in acc.items() if value}
+
+
+def _degree_shift(field: Field, nvars: int, width: int) -> int:
+    # A view key shifted right by this is its total degree: the top field
+    # of nvars + 1, above the two bits that hold the exponent of i over
+    # QQ(i).
+    return width * nvars + (2 if field.kind == "Qi" else 0)
+
+
 @lru_cache(maxsize=64)
 def _codec(nvars: int, width: int):
     """(pack, unpack) for monomials in ``nvars`` variables packed into
@@ -482,7 +516,7 @@ class Polynomial:
         # Every operand gets its view here, and the widest sets the width.
         width = max([p._kernel_view()[0] for rows in (left_rows, right_rows) for row in rows
                      for _, p in row], default=32)
-        shift = width * (nvars + 1) + (2 if field.kind == "Qi" else 0)
+        shift = _degree_shift(field, nvars, width) + width
         right_terms: dict[int, list] = {}
         out = []
         for row in left_rows:
@@ -507,41 +541,31 @@ class Polynomial:
     @classmethod
     def _row_from_sums(cls, field: Field, nvars: int, width: int, shift: int,
                        acc: dict[int, int | Fraction]) -> list[tuple[int, "Polynomial"]]:
-        # The nonzero polynomials of one accumulated row, each with its
-        # view: the settled (key, value) pairs, sorted once, split at the
-        # column slots above ``shift`` and kept as the views.
-        kind = field.kind
-        if kind == "Fp":
-            p = field.p
-            items = [(k, residue) for k, value in acc.items() if (residue := value % p)]
-        else:
-            if kind == "Qi":
-                # i^2 = -1: fold each sum at i^2 onto the real half.
-                for k in [k for k in acc if k & 2]:
-                    acc[k ^ 2] = acc.get(k ^ 2, 0) - acc.pop(k)
-            items = [(k, value) for k, value in acc.items() if value]
-        items.sort(reverse=True)
+        # The nonzero polynomials of one accumulated row: the settled
+        # (key, value) pairs, sorted once and split at the column slots
+        # above ``shift``, each slot's pairs one polynomial's view.
+        items = sorted(_settle(field, acc).items(), reverse=True)
         mask = (1 << shift) - 1
-        unpack = _codec(nvars, width)[1]
-        row = []
-        for slot, group in groupby(items, lambda item: item[0] >> shift):
-            view = [(k & mask, value) for k, value in group]
-            if kind == "Fp":
-                terms = [(unpack(k), FpElement(value, p)) for k, value in view]
-            elif kind == "Q":
-                terms = [(unpack(k), Fraction(value)) for k, value in view]
-            else:
-                parts: dict[int, list] = {}
-                for k, value in view:
-                    parts.setdefault(k >> 2, [0, 0])[k & 1] = value
-                terms = [(unpack(k), GaussianRational(Fraction(re), Fraction(im)))
-                         for k, (re, im) in parts.items()]
-            poly = cls(field, nvars, tuple(terms))
-            if _width(sum(terms[0][0])) == width:
-                object.__setattr__(poly, "_view", (width, view))
-            row.append((slot, poly))
+        row = [(slot, cls._from_view(field, nvars, width,
+                                     [(k & mask, value) for k, value in group]))
+               for slot, group in groupby(items, lambda item: item[0] >> shift)]
         row.reverse()
         return row
+
+    @classmethod
+    def _from_view(cls, field: Field, nvars: int, width: int, view: list) -> "Polynomial":
+        """Trusted constructor: the polynomial whose kernel view at
+        ``width`` is ``view``, settled (key, value) pairs with keys
+        descending.  The view is kept, and ``terms`` is built from it on
+        first read; at a width other than its degree's, ``terms`` is built
+        now and the view is not kept."""
+        poly = object.__new__(cls)
+        poly.__dict__.update(field=field, nvars=nvars, _view=(width, view))
+        degree = view[0][0] >> _degree_shift(field, nvars, width) if view else 0
+        if _width(degree) != width:
+            poly.__dict__["terms"] = _terms_from_view(poly)
+            del poly.__dict__["_view"]
+        return poly
 
     # The kernel's view of a polynomial: (width, terms), each term a
     # (key, raw coefficient) pair, keys descending.  The key is the
@@ -549,8 +573,9 @@ class Polynomial:
     # residue over GF(p) and an int or a Fraction over QQ.  Over QQ(i) a
     # term splits into its nonzero halves: key * 4 + 1 with the imaginary
     # part, then key * 4 with the real part.  Built on first use at the
-    # width of the total degree, or attached by the kernel to its outputs;
-    # it is not a field, so equality, hashing and printing never see it.
+    # width of the total degree, or made by the kernel or the parser, in
+    # which case ``terms`` is built from it on first read (_LazyTerms).
+    # It is not a field, so equality, hashing and printing never see it.
     _view = None
 
     def _kernel_view(self, width: int = 0) -> tuple[int, list]:
@@ -593,30 +618,54 @@ class Polynomial:
 
     # -- queries --------------------------------------------------------
 
+    # Each query reads the view when there is one, so that it builds no
+    # terms.  Graded order puts a term of highest degree first and the
+    # constant term, if any, last, in ``terms`` and view alike.
+
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        view = self._view
+        return not (self.terms if view is None else view[1])
 
     @property
     def total_degree(self) -> int | float:
         """Total degree, or NEG_INFINITY for the zero polynomial."""
-        if not self.terms:
+        view = self._view
+        if view is None:
+            return sum(self.terms[0][0]) if self.terms else NEG_INFINITY
+        width, pairs = view
+        if not pairs:
             return NEG_INFINITY
-        # Graded order puts a term of highest degree first.
-        return sum(self.terms[0][0])
+        return pairs[0][0] >> _degree_shift(self.field, self.nvars, width)
 
     @property
     def is_homogeneous(self) -> bool:
-        degrees = {sum(exps) for exps, _ in self.terms}
-        return len(degrees) <= 1
+        # The first and the last term have the same degree.
+        view = self._view
+        if view is None:
+            terms = self.terms
+            return not terms or sum(terms[0][0]) == sum(terms[-1][0])
+        width, pairs = view
+        shift = _degree_shift(self.field, self.nvars, width)
+        return not pairs or pairs[0][0] >> shift == pairs[-1][0] >> shift
 
     @property
     def constant_term(self) -> Scalar:
-        # Graded order puts the constant term, if any, last.
-        if self.terms:
-            exps, coeff = self.terms[-1]
-            if not any(exps):
-                return coeff
+        view = self._view
+        kind = self.field.kind
+        if view is None:
+            if self.terms:
+                exps, coeff = self.terms[-1]
+                if not any(exps):
+                    return coeff
+        else:
+            # Its pairs have the keys 0 and, over QQ(i), 1 for the imaginary half.
+            tail = dict(view[1][-2:])
+            if kind == "Qi":
+                if 0 in tail or 1 in tail:
+                    return GaussianRational(Fraction(tail.get(0, 0)), Fraction(tail.get(1, 0)))
+            elif 0 in tail:
+                return FpElement(tail[0], self.field.p) if kind == "Fp" else Fraction(tail[0])
         return self.field.zero
 
     # -- arithmetic -----------------------------------------------------
@@ -684,6 +733,44 @@ class Polynomial:
         return "".join(pieces)
 
 
+def _terms_from_view(poly: Polynomial) -> tuple:
+    # The terms of a polynomial made from a view: each (key, value) pair
+    # unpacked and wrapped into the public scalar type, once per term, so
+    # that terms always hold an FpElement in [0, p), a GaussianRational
+    # with Fraction parts, or a Fraction.
+    width, view = poly._view
+    unpack = _codec(poly.nvars, width)[1]
+    kind = poly.field.kind
+    if kind == "Fp":
+        p = poly.field.p
+        return tuple([(unpack(k), FpElement(value, p)) for k, value in view])
+    if kind == "Q":
+        return tuple([(unpack(k), Fraction(value)) for k, value in view])
+    parts: dict[int, list] = {}
+    for k, value in view:
+        parts.setdefault(k >> 2, [0, 0])[k & 1] = value
+    return tuple([(unpack(k), GaussianRational(Fraction(re), Fraction(im)))
+                  for k, (re, im) in parts.items()])
+
+
+class _LazyTerms:
+    """``Polynomial.terms`` of a polynomial made from a view: built by
+    ``_terms_from_view`` on first read and kept in the instance, whose own
+    ``terms`` then shadows this non-data descriptor.  Every other
+    polynomial holds its terms from the start."""
+
+    def __get__(self, poly, owner=None):
+        if poly is None:
+            return self
+        terms = poly.__dict__["terms"] = _terms_from_view(poly)
+        return terms
+
+
+# Set after @value_class, which would take a class attribute for the
+# default of the field.
+Polynomial.terms = _LazyTerms()
+
+
 @lru_cache(maxsize=64)
 def _signs(field: Field, nvars: int) -> tuple[Polynomial, Polynomial]:
     # The constants +1 and -1, the right factors of the summands of a sum
@@ -702,18 +789,14 @@ def _power(base, e: int, one, times=mul):
     return result
 
 
-def _power_step_bits(poly: Polynomial) -> int:
-    # The bits, up to rounding, that one multiplication by poly can add to
-    # a coefficient of a power of poly: bit_length - 1 of the sum of the
-    # absolute numerators plus that of the product of the denominators,
-    # over both parts in QQ(i).  The coefficients 1 and i give 0; GF(p)
-    # residues never grow.
-    kind = poly.field.kind
-    if kind == "Fp":
-        return 0
-    parts = [q for _, c in poly.terms for q in ((c.re, c.im) if kind == "Qi" else (c,))]
-    numerators = sum(abs(q.numerator) for q in parts)
-    denominators = prod(q.denominator for q in parts)
+def _power_step_bits(values: Collection[int | Fraction]) -> int:
+    # The bits, up to rounding, that one multiplication by a polynomial
+    # with these raw nonzero coefficients (both halves over QQ(i)) can add
+    # to a coefficient of a power of it: bit_length - 1 of the sum of the
+    # absolute numerators plus that of the product of the denominators.
+    # The coefficients 1 and i give 0.
+    numerators = sum(abs(q.numerator) for q in values)
+    denominators = prod(q.denominator for q in values)
     return max(numerators.bit_length() - 1, 0) + denominators.bit_length() - 1
 
 
@@ -766,13 +849,38 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+class _Wider(Exception):
+    """A degree of the parse outgrows its key width; parse_poly parses
+    again at the width that holds it."""
+
+    def __init__(self, degree: int):
+        super().__init__(degree)
+        self.width = _width(degree)
+
+
+def _gaussian_mul(a: tuple, b: tuple) -> tuple:
+    # (a0 + a1*i) * (b0 + b1*i) on raw (real, imaginary) pairs.
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
 class _Parser:
-    def __init__(self, text: str, field: Field, nvars: int, max_degree: int | None):
+    """Evaluates an expression on plain dicts {key: raw value}, settled as
+    a kernel view is at ``width`` (the module docstring), but unsorted;
+    every degree must stay below 2^(width - 1), else :class:`_Wider`."""
+
+    def __init__(self, text: str, field: Field, nvars: int, max_degree: int | None, width: int):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.field = field
         self.nvars = nvars
         self.max_degree = max_degree
+        self.width = width
+        self.kind, self.p = field.kind, field.p
+        # The bits of a key below those of x{nvars - 1}: over QQ(i), those
+        # of the exponent of i.
+        self.low = 2 if self.kind == "Qi" else 0
+        self.degree_shift = _degree_shift(field, nvars, width)
+        self.one = {0: 1}
         self.depth = 0
         self.products = 0
         self.bits = 0
@@ -785,65 +893,80 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def degree(self, poly: dict) -> int | float:
+        return max(poly) >> self.degree_shift if poly else NEG_INFINITY
+
+    def size(self, poly: dict) -> int:
+        # The number of terms: over QQ(i), of monomials with a nonzero half.
+        return len({k >> 2 for k in poly}) if self.low else len(poly)
+
     def check_degree(self, degree: int | float, at: int) -> None:
         # Called before a product is formed, so that an expression whose
         # expansion exceeds the bound costs no more than reading it.
         if self.max_degree is not None and degree > self.max_degree:
             raise ParseError(f"degree {degree} exceeds the bound {self.max_degree}", at)
+        if degree >= 1 << (self.width - 1):
+            raise _Wider(degree)
 
-    def product(self, a: Polynomial, b: Polynomial, at: int) -> Polynomial:
+    def product(self, a: dict, b: dict, at: int) -> dict:
         # Charge the term products of a * b before forming it.  A product
         # of two monomials is not charged: it is one term product, and
         # there are no more of them than tokens, so a printed polynomial
         # parses back whatever its size.
-        cost = len(a.terms) * len(b.terms)
-        if cost > 1:
-            self.products += cost
-            if self.products > MAX_PARSE_PRODUCTS:
-                raise ParseError(
-                    f"expansion needs more than {MAX_PARSE_PRODUCTS} term products", at)
-        for scale, poly in ((a, b), (b, a)):
-            if len(scale.terms) == 1 and not any(scale.terms[0][0]):
-                # A constant factor scales the other, and no terms meet.
-                return poly.scalar_mul(scale.terms[0][1])
-        return a * b
+        if len(a) > 1 or len(b) > 1:
+            cost = self.size(a) * self.size(b)
+            if cost > 1:
+                self.products += cost
+                if self.products > MAX_PARSE_PRODUCTS:
+                    raise ParseError(
+                        f"expansion needs more than {MAX_PARSE_PRODUCTS} term products", at)
+        acc: dict = {}
+        for k1, v1 in a.items():
+            for k2, v2 in b.items():
+                k = k1 + k2
+                acc[k] = acc.get(k, 0) + v1 * v2
+        return _settle(self.field, acc)
+
+    def sum(self, summands: list[tuple[dict, str]]) -> dict:
+        # A whole sum in one dict, however many summands it has.
+        acc: dict = {}
+        for poly, op in summands:
+            if op == "+":
+                for k, value in poly.items():
+                    acc[k] = acc.get(k, 0) + value
+            else:
+                for k, value in poly.items():
+                    acc[k] = acc.get(k, 0) - value
+        return _settle(self.field, acc)
 
     def parse(self) -> Polynomial:
         poly = self.expr()
         kind, text, at = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {text!r}", at)
-        return poly
+        return Polynomial._from_view(self.field, self.nvars, self.width,
+                                     sorted(poly.items(), reverse=True))
 
-    def expr(self) -> Polynomial:
+    def expr(self) -> dict:
         summands = [(self.term(), "+")]
         while (op := self.peek())[0] == "op" and op[1] in "+-":
             self.advance()
             summands.append((self.term(), op[1]))
-        # Zero summands add nothing, and one summand needs no kernel call.
-        summands = [(poly, op) for poly, op in summands if poly.terms]
-        if len(summands) > 1:
-            signs = _signs(self.field, self.nvars)
-            return Polynomial._sum_of_products(
-                self.field, self.nvars, ((poly, signs[op == "-"]) for poly, op in summands))
-        if not summands:
-            return Polynomial.zero(self.field, self.nvars)
-        poly, op = summands[0]
-        return poly if op == "+" else -poly
+        return summands[0][0] if len(summands) == 1 else self.sum(summands)
 
-    def term(self) -> Polynomial:
+    def term(self) -> dict:
         result = self.signed()
         while True:
             kind, text, at = self.peek()
             if kind == "op" and text == "*":
                 self.advance()
                 rhs = self.signed()
-                self.check_degree(result.total_degree + rhs.total_degree, at)
+                self.check_degree(self.degree(result) + self.degree(rhs), at)
                 result = self.product(result, rhs, at)
             else:
                 return result
 
-    def signed(self) -> Polynomial:
+    def signed(self) -> dict:
         negate = False
         while True:
             kind, text, _ = self.peek()
@@ -853,32 +976,49 @@ class _Parser:
             else:
                 break
         poly = self.power()
-        return -poly if negate else poly
+        if not negate:
+            return poly
+        if self.kind == "Fp":
+            return {k: self.p - value for k, value in poly.items()}
+        return {k: -value for k, value in poly.items()}
 
-    def power(self) -> Polynomial:
+    def power(self) -> dict:
         base = self.atom()
         kind, text, at = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            nkind, ntext, nat = self.advance()
-            if nkind != "num":
-                raise ParseError("expected a nonnegative integer exponent", nat)
-            exponent = int(ntext)
-            if exponent > MAX_EXPONENT:
-                raise ParseError(f"exponent overflow (limit {MAX_EXPONENT})", nat)
-            if exponent:
-                self.check_degree(exponent * base.total_degree, at)
-                self.bits += exponent * _power_step_bits(base)
-                if self.bits > MAX_PARSE_BITS:
-                    raise ParseError(
-                        f"powers need more than {MAX_PARSE_BITS} coefficient bits", at)
-            if len(base.terms) > 1:
-                one = Polynomial.constant(self.field, self.nvars, 1)
-                return _power(base, exponent, one, lambda a, b: self.product(a, b, at))
-            return base ** exponent
-        return base
+        if not (kind == "op" and text == "^"):
+            return base
+        self.advance()
+        nkind, ntext, nat = self.advance()
+        if nkind != "num":
+            raise ParseError("expected a nonnegative integer exponent", nat)
+        exponent = int(ntext)
+        if exponent > MAX_EXPONENT:
+            raise ParseError(f"exponent overflow (limit {MAX_EXPONENT})", nat)
+        if not exponent:
+            return self.one
+        self.check_degree(exponent * self.degree(base), at)
+        # GF(p) residues never grow.
+        self.bits += 0 if self.kind == "Fp" else exponent * _power_step_bits(base.values())
+        if self.bits > MAX_PARSE_BITS:
+            raise ParseError(f"powers need more than {MAX_PARSE_BITS} coefficient bits", at)
+        if len(base) > 1 and self.size(base) > 1:
+            return _power(base, exponent, self.one, lambda a, b: self.product(a, b, at))
+        if not base:
+            return base
+        # (c*x^a)^k = c^k * x^(k*a): the key scales, and c^k is nonzero.
+        key = max(base) >> self.low << self.low
+        if self.low:
+            c = (base.get(key, 0), base.get(key + 1, 0))
+            if c != (1, 0):
+                c = _power(c, exponent, (1, 0), _gaussian_mul)
+            return {k: value for k, value in ((key * exponent + 1, c[1]), (key * exponent, c[0]))
+                    if value}
+        c = base[key]
+        if c != 1:
+            c = pow(c, exponent, self.p) if self.kind == "Fp" else c ** exponent
+        return {key * exponent: c}
 
-    def atom(self) -> Polynomial:
+    def atom(self) -> dict:
         kind, text, at = self.advance()
         if kind == "op" and text == "(":
             if self.depth == MAX_NESTING:
@@ -891,26 +1031,30 @@ class _Parser:
                 raise ParseError("expected ')'", cat)
             return inner
         if kind == "num":
-            value = Fraction(int(text))
+            value, denominator = int(text), 1
             nkind, ntext, _ = self.peek()
             if nkind == "op" and ntext == "/":
                 self.advance()
                 dkind, dtext, dat = self.advance()
                 if dkind != "num":
                     raise ParseError("expected an integer denominator", dat)
-                if int(dtext) == 0:
+                denominator = int(dtext)
+                if denominator == 0:
                     raise ParseError("zero denominator in rational literal", dat)
-                value = value / int(dtext)
-            try:
-                coeff = self.field.coerce(value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ParseError(str(exc), at) from exc
-            return Polynomial.constant(self.field, self.nvars, coeff)
+                common = gcd(value, denominator)
+                value, denominator = value // common, denominator // common
+            if self.kind == "Fp":
+                if denominator % self.p == 0:
+                    raise ParseError(f"inverse of zero in F_{self.p}", at)
+                value = value * pow(denominator, -1, self.p) % self.p
+            elif denominator != 1:
+                value = Fraction(value, denominator)
+            return {0: value} if value else {}
         if kind == "name":
             if text == "i":
-                if self.field.kind != "Qi":
+                if self.kind != "Qi":
                     raise ParseError("'i' is only available over QQ(i)", at)
-                return Polynomial.constant(self.field, self.nvars, self.field.i())
+                return {1: 1}
             m = re.fullmatch(r"x(\d+)", text)
             if not m:
                 raise ParseError(f"unknown variable {text!r}", at)
@@ -919,7 +1063,9 @@ class _Parser:
                 raise ParseError(
                     f"unknown variable {text!r} (only x0..x{self.nvars - 1} in scope)", at
                 )
-            return Polynomial.variable(self.field, self.nvars, index)
+            # Total degree 1 in the top field and exponent 1 in field x{index}.
+            position = self.width * (self.nvars - 1 - index) + self.low
+            return {(1 << self.degree_shift) + (1 << position): 1}
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", at)
 
 
@@ -939,4 +1085,9 @@ def parse_poly(text: str, field: Field, nvars: int,
         raise ValueError("nvars must be nonnegative")
     if nvars > MAX_NVARS:
         raise ValueError(f"nvars {nvars} exceeds MAX_NVARS = {MAX_NVARS}")
-    return _Parser(text, field, nvars, max_degree).parse()
+    width = 32
+    while True:
+        try:
+            return _Parser(text, field, nvars, max_degree, width).parse()
+        except _Wider as wider:
+            width = wider.width

@@ -34,7 +34,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import Counter
 from collections.abc import Callable
 from importlib import import_module
 from itertools import groupby
@@ -180,19 +179,19 @@ def _parse_degree_list(doc: dict, key: str) -> tuple[int, ...]:
 
 def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
                   source: DegreeMultiset, target: DegreeMultiset,
-                  memo: dict[str, tuple[Polynomial, int | float]]) -> HomogeneousMatrix:
+                  memo: dict[str, tuple[Polynomial | None, int | float]]) -> HomogeneousMatrix:
     """Parse the entry strings of one matrix from ``source`` to ``target``
     degrees into its sparse rows, the nonzero ``(column, polynomial)``
     pairs of each row.  Entry ``[r][c]`` parses under the degree bound
     ``max(source[c] - target[r], 0)``.  ``memo`` maps each entry text
-    already parsed in this document to its polynomial and the smallest
-    ``source[c] - target[r]`` known to admit it: NEG_INFINITY when it
-    parsed under the bound 0, or holds no ``*`` or ``^`` (the only places
-    the bound is checked).  A text that parses under one bound parses to
-    the same polynomial under any larger one, so a hit costs one
-    comparison and a text is parsed again only under a smaller bound.  A
-    string that fails to parse is never stored, so it raises wherever it
-    appears."""
+    already parsed in this document to its polynomial, None when it is
+    zero, and the smallest ``source[c] - target[r]`` known to admit it:
+    NEG_INFINITY when it parsed under the bound 0, or holds no ``*`` or
+    ``^`` (the only places the bound is checked).  A text that parses
+    under one bound parses to the same polynomial under any larger one,
+    so a hit costs one comparison and a text is parsed again only under a
+    smaller bound.  A string that fails to parse is never stored, so it
+    raises wherever it appears."""
     sources, targets = source.degrees, target.degrees
     nrows, ncols = len(targets), len(sources)
     raw = _expect(doc, key, list)
@@ -214,8 +213,9 @@ def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
                 except algebra.ParseError as exc:
                     raise SchemaError(f"{key}[{r}][{c}]: {exc}") from exc
                 bounded = bound > 0 and ("*" in text or "^" in text)
-                hit = memo[text] = (poly, bound if bounded else algebra.NEG_INFINITY)
-            if hit[0].terms:
+                hit = memo[text] = (None if poly.is_zero else poly,
+                                    bound if bounded else algebra.NEG_INFINITY)
+            if hit[0] is not None:
                 row.append((c, hit[0]))
         rows.append(tuple(row))
     return graded.HomogeneousMatrix._from_rows(field, nvars, source, target, tuple(rows))
@@ -241,7 +241,7 @@ def document_to_mf(doc: dict) -> MatrixFactorization:
         raise SchemaError(f"f must be homogeneous of the declared degree d = {d}")
     F0 = graded.DegreeMultiset(_parse_degree_list(doc, "F0_degrees"))
     F1 = graded.DegreeMultiset(_parse_degree_list(doc, "F1_degrees"))
-    memo: dict[str, tuple[Polynomial, int | float]] = {}
+    memo: dict[str, tuple[Polynomial | None, int | float]] = {}
     return mf_ops.MatrixFactorization(
         f,
         _parse_matrix(doc, "s0", field, nvars, F0, F1, memo),
@@ -472,11 +472,10 @@ def _orlov_phi0(args) -> dict:
 
 
 def _orlov_shamash(args) -> dict:
-    degrees = orlov_ops.shamash_degrees(args.n, args.d, args.m)
-    pairs = sorted(Counter(degrees).items())
+    pairs = orlov_ops.shamash_counts(args.n, args.d, args.m)
     return {
         "results": {"m": args.m, "degrees": [[deg, mult] for deg, mult in pairs],
-                    "rank": len(degrees)},
+                    "rank": sum(mult for _, mult in pairs)},
         "scalar": ", ".join(f"degree {deg} x {mult}" for deg, mult in pairs) or "(empty)",
     }
 

@@ -100,7 +100,7 @@ class HomogeneousMatrix:
             for c, entry in enumerate(row):
                 if (entry.field is not field and entry.field != field) or entry.nvars != nvars:
                     raise ValueError(f"entry ({r},{c}) lives in the wrong polynomial ring")
-        rows = tuple(tuple((c, e) for c, e in enumerate(row) if e.terms) for row in grid)
+        rows = tuple(tuple((c, e) for c, e in enumerate(row) if not e.is_zero) for row in grid)
         # The frozen value class guards __setattr__, not the instance dict.
         self.__dict__.update(field=field, nvars=nvars, source=source, target=target, rows=rows)
 

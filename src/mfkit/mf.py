@@ -137,7 +137,7 @@ def _mk(f: Polynomial, f0_degrees: Degrees, f1_degrees: Degrees,
     def rows(entries: Entries, at_row: dict[int, int], at_col: dict[int, int]) -> tuple[Row, ...]:
         out: list[list[tuple[int, Polynomial]]] = [[] for _ in at_row]
         for r, c, entry in entries:
-            if entry.terms:
+            if not entry.is_zero:
                 out[at_row[r]].append((at_col[c], entry))
         return tuple(tuple(sorted(row, key=itemgetter(0))) for row in out)
 
@@ -205,11 +205,15 @@ def validate(F: MatrixFactorization) -> list[str]:
 
 def _first_composite_mismatch(prod_matrix: HomogeneousMatrix, f: Polynomial) -> str | None:
     # Row r differs from f*id at its nonzeros off the diagonal and, unless
-    # it holds f there, at (r, r); report the first in column order.
+    # it holds f there, at (r, r); report the first in column order.  The
+    # diagonal is compared with f by kernel view, which builds no terms.
     zero = Polynomial.zero(f.field, f.nvars)
+    f_view = f._kernel_view()
     for r, row in enumerate(prod_matrix.rows):
         got = dict(row)
-        bad = [c for c in got if c != r] + ([r] if got.get(r) != f else [])
+        bad = [c for c in got if c != r]
+        if r not in got or got[r]._kernel_view() != f_view:
+            bad.append(r)
         if bad:
             c = min(bad)
             expected, entry = (f if r == c else zero), got.get(c, zero)
@@ -443,18 +447,23 @@ def _split_summand(field: Field, a: SparseRows, b: SparseRows, r: int, c: int) -
     pivot = a.pop(r)
     del b[c]
     u = pivot.pop(c)
-    minus_uinv = -field.inv(u.constant_term)
-    one = Polynomial.constant(field, u.nvars, 1)
-    # Row j of the update is 1 * row_j + lam_j * pivot over the pivot's
-    # columns, lam_j = -q_j/u: one matrix product for all the rows.
-    rows, lefts, rights = [], [], [tuple(pivot.items())]
+    nvars = u.nvars
+    one = Polynomial.constant(field, nvars, 1)
+    # Row j of the update is 1 * row_j + q_j * (-pivot/u) over the pivot's
+    # columns: the pivot row is scaled once, then one matrix product
+    # updates all the rows.  Kernel products keep their outputs' terms
+    # unbuilt, where scaling each q_j would build them.
+    minus_uinv = Polynomial.constant(field, nvars, -field.inv(u.constant_term))
+    (scaled,) = Polynomial._product_rows(field, nvars, (((0, minus_uinv),),),
+                                         (tuple(pivot.items()),))
+    rows, lefts, rights = [], [], [scaled]
     for row in a.values():
         q = row.pop(c, None)
         if q is not None:
             rows.append(row)
-            lefts.append(((0, q.scalar_mul(minus_uinv)), (len(rights), one)))
+            lefts.append(((0, q), (len(rights), one)))
             rights.append([(k, row.pop(k)) for k in pivot if k in row])
-    for row, update in zip(rows, Polynomial._product_rows(field, u.nvars, lefts, rights)):
+    for row, update in zip(rows, Polynomial._product_rows(field, nvars, lefts, rights)):
         row.update(update)
     for row in b.values():
         row.pop(r, None)

@@ -36,8 +36,8 @@ if TYPE_CHECKING:
     from .graded import DegreeMultiset
     from .mf import BettiTable, MatrixFactorization
 
-# Largest rank shamash_degrees() builds: it lists one degree per
-# generator, and `orlov shamash` answers at this rank in about 1 s.
+# Largest rank of a Shamash term: shamash_degrees() lists one degree per
+# generator, and answers at this rank in about 1 s.
 MAX_SHAMASH_RANK = 2**22
 
 UNCHECKED_HYPOTHESES = (
@@ -248,13 +248,14 @@ def phi0_residue(ctx: HypersurfaceContext, l: int) -> Phi0Descriptor | None:
     return Phi0Descriptor(exterior_power=p, twist=-p, shift=2 * q + ctx.n - p - 1)
 
 
-def shamash_degrees(n: int, d: int, m: int) -> DegreeMultiset:
-    """Generator degrees (with multiplicity) of cohomological piece m of
-    the Shamash resolution of the residue field over S/(f):
+def shamash_counts(n: int, d: int, m: int) -> list[tuple[int, int]]:
+    """The (degree, multiplicity) pairs of cohomological piece m of the
+    Shamash resolution of the residue field over S/(f), degrees ascending:
 
         term m = ⊕_{s+2j = -m, j >= 0, 0 <= s <= n+1} R(-s-jd)^C(n+1, s)
 
-    Its rank, the sum of the binomials, must not exceed MAX_SHAMASH_RANK.
+    Its rank, the sum of the multiplicities, must not exceed
+    MAX_SHAMASH_RANK.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -264,15 +265,25 @@ def shamash_degrees(n: int, d: int, m: int) -> DegreeMultiset:
         raise ValueError("the resolution lives in cohomological degrees <= 0")
     # Terms with s = -m - 2j > n + 1 are empty: j runs from the first with
     # s <= n + 1 to the last with s >= 0, at most n + 2 values whatever m is.
-    js = range(max(0, (-m - n) // 2), -m // 2 + 1)
-    counts = [binom(n + 1, -m - 2 * j) for j in js]
-    if (rank := sum(counts)) > MAX_SHAMASH_RANK:
+    counts: dict[int, int] = {}
+    for j in range(max(0, (-m - n) // 2), -m // 2 + 1):
+        degree = -m - 2 * j + j * d
+        counts[degree] = counts.get(degree, 0) + binom(n + 1, -m - 2 * j)
+    if (rank := sum(counts.values())) > MAX_SHAMASH_RANK:
         raise ValueError(f"Shamash term {m} has rank {rank}, "
                          f"above MAX_SHAMASH_RANK = {MAX_SHAMASH_RANK}")
+    return sorted(counts.items())
+
+
+def shamash_degrees(n: int, d: int, m: int) -> DegreeMultiset:
+    """Generator degrees (with multiplicity) of cohomological piece m of
+    the Shamash resolution of the residue field over S/(f); see
+    :func:`shamash_counts`."""
+    pairs = shamash_counts(n, d, m)
     from .graded import DegreeMultiset
     degrees: list[int] = []
-    for j, count in zip(js, counts):
-        degrees.extend([-m - 2 * j + j * d] * count)
+    for degree, count in pairs:
+        degrees.extend([degree] * count)
     return DegreeMultiset.from_iterable(degrees)
 
 

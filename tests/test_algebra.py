@@ -242,23 +242,31 @@ class TestBitsBudget:
 
 
 class TestSums:
-    """A sum of two or more summands is one call of the product kernel
-    with constant right factors +1 and -1."""
+    """A parsed sum of two or more summands is one call of the parser's
+    summing loop, which adds every summand into one dict, and no call of
+    the polynomial kernel."""
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     @pytest.mark.parametrize("n", [2, 3, 50])
     def test_one_kernel_call_per_sum(self, monkeypatch, field, n):
-        calls = []
-        kernel = Polynomial._sum_of_products.__func__
+        sums, products = [], []
+        summing = algebra._Parser.sum
+        kernel = Polynomial._product_rows.__func__
 
-        def counting(cls, *args):
-            calls.append(args)
+        def counting_sum(parser, summands):
+            sums.append(len(summands))
+            return summing(parser, summands)
+
+        def counting_kernel(cls, *args):
+            products.append(args)
             return kernel(cls, *args)
 
-        monkeypatch.setattr(Polynomial, "_sum_of_products", classmethod(counting))
+        monkeypatch.setattr(algebra._Parser, "sum", counting_sum)
+        monkeypatch.setattr(Polynomial, "_product_rows", classmethod(counting_kernel))
         text = "x0^0" + "".join(f" {'+-'[k % 2]} x{k % 3}^{k}" for k in range(1, n))
         poly = parse_poly(text, field, 3)
-        assert len(calls) == 1
+        assert sums == [n]
+        assert products == []
         monkeypatch.undo()
         x = [Polynomial.variable(field, 3, k) for k in range(3)]
         expected = x[0] ** 0

@@ -13,6 +13,7 @@ from mfkit import cli, mf
 from mfkit.algebra import GF, QI, parse_poly
 from mfkit.cli import MAX_DIGITS, SchemaError, document_to_mf, main, mf_to_document
 from mfkit.graded import DegreeMultiset
+from mfkit.orlov import MAX_SHAMASH_RANK
 
 FERMAT_REPORT = """\
 operation: mf fermat
@@ -817,6 +818,20 @@ def test_coefficient_within_the_bits_budget_past_the_digit_cap_exits_2(workdir, 
 
 
 # -- the Shamash rank bound ---------------------------------------------------
+
+
+def test_shamash_at_the_rank_bound_lists_no_degree(capsys, monkeypatch):
+    # The command reads the (degree, count) pairs; it never lists the
+    # 4,194,304 degrees of the term.
+    def unreachable(degrees):
+        raise AssertionError("the command lists the degrees of the term")
+
+    monkeypatch.setattr(DegreeMultiset, "from_iterable", unreachable)
+    code, out, _ = run(capsys, "orlov", "shamash", "--n", "23", "--d", "4", "--m", "-11", "--json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["rank"] == MAX_SHAMASH_RANK
+    assert results["degrees"] == [[11 + 2 * j, math.comb(24, 11 - 2 * j)] for j in range(6)]
 
 
 def test_shamash_past_the_rank_bound_exits_2(capsys, monkeypatch):

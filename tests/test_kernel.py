@@ -5,8 +5,9 @@ Arithmetic results skip validation and go through the trusted
 The kernel runs on each polynomial's view: monomials packed into one int
 each, with fields of 32 bits doubled until the operands' degrees fit, and
 raw coefficients (GF(p) residues summed unreduced, integral rationals as
-ints, QQ(i) coefficients split into real and imaginary halves); it wraps
-each output term once and attaches the view to each output.  A one-term
+ints, QQ(i) coefficients split into real and imaginary halves); each
+output carries its view and builds its terms from it on first read, and
+the queries that the view answers build none.  A one-term
 power scales its exponents; matrices store sparse rows and ``compose``
 sums each row in one kernel call; ``mf.reduce`` updates only the Schur
 complement of each pivot, all rows in one kernel call, and scans each
@@ -21,7 +22,8 @@ triple-loop matrix product built with ``from_pairs`` and the dense
 per-column product, a linear scan for the constant term, the original
 sort key, the original and the dense row and column elimination, a
 rescan from (0, 0) after every split, both composites on dense grids,
-one parse per entry, and dense Kronecker and block grids.  Degrees just
+one parse per entry, dense Kronecker and block grids, and polynomials
+built by ``from_pairs``.  Degrees just
 below and above each field width, up to 2^127, and ``MAX_NVARS``
 variables run through the same comparisons.
 """
@@ -38,10 +40,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mfkit import mf
+from mfkit import algebra, mf
 from mfkit.algebra import (GF, MAX_EXPONENT, MAX_NVARS, QI, QQ, FpElement, GaussianRational,
                            Polynomial, parse_poly)
-from mfkit.cli import MF_SCHEMA, SchemaError, document_to_mf, field_to_json
+from mfkit.cli import MF_SCHEMA, SchemaError, document_to_mf, field_to_json, mf_to_document
 from mfkit.graded import DegreeMultiset, HomogeneousMatrix, compose
 
 from _factories import (random_elementary, random_homogeneous, random_reduced_mf,
@@ -920,3 +922,107 @@ def test_power_matches_repeated_products(field, data):
         for _ in range(exponent):
             product = product * poly
         assert power == product
+
+
+# -- terms built on first read -------------------------------------------------
+# Kernel and parser outputs carry their views and build ``terms`` on first
+# read; each reader must give what it gives for the same polynomial built
+# by ``from_pairs``, whichever is read first.
+
+READERS = {
+    "==": lambda poly, ref: poly == ref,
+    "hash": lambda poly, ref: hash(poly) == hash(ref),
+    "repr": lambda poly, ref: repr(poly) == repr(ref),
+    "str": lambda poly, ref: str(poly) == str(ref),
+    "is_zero": lambda poly, ref: poly.is_zero is ref.is_zero,
+    "total_degree": lambda poly, ref: poly.total_degree == ref.total_degree,
+    "is_homogeneous": lambda poly, ref: poly.is_homogeneous is ref.is_homogeneous,
+    "constant_term": lambda poly, ref: (type(poly.constant_term) is type(ref.constant_term)
+                                        and poly.constant_term == ref.constant_term),
+}
+# The readers that answer from a view without building terms.
+VIEW_READERS = {"is_zero", "total_degree", "is_homogeneous", "constant_term"}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@given(data=st.data())
+def test_lazy_terms_read_like_from_pairs(field, data):
+    nvars = data.draw(st.integers(1, 3))
+    p_pairs = data.draw(wide_term_lists(field, nvars))
+    q_pairs = data.draw(wide_term_lists(field, nvars))
+    p = Polynomial.from_pairs(field, nvars, p_pairs)
+    q = Polynomial.from_pairs(field, nvars, q_pairs)
+    ref = Polynomial.from_pairs(field, nvars, ref_mul(ref_from(p_pairs), ref_from(q_pairs)))
+    makers = [lambda: p * q, lambda: Polynomial._sum_of_products(field, nvars, [(p, q), (ref, ref)])
+              - ref * ref]
+    if all(e <= MAX_EXPONENT for exps, _ in ref.terms for e in exps):
+        makers.append(lambda: parse_poly(str(ref), field, nvars))
+    first = data.draw(st.sampled_from(sorted(READERS)))
+    for make in makers:
+        poly = make()
+        assert READERS[first](poly, ref), first
+        if first in VIEW_READERS and poly._view is not None:
+            assert "terms" not in poly.__dict__
+        for name, agrees in READERS.items():
+            assert agrees(poly, ref), name
+        assert_public_scalars(poly)
+
+
+@pytest.fixture
+def wrapped(monkeypatch):
+    """The polynomials whose terms get built, in order."""
+    built = []
+    wrap = algebra._terms_from_view
+
+    def counting(poly):
+        built.append(poly)
+        return wrap(poly)
+
+    monkeypatch.setattr(algebra, "_terms_from_view", counting)
+    return built
+
+
+@pytest.mark.parametrize("field", [QI, GF(13)], ids=["QQ(i)", "GF(13)"])
+def test_validate_builds_no_composite_terms(monkeypatch, wrapped, field):
+    composites = []
+
+    def recording(a, b):
+        product = compose(a, b)
+        composites.append(product)
+        return product
+
+    monkeypatch.setattr(mf, "compose", recording)
+    built = mf.fermat(4, 2, field=field)
+    loaded = document_to_mf(mf_to_document(built))
+    for F in (built, loaded):
+        wrapped.clear()
+        composites.clear()
+        assert mf.validate(F) == []
+        entries = [e for product in composites for row in product.rows for _, e in row]
+        assert len(composites) == 1 and len(entries) == F.rank
+        assert all("terms" not in e.__dict__ for e in entries)
+        assert wrapped == []
+    # The counter sees the terms a printed entry needs.
+    str(entries[0])
+    assert wrapped == [entries[0]]
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(13)], ids=["QQ", "QQ(i)", "GF(13)"])
+def test_reduce_builds_no_terms_for_overwritten_rows(monkeypatch, wrapped, field):
+    F = partly_reducible(field, 16, random.Random(f"lazy-{field}"))
+    outputs = []
+    kernel = Polynomial._product_rows.__func__
+
+    def recording(cls, *args):
+        rows = kernel(cls, *args)
+        outputs.extend(e for row in rows for _, e in row)
+        return rows
+
+    monkeypatch.setattr(Polynomial, "_product_rows", classmethod(recording))
+    wrapped.clear()
+    R = mf.reduce(F)
+    kept = {id(e) for matrix in (R.s0, R.s1) for row in matrix.rows for _, e in row}
+    overwritten = [e for e in outputs if id(e) not in kept]
+    assert overwritten and R.rank < F.rank
+    assert not {id(e) for e in wrapped} & {id(e) for e in overwritten}
+    assert all("terms" not in e.__dict__ for e in overwritten)

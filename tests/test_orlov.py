@@ -22,6 +22,7 @@ from mfkit.orlov import (
     phi0_residue,
     rho_of_mf,
     rho_of_table,
+    shamash_counts,
     shamash_degrees,
     table_to_betti,
 )
@@ -252,6 +253,14 @@ class TestShamash:
             for d in range(1, 7):
                 for m in range(0, -41, -1):
                     assert shamash_degrees(n, d, m) == full_scan(n, d, m)
+
+    def test_counts_match_the_degree_list(self):
+        # d = 1 reverses the order of the degrees in j, d = 2 merges them.
+        for n in range(1, 6):
+            for d in range(1, 6):
+                for m in range(0, -13, -1):
+                    degrees = shamash_degrees(n, d, m).degrees
+                    assert shamash_counts(n, d, m) == sorted(Counter(degrees).items())
 
     def test_huge_negative_index_is_fast(self):
         start = time.perf_counter()

@@ -1,0 +1,326 @@
+"""The dict-evaluating parser against the parser it replaced.
+
+``parse_poly`` evaluates an expression on plain dicts of raw
+coefficients keyed as kernel views, and makes one ``Polynomial`` per
+text.  ``ReferenceParser`` below is the parser it replaced, which built a
+``Polynomial`` for every atom and made a kernel call or a scalar
+multiplication for every operator.  Both read the module's budgets at
+call time, so a lowered budget applies to both.  On every generated
+expression they must give an equal polynomial, or the same
+:class:`ParseError` message and position.
+"""
+
+from __future__ import annotations
+
+import re
+from fractions import Fraction
+from math import prod
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from mfkit import algebra
+from mfkit.algebra import GF, MAX_EXPONENT, QI, QQ, ParseError, Polynomial, parse_poly
+
+
+def reference_power_step_bits(poly):
+    # _power_step_bits as it was, over the terms of a Polynomial.
+    kind = poly.field.kind
+    if kind == "Fp":
+        return 0
+    parts = [q for _, c in poly.terms for q in ((c.re, c.im) if kind == "Qi" else (c,))]
+    numerators = sum(abs(q.numerator) for q in parts)
+    denominators = prod(q.denominator for q in parts)
+    return max(numerators.bit_length() - 1, 0) + denominators.bit_length() - 1
+
+
+class ReferenceParser:
+    """The parser as it was before it evaluated on dicts."""
+
+    def __init__(self, text, field, nvars, max_degree):
+        self.tokens = algebra._tokenize(text)
+        self.pos = 0
+        self.field = field
+        self.nvars = nvars
+        self.max_degree = max_degree
+        self.depth = 0
+        self.products = 0
+        self.bits = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def check_degree(self, degree, at):
+        if self.max_degree is not None and degree > self.max_degree:
+            raise ParseError(f"degree {degree} exceeds the bound {self.max_degree}", at)
+
+    def product(self, a, b, at):
+        cost = len(a.terms) * len(b.terms)
+        if cost > 1:
+            self.products += cost
+            if self.products > algebra.MAX_PARSE_PRODUCTS:
+                raise ParseError(
+                    f"expansion needs more than {algebra.MAX_PARSE_PRODUCTS} term products", at)
+        for scale, poly in ((a, b), (b, a)):
+            if len(scale.terms) == 1 and not any(scale.terms[0][0]):
+                return poly.scalar_mul(scale.terms[0][1])
+        return a * b
+
+    def parse(self):
+        poly = self.expr()
+        kind, text, at = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r}", at)
+        return poly
+
+    def expr(self):
+        summands = [(self.term(), "+")]
+        while (op := self.peek())[0] == "op" and op[1] in "+-":
+            self.advance()
+            summands.append((self.term(), op[1]))
+        summands = [(poly, op) for poly, op in summands if poly.terms]
+        if len(summands) > 1:
+            signs = algebra._signs(self.field, self.nvars)
+            return Polynomial._sum_of_products(
+                self.field, self.nvars, ((poly, signs[op == "-"]) for poly, op in summands))
+        if not summands:
+            return Polynomial.zero(self.field, self.nvars)
+        poly, op = summands[0]
+        return poly if op == "+" else -poly
+
+    def term(self):
+        result = self.signed()
+        while True:
+            kind, text, at = self.peek()
+            if kind == "op" and text == "*":
+                self.advance()
+                rhs = self.signed()
+                self.check_degree(result.total_degree + rhs.total_degree, at)
+                result = self.product(result, rhs, at)
+            else:
+                return result
+
+    def signed(self):
+        negate = False
+        while True:
+            kind, text, _ = self.peek()
+            if kind == "op" and text in "+-":
+                self.advance()
+                negate ^= text == "-"
+            else:
+                break
+        poly = self.power()
+        return -poly if negate else poly
+
+    def power(self):
+        base = self.atom()
+        kind, text, at = self.peek()
+        if kind == "op" and text == "^":
+            self.advance()
+            nkind, ntext, nat = self.advance()
+            if nkind != "num":
+                raise ParseError("expected a nonnegative integer exponent", nat)
+            exponent = int(ntext)
+            if exponent > algebra.MAX_EXPONENT:
+                raise ParseError(f"exponent overflow (limit {algebra.MAX_EXPONENT})", nat)
+            if exponent:
+                self.check_degree(exponent * base.total_degree, at)
+                self.bits += exponent * reference_power_step_bits(base)
+                if self.bits > algebra.MAX_PARSE_BITS:
+                    raise ParseError(
+                        f"powers need more than {algebra.MAX_PARSE_BITS} coefficient bits", at)
+            if len(base.terms) > 1:
+                one = Polynomial.constant(self.field, self.nvars, 1)
+                return algebra._power(base, exponent, one, lambda a, b: self.product(a, b, at))
+            return base ** exponent
+        return base
+
+    def atom(self):
+        kind, text, at = self.advance()
+        if kind == "op" and text == "(":
+            if self.depth == algebra.MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {algebra.MAX_NESTING}", at)
+            self.depth += 1
+            inner = self.expr()
+            self.depth -= 1
+            ckind, ctext, cat = self.advance()
+            if not (ckind == "op" and ctext == ")"):
+                raise ParseError("expected ')'", cat)
+            return inner
+        if kind == "num":
+            value = Fraction(int(text))
+            nkind, ntext, _ = self.peek()
+            if nkind == "op" and ntext == "/":
+                self.advance()
+                dkind, dtext, dat = self.advance()
+                if dkind != "num":
+                    raise ParseError("expected an integer denominator", dat)
+                if int(dtext) == 0:
+                    raise ParseError("zero denominator in rational literal", dat)
+                value = value / int(dtext)
+            try:
+                coeff = self.field.coerce(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(str(exc), at) from exc
+            return Polynomial.constant(self.field, self.nvars, coeff)
+        if kind == "name":
+            if text == "i":
+                if self.field.kind != "Qi":
+                    raise ParseError("'i' is only available over QQ(i)", at)
+                return Polynomial.constant(self.field, self.nvars, self.field.i())
+            m = re.fullmatch(r"x(\d+)", text)
+            if not m:
+                raise ParseError(f"unknown variable {text!r}", at)
+            index = int(m.group(1))
+            if index >= self.nvars:
+                raise ParseError(
+                    f"unknown variable {text!r} (only x0..x{self.nvars - 1} in scope)", at)
+            return Polynomial.variable(self.field, self.nvars, index)
+        raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", at)
+
+
+def reference_parse(text, field, nvars, max_degree=None):
+    return ReferenceParser(text, field, nvars, max_degree).parse()
+
+
+def outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+def natural_width(poly):
+    degree, width = sum(poly.terms[0][0]) if poly.terms else 0, 32
+    while degree >= 2 ** (width - 1):
+        width *= 2
+    return width
+
+
+def assert_same(text, field, nvars, max_degree=None):
+    got = outcome(parse_poly, text, field, nvars, max_degree)
+    want = outcome(reference_parse, text, field, nvars, max_degree)
+    assert got == want, text
+    if isinstance(got, Polynomial):
+        assert str(got) == str(want)
+        # A kept view is the one built from the terms at the degree's width.
+        if got._view is not None:
+            assert got._view == got._view_at(natural_width(got))
+
+
+FIELDS = [QQ, QI, GF(13)]
+FIELD_IDS = [str(field) for field in FIELDS]
+NVARS = 3
+
+
+def atoms(nvars, gaussian):
+    # Variables one past the scope, names out of the grammar, rationals
+    # with zero denominators and denominators divisible by 13, and both
+    # unit coefficients.  One bad atom fails the whole text, so those are
+    # rare, and so is ``i`` outside QQ(i).
+    number = st.integers(0, 30).map(str)
+    variable = st.integers(0, nvars - 1).map(lambda k: f"x{k}")
+    unit = st.just("i") if gaussian else number
+    common = st.one_of(number, number, variable, variable, variable, variable, unit)
+    rational = st.tuples(st.integers(0, 30), st.sampled_from([1, 2, 3, 13, 26])).map(
+        lambda nd: f"{nd[0]}/{nd[1]}")
+    # Huge monomial powers outgrow the 32- and 64-bit key widths.
+    huge = st.tuples(st.integers(0, nvars - 1),
+                     st.sampled_from([MAX_EXPONENT, MAX_EXPONENT + 1]),
+                     st.sampled_from([1, 2, 2**11, 2**20])).map(
+        lambda t: f"(x{t[0]}^{t[1]})^{t[2]}")
+    odd = st.sampled_from(["i", "y", "x", "@", "", "(", ")", "^x0", "1/x0", "x01", "1/0",
+                           f"x{nvars}"])
+    kinds = {"common": common, "rational": rational, "huge": huge, "odd": odd}
+    return st.sampled_from(["common"] * 72 + ["rational"] * 6 + ["huge", "odd"]).flatmap(
+        kinds.__getitem__)
+
+
+@st.composite
+def expressions(draw, nvars, gaussian, depth=2):
+    # expr := term (('+' | '-') term)*, a term a product of signed powers
+    # of atoms or parenthesized expressions, as in the grammar.
+    def factor():
+        if depth and draw(st.integers(0, 3)) == 0:
+            base = f"({draw(expressions(nvars, gaussian, depth - 1))})"
+        else:
+            base = draw(atoms(nvars, gaussian))
+        if draw(st.integers(0, 3)) == 0:
+            base += "^" + draw(st.sampled_from(["0", "1", "2", "2", "3", "4"]))
+        return draw(st.sampled_from(["", "", "", "", "-", "+", "--"])) + base
+
+    def term():
+        return draw(st.sampled_from(["*", " * "])).join(
+            factor() for _ in range(draw(st.integers(1, 3))))
+
+    text = term()
+    for _ in range(draw(st.integers(0, 3))):
+        text += draw(st.sampled_from([" + ", " - ", "+", "-"])) + term()
+    return text
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@given(data=st.data())
+def test_parser_matches_reference(field, data):
+    text = data.draw(expressions(NVARS, field == QI))
+    max_degree = data.draw(st.none() | st.integers(0, 8))
+    budgets = data.draw(st.fixed_dictionaries({}, optional={
+        "MAX_PARSE_PRODUCTS": st.integers(0, 60),
+        "MAX_PARSE_BITS": st.integers(0, 30),
+        "MAX_NESTING": st.integers(1, 4),
+        "MAX_EXPONENT": st.integers(1, 6),
+    }))
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in budgets.items():
+            patch.setattr(algebra, name, value)
+        assert_same(text, field, NVARS, max_degree)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("text", [
+    # Degrees at 2^31 - 1, 2^31 and past 2^63, where the keys widen.
+    "(x0^1048576)^2047*x0^1048575 + x1",
+    "(x0^1048576)^2048 + x1",
+    "((x0^1048576)^1048576)^1048576 - x1^3",
+    # A width taken for a degree that then cancels.
+    "(x0^1048576)^2048*x1 - x1*(x0^1048576)^2048 + x2",
+    "(x0^1048576)^2048 - (x0^1048576)^2048",
+    "((x0 + x1)^2)^2 - (x0^2 + 2*x0*x1 + x1^2)^2 + (2*x0)^3",
+    "(1/2 + 1/3)*x0*(1/6) - 5/36*x0 + 0*x1 + 26/13",
+    # Negations that no later sum or product settles.
+    "-x0", "--x0", "-(x0 + 2*x1)", "-1/2", "-x0 - -x1", "(-x0)^3",
+])
+def test_widths_cancellations_and_signs_match_reference(field, text):
+    assert_same(text, field, NVARS)
+    assert_same(text, field, NVARS, max_degree=2**40)
+
+
+@pytest.mark.parametrize("text, field", [
+    # A constant times a sum is charged; a product of two one-term
+    # factors is not, over QQ(i) also when they have both halves.
+    ("2*(x0 + x1)", QQ), ("(x0 + x1)*3*x2", GF(13)), ("(x0 + x1)*(x0 - x2)*(x1 + 1)", QQ),
+    ("((1 + i)*x0 + x1)*(x0 + (2 - i)*x1)", QI), ("(2 + i)*(3 - i)*x0", QI),
+    ("(1 + i)^3*((1 - i)*x0)^2", QI), ("((1 + i)*x0 + i*x1)^3", QI),
+])
+@pytest.mark.parametrize("budget", range(8))
+def test_product_budgets_match_reference(monkeypatch, text, field, budget):
+    monkeypatch.setattr(algebra, "MAX_PARSE_PRODUCTS", budget)
+    assert_same(text, field, NVARS)
+
+
+def test_budgets_are_read_at_call_time(monkeypatch):
+    for name, value in (("MAX_PARSE_PRODUCTS", 3), ("MAX_PARSE_BITS", 1), ("MAX_NESTING", 1),
+                        ("MAX_EXPONENT", 2)):
+        monkeypatch.setattr(algebra, name, value)
+    for text in ("(x0 + x1)*(x0 + x2)", "(2*x0)^2", "((x0))", "x0^3", "(4*x0)^1"):
+        with pytest.raises(ParseError) as got:
+            parse_poly(text, QQ, 3)
+        with pytest.raises(ParseError) as want:
+            reference_parse(text, QQ, 3)
+        assert (str(got.value), got.value.position) == (str(want.value), want.value.position)

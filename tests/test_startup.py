@@ -60,6 +60,7 @@ def loaded_modules(*argv, cwd=None) -> set[str]:
 @pytest.mark.parametrize("argv", [
     ("rho", "point", "--n", "3"),
     ("bott", "eval", "--n", "3", "--p", "1", "--q", "0", "--l", "2"),
+    ("orlov", "shamash", "--n", "3", "--d", "4", "--m", "-2"),
 ])
 def test_scalar_commands_load_no_algebra(argv):
     modules = loaded_modules(*argv)
