@@ -55,10 +55,12 @@ wrapped into the public scalar type once, so terms always hold an
 ``FpElement`` in [0, p), a ``GaussianRational`` with Fraction parts, or
 a Fraction.  ``is_zero``, ``total_degree``, ``is_homogeneous`` and
 ``constant_term`` read the view, so a product that is only tested,
-compared by view or multiplied again is never wrapped.  A polynomial
-built from terms (``from_pairs`` and the other constructors) builds its
-view on first use by the loop, at the width of its total degree; a view
-is kept only at that width, so equal polynomials have equal views.
+compared by view or multiplied again is never wrapped.  Negation keeps
+the keys of a view and negates its raw values, so it wraps nothing
+either.  A polynomial built from terms (``from_pairs`` and the other
+constructors) builds its view on first use by the loop, at the width of
+its total degree; a view is kept only at that width, so equal
+polynomials have equal views.
 
 The expression grammar accepted by :func:`parse_poly`::
 
@@ -90,7 +92,12 @@ nothing for the coefficients 1 and i, so printed output always parses).
 All values in this module are immutable and all operations are pure, so
 they may be freely shared between concurrent tasks; a kernel view and
 the terms built from one are caches, and two tasks that build one at
-once build the same value.
+once build the same value.  So is ``_neg``: the first ``-p`` links p and
+its negation both ways, so that every later ``-p`` is that one object
+and ``-(-p)`` is p, and the negations of a matrix, of a shift or of a
+tensor product share their entries however often they are taken.  Two
+tasks that negate p at once may each link an equal object; either link
+is correct.
 """
 
 from __future__ import annotations
@@ -578,6 +585,10 @@ class Polynomial:
     # It is not a field, so equality, hashing and printing never see it.
     _view = None
 
+    # The negation of this polynomial, linked both ways by __neg__: a
+    # cache, not a field, like _view.
+    _neg = None
+
     def _kernel_view(self, width: int = 0) -> tuple[int, list]:
         # The view, built and kept on first use; at another ``width``, one
         # built at that width and not kept.
@@ -689,7 +700,23 @@ class Polynomial:
             self.field, self.nvars, ((self, signs[0]), (other, signs[op == "-"])))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.field, self.nvars, tuple((e, -c) for e, c in self.terms))
+        # Linked both ways on first use (see the module docstring); the
+        # zero polynomial is its own negation.
+        neg = self._neg
+        if neg is None:
+            if self.is_zero:
+                neg = self
+            elif self._view is None:
+                neg = Polynomial(self.field, self.nvars, tuple((e, -c) for e, c in self.terms))
+            else:
+                width, pairs = self._view
+                p = self.field.p
+                neg = Polynomial._from_view(self.field, self.nvars, width,
+                                            [(k, p - value) for k, value in pairs] if p else
+                                            [(k, -value) for k, value in pairs])
+            object.__setattr__(neg, "_neg", self)
+            object.__setattr__(self, "_neg", neg)
+        return neg
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):

@@ -34,6 +34,23 @@ from collections.abc import Iterator, Mapping
 
 from ._value import Counts, value_class
 
+# Largest arguments of the rho queries, like the parser budgets: at its
+# bounds each command answers in about 1.4 s on 2 vCPUs (Python 3.11,
+# interpreter start included), and past them it raises before any work.
+#
+# rho_structure_sheaf: n < d <= MAX_RHO_DEGREE.  Its n + 1 steps run on
+# integers of up to d * log2(3) bits.
+MAX_RHO_DEGREE = 64_000
+# rho_line_bundle: n <= MAX_LINE_BUNDLE_N, and d and |j|, which set the
+# twists r + j and r + j - d, at most MAX_LINE_BUNDLE_TWIST.  Its n + 1
+# restricted Bott vectors take binomials C(x, k) with k <= n and
+# x <= n + d + |j|; at n = 2,000 the corners take up to 3.4 s.
+MAX_LINE_BUNDLE_N = 1_500
+MAX_LINE_BUNDLE_TWIST = 10_000
+# rho_structure_sheaf_rows: d_max <= MAX_SWEEP_DEGREE, about d_max^2 / 2
+# cells of up to d_max * log2(3) bits each; a larger n_max adds no row.
+MAX_SWEEP_DEGREE = 1_000
+
 
 def binom(x: int, k: int) -> int:
     """Binomial coefficient with C(x, k) = 0 for k < 0 or x < k."""
@@ -130,13 +147,16 @@ def rho_structure_sheaf(n: int, d: int) -> int:
 
     The generating function (1+2x)^d / (1+x) gives the alternating form
     1 + sum_{k=0..n} (-1)^(n-k) * 2^k * C(d, k), evaluated here through
-    S(k) = 2^k * C(d, k) - S(k-1) with S = rho - 1."""
+    S(k) = 2^k * C(d, k) - S(k-1) with S = rho - 1.  A d above
+    MAX_RHO_DEGREE raises ValueError."""
     if n < 1:
         raise ValueError("ambient dimension n must be >= 1")
     if n + 1 - d > 0:
         raise ValueError(
             f"rho(O_X) closed form requires a = n+1-d <= 0, got a = {n + 1 - d}"
         )
+    if d > MAX_RHO_DEGREE:
+        raise ValueError(f"d = {d} exceeds MAX_RHO_DEGREE = {MAX_RHO_DEGREE}")
     s, c = 0, 1  # c = C(d, k)
     for k in range(n + 1):
         s = (c << k) - s
@@ -145,8 +165,9 @@ def rho_structure_sheaf(n: int, d: int) -> int:
 
 
 def rho_structure_sheaf_rows(n_max: int, d_max: int) -> Iterator[tuple[int, int, int]]:
-    """Yield (n, d, rho(O_X)) for 1 <= n <= n_max and n < d <= d_max,
-    ordered by n, then d.
+    """(n, d, rho(O_X)) for 1 <= n <= n_max and n < d <= d_max, ordered
+    by n, then d.  A d_max above MAX_SWEEP_DEGREE raises at the call, not
+    at the first row.
 
     With S(n, d) = rho - 1, the coefficient of x^n in (1+2x)^d / (1+x),
     each row follows from the previous one: S(0, d) = 1,
@@ -154,6 +175,12 @@ def rho_structure_sheaf_rows(n_max: int, d_max: int) -> Iterator[tuple[int, int,
     The step is the product with 1+2x.  The seed holds because the
     alternating sum of 2^k * C(n+1, k) over 0 <= k <= n+1 is
     (2-1)^(n+1) = 1, and its k = n+1 term is 2^(n+1)."""
+    if d_max > MAX_SWEEP_DEGREE:
+        raise ValueError(f"d_max = {d_max} exceeds MAX_SWEEP_DEGREE = {MAX_SWEEP_DEGREE}")
+    return _rho_rows(n_max, d_max)
+
+
+def _rho_rows(n_max: int, d_max: int) -> Iterator[tuple[int, int, int]]:
     s = [1] * (d_max + 1)  # s[d] = S(n-1, d), overwritten by S(n, d)
     for n in range(1, min(n_max, d_max - 1) + 1):
         value = (2 << n) - 1
@@ -173,9 +200,16 @@ def rho_point(n: int) -> int:
 def rho_line_bundle(n: int, d: int, j: int) -> int:
     """rho(O_X(j)): total of the restricted Bott vectors at twist j.
     No Fano exclusion here; this is how the a > 0 counterexamples are
-    computed."""
+    computed.  An n above MAX_LINE_BUNDLE_N, or a d or |j| above
+    MAX_LINE_BUNDLE_TWIST, raises ValueError."""
     if n < 1:
         raise ValueError("ambient dimension n must be >= 1")
     if d < 1:
         raise ValueError("hypersurface degree d must be >= 1")
+    if n > MAX_LINE_BUNDLE_N:
+        raise ValueError(f"n = {n} exceeds MAX_LINE_BUNDLE_N = {MAX_LINE_BUNDLE_N}")
+    if d > MAX_LINE_BUNDLE_TWIST:
+        raise ValueError(f"d = {d} exceeds MAX_LINE_BUNDLE_TWIST = {MAX_LINE_BUNDLE_TWIST}")
+    if abs(j) > MAX_LINE_BUNDLE_TWIST:
+        raise ValueError(f"|j| = {abs(j)} exceeds MAX_LINE_BUNDLE_TWIST = {MAX_LINE_BUNDLE_TWIST}")
     return sum(restricted_bott(n, d, r, j).total() for r in range(n + 1))

@@ -128,6 +128,7 @@ def field_from_json(obj) -> Field:
 
 
 def mf_to_document(F: MatrixFactorization) -> dict:
+    texts: dict[int, str] = {}
     return {
         "schema": MF_SCHEMA,
         "field": field_to_json(F.field),
@@ -136,17 +137,24 @@ def mf_to_document(F: MatrixFactorization) -> dict:
         "d": F.d,
         "F0_degrees": list(F.f0_degrees),
         "F1_degrees": list(F.f1_degrees),
-        "s0": _matrix_texts(F.s0),
-        "s1": _matrix_texts(F.s1),
+        "s0": _matrix_texts(F.s0, texts),
+        "s1": _matrix_texts(F.s1, texts),
     }
 
 
-def _matrix_texts(matrix: HomogeneousMatrix) -> list[list[str]]:
-    # A zero entry prints as "0"; only the nonzeros are printed.
+def _matrix_texts(matrix: HomogeneousMatrix, texts: dict[int, str]) -> list[list[str]]:
+    # A zero entry prints as "0"; each distinct nonzero entry object is
+    # printed once per document.  ``texts`` maps id(entry) to its text:
+    # the factorization holds every entry until the document is built, so
+    # no id is reused meanwhile.  Keying by the polynomial itself would
+    # hash it, which builds its terms.
     grid = [["0"] * matrix.ncols for _ in matrix.rows]
-    for texts, row in zip(grid, matrix.rows):
+    for line, row in zip(grid, matrix.rows):
         for c, entry in row:
-            texts[c] = str(entry)
+            text = texts.get(id(entry))
+            if text is None:
+                text = texts[id(entry)] = str(entry)
+            line[c] = text
     return grid
 
 
@@ -191,7 +199,10 @@ def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
     under one bound parses to the same polynomial under any larger one,
     so a hit costs one comparison and a text is parsed again only under a
     smaller bound.  A string that fails to parse is never stored, so it
-    raises wherever it appears."""
+    raises wherever it appears.  The text ``"0"``, most cells of a
+    Fermat-type document, is skipped before any other work: it holds no
+    ``*`` or ``^`` and parses to zero under every bound, so skipping it
+    changes no result and no error."""
     sources, targets = source.degrees, target.degrees
     nrows, ncols = len(targets), len(sources)
     raw = _expect(doc, key, list)
@@ -203,6 +214,8 @@ def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
             raise SchemaError(f"{key} row {r} must be a list of {ncols} strings")
         row = []
         for c, text in enumerate(raw_row):
+            if text == "0":
+                continue
             if not isinstance(text, str):
                 raise SchemaError(f"{key}[{r}][{c}] must be a polynomial string")
             bound = sources[c] - targets[r]
@@ -498,10 +511,9 @@ def _sweep_threads() -> None:
         raise SchemaError(f"MFKIT_THREADS must be a positive integer, got {raw!r}")
 
 
-def _sweep_csv_blocks(n_max: int, d_max: int):
+def _sweep_csv_blocks(cells):
     """The sweep's CSV text: the header, then one block of lines per n."""
     yield "n,d,a,e,rho,bound,pass\n"
-    cells = bott_ops.rho_structure_sheaf_rows(n_max, d_max)
     for n, row in groupby(cells, key=lambda cell: cell[0]):
         e = n // 2  # e and a = n + 1 - d as in HypersurfaceContext
         bound = 2 ** (e + 1)
@@ -513,7 +525,8 @@ def _sweep_csv_blocks(n_max: int, d_max: int):
 
 def _sweep_rho_structure_sheaf(args) -> None:
     _sweep_threads()
-    blocks = _sweep_csv_blocks(args.n_max, args.d_max)
+    # The rows are checked against their bounds here, before any output.
+    blocks = _sweep_csv_blocks(bott_ops.rho_structure_sheaf_rows(args.n_max, args.d_max))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.writelines(blocks)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from mfkit import cli, mf
+from mfkit import bott, cli, mf
 from mfkit.algebra import GF, QI, parse_poly
 from mfkit.cli import MAX_DIGITS, SchemaError, document_to_mf, main, mf_to_document
 from mfkit.graded import DegreeMultiset
@@ -843,3 +843,73 @@ def test_shamash_past_the_rank_bound_exits_2(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err == ("error [mfkit.orlov]: Shamash term -15 has rank 614429672, "
                    "above MAX_SHAMASH_RANK = 4194304\n")
+
+
+# -- the rho argument bounds --------------------------------------------------
+
+
+@pytest.fixture
+def no_bott_loop(monkeypatch):
+    """Every loop of the rho queries fails if reached: past a bound, a
+    command must exit before any work."""
+    def unreachable(*args):
+        raise AssertionError("the work past the bound was reached")
+
+    monkeypatch.setattr(bott, "range", unreachable, raising=False)
+
+
+def test_rho_structure_sheaf_at_the_degree_bound(capsys):
+    # a = 0, where rho(O_X) = 2^(n+1): the n + 1 = d steps of the widest integers.
+    d = bott.MAX_RHO_DEGREE
+    code, out, err = run(capsys, "rho", "structure-sheaf", "--n", str(d - 1), "--d", str(d))
+    assert (code, out, err) == (0, exact_decimal(1 << d) + "\n", "")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "63999", "--d", "64001"], "d = 64001 exceeds MAX_RHO_DEGREE = 64000"),
+    (["--n", "10", "--d", "10000000000"], "d = 10000000000 exceeds MAX_RHO_DEGREE = 64000"),
+])
+def test_rho_structure_sheaf_past_the_degree_bound_exits_2(capsys, no_bott_loop, argv, message):
+    assert bott.MAX_RHO_DEGREE == 64000
+    assert run(capsys, "rho", "structure-sheaf", *argv) == (2, "", f"error [mfkit.bott]: {message}\n")
+
+
+def test_rho_line_bundle_at_its_bounds(capsys):
+    n, twist = bott.MAX_LINE_BUNDLE_N, bott.MAX_LINE_BUNDLE_TWIST
+    code, out, _ = run(capsys, "rho", "line-bundle", "--n", str(n), "--d", str(twist), "--j", "0")
+    assert (code, out) == (0, exact_decimal(bott.rho_structure_sheaf(n, twist)) + "\n")
+    code, out, _ = run(capsys, "rho", "line-bundle", "--n", str(n), "--d", str(twist),
+                       "--j", str(-twist))
+    assert code == 0 and int(out) > 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "1501", "--d", "1", "--j", "0"], "n = 1501 exceeds MAX_LINE_BUNDLE_N = 1500"),
+    (["--n", "2", "--d", "10001", "--j", "0"], "d = 10001 exceeds MAX_LINE_BUNDLE_TWIST = 10000"),
+    (["--n", "2", "--d", "1", "--j", "10001"], "|j| = 10001 exceeds MAX_LINE_BUNDLE_TWIST = 10000"),
+    (["--n", "2", "--d", "1", "--j", "-10001"], "|j| = 10001 exceeds MAX_LINE_BUNDLE_TWIST = 10000"),
+])
+def test_rho_line_bundle_past_its_bounds_exits_2(capsys, no_bott_loop, argv, message):
+    assert (bott.MAX_LINE_BUNDLE_N, bott.MAX_LINE_BUNDLE_TWIST) == (1500, 10000)
+    assert run(capsys, "rho", "line-bundle", *argv) == (2, "", f"error [mfkit.bott]: {message}\n")
+
+
+def test_sweep_rows_at_the_degree_bound():
+    # The command prints 159 MB here; the rows it prints are checked in-process.
+    d_max = bott.MAX_SWEEP_DEGREE
+    cells = 0
+    for n, d, rho in bott.rho_structure_sheaf_rows(d_max + 5, d_max):
+        cells += 1
+        if d == n + 1:
+            assert rho == 2 ** (n + 1)
+        elif d == d_max and n % 97 == 0:
+            assert rho == bott.rho_structure_sheaf(n, d)
+    assert cells == d_max * (d_max - 1) // 2
+
+
+@pytest.mark.parametrize("output", [False, True])
+def test_sweep_past_the_degree_bound_exits_2_before_any_output(workdir, capsys, no_bott_loop, output):
+    argv = ["sweep", "rho-structure-sheaf", "--n-max", "1", "--d-max", "1001"]
+    assert run(capsys, *argv, *(["--output", "sweep.csv"] if output else [])) == (
+        2, "", "error [mfkit.bott]: d_max = 1001 exceeds MAX_SWEEP_DEGREE = 1000\n")
+    assert not (workdir / "sweep.csv").exists()

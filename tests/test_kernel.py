@@ -13,8 +13,10 @@ sums each row in one kernel call; ``mf.reduce`` updates only the Schur
 complement of each pivot, all rows in one kernel call, and scans each
 matrix once; ``mf.validate`` forms ``s1*s0`` alone when it is ``f*id``;
 ``mf.tensor`` validates its factors, not its product; ``document_to_mf``
-parses each distinct entry string once; and ``mf`` assembles
-factorizations from their nonzero entries.  Each fast path is compared
+parses each distinct entry string once and skips ``"0"`` cells;
+``mf_to_document`` prints each distinct entry object once; negation is
+one shared object, negated on the view's raw values; and ``mf``
+assembles factorizations from their nonzero entries.  Each fast path is compared
 here with a plain reference: polynomials as dicts of monomials with the
 public scalar operators, the tuple kernel that the packed one replaced
 (exponent tuples added with ``map(add)``), repeated products, a
@@ -22,8 +24,8 @@ triple-loop matrix product built with ``from_pairs`` and the dense
 per-column product, a linear scan for the constant term, the original
 sort key, the original and the dense row and column elimination, a
 rescan from (0, 0) after every split, both composites on dense grids,
-one parse per entry, dense Kronecker and block grids, and polynomials
-built by ``from_pairs``.  Degrees just
+one parse per entry, one ``str()`` per cell, dense Kronecker and block
+grids, and polynomials built by ``from_pairs``.  Degrees just
 below and above each field width, up to 2^127, and ``MAX_NVARS``
 variables run through the same comparisons.
 """
@@ -433,7 +435,7 @@ def test_memo_parses_again_under_a_smaller_bound():
     doc["s1"] = [["0", "x0*x1"], ["1", "0"]]
     with mock.patch("mfkit.algebra.parse_poly", wraps=parse_poly) as parse:
         F = document_to_mf(doc)
-    assert parse.call_count == 5  # f and four distinct entry texts
+    assert parse.call_count == 4  # f and three distinct entry texts; "0" is skipped
     assert F.s0.entries[1][0] is F.s0.entries[0][1]
 
 
@@ -1026,3 +1028,117 @@ def test_reduce_builds_no_terms_for_overwritten_rows(monkeypatch, wrapped, field
     assert overwritten and R.rank < F.rank
     assert not {id(e) for e in wrapped} & {id(e) for e in overwritten}
     assert all("terms" not in e.__dict__ for e in overwritten)
+
+
+# -- shared negations and the document boundary ---------------------------
+
+
+def neg_cases(field, nvars, pairs):
+    # The same polynomial made from terms, by the kernel and by the parser.
+    p = Polynomial.from_pairs(field, nvars, pairs)
+    cases = [p, Polynomial._sum_of_products(field, nvars, [(p, Polynomial.constant(field, nvars, 1))])]
+    if all(e <= MAX_EXPONENT for exps, _ in p.terms for e in exps):
+        cases.append(parse_poly(str(p), field, nvars))
+    return cases
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@given(data=st.data())
+def test_negation_is_one_shared_object(field, data):
+    nvars = data.draw(st.integers(1, 3))
+    pairs = data.draw(wide_term_lists(field, nvars))
+    ref = Polynomial.from_pairs(field, nvars, pairs)
+    expected = Polynomial.from_pairs(field, nvars, [(e, -c) for e, c in ref.terms])
+    for p in neg_cases(field, nvars, pairs):
+        neg = -p
+        assert -p is neg and -neg is p
+        assert neg == expected and hash(neg) == hash(expected)
+        assert repr(neg) == repr(expected) and neg.terms == expected.terms
+        assert_public_scalars(neg)
+        # The link is a cache: p reads as the polynomial it was.
+        assert p == ref and hash(p) == hash(ref) and repr(p) == repr(ref) and p.terms == ref.terms
+        assert (neg is p) == p.is_zero
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("width", [32, 64, 128])
+@given(data=st.data())
+def test_negation_keeps_the_view(field, width, data):
+    # A polynomial made from a view at the given width is negated on its
+    # raw values and builds no terms.
+    top = {32: 3, 64: 2**40, 128: 2**100}[width]
+    one = field.one
+    small = st.tuples(st.integers(0, 1), st.integers(0, 1))
+    pairs = [((top, 0), one + one)] + data.draw(st.lists(st.tuples(small, scalars(field)), max_size=4))
+    for p in neg_cases(field, 2, pairs)[1:]:
+        assert p._view[0] == width and "terms" not in p.__dict__
+        neg = -p
+        assert neg._view[0] == width
+        assert "terms" not in p.__dict__ and "terms" not in neg.__dict__
+        assert neg == Polynomial.from_pairs(field, 2, [(e, -c) for e, c in p.terms])
+        assert_view(neg)
+        assert_public_scalars(neg)
+
+
+def per_entry_texts(matrix):
+    return [[str(e) for e in row] for row in matrix.entries]
+
+
+def boundary_outputs(field, rng):
+    # Outputs of fermat (when the field has i), tensor, reduce, shift and
+    # dual, and a sum in which one object is an entry of s0 and of s1 and
+    # equal entries are distinct objects.
+    F = partly_reducible(field, 8, rng)
+    G = random_valid_mf(rng, field=field)
+    outputs = [F, mf.reduce(F), mf.shift(F), mf.dual(F), mf.shift(mf.shift(F)), mf.dual(mf.shift(G))]
+    H = random_valid_mf(rng, field=field, d=G.d)
+    if not (G.f + H.f).is_zero:
+        outputs.append(mf.tensor(G, H))
+    if field.has_sqrt_minus_one():
+        fermat = mf.fermat(4, 2, field=field)
+        outputs += [fermat, mf.shift(fermat), mf.dual(fermat)]
+    f = G.f
+    same = mf.direct_sum(mf.trivial_one_f(f), mf.trivial_f_one(f))
+    assert same.s0.rows[1][0][1] is same.s1.rows[0][0][1]
+    copy = parse_poly(str(f), field, f.nvars)
+    outputs += [same, mf.direct_sum(same, mf.trivial_f_one(copy))]
+    return outputs
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(13), GF(2**31 - 1)],
+                         ids=["QQ", "QQ(i)", "GF(13)", "GF(2^31-1)"])
+@pytest.mark.parametrize("seed", range(3))
+def test_document_prints_each_entry_like_str(field, seed):
+    for F in boundary_outputs(field, random.Random(f"print-{field}-{seed}")):
+        doc = mf_to_document(F)
+        assert doc["f"] == str(F.f)
+        assert doc["s0"] == per_entry_texts(F.s0)
+        assert doc["s1"] == per_entry_texts(F.s1)
+        assert document_to_mf(doc) == F
+
+
+@pytest.mark.parametrize("field", [QI, GF(13)], ids=["QQ(i)", "GF(13)"])
+def test_fermat_holds_one_object_per_entry_text(field):
+    for pairs in range(1, 9):
+        F = mf.fermat(pairs, 2, field=field)
+        objects = {id(e): e for m in (F.s0, F.s1) for row in m.rows for _, e in row}
+        assert len(objects) == len({str(e) for e in objects.values()}) == 4 * pairs - 2
+
+
+@pytest.mark.parametrize("bad, message", [
+    (0, "s0[1][3] must be a polynomial string"),
+    (None, "s0[1][3] must be a polynomial string"),
+    ("x0 +", "s0[1][3]: unexpected end of input (at position 4)"),
+    ("x0*x1", "s0[1][3]: degree 2 exceeds the bound 1 (at position 2)"),
+])
+def test_entry_after_zero_cells_keeps_its_message(bad, message):
+    doc = {
+        "schema": MF_SCHEMA, "field": field_to_json(QQ), "nvars": 2,
+        "f": "x0^2 + x1^2", "d": 2,
+        "F0_degrees": [1, 1, 1, 1], "F1_degrees": [0, 0, 0, 0],
+        "s0": [["0"] * 4 for _ in range(4)], "s1": [["0"] * 4 for _ in range(4)],
+    }
+    doc["s0"][1][3] = bad
+    with pytest.raises(SchemaError) as caught:
+        document_to_mf(doc)
+    assert str(caught.value) == message
