@@ -34,12 +34,15 @@ from collections.abc import Iterator, Mapping
 
 from ._value import Counts, value_class
 
-# Largest arguments of the rho queries, like the parser budgets: at its
-# bounds each command answers in about 1.4 s on 2 vCPUs (Python 3.11,
-# interpreter start included), and past them it raises before any work.
+# Largest arguments of the rho and Bott queries, like the parser budgets:
+# at its bounds each command answers in about 1.4 s on 2 vCPUs (Python
+# 3.11, interpreter start included), and past them it raises before any
+# work.
 #
-# rho_structure_sheaf: n < d <= MAX_RHO_DEGREE.  Its n + 1 steps run on
-# integers of up to d * log2(3) bits.
+# rho_structure_sheaf: n < d <= MAX_RHO_DEGREE.  It takes at most about
+# d/2 steps, on integers of up to d * log2(3) bits; n near d/2 is its
+# widest case, about 0.9 s through the command, where n = d - 1 took
+# 1.7 s when every cell ran its n + 1 head steps.
 MAX_RHO_DEGREE = 64_000
 # rho_line_bundle: n <= MAX_LINE_BUNDLE_N, and d and |j|, which set the
 # twists r + j and r + j - d, at most MAX_LINE_BUNDLE_TWIST.  Its n + 1
@@ -50,6 +53,14 @@ MAX_LINE_BUNDLE_TWIST = 10_000
 # rho_structure_sheaf_rows: d_max <= MAX_SWEEP_DEGREE, about d_max^2 / 2
 # cells of up to d_max * log2(3) bits each; a larger n_max adds no row.
 MAX_SWEEP_DEGREE = 1_000
+# bott, bott_vector and restricted_bott: n <= MAX_BOTT_N, and each twist l
+# of an Omega^p(l) they evaluate (l itself, or r + t and r + t - d) at most
+# MAX_BOTT_TWIST in absolute value; rho_line_bundle stays within both.  An
+# entry is a product of two binomials C(x, k) with k <= n and
+# x <= n + |l|; the widest, C(l+n, n), takes about 0.5 s at the bounds, and
+# restricted_bott can take two, 1.2-1.5 s through the command.
+MAX_BOTT_N = 80_000
+MAX_BOTT_TWIST = 200_000
 
 
 def binom(x: int, k: int) -> int:
@@ -88,6 +99,14 @@ class CohomologyVector(Counts):
         return tuple(q for q, _ in self.entries)
 
 
+def _bounded(n: int, *twists: tuple[str, int]) -> None:
+    if n > MAX_BOTT_N:
+        raise ValueError(f"n = {n} exceeds MAX_BOTT_N = {MAX_BOTT_N}")
+    for name, l in twists:
+        if abs(l) > MAX_BOTT_TWIST:
+            raise ValueError(f"|{name}| = {abs(l)} exceeds MAX_BOTT_TWIST = {MAX_BOTT_TWIST}")
+
+
 def _bott_entry(n: int, p: int, l: int) -> tuple[int, int]:
     # (q, h^q) at the one q where h^q(P^n, Omega^p(l)) can be nonzero, or (0, 0).
     if n < 0 or not 0 <= p <= n:
@@ -103,12 +122,14 @@ def _bott_entry(n: int, p: int, l: int) -> tuple[int, int]:
 
 def bott(n: int, p: int, q: int, l: int) -> int:
     """h^q(P^n, Omega^p(l)); 0 outside 0 <= p, q <= n."""
+    _bounded(n, ("l", l))
     degree, value = _bott_entry(n, p, l)
     return value if degree == q else 0
 
 
 def bott_vector(n: int, p: int, l: int) -> CohomologyVector:
     """The full vector q -> h^q(P^n, Omega^p(l)); at most one entry."""
+    _bounded(n, ("l", l))
     return CohomologyVector.from_pairs([_bott_entry(n, p, l)], n)
 
 
@@ -121,6 +142,7 @@ def restricted_bott(n: int, d: int, r: int, t: int) -> CohomologyVector:
         raise ValueError("hypersurface degree d must be >= 1")
     if not 0 <= r <= n:
         raise ValueError(f"r = {r} outside [0, {n}]")
+    _bounded(n, ("r+t", r + t), ("r+t-d", r + t - d))
     sub_q, alpha = _bott_entry(n, r, r + t - d)  # Omega^r(r+t-d), the subsheaf
     q, beta = _bott_entry(n, r, r + t)           # Omega^r(r+t), the ambient middle term
     if alpha and beta and sub_q == q:
@@ -146,9 +168,16 @@ def rho_structure_sheaf(n: int, d: int) -> int:
     restricted Bott vectors and 1 + sum_r C(d, d-r) * C(d-r-1, n-r).
 
     The generating function (1+2x)^d / (1+x) gives the alternating form
-    1 + sum_{k=0..n} (-1)^(n-k) * 2^k * C(d, k), evaluated here through
-    S(k) = 2^k * C(d, k) - S(k-1) with S = rho - 1.  A d above
-    MAX_RHO_DEGREE raises ValueError."""
+    S = rho - 1 = sum_{k=0..n} (-1)^(n-k) * 2^k * C(d, k).  The full sum
+    over k <= d is (-1)^n * (1-2)^d = (-1)^(n+d), so S is also
+    (-1)^(n+d) minus the tail over n < k <= d.  Either side is evaluated
+    through T(k) = 2^k * C(d, k) - T(k-1): the head of n + 1 terms
+    upwards from k = 0, or the tail of d - n terms downwards from k = d,
+    with C(d, k-1) = C(d, k) * k / (d-k+1).  The head runs while
+    2n < d + d/32 and the tail otherwise: the shorter side, moved past
+    the middle because the tail's steps carry the wider powers of two;
+    near the switch the two sides take about equal time for d from 200
+    to 64,000.  A d above MAX_RHO_DEGREE raises ValueError."""
     if n < 1:
         raise ValueError("ambient dimension n must be >= 1")
     if n + 1 - d > 0:
@@ -158,10 +187,15 @@ def rho_structure_sheaf(n: int, d: int) -> int:
     if d > MAX_RHO_DEGREE:
         raise ValueError(f"d = {d} exceeds MAX_RHO_DEGREE = {MAX_RHO_DEGREE}")
     s, c = 0, 1  # c = C(d, k)
-    for k in range(n + 1):
+    if 2 * n < d + d // 32:
+        for k in range(n + 1):
+            s = (c << k) - s
+            c = c * (d - k) // (k + 1)
+        return s + 1
+    for k in range(d, n, -1):
         s = (c << k) - s
-        c = c * (d - k) // (k + 1)
-    return s + 1
+        c = c * k // (d - k + 1)
+    return s + 1 + (-1) ** (n + d)
 
 
 def rho_structure_sheaf_rows(n_max: int, d_max: int) -> Iterator[tuple[int, int, int]]:

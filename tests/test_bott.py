@@ -2,7 +2,10 @@ import math
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from mfkit import bott as bott_module
 from mfkit.bott import (
     CohomologyVector,
     binom,
@@ -173,16 +176,53 @@ def reference_rho_structure_sheaf(n: int, d: int) -> int:
     return 1 + sum(binom(d, d - r) * binom(d - r - 1, n - r) for r in range(n + 1))
 
 
+def head_rho_structure_sheaf(n: int, d: int) -> int:
+    # The alternating sum over its n + 1 head terms, as rho_structure_sheaf
+    # evaluated it before it chose the shorter side; kept as the reference
+    # for the tail.
+    s, c = 0, 1
+    for k in range(n + 1):
+        s = (c << k) - s
+        c = c * (d - k) // (k + 1)
+    return s + 1
+
+
 class TestRhoStructureSheafFastPaths:
     """The alternating sum and the row recurrence against the binomial
-    sum.  Agreement with the restricted Bott formula is checked by
-    TestRhoStructureSheaf.test_matches_restricted_sum and
-    TestRhoLineBundle.test_agrees_with_structure_sheaf."""
+    sum and the head-only sum.  Agreement with the restricted Bott
+    formula is checked by TestRhoStructureSheaf.test_matches_restricted_sum
+    and TestRhoLineBundle.test_agrees_with_structure_sheaf."""
 
     def test_closed_form_matches_reference_sum(self):
-        for n in range(1, 40):
-            for d in range(n + 1, 90):
-                assert rho_structure_sheaf(n, d) == reference_rho_structure_sheaf(n, d)
+        # Every cell with d <= 120: both sides, the switch near 2n = d, and
+        # n = d - 1 and d - 2.
+        for d in range(2, 121):
+            for n in range(1, d):
+                assert rho_structure_sheaf(n, d) == head_rho_structure_sheaf(n, d) \
+                    == reference_rho_structure_sheaf(n, d), (n, d)
+
+    @given(st.integers(2, 600).flatmap(lambda d: st.tuples(st.integers(1, d - 1), st.just(d))))
+    def test_matches_both_references(self, cell):
+        n, d = cell
+        assert rho_structure_sheaf(n, d) == head_rho_structure_sheaf(n, d) \
+            == reference_rho_structure_sheaf(n, d)
+
+    @pytest.mark.parametrize("n, d, steps", [
+        (1, 2, 1), (1, 3, 2), (2, 4, 2), (3, 5, 2), (50, 100, 51), (51, 100, 52), (52, 100, 48),
+        (98, 100, 2), (32999, 64000, 33000), (33000, 64000, 31000), (63999, 64000, 1),
+    ])
+    def test_runs_the_shorter_side(self, monkeypatch, n, d, steps):
+        # The head's n + 1 steps while 2n < d + d/32, else the tail's d - n;
+        # the loop is recorded, not run.
+        lengths = []
+
+        def recording(*args):
+            lengths.append(len(range(*args)))
+            return ()
+
+        monkeypatch.setattr(bott_module, "range", recording, raising=False)
+        rho_structure_sheaf(n, d)
+        assert lengths == [steps]
 
     @pytest.mark.parametrize("n_max, d_max", [
         (60, 120), (0, 10), (-2, 5), (5, 2), (5, 1), (5, -3), (3, 3), (10, 6), (1, 2),

@@ -730,6 +730,16 @@ def exact_decimal(value: int) -> str:
         sys.set_int_max_str_digits(limit)
 
 
+def exact_int(text: str) -> int:
+    # int(text) past the interpreter's digit limit, which stays as it was.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return int(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_rho_point_prints_every_digit(capsys):
     limit = sys.get_int_max_str_digits()
     code, out, err = run(capsys, "rho", "point", "--n", "14400")
@@ -859,10 +869,36 @@ def no_bott_loop(monkeypatch):
 
 
 def test_rho_structure_sheaf_at_the_degree_bound(capsys):
-    # a = 0, where rho(O_X) = 2^(n+1): the n + 1 = d steps of the widest integers.
+    # a = 0, where rho(O_X) = 2^(n+1): the one tail step, on the widest power of two.
     d = bott.MAX_RHO_DEGREE
     code, out, err = run(capsys, "rho", "structure-sheaf", "--n", str(d - 1), "--d", str(d))
     assert (code, out, err) == (0, exact_decimal(1 << d) + "\n", "")
+
+
+def binomial_sum_mod(n: int, d: int, prime: int) -> int:
+    # rho(O_X) = 1 + sum_r C(d, d-r) * C(d-r-1, n-r) modulo a prime above d,
+    # in O(n) small-integer steps: C(d, r+1) = C(d, r) * (d-r) / (r+1), and
+    # with a = d-n-1 and m = n-r, C(a+m+1, m+1) = C(a+m, m) * (a+m+1) / (m+1).
+    a = d - n - 1
+    lower = [1]  # lower[m] = C(a+m, m)
+    for m in range(n):
+        lower.append(lower[-1] * (a + m + 1) * pow(m + 1, -1, prime) % prime)
+    total, upper = 1, 1  # upper = C(d, r) = C(d, d-r)
+    for r in range(n + 1):
+        total += upper * lower[n - r]
+        upper = upper * (d - r) * pow(r + 1, -1, prime) % prime
+    return total % prime
+
+
+def test_rho_structure_sheaf_at_the_degree_bound_widest_case(capsys):
+    # n = d/2: about d/2 steps on either side, the most the bound allows.
+    d = bott.MAX_RHO_DEGREE
+    n = d // 2
+    code, out, err = run(capsys, "rho", "structure-sheaf", "--n", str(n), "--d", str(d))
+    assert (code, err) == (0, "")
+    value = exact_int(out)
+    for prime in (2**61 - 1, 2**31 - 1, 10**9 + 7):
+        assert value % prime == binomial_sum_mod(n, d, prime)
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -876,6 +912,8 @@ def test_rho_structure_sheaf_past_the_degree_bound_exits_2(capsys, no_bott_loop,
 
 def test_rho_line_bundle_at_its_bounds(capsys):
     n, twist = bott.MAX_LINE_BUNDLE_N, bott.MAX_LINE_BUNDLE_TWIST
+    # Every restricted Bott vector it takes is within the bott bounds.
+    assert n <= bott.MAX_BOTT_N and n + 2 * twist <= bott.MAX_BOTT_TWIST
     code, out, _ = run(capsys, "rho", "line-bundle", "--n", str(n), "--d", str(twist), "--j", "0")
     assert (code, out) == (0, exact_decimal(bott.rho_structure_sheaf(n, twist)) + "\n")
     code, out, _ = run(capsys, "rho", "line-bundle", "--n", str(n), "--d", str(twist),
@@ -892,6 +930,50 @@ def test_rho_line_bundle_at_its_bounds(capsys):
 def test_rho_line_bundle_past_its_bounds_exits_2(capsys, no_bott_loop, argv, message):
     assert (bott.MAX_LINE_BUNDLE_N, bott.MAX_LINE_BUNDLE_TWIST) == (1500, 10000)
     assert run(capsys, "rho", "line-bundle", *argv) == (2, "", f"error [mfkit.bott]: {message}\n")
+
+
+def test_bott_queries_at_their_bounds(capsys):
+    # The widest binomials: C(l+n, n) at p = 0, l = MAX_BOTT_TWIST, and its
+    # Serre dual h^n(Omega^n(-l)).
+    n, twist = bott.MAX_BOTT_N, bott.MAX_BOTT_TWIST
+    code, out, err = run(capsys, "bott", "eval", "--n", str(n), "--p", "0", "--q", "0",
+                         "--l", str(twist))
+    assert (code, err) == (0, "")
+    h0 = out.strip()
+    assert exact_int(h0) % (2**61 - 1) == math.comb(twist + n, n) % (2**61 - 1)
+    code, out, err = run(capsys, "bott", "vector", "--n", str(n), "--p", str(n), "--l", str(-twist))
+    assert (code, out, err) == (0, f"h^{n}={h0}\n", "")
+    # Both twists at the bound: Omega^0(l) contributes h^0, and the subsheaf
+    # Omega^0(-l) its h^n, moved to h^(n-1).
+    code, out, err = run(capsys, "bott", "restricted", "--n", str(n), "--d", str(2 * twist),
+                         "--r", "0", "--t", str(twist))
+    assert (code, err) == (0, "")
+    assert out == f"h^0={h0}, h^{n - 1}={exact_decimal(math.comb(twist - 1, n))}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--n", "80001", "--p", "0", "--q", "0", "--l", "1"], "n = 80001 exceeds MAX_BOTT_N = 80000"),
+    (["eval", "--n", "2", "--p", "2", "--q", "2", "--l", "-200001"],
+     "|l| = 200001 exceeds MAX_BOTT_TWIST = 200000"),
+    (["vector", "--n", "2", "--p", "0", "--l", "200001"], "|l| = 200001 exceeds MAX_BOTT_TWIST = 200000"),
+    (["restricted", "--n", "2", "--d", "1", "--r", "0", "--t", "200001"],
+     "|r+t| = 200001 exceeds MAX_BOTT_TWIST = 200000"),
+    (["restricted", "--n", "2", "--d", "200002", "--r", "1", "--t", "0"],
+     "|r+t-d| = 200001 exceeds MAX_BOTT_TWIST = 200000"),
+    (["restricted", "--n", "1000000", "--d", "1", "--r", "500000", "--t", "1000000"],
+     "n = 1000000 exceeds MAX_BOTT_N = 80000"),
+    (["vector", "--n", "3000000", "--p", "1000000", "--l", "3000000"],
+     "n = 3000000 exceeds MAX_BOTT_N = 80000"),
+    (["eval", "--n", "400000", "--p", "200000", "--q", "0", "--l", "400000"],
+     "n = 400000 exceeds MAX_BOTT_N = 80000"),
+])
+def test_bott_queries_past_their_bounds_exit_2(capsys, monkeypatch, argv, message):
+    def unreachable(*args):
+        raise AssertionError("a binomial past the bound was reached")
+
+    monkeypatch.setattr(bott, "binom", unreachable)
+    assert (bott.MAX_BOTT_N, bott.MAX_BOTT_TWIST) == (80000, 200000)
+    assert run(capsys, "bott", *argv) == (2, "", f"error [mfkit.bott]: {message}\n")
 
 
 def test_sweep_rows_at_the_degree_bound():
