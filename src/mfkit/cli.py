@@ -26,23 +26,29 @@ reads the environment.
 A command imports what it runs on first use: ``bott`` queries and ``rho
 point`` load :mod:`mfkit.bott` alone, other scalar queries add orlov, and
 document commands add algebra, graded, mf, json and hashlib.  ``main``
-builds the leaves of the group named on the command line only.
+reads a plain, well-formed command line from ``COMMANDS`` itself.  It
+imports argparse and builds the parser, with the leaves of the group
+named on the command line only, just for ``--help``, usage errors and
+the spellings that only argparse reads (``--flag=value``, abbreviated
+or repeated flags, ``--``).
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Callable
 from importlib import import_module
 from itertools import groupby
+from types import SimpleNamespace
 
 from ._value import value_class
 
 # Type checkers take this name for typing's; no command imports typing.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    import argparse
+
     from .algebra import Field, Polynomial
     from .bott import CohomologyVector
     from .graded import DegreeMultiset, HomogeneousMatrix
@@ -91,11 +97,6 @@ class SchemaError(ValueError):
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +371,13 @@ def _dump(obj: dict, handle) -> None:
     handle.write("\n")
 
 
+def _stdout():
+    # sys.stdout is None when the interpreter started with fd 1 closed.
+    if sys.stdout is None:
+        raise OSError("cannot write to stdout: it is closed")
+    return sys.stdout
+
+
 def _emit(args, report: dict, *, artifact: dict | None = None,
           scalar=None) -> None:
     """Write the report (and optional JSON artifact) per the output flags.
@@ -379,14 +387,14 @@ def _emit(args, report: dict, *, artifact: dict | None = None,
     ``--output`` is given, the artifact (falling back to the report) is
     written there and stdout keeps the report/value."""
     if artifact is not None:
-        if args.output:
+        if args.output is not None:
             with open(args.output, "w", encoding="utf-8") as handle:
                 _dump(artifact, handle)
         else:
-            _dump(artifact, sys.stdout)
+            _dump(artifact, _stdout())
             if not args.json:
                 return
-    elif args.output:
+    elif args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
             if args.json:
                 _dump(report, handle)
@@ -394,11 +402,11 @@ def _emit(args, report: dict, *, artifact: dict | None = None,
                 handle.write(report_to_text(report))
         return
     if args.json:
-        _dump(report, sys.stdout)
+        _dump(report, _stdout())
     elif scalar is not None:
-        sys.stdout.write(f"{scalar}\n")
+        _stdout().write(f"{scalar}\n")
     else:
-        sys.stdout.write(report_to_text(report))
+        _stdout().write(report_to_text(report))
 
 
 def _context_of_document(F: MatrixFactorization) -> HypersurfaceContext:
@@ -527,11 +535,11 @@ def _sweep_rho_structure_sheaf(args) -> None:
     _sweep_threads()
     # The rows are checked against their bounds here, before any output.
     blocks = _sweep_csv_blocks(bott_ops.rho_structure_sheaf_rows(args.n_max, args.d_max))
-    if args.output:
+    if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.writelines(blocks)
     else:
-        sys.stdout.writelines(blocks)
+        _stdout().writelines(blocks)
 
 
 @value_class
@@ -632,9 +640,24 @@ COMMANDS = (
 )
 
 
+# The options of every leaf, before its own.
+_COMMON_OPTIONS = (
+    ("--json", {"action": "store_true", "help": "emit a JSON report on stdout"}),
+    ("--output", {"metavar": "PATH", "help": "write the command's artifact to PATH"}),
+    ("--seed", {"type": int, "default": 0,
+                "help": "seed for randomized subcommands (accepted everywhere)"}),
+)
+
+
 def build_parser(group: str | None = None) -> argparse.ArgumentParser:
     """The argument parser: every group with its leaves, or with ``group``
     every group but only that group's leaves."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            raise _UsageError(f"{self.prog}: {message}")
+
     parser = _Parser(prog="mfkit", description=__doc__.splitlines()[0])
     groups = parser.add_subparsers(dest="group", required=True, metavar="GROUP")
     leaves = {}
@@ -645,10 +668,8 @@ def build_parser(group: str | None = None) -> argparse.ArgumentParser:
         if group is not None and row.group != group:
             continue
         sub = leaves[row.group].add_parser(row.name, help=row.help)
-        sub.add_argument("--json", action="store_true", help="emit a JSON report on stdout")
-        sub.add_argument("--output", metavar="PATH", help="write the command's artifact to PATH")
-        sub.add_argument("--seed", type=int, default=0,
-                         help="seed for randomized subcommands (accepted everywhere)")
+        for flag, keywords in _COMMON_OPTIONS:
+            sub.add_argument(flag, **keywords)
         for dest in ("file", "file2")[:len(row.files)]:
             sub.add_argument(dest)
         for flag in row.ints:
@@ -657,6 +678,65 @@ def build_parser(group: str | None = None) -> argparse.ArgumentParser:
             sub.add_argument(flag, **keywords)
         sub.set_defaults(row=row)
     return parser
+
+
+_LEAVES = {(row.group, row.name): row for row in COMMANDS}
+
+
+def _plain_args(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser().parse_args(argv)`` returns for a plain command
+    line: a group, a leaf, each of the leaf's flags at most once and
+    spelled in full, each value a separate nonempty token, and exactly the
+    leaf's files.  None for any other command line (``--help``, ``--``,
+    ``--flag=value``, an abbreviated, unknown or repeated flag, a value
+    that starts with ``-`` other than a negative decimal integer, a value
+    that its type or choices reject, a missing or extra argument), which
+    argparse then reads or rejects."""
+    row = _LEAVES.get(tuple(argv[:2]))
+    if row is None:
+        return None
+    options = {**dict(_COMMON_OPTIONS), **{flag: {"type": int} for flag in row.ints},
+               **dict(row.options)}
+    values = {"group": row.group, "command": row.name, "row": row}
+    for flag, keywords in options.items():
+        store_true = keywords.get("action") == "store_true"
+        values[flag[2:].replace("-", "_")] = keywords.get("default", False if store_true else None)
+    seen, files = set(), []
+    tokens = iter(argv[2:])
+    for token in tokens:
+        if not token or token in seen:
+            return None
+        if token[0] != "-":
+            files.append(token)
+            continue
+        keywords = options.get(token)
+        if keywords is None:
+            return None
+        seen.add(token)
+        dest = token[2:].replace("-", "_")
+        if keywords.get("action") == "store_true":
+            values[dest] = True
+            continue
+        value = next(tokens, "")
+        to_int = keywords.get("type") is int
+        # Of the values that start with "-", every supported Python's
+        # argparse reads "-" and ASCII digits as a negative number; which
+        # other spellings it reads as a value differs between versions.
+        negative = to_int and value[1:].isdecimal() and value.isascii()
+        if not value or (value[0] == "-" and not negative):
+            return None
+        if to_int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[dest] = value
+    if len(files) != len(row.files) or not seen.issuperset(row.ints):
+        return None
+    values.update(zip(("file", "file2"), files))
+    return SimpleNamespace(**values)
 
 
 def _run(args) -> int:
@@ -683,7 +763,7 @@ def _run(args) -> int:
     report = make_report(f"{row.group} {row.name}", inputs=inputs, **out)
     if rejected:
         if args.json:
-            _dump(report, sys.stdout)
+            _dump(report, _stdout())
         for diag in report["diagnostics"]:
             sys.stderr.write(f"invalid: {diag}\n")
         return 2
@@ -713,13 +793,15 @@ def main(argv: list[str] | None = None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(MAX_DIGITS)
     try:
-        # A command line that starts with a group needs that group's leaves only.
-        parser = build_parser(argv[0] if argv and argv[0] in GROUPS else None)
-        try:
-            args = parser.parse_args(argv)
-        except _UsageError as exc:
-            sys.stderr.write(f"{exc}\n")
-            return 1
+        args = _plain_args(argv)
+        if args is None:
+            # A command line that starts with a group needs that group's leaves only.
+            parser = build_parser(argv[0] if argv and argv[0] in GROUPS else None)
+            try:
+                args = parser.parse_args(argv)
+            except _UsageError as exc:
+                sys.stderr.write(f"{exc}\n")
+                return 1
         try:
             return _run(args)
         except (ValueError, ZeroDivisionError, OSError) as exc:

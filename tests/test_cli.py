@@ -579,6 +579,47 @@ def test_module_entry_point(tmp_path):
     assert python_m("rho", "point").returncode == 1
 
 
+def test_closed_stdout_exits_2(tmp_path):
+    # The child starts with fd 1 closed, so its sys.stdout is None.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("MFKIT_THREADS", None)
+    (tmp_path / "g.json").write_text(json.dumps(mf_to_document(mf.fermat(2, 2))))
+
+    def closed_stdout(*argv):
+        done = subprocess.run([sys.executable, "-m", "mfkit", *argv], cwd=tmp_path, env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                              timeout=120, preexec_fn=lambda: os.close(1))
+        return done.returncode, done.stderr
+
+    closed = (2, "error [mfkit.cli]: cannot write to stdout: it is closed\n")
+    for argv in (["rho", "point", "--n", "3"],
+                 ["rho", "point", "--n", "3", "--json"],
+                 ["mf", "validate", "g.json"],
+                 ["mf", "shift", "g.json"],
+                 ["mf", "shift", "g.json", "--output", "s.json"],
+                 ["check", "rho", "--n", "4", "--d", "5", "--value", "3"],
+                 ["sweep", "rho-structure-sheaf", "--n-max", "2", "--d-max", "4"]):
+        assert closed_stdout(*argv) == closed, argv
+    assert closed_stdout("sweep", "rho-structure-sheaf", "--n-max", "2", "--d-max", "3",
+                         "--output", "sweep.csv") == (0, "")
+    assert (tmp_path / "sweep.csv").read_text() == SWEEP_CSV
+
+
+@pytest.mark.parametrize("argv", [
+    ["mf", "fermat", "--pairs", "1", "--half-degree", "1"],
+    ["mf", "fermat", "--pairs", "1", "--half-degree", "1", "--json"],
+    ["sweep", "rho-structure-sheaf", "--n-max", "2", "--d-max", "4"],
+    ["rho", "point", "--n", "3"],
+    ["rho", "point", "--n", "3", "--json"],
+])
+def test_empty_output_path_exits_2(workdir, capsys, argv):
+    code, out, err = run(capsys, *argv, "--output", "")
+    assert (code, out) == (2, "")
+    assert err.startswith("error [mfkit.cli]: ") and err.count("\n") == 1
+    assert list(workdir.iterdir()) == []
+
+
 def test_inputs_sharing_a_base_name_keep_both_digests(workdir, capsys):
     F = mf.fermat(2, 2)
     docs = {"a/g.json": mf_to_document(F), "b/g.json": mf_to_document(mf.trivial_one_f(F.f))}

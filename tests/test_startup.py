@@ -13,7 +13,8 @@ import pytest
 
 import mfkit
 from mfkit import mf
-from mfkit.cli import COMMANDS, GROUPS, _UsageError, build_parser, mf_to_document
+from mfkit.cli import COMMANDS, GROUPS, _UsageError, build_parser, main, mf_to_document
+from test_cli import GOLDEN_USAGE_ERRORS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -35,11 +36,15 @@ OLD_EXPORTS = {
 }
 
 # Run cli.main in a fresh interpreter without site (so that nothing but
-# the command loads modules), then print the loaded module names.
+# the command loads modules), then print the exit code and the loaded
+# module names.
 CHILD = """\
 import sys
 from mfkit import cli
-code = cli.main(sys.argv[1:])
+try:
+    code = cli.main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
 sys.stdout.write(f"\\n{code} " + " ".join(sorted(sys.modules)) + "\\n")
 """
 
@@ -47,14 +52,17 @@ HEAVY = {"dataclasses", "inspect", "fractions", "json", "hashlib",
          "mfkit.algebra", "mfkit.graded", "mfkit.mf"}
 
 
-def loaded_modules(*argv, cwd=None) -> set[str]:
+def loaded_modules(*argv, cwd=None, expected=0) -> set[str]:
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("MFKIT_THREADS", None)
     done = subprocess.run([sys.executable, "-S", "-c", CHILD, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
     code, *modules = done.stdout.splitlines()[-1].split()
-    assert (done.returncode, code) == (0, "0"), done.stderr
+    assert (done.returncode, code) == (0, str(expected)), done.stderr
     return set(modules)
+
+
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -126,3 +134,49 @@ def test_group_parser_matches_full_tree(group):
     full, alone = build_parser(), build_parser(group)
     for argv in cases:
         assert parser_output(alone, argv) == parser_output(full, argv), argv
+
+
+# One well-formed command line per group.
+@pytest.mark.parametrize("argv", [
+    ("mf", "fermat", "--pairs", "1", "--half-degree", "1", "--json"),
+    ("bott", "eval", "--n", "3", "--p", "1", "--q", "0", "--l", "-2"),
+    ("rho", "point", "--n", "3", "--seed", "7"),
+    ("orlov", "shamash", "--n", "3", "--d", "4", "--m", "-2"),
+    ("check", "rho", "--n", "3", "--d", "4", "--value", "4"),
+    ("sweep", "rho-structure-sheaf", "--n-max", "2", "--d-max", "4"),
+])
+def test_well_formed_commands_load_no_argparse(argv):
+    assert not ARGPARSE & loaded_modules(*argv)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("--help",), 0), (("mf", "--help"), 0), (("rho", "point", "--help"), 0),
+    (("rho", "point"), 1), (("rho", "point", "--n=3"), 0),
+])
+def test_help_usage_errors_and_equals_forms_load_argparse(argv, expected):
+    assert "argparse" in loaded_modules(*argv, expected=expected)
+
+
+def main_output(argv) -> tuple[int, str, str]:
+    """cli.main's exit code, stdout and stderr, a --help exit included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    *([row.group, row.name, "--help"] for row in COMMANDS),
+    *([row.group, row.name] for row in COMMANDS),
+    *(case.split() for case in GOLDEN_USAGE_ERRORS),
+], ids=" ".join)
+def test_main_prints_what_argparse_prints(argv):
+    # The --help texts and usage errors of the running interpreter's argparse.
+    expected = parser_output(build_parser(), argv)
+    if expected.startswith("usage error: "):
+        assert main_output(argv) == (1, "", expected.removeprefix("usage error: ") + "\n")
+    else:
+        assert main_output(argv) == (0, expected, "")
