@@ -5,8 +5,9 @@
 fields in order (class attributes are defaults) and then calls
 ``__post_init__`` if there is one, ``__eq__`` and ``__hash__`` on the
 tuple of fields, a ``__repr__`` that names them, and assignment and
-deletion that raise AttributeError.  A class that defines its own
-``__init__`` keeps it.  The methods are generated as source code, as
+deletion that raise AttributeError.  A class keeps each of these
+methods that it defines itself (``Polynomial`` keeps its ``__init__``,
+``__eq__`` and ``__hash__``).  The methods are generated as source code, as
 dataclasses does, so an equality test is one inline tuple compare;
 importing dataclasses would cost more than most commands (it imports
 inspect).
@@ -48,10 +49,9 @@ def value_class(cls: type) -> type:
         + ", ".join(f"{name}={{self.{name}!r}}" for name in names) + ")'\n"
     )
     exec(source, namespace)
-    if "__init__" not in cls.__dict__:
-        cls.__init__ = namespace["__init__"]
-    for method in ("__eq__", "__hash__", "__repr__"):
-        setattr(cls, method, namespace[method])
+    for method in ("__init__", "__eq__", "__hash__", "__repr__"):
+        if method not in cls.__dict__:
+            setattr(cls, method, namespace[method])
     cls.__setattr__, cls.__delattr__ = _no_setattr, _no_delattr
     return cls
 

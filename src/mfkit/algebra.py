@@ -7,9 +7,9 @@ Three coefficient fields are supported:
 * ``GF(p)`` -- prime fields F_p for prime p < 2**31 (so that a product of
   two residues always fits in a 64-bit signed integer).
 
-A polynomial's value, ``terms``, is a tuple of (exponent vector,
+A polynomial's public ``terms`` is a tuple of (exponent vector,
 coefficient) pairs over a fixed field and variable count x0..x{nvars-1},
-kept in canonical form: no zero coefficients, no repeated exponent vectors, and terms sorted
+in canonical form: no zero coefficients, no repeated exponent vectors, and terms sorted
 in graded lexicographic order (highest total degree first, ties broken
 lexicographically).  Equal polynomials are therefore equal as Python
 values, which the test suite relies on for bit-exact comparisons.
@@ -17,10 +17,10 @@ values, which the test suite relies on for bit-exact comparisons.
 :meth:`Polynomial.from_pairs` is the validating entry point: it checks
 arity and signs of exponent vectors and coerces every coefficient into
 the field.  Arithmetic does not re-validate; its results are made by
-the trusted constructors ``Polynomial._canonical``, which only drops zero
-terms and sorts, and ``Polynomial._from_view`` (below).
+the trusted constructor ``Polynomial._from_view`` (below).
 
-Sums and products share one loop, ``Polynomial._product_rows``, which
+Sums and products share one multiply-accumulate loop, ``_accumulate``.
+Its one caller in arithmetic is ``Polynomial._product_rows``, which
 forms the rows of a product of two sparse polynomial matrices:
 ``_sum_of_products`` (behind ``*``, ``+`` and ``-``, one call with right
 factors +1 and -1) is its 1 x n by n x 1 case, :func:`graded.compose`
@@ -29,7 +29,7 @@ updates every row of the Schur complement in one call.  Each output row
 is accumulated in one dict keyed by column and monomial and sorted once
 (Gustavson, ACM TOMS 4(3), 1978).
 
-The loop runs on each polynomial's kernel view.  The view packs each
+The loop runs on each polynomial's view.  The view packs each
 monomial into one int (Monagan and Pearce, CASC 2007): the total degree
 in the top field, then x0, x1, ... in fields of equal width, so that
 adding two ints multiplies the monomials and int order is graded
@@ -47,20 +47,13 @@ half.  Sums of such pairs are settled into that one format by one step,
 ``_settle``: residues reduced, zero sums dropped, and over QQ(i) each
 sum at i^2 folded onto the real half with its sign flipped.
 
-Storage rule: a polynomial carries its view from parse to print.  The
-outputs of the loop and of :func:`parse_poly` are made from their views
-(``Polynomial._from_view``), and ``terms`` is built from the view the
-first time it is read, by ``_terms_from_view``: each term unpacked and
-wrapped into the public scalar type once, so terms always hold an
-``FpElement`` in [0, p), a ``GaussianRational`` with Fraction parts, or
-a Fraction.  ``is_zero``, ``total_degree``, ``is_homogeneous`` and
-``constant_term`` read the view, so a product that is only tested,
-compared by view or multiplied again is never wrapped.  Negation keeps
-the keys of a view and negates its raw values, so it wraps nothing
-either.  A polynomial built from terms (``from_pairs`` and the other
-constructors) builds its view on first use by the loop, at the width of
-its total degree; a view is kept only at that width, so equal
-polynomials have equal views.
+Storage rule: the view is the value.  Every polynomial holds its view,
+at the width of its total degree, from construction on, so equal
+polynomials have equal views; ``==``, ``hash``, ``str`` and the queries
+read it.  ``terms`` is derived: built from the view the first time it is
+read, by ``_terms_from_view``, each term unpacked and wrapped into the
+public scalar type once, so terms always hold an ``FpElement`` in
+[0, p), a ``GaussianRational`` with Fraction parts, or a Fraction.
 
 The expression grammar accepted by :func:`parse_poly`::
 
@@ -78,8 +71,10 @@ parses back to the same polynomial.
 The parser evaluates on plain dicts of raw coefficients, keyed and
 settled as a view: a variable is one packed key, ``*`` adds keys, ``^``
 of one term scales its key, and a sum of N summands is one dict.  No
-scalar object, polynomial or kernel call is made per operator; the one
-``Polynomial`` of a parse is made from the final dict.  Keys start at
+scalar object or polynomial is made per operator: a product runs
+``_accumulate`` on two dicts, and a sum runs it on each summand and the
+constant +1 or -1, as ``Polynomial._sum`` does; the one ``Polynomial``
+of a parse is made from the final dict.  Keys start at
 width 32, and a parse whose degrees outgrow its width runs again at a
 width that holds them.
 
@@ -90,9 +85,9 @@ exponent times the bits one power step can add (nothing over GF(p), and
 nothing for the coefficients 1 and i, so printed output always parses).
 
 All values in this module are immutable and all operations are pure, so
-they may be freely shared between concurrent tasks; a kernel view and
-the terms built from one are caches, and two tasks that build one at
-once build the same value.  So is ``_neg``: the first ``-p`` links p and
+they may be freely shared between concurrent tasks; the terms built
+from a view are a cache, and two tasks that build them at once build
+the same value.  So is ``_neg``: the first ``-p`` links p and
 its negation both ways, so that every later ``-p`` is that one object
 and ``-(-p)`` is p, and the negations of a matrix, of a shift or of a
 tensor product share their entries however often they are taken.  Two
@@ -429,17 +424,42 @@ def _codec(nvars: int, width: int):
     return pack, unpack
 
 
-def _halves(pack, terms):
-    # The view terms of QQ(i) terms: (4 * key + 1, im) and (4 * key, re),
-    # nonzero halves only, so that keys descend as in a kernel output.
-    # Keys add under products and the exponents of i add in the low two
-    # bits, which never carry.
-    for exponents, c in terms:
-        k = pack(exponents) << 2
-        if c.im:
-            yield k | 1, _raw(c.im)
-        if c.re:
-            yield k, _raw(c.re)
+def _pack(field: Field, nvars: int, terms: Sequence) -> tuple[int, list]:
+    # The view of terms with distinct exponent tuples and nonzero
+    # coefficients in ``field``, in any order: (width, pairs) at the width
+    # of their total degree, keys descending.  Over QQ(i), the nonzero
+    # halves (4 * key + 1, im) and (4 * key, re): keys add under products
+    # and the exponents of i add in the low two bits, which never carry.
+    width = _width(max([sum(exps) for exps, _ in terms], default=0))
+    pack = _codec(nvars, width)[0]
+    if field.kind == "Fp":
+        pairs = [(pack(exps), c.value) for exps, c in terms]
+    elif field.kind == "Q":
+        pairs = [(pack(exps), _raw(c)) for exps, c in terms]
+    else:
+        pairs = [(pack(exps) << 2 | half, _raw(part)) for exps, c in terms
+                 for half, part in ((1, c.im), (0, c.re)) if part]
+    pairs.sort(reverse=True)
+    return width, pairs
+
+
+def _repack(field: Field, nvars: int, pairs: list, width: int, new: int) -> list:
+    # View pairs packed at ``width``, packed again at ``new``.  Graded
+    # lexicographic order does not depend on the width, so the order holds.
+    unpack, pack = _codec(nvars, width)[1], _codec(nvars, new)[0]
+    if field.kind == "Qi":
+        return [(pack(unpack(k >> 2)) << 2 | k & 3, value) for k, value in pairs]
+    return [(pack(unpack(k)), value) for k, value in pairs]
+
+
+def _accumulate(acc: dict, left: Iterable, right: Iterable) -> None:
+    # The one multiply-accumulate loop: acc[k1 + k2] += a * c over the
+    # (key, raw value) pairs (k1, a) of ``left`` and (k2, c) of ``right``.
+    # ``right`` is iterated once per pair of ``left``.
+    for k1, a in left:
+        for k2, c in right:
+            k = k1 + k2
+            acc[k] = acc.get(k, 0) + a * c
 
 
 @value_class
@@ -453,6 +473,18 @@ class Polynomial:
     field: Field
     nvars: int
     terms: tuple[tuple[tuple[int, ...], Scalar], ...]
+
+    # The value is the view, ``_view`` = (width, pairs): each pair a (key,
+    # raw coefficient), keys descending.  The key is the monomial packed
+    # by _codec(nvars, width) at the width of the total degree; the
+    # coefficient is an int residue over GF(p) and an int or a Fraction
+    # over QQ.  Over QQ(i) a term splits into its nonzero halves: key * 4
+    # + 1 with the imaginary part, then key * 4 with the real part.
+
+    def __init__(self, field: Field, nvars: int, terms: tuple) -> None:
+        # Trusted: ``terms`` must be canonical.  They are packed, and read
+        # back from the view like every polynomial's.
+        self.__dict__.update(field=field, nvars=nvars, _view=_pack(field, nvars, terms))
 
     # -- construction --------------------------------------------------
 
@@ -477,22 +509,8 @@ class Polynomial:
                 acc[exps] = acc[exps] + coeff
             else:
                 acc[exps] = coeff
-        return cls._canonical(field, nvars, acc)
-
-    @classmethod
-    def _canonical(
-        cls, field: Field, nvars: int, acc: Mapping[tuple[int, ...], Scalar]
-    ) -> "Polynomial":
-        """Trusted constructor: ``acc`` maps distinct exponent tuples of
-        arity ``nvars`` to coefficients already in ``field``.  Drops zero
-        coefficients and sorts in graded lexicographic order, highest
-        total degree first; nothing is checked."""
-        terms = sorted(
-            ((exps, coeff) for exps, coeff in acc.items() if coeff),
-            key=lambda term: (sum(term[0]), term[0]),
-            reverse=True,
-        )
-        return cls(field, nvars, tuple(terms))
+        terms = [(exps, coeff) for exps, coeff in acc.items() if coeff]
+        return cls._from_view(field, nvars, *_pack(field, nvars, terms))
 
     @classmethod
     def _sum_of_products(
@@ -520,8 +538,8 @@ class Polynomial:
         and packed monomial and sorted once; each row of R is packed once
         per call.  Trusted: every operand must lie in the ring (``field``,
         ``nvars``).  See the module docstring."""
-        # Every operand gets its view here, and the widest sets the width.
-        width = max([p._kernel_view()[0] for rows in (left_rows, right_rows) for row in rows
+        # The widest operand sets the width.
+        width = max([p._view[0] for rows in (left_rows, right_rows) for row in rows
                      for _, p in row], default=32)
         shift = _degree_shift(field, nvars, width) + width
         right_terms: dict[int, list] = {}
@@ -533,15 +551,12 @@ class Polynomial:
                 if rterms is None:
                     rterms = right_terms[m] = []
                     for c, right in right_rows[m]:
-                        terms = right._kernel_view(width)[1]
+                        terms = right._kernel_view(width)
                         if c:
                             base = c << shift
                             terms = [(base + k, value) for k, value in terms]
                         rterms += terms
-                for m1, a in left._kernel_view(width)[1]:
-                    for m2, c in rterms:
-                        k = m1 + m2
-                        acc[k] = acc.get(k, 0) + a * c
+                _accumulate(acc, left._kernel_view(width), rterms)
             out.append(cls._row_from_sums(field, nvars, width, shift, acc) if acc else [])
         return out
 
@@ -561,51 +576,26 @@ class Polynomial:
 
     @classmethod
     def _from_view(cls, field: Field, nvars: int, width: int, view: list) -> "Polynomial":
-        """Trusted constructor: the polynomial whose kernel view at
-        ``width`` is ``view``, settled (key, value) pairs with keys
-        descending.  The view is kept, and ``terms`` is built from it on
-        first read; at a width other than its degree's, ``terms`` is built
-        now and the view is not kept."""
-        poly = object.__new__(cls)
-        poly.__dict__.update(field=field, nvars=nvars, _view=(width, view))
+        """Trusted constructor: the polynomial whose view at ``width`` is
+        ``view``, settled (key, value) pairs with keys descending.  At a
+        width other than its degree's, the keys are packed again at that
+        one; ``terms`` is built on first read."""
         degree = view[0][0] >> _degree_shift(field, nvars, width) if view else 0
-        if _width(degree) != width:
-            poly.__dict__["terms"] = _terms_from_view(poly)
-            del poly.__dict__["_view"]
+        own = _width(degree)
+        if own != width:
+            view = _repack(field, nvars, view, width, own)
+        poly = object.__new__(cls)
+        poly.__dict__.update(field=field, nvars=nvars, _view=(own, view))
         return poly
 
-    # The kernel's view of a polynomial: (width, terms), each term a
-    # (key, raw coefficient) pair, keys descending.  The key is the
-    # monomial packed by _codec(nvars, width); the coefficient is an int
-    # residue over GF(p) and an int or a Fraction over QQ.  Over QQ(i) a
-    # term splits into its nonzero halves: key * 4 + 1 with the imaginary
-    # part, then key * 4 with the real part.  Built on first use at the
-    # width of the total degree, or made by the kernel or the parser, in
-    # which case ``terms`` is built from it on first read (_LazyTerms).
-    # It is not a field, so equality, hashing and printing never see it.
-    _view = None
-
     # The negation of this polynomial, linked both ways by __neg__: a
-    # cache, not a field, like _view.
+    # cache, not a field.
     _neg = None
 
-    def _kernel_view(self, width: int = 0) -> tuple[int, list]:
-        # The view, built and kept on first use; at another ``width``, one
-        # built at that width and not kept.
-        view = self._view
-        if view is None:
-            view = self._view_at(_width(sum(self.terms[0][0]) if self.terms else 0))
-            object.__setattr__(self, "_view", view)
-        return view if width in (0, view[0]) else self._view_at(width)
-
-    def _view_at(self, width: int) -> tuple[int, list]:
-        pack = _codec(self.nvars, width)[0]
-        kind = self.field.kind
-        if kind == "Fp":
-            return width, [(pack(e), c.value) for e, c in self.terms]
-        if kind == "Q":
-            return width, [(pack(e), _raw(c)) for e, c in self.terms]
-        return width, list(_halves(pack, self.terms))
+    def _kernel_view(self, width: int) -> list:
+        # The view's pairs at ``width``, packed again if it is not their own.
+        own, pairs = self._view
+        return pairs if width == own else _repack(self.field, self.nvars, pairs, own, width)
 
     @classmethod
     def zero(cls, field: Field, nvars: int) -> "Polynomial":
@@ -627,56 +617,48 @@ class Polynomial:
     def monomial(cls, field: Field, nvars: int, exponents: Iterable[int], coeff=1) -> "Polynomial":
         return cls.from_pairs(field, nvars, [(tuple(exponents), field.coerce(coeff))])
 
+    # -- value ------------------------------------------------------------
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.field, self.nvars, self._view) == (other.field, other.nvars, other._view)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.field, self.nvars, tuple(self._view[1])))
+
     # -- queries --------------------------------------------------------
 
-    # Each query reads the view when there is one, so that it builds no
-    # terms.  Graded order puts a term of highest degree first and the
-    # constant term, if any, last, in ``terms`` and view alike.
+    # Graded order puts a term of highest degree first and the constant
+    # term, if any, last.
 
     @property
     def is_zero(self) -> bool:
-        view = self._view
-        return not (self.terms if view is None else view[1])
+        return not self._view[1]
 
     @property
     def total_degree(self) -> int | float:
         """Total degree, or NEG_INFINITY for the zero polynomial."""
-        view = self._view
-        if view is None:
-            return sum(self.terms[0][0]) if self.terms else NEG_INFINITY
-        width, pairs = view
-        if not pairs:
-            return NEG_INFINITY
-        return pairs[0][0] >> _degree_shift(self.field, self.nvars, width)
+        width, pairs = self._view
+        return pairs[0][0] >> _degree_shift(self.field, self.nvars, width) if pairs else NEG_INFINITY
 
     @property
     def is_homogeneous(self) -> bool:
         # The first and the last term have the same degree.
-        view = self._view
-        if view is None:
-            terms = self.terms
-            return not terms or sum(terms[0][0]) == sum(terms[-1][0])
-        width, pairs = view
+        width, pairs = self._view
         shift = _degree_shift(self.field, self.nvars, width)
         return not pairs or pairs[0][0] >> shift == pairs[-1][0] >> shift
 
     @property
     def constant_term(self) -> Scalar:
-        view = self._view
+        # Its pairs have the keys 0 and, over QQ(i), 1 for the imaginary half.
+        tail = dict(self._view[1][-2:])
         kind = self.field.kind
-        if view is None:
-            if self.terms:
-                exps, coeff = self.terms[-1]
-                if not any(exps):
-                    return coeff
-        else:
-            # Its pairs have the keys 0 and, over QQ(i), 1 for the imaginary half.
-            tail = dict(view[1][-2:])
-            if kind == "Qi":
-                if 0 in tail or 1 in tail:
-                    return GaussianRational(Fraction(tail.get(0, 0)), Fraction(tail.get(1, 0)))
-            elif 0 in tail:
-                return FpElement(tail[0], self.field.p) if kind == "Fp" else Fraction(tail[0])
+        if kind == "Qi":
+            if 0 in tail or 1 in tail:
+                return GaussianRational(Fraction(tail.get(0, 0)), Fraction(tail.get(1, 0)))
+        elif 0 in tail:
+            return FpElement(tail[0], self.field.p) if kind == "Fp" else Fraction(tail[0])
         return self.field.zero
 
     # -- arithmetic -----------------------------------------------------
@@ -706,8 +688,6 @@ class Polynomial:
         if neg is None:
             if self.is_zero:
                 neg = self
-            elif self._view is None:
-                neg = Polynomial(self.field, self.nvars, tuple((e, -c) for e, c in self.terms))
             else:
                 width, pairs = self._view
                 p = self.field.p
@@ -728,10 +708,7 @@ class Polynomial:
         return self.scalar_mul(other)
 
     def scalar_mul(self, scalar) -> "Polynomial":
-        c = self.field.coerce(scalar)
-        if not c:
-            return Polynomial.zero(self.field, self.nvars)
-        return Polynomial(self.field, self.nvars, tuple((e, k * c) for e, k in self.terms))
+        return self * Polynomial.constant(self.field, self.nvars, scalar)
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
@@ -748,60 +725,71 @@ class Polynomial:
     # -- printing -------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        # Each term from its raw coefficient: a sign, then the magnitude
+        # unless it is 1 and a monomial follows, a Gaussian coefficient
+        # with a nonzero imaginary part as "(re +/- |im|*i)".
+        width, pairs = self._view
+        if not pairs:
             return "0"
+        unpack = _codec(self.nvars, width)[1]
+        gaussian = self.field.kind == "Qi"
         pieces: list[str] = []
-        for exps, coeff in self.terms:
-            sign, body = _term_text(self.field, exps, coeff)
-            if not pieces:
-                pieces.append(body if sign == "+" else "-" + body)
+        for k, c in _raw_terms(gaussian, pairs):
+            sign = "+"
+            if gaussian and c[1]:
+                text = f"({c[0]} {'+' if c[1] > 0 else '-'} {abs(c[1])}*i)"
             else:
-                pieces.append(f" {sign} {body}")
-        return "".join(pieces)
+                c = c[0] if gaussian else c
+                if c < 0:
+                    sign, c = "-", -c
+                text = str(c)
+            mono = _monomial_text(unpack(k))
+            if mono:
+                text = mono if text == "1" else f"{text}*{mono}"
+            pieces.append(f" {sign} {text}")
+        # The first sign is written without its spaces, and "+" not at all.
+        text = "".join(pieces)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _raw_terms(gaussian: bool, pairs: list) -> Iterable:
+    # The (key, raw coefficient) of each term of a view, keys descending;
+    # over QQ(i) the key without the two bits of i, and the coefficient
+    # the list [re, im] of its halves.
+    if not gaussian:
+        return pairs
+    parts: dict[int, list] = {}
+    for k, value in pairs:
+        parts.setdefault(k >> 2, [0, 0])[k & 1] = value
+    return parts.items()
 
 
 def _terms_from_view(poly: Polynomial) -> tuple:
-    # The terms of a polynomial made from a view: each (key, value) pair
+    # The terms of a polynomial: each (key, value) pair of its view
     # unpacked and wrapped into the public scalar type, once per term, so
     # that terms always hold an FpElement in [0, p), a GaussianRational
     # with Fraction parts, or a Fraction.
-    width, view = poly._view
+    width, pairs = poly._view
     unpack = _codec(poly.nvars, width)[1]
-    kind = poly.field.kind
-    if kind == "Fp":
-        p = poly.field.p
-        return tuple([(unpack(k), FpElement(value, p)) for k, value in view])
-    if kind == "Q":
-        return tuple([(unpack(k), Fraction(value)) for k, value in view])
-    parts: dict[int, list] = {}
-    for k, value in view:
-        parts.setdefault(k >> 2, [0, 0])[k & 1] = value
-    return tuple([(unpack(k), GaussianRational(Fraction(re), Fraction(im)))
-                  for k, (re, im) in parts.items()])
+    field = poly.field
+    if field.kind == "Qi":
+        return tuple([(unpack(k), GaussianRational(Fraction(re), Fraction(im)))
+                      for k, (re, im) in _raw_terms(True, pairs)])
+    wrap = Fraction if field.kind == "Q" else lambda value: FpElement(value, field.p)
+    return tuple([(unpack(k), wrap(value)) for k, value in pairs])
 
 
-class _LazyTerms:
-    """``Polynomial.terms`` of a polynomial made from a view: built by
-    ``_terms_from_view`` on first read and kept in the instance, whose own
-    ``terms`` then shadows this non-data descriptor.  Every other
-    polynomial holds its terms from the start."""
-
-    def __get__(self, poly, owner=None):
-        if poly is None:
-            return self
-        terms = poly.__dict__["terms"] = _terms_from_view(poly)
-        return terms
-
-
-# Set after @value_class, which would take a class attribute for the
-# default of the field.
-Polynomial.terms = _LazyTerms()
+# ``terms`` is built on first read and kept in the instance dict, which
+# then shadows the property.  Set after @value_class, which would take a
+# class attribute for the default of the field.
+Polynomial.terms = cached_property(lambda poly: _terms_from_view(poly))
+Polynomial.terms.__set_name__(Polynomial, "terms")
 
 
 @lru_cache(maxsize=64)
 def _signs(field: Field, nvars: int) -> tuple[Polynomial, Polynomial]:
     # The constants +1 and -1, the right factors of the summands of a sum
-    # (index op == "-"), kept with their kernel views from call to call.
+    # (index op == "-"), kept from call to call.
     return Polynomial.constant(field, nvars, 1), Polynomial.constant(field, nvars, -1)
 
 
@@ -835,22 +823,6 @@ def _monomial_text(exps: tuple[int, ...]) -> str:
         elif e > 1:
             factors.append(f"x{k}^{e}")
     return "*".join(factors)
-
-
-def _term_text(field: Field, exps: tuple[int, ...], coeff: Scalar) -> tuple[str, str]:
-    # Returns (sign, body); sign is "+" or "-" and body carries no sign.
-    sign = "+"
-    magnitude = coeff
-    if field.kind == "Q" and coeff < 0:
-        sign, magnitude = "-", -coeff
-    elif field.kind == "Qi" and coeff.im == 0 and coeff.re < 0:
-        sign, magnitude = "-", -coeff
-    mono = _monomial_text(exps)
-    if not mono:
-        return sign, str(magnitude)
-    if magnitude == field.one:
-        return sign, mono
-    return sign, f"{magnitude}*{mono}"
 
 
 def degree_info(p: Polynomial) -> tuple[int | float, bool]:
@@ -888,6 +860,10 @@ class _Wider(Exception):
 def _gaussian_mul(a: tuple, b: tuple) -> tuple:
     # (a0 + a1*i) * (b0 + b1*i) on raw (real, imaginary) pairs.
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+# The view pairs of the constants +1 and -1, by the operator of a summand.
+_UNITS = {"+": ((0, 1),), "-": ((0, -1),)}
 
 
 class _Parser:
@@ -948,22 +924,15 @@ class _Parser:
                     raise ParseError(
                         f"expansion needs more than {MAX_PARSE_PRODUCTS} term products", at)
         acc: dict = {}
-        for k1, v1 in a.items():
-            for k2, v2 in b.items():
-                k = k1 + k2
-                acc[k] = acc.get(k, 0) + v1 * v2
+        _accumulate(acc, a.items(), b.items())
         return _settle(self.field, acc)
 
     def sum(self, summands: list[tuple[dict, str]]) -> dict:
-        # A whole sum in one dict, however many summands it has.
+        # A whole sum in one dict, however many summands it has: each
+        # summand times the constant +1 or -1.
         acc: dict = {}
         for poly, op in summands:
-            if op == "+":
-                for k, value in poly.items():
-                    acc[k] = acc.get(k, 0) + value
-            else:
-                for k, value in poly.items():
-                    acc[k] = acc.get(k, 0) - value
+            _accumulate(acc, poly.items(), _UNITS[op])
         return _settle(self.field, acc)
 
     def parse(self) -> Polynomial:

@@ -378,6 +378,18 @@ def _stdout():
     return sys.stdout
 
 
+def _diagnose(line: str) -> None:
+    # One diagnostic line on stderr, dropped when stderr is closed, so that
+    # the exit code stands: sys.stderr is None when the interpreter started
+    # with fd 2 closed, and a write fails when fd 2 was reused for a file
+    # opened for reading.
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(f"{line}\n")
+        except OSError:
+            pass
+
+
 def _emit(args, report: dict, *, artifact: dict | None = None,
           scalar=None) -> None:
     """Write the report (and optional JSON artifact) per the output flags.
@@ -765,12 +777,12 @@ def _run(args) -> int:
         if args.json:
             _dump(report, _stdout())
         for diag in report["diagnostics"]:
-            sys.stderr.write(f"invalid: {diag}\n")
+            _diagnose(f"invalid: {diag}")
         return 2
     _emit(args, report, artifact=artifact, scalar=scalar)
     for verdict in out.get("verdicts", ()):
         if verdict.applicable and not verdict.passed:
-            sys.stderr.write(f"check failed: value {verdict.value} < bound {verdict.bound}\n")
+            _diagnose(f"check failed: value {verdict.value} < bound {verdict.bound}")
             return 2
     return 0
 
@@ -800,12 +812,12 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 args = parser.parse_args(argv)
             except _UsageError as exc:
-                sys.stderr.write(f"{exc}\n")
+                _diagnose(str(exc))
                 return 1
         try:
             return _run(args)
         except (ValueError, ZeroDivisionError, OSError) as exc:
-            sys.stderr.write(f"error [{_origin_module(exc)}]: {exc}\n")
+            _diagnose(f"error [{_origin_module(exc)}]: {exc}")
             return 2
     finally:
         sys.set_int_max_str_digits(limit)

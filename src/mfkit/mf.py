@@ -205,14 +205,12 @@ def validate(F: MatrixFactorization) -> list[str]:
 
 def _first_composite_mismatch(prod_matrix: HomogeneousMatrix, f: Polynomial) -> str | None:
     # Row r differs from f*id at its nonzeros off the diagonal and, unless
-    # it holds f there, at (r, r); report the first in column order.  The
-    # diagonal is compared with f by kernel view, which builds no terms.
+    # it holds f there, at (r, r); report the first in column order.
     zero = Polynomial.zero(f.field, f.nvars)
-    f_view = f._kernel_view()
     for r, row in enumerate(prod_matrix.rows):
         got = dict(row)
         bad = [c for c in got if c != r]
-        if r not in got or got[r]._kernel_view() != f_view:
+        if r not in got or got[r] != f:
             bad.append(r)
         if bad:
             c = min(bad)

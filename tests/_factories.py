@@ -111,3 +111,40 @@ def random_valid_mf(rng: random.Random, field: Field = FP13,
         trivial = mf.trivial_one_f(F.f) if rng.random() < 0.5 else mf.trivial_f_one(F.f)
         F = mf.direct_sum(F, mf.twist(trivial, rng.randint(-2, 2)))
     return F
+
+
+def raw(q: Fraction) -> int | Fraction:
+    # A rational as a plain int when it is integral, as in a view.
+    return q.numerator if q.denominator == 1 else q
+
+
+def natural_width(poly):
+    # The field width of a view: the least 32 * 2^k above the total degree
+    # by one bit, so that the degree of a product still fits.
+    degree, width = sum(poly.terms[0][0]) if poly.terms else 0, 32
+    while degree >= 2 ** (width - 1):
+        width *= 2
+    return width
+
+
+def packed_view(poly):
+    """The view of ``poly`` built from its terms, field by field: at the
+    width of the total degree, each key the total degree, then x0, x1, ...
+    in fields of that width, over QQ(i) times 4 plus the exponent of i of
+    the half; keys descending."""
+    width = natural_width(poly)
+    pairs = []
+    for exps, c in poly.terms:
+        key = sum(exps)
+        for e in exps:
+            key = key << width | e
+        if poly.field.kind == "Fp":
+            pairs.append((key, c.value))
+        elif poly.field.kind == "Q":
+            pairs.append((key, raw(c)))
+        else:
+            if c.im:
+                pairs.append((4 * key + 1, raw(c.im)))
+            if c.re:
+                pairs.append((4 * key, raw(c.re)))
+    return width, sorted(pairs, reverse=True)

@@ -606,6 +606,32 @@ def test_closed_stdout_exits_2(tmp_path):
     assert (tmp_path / "sweep.csv").read_text() == SWEEP_CSV
 
 
+def test_closed_stderr_keeps_exit_codes(tmp_path):
+    # The child starts with fd 2 closed, so its sys.stderr is None and its
+    # diagnostics are dropped.  Run through ``-c``, main must return the
+    # code, not raise: an uncaught exception would also exit 1.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    env.pop("MFKIT_THREADS", None)
+    returned = "import sys; from mfkit import cli; print(cli.main(sys.argv[1:]))"
+
+    def closed_stderr(*argv):
+        runs = [subprocess.run([sys.executable, *command, *argv], cwd=tmp_path, env=env,
+                               stdout=subprocess.PIPE, text=True, timeout=120,
+                               preexec_fn=lambda: os.close(2))
+                for command in (["-m", "mfkit"], ["-c", returned])]
+        module, direct = runs
+        assert direct.returncode == 0
+        assert direct.stdout.splitlines()[-1] == str(module.returncode)
+        return module.returncode, module.stdout
+
+    assert closed_stderr("mf", "validate", "missing.json") == (2, "")
+    code, out = closed_stderr("check", "rho", "--n", "4", "--d", "5", "--value", "3")
+    assert code == 2 and "-> FAIL" in out
+    assert closed_stderr("rho", "point") == (1, "")
+    assert closed_stderr("rho", "point", "--n", "3", "--bogus") == (1, "")
+
+
 @pytest.mark.parametrize("argv", [
     ["mf", "fermat", "--pairs", "1", "--half-degree", "1"],
     ["mf", "fermat", "--pairs", "1", "--half-degree", "1", "--json"],

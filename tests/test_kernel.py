@@ -1,13 +1,13 @@
 """Differential tests of the polynomial kernel.
 
-Arithmetic results skip validation and go through the trusted
-``Polynomial._canonical`` or the kernel ``Polynomial._product_rows``.
-The kernel runs on each polynomial's view: monomials packed into one int
-each, with fields of 32 bits doubled until the operands' degrees fit, and
-raw coefficients (GF(p) residues summed unreduced, integral rationals as
-ints, QQ(i) coefficients split into real and imaginary halves); each
-output carries its view and builds its terms from it on first read, and
-the queries that the view answers build none.  A one-term
+Arithmetic results skip validation and go through the kernel
+``Polynomial._product_rows``.  Every polynomial holds its view:
+monomials packed into one int each, with fields of 32 bits doubled until
+its degree fits, and raw coefficients (GF(p) residues summed unreduced,
+integral rationals as ints, QQ(i) coefficients split into real and
+imaginary halves).  It builds its terms from the view on first read, and
+``==``, ``hash``, ``str`` and the queries, which read the view, build
+none.  A one-term
 power scales its exponents; matrices store sparse rows and ``compose``
 sums each row in one kernel call; ``mf.reduce`` updates only the Schur
 complement of each pivot, all rows in one kernel call, and scans each
@@ -25,7 +25,8 @@ per-column product, a linear scan for the constant term, the original
 sort key, the original and the dense row and column elimination, a
 rescan from (0, 0) after every split, both composites on dense grids,
 one parse per entry, one ``str()`` per cell, dense Kronecker and block
-grids, and polynomials built by ``from_pairs``.  Degrees just
+grids, polynomials built by ``from_pairs``, a packer written out
+field by field, and the printer that read ``terms``.  Degrees just
 below and above each field width, up to 2^127, and ``MAX_NVARS``
 variables run through the same comparisons.
 """
@@ -48,8 +49,8 @@ from mfkit.algebra import (GF, MAX_EXPONENT, MAX_NVARS, QI, QQ, FpElement, Gauss
 from mfkit.cli import MF_SCHEMA, SchemaError, document_to_mf, field_to_json, mf_to_document
 from mfkit.graded import DegreeMultiset, HomogeneousMatrix, compose
 
-from _factories import (random_elementary, random_homogeneous, random_reduced_mf,
-                        random_valid_mf)
+from _factories import (packed_view, random_elementary, random_homogeneous, random_reduced_mf,
+                        random_valid_mf, raw)
 
 # GF(2^31 - 1): products of two residues come near 2^62, and the kernel
 # sums them unreduced.
@@ -162,7 +163,7 @@ def test_constant_term_matches_linear_scan(field, data):
 def test_canonical_sort_matches_old_key(field, data):
     nvars = data.draw(st.integers(1, 4))
     acc = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars), scalars(field)))
-    poly = Polynomial._canonical(field, nvars, acc)
+    poly = Polynomial.from_pairs(field, nvars, acc)
     assert [e for e, _ in poly.terms] == sorted((e for e, c in acc.items() if c), key=old_order_key)
 
 
@@ -259,22 +260,18 @@ def test_long_unreduced_sums_match_reference(data):
 # -- the packed kernel against the tuple kernel -----------------------------
 
 
-def _raw(q):
-    return q.numerator if q.denominator == 1 else q
-
-
 def tuple_sum_of_products(field, nvars, pairs):
     """``Polynomial._sum_of_products`` as it was before packed monomials:
     exponent tuples added with ``map(add)``, raw scalar components (GF(p)
     residues summed unreduced, integral rationals as ints, both parts over
     QQ(i) by the Gaussian product formula) and one wrap per surviving
-    term, then ``_canonical``."""
+    term, then ``from_pairs``."""
     if field.kind == "Qi":
         acc_re, acc_im = {}, {}
         for left, right in pairs:
-            rterms = [(e2, _raw(c2.re), _raw(c2.im)) for e2, c2 in right.terms]
+            rterms = [(e2, raw(c2.re), raw(c2.im)) for e2, c2 in right.terms]
             for e1, c1 in left.terms:
-                a, b = _raw(c1.re), _raw(c1.im)
+                a, b = raw(c1.re), raw(c1.im)
                 for e2, c, d in rterms:
                     exps = tuple(map(add, e1, e2))
                     acc_re[exps] = acc_re.get(exps, 0) + (a * c - b * d)
@@ -283,11 +280,11 @@ def tuple_sum_of_products(field, nvars, pairs):
                for exps, re in acc_re.items() if re or acc_im[exps]}
     else:
         raw_acc = {}
-        raw = attrgetter("value") if field.kind == "Fp" else _raw
+        to_raw = attrgetter("value") if field.kind == "Fp" else raw
         for left, right in pairs:
-            rterms = [(e2, raw(c2)) for e2, c2 in right.terms]
+            rterms = [(e2, to_raw(c2)) for e2, c2 in right.terms]
             for e1, c1 in left.terms:
-                a = raw(c1)
+                a = to_raw(c1)
                 for e2, c in rterms:
                     exps = tuple(map(add, e1, e2))
                     raw_acc[exps] = raw_acc.get(exps, 0) + a * c
@@ -296,23 +293,13 @@ def tuple_sum_of_products(field, nvars, pairs):
                    for exps, value in raw_acc.items() if (residue := value % field.p)}
         else:
             acc = {exps: Fraction(value) for exps, value in raw_acc.items() if value}
-    return Polynomial._canonical(field, nvars, acc)
-
-
-def natural_width(poly):
-    # The field width of a view: the least 32 * 2^k above the total degree
-    # by one bit, so that the degree of a product still fits.
-    degree, width = sum(poly.terms[0][0]) if poly.terms else 0, 32
-    while degree >= 2 ** (width - 1):
-        width *= 2
-    return width
+    return Polynomial.from_pairs(field, nvars, acc)
 
 
 def assert_view(poly):
-    # A view that the kernel attached is the one built from the terms, at
-    # the width of the total degree.
-    if poly._view is not None:
-        assert poly._view == poly._view_at(natural_width(poly))
+    # Every polynomial holds the view built from its terms, at the width of
+    # its total degree.
+    assert poly._view == packed_view(poly)
 
 
 # Exponents just below and above the degrees that each field width holds
@@ -322,14 +309,15 @@ WIDE_EXPONENTS = [0, 1, 2, MAX_EXPONENT - 1, MAX_EXPONENT, 2**30, 2**31 - 2, 2**
                   2**32, 2**40, 2**62, 2**63 - 1, 2**63, 2**126, 2**127]
 
 
-def wide_term_lists(field, nvars, max_size=4):
+def wide_term_lists(field, nvars, max_size=4, coeff=None):
     # Up to three nonzero exponents per term, so that MAX_NVARS stays cheap.
     position = st.integers(0, nvars - 1)
     exps = st.dictionaries(position, st.sampled_from(WIDE_EXPONENTS), max_size=3).map(
         lambda sparse: tuple(sparse.get(k, 0) for k in range(nvars)))
-    coeff = scalars(field)
-    if field.kind == "Q":
-        coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
+    if coeff is None:
+        coeff = scalars(field)
+        if field.kind == "Q":
+            coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9))
     return st.lists(st.tuples(exps, coeff), max_size=max_size)
 
 
@@ -927,9 +915,9 @@ def test_power_matches_repeated_products(field, data):
 
 
 # -- terms built on first read -------------------------------------------------
-# Kernel and parser outputs carry their views and build ``terms`` on first
-# read; each reader must give what it gives for the same polynomial built
-# by ``from_pairs``, whichever is read first.
+# Every polynomial holds its view and builds ``terms`` on first read; each
+# reader of a kernel or parser output must give what it gives for the
+# same polynomial built by ``from_pairs``, whichever is read first.
 
 READERS = {
     "==": lambda poly, ref: poly == ref,
@@ -943,7 +931,7 @@ READERS = {
                                         and poly.constant_term == ref.constant_term),
 }
 # The readers that answer from a view without building terms.
-VIEW_READERS = {"is_zero", "total_degree", "is_homogeneous", "constant_term"}
+VIEW_READERS = {"==", "hash", "str", "is_zero", "total_degree", "is_homogeneous", "constant_term"}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -963,7 +951,7 @@ def test_lazy_terms_read_like_from_pairs(field, data):
     for make in makers:
         poly = make()
         assert READERS[first](poly, ref), first
-        if first in VIEW_READERS and poly._view is not None:
+        if first in VIEW_READERS:
             assert "terms" not in poly.__dict__
         for name, agrees in READERS.items():
             assert agrees(poly, ref), name
@@ -1004,9 +992,25 @@ def test_validate_builds_no_composite_terms(monkeypatch, wrapped, field):
         assert len(composites) == 1 and len(entries) == F.rank
         assert all("terms" not in e.__dict__ for e in entries)
         assert wrapped == []
-    # The counter sees the terms a printed entry needs.
+    # Printing reads the view, so it builds no terms either.
     str(entries[0])
-    assert wrapped == [entries[0]]
+    assert wrapped == []
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_compare_hash_and_print_build_no_terms(wrapped, field):
+    # The counter sees terms only when they are read.
+    text = "(1/2 + 3*i)*x0^2 - x0*x1 + 2" if field.kind == "Qi" else "1/2*x0^2 - x0*x1 + 2"
+    parsed = parse_poly(text, field, 2)
+    again = parse_poly(text, field, 2)
+    product = parsed * parsed
+    other = Polynomial._sum_of_products(field, 2, [(again, again)])
+    for poly, twin in ((parsed, again), (product, other)):
+        assert poly == twin and not poly != twin and poly != -twin
+        assert hash(poly) == hash(twin)
+        assert str(poly) == str(twin)
+    assert wrapped == []
+    assert parsed.terms and wrapped == [parsed]
 
 
 @pytest.mark.parametrize("field", [QQ, QI, GF(13)], ids=["QQ", "QQ(i)", "GF(13)"])
@@ -1028,6 +1032,82 @@ def test_reduce_builds_no_terms_for_overwritten_rows(monkeypatch, wrapped, field
     assert overwritten and R.rank < F.rank
     assert not {id(e) for e in wrapped} & {id(e) for e in overwritten}
     assert all("terms" not in e.__dict__ for e in overwritten)
+
+
+# -- the printer against the one that read terms ----------------------------
+
+
+def reference_term_text(field, exps, coeff):
+    # Returns (sign, body); sign is "+" or "-" and body carries no sign.
+    sign = "+"
+    magnitude = coeff
+    if field.kind == "Q" and coeff < 0:
+        sign, magnitude = "-", -coeff
+    elif field.kind == "Qi" and coeff.im == 0 and coeff.re < 0:
+        sign, magnitude = "-", -coeff
+    mono = algebra._monomial_text(exps)
+    if not mono:
+        return sign, str(magnitude)
+    if magnitude == field.one:
+        return sign, mono
+    return sign, f"{magnitude}*{mono}"
+
+
+def reference_str(poly):
+    """``Polynomial.__str__`` as it was before it read the view: one
+    signed body per term of ``terms``, from the public scalars."""
+    if not poly.terms:
+        return "0"
+    pieces = []
+    for exps, coeff in poly.terms:
+        sign, body = reference_term_text(poly.field, exps, coeff)
+        if not pieces:
+            pieces.append(body if sign == "+" else "-" + body)
+        else:
+            pieces.append(f" {sign} {body}")
+    return "".join(pieces)
+
+
+def printed_scalars(field):
+    # The drawn scalars and the forms the printer treats apart: units,
+    # negative and fractional values, and over QQ(i) a zero real part.
+    half = Fraction(1, 2)
+    special = {
+        "Q": [Fraction(1), Fraction(-1), -half, Fraction(7, 3)],
+        "Qi": [GaussianRational(0, 1), GaussianRational(half, -3), GaussianRational(0, -1),
+               GaussianRational(1, 0), GaussianRational(-1, 0), GaussianRational(-half, 0)],
+        "Fp": [field.one, -field.one] if field.kind == "Fp" else [],
+    }[field.kind]
+    return st.one_of(scalars(field), st.sampled_from(special))
+
+
+# Total degrees at the edges of each width: the least and the largest
+# that the view of that width holds.
+WIDTH_EDGES = {32: [1, 2**31 - 1], 64: [2**31, 2**63 - 1], 128: [2**63, 2**127 - 1]}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("width", [32, 64, 128])
+@given(data=st.data())
+def test_printer_matches_terms_printer(field, width, data):
+    nvars = data.draw(st.integers(1, 3))
+    top = tuple(data.draw(st.sampled_from(WIDTH_EDGES[width])) if k == 0 else 0
+                for k in range(nvars))
+    coeff = printed_scalars(field)
+    small = st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * nvars), coeff), max_size=4)
+    p = Polynomial.from_pairs(field, nvars, [(top, data.draw(coeff.filter(bool)))] + data.draw(small))
+    q = Polynomial.from_pairs(field, nvars, data.draw(wide_term_lists(field, nvars, coeff=coeff)))
+    assert p._view[0] == width
+    one = Polynomial.constant(field, nvars, 1)
+    polys = [p, q, -p, -q, p * one, p * q, p - q, Polynomial._sum_of_products(field, nvars, [(p, q)])]
+    for poly in list(polys):
+        if all(e <= MAX_EXPONENT for exps, _ in poly.terms for e in exps):
+            polys.append(parse_poly(reference_str(poly), field, nvars))
+    for poly in polys:
+        text = str(poly)
+        assert text == reference_str(poly)
+        if all(e <= MAX_EXPONENT for exps, _ in poly.terms for e in exps):
+            assert parse_poly(text, field, nvars) == poly
 
 
 # -- shared negations and the document boundary ---------------------------

@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 from mfkit import algebra
 from mfkit.algebra import GF, MAX_EXPONENT, QI, QQ, ParseError, Polynomial, parse_poly
 
+from _factories import packed_view
+
 
 def reference_power_step_bits(poly):
     # _power_step_bits as it was, over the terms of a Polynomial.
@@ -196,22 +198,14 @@ def outcome(parse, *args):
         return str(exc), exc.position
 
 
-def natural_width(poly):
-    degree, width = sum(poly.terms[0][0]) if poly.terms else 0, 32
-    while degree >= 2 ** (width - 1):
-        width *= 2
-    return width
-
-
 def assert_same(text, field, nvars, max_degree=None):
     got = outcome(parse_poly, text, field, nvars, max_degree)
     want = outcome(reference_parse, text, field, nvars, max_degree)
     assert got == want, text
     if isinstance(got, Polynomial):
         assert str(got) == str(want)
-        # A kept view is the one built from the terms at the degree's width.
-        if got._view is not None:
-            assert got._view == got._view_at(natural_width(got))
+        # The view is the one built from the terms at the degree's width.
+        assert got._view == packed_view(got)
 
 
 FIELDS = [QQ, QI, GF(13)]

@@ -94,7 +94,8 @@ def test_matches_a_frozen_dataclass(cls):
     for value, other in zip(values, twins):
         assert type(value) is cls
         assert repr(value) == repr(other)
-        assert hash(value) == hash(other)
+        if cls is not algebra.Polynomial:
+            assert hash(value) == hash(other)
         assert value != other and other != value  # different classes
         for name in cls.__annotations__:
             with pytest.raises(AttributeError):
@@ -104,6 +105,9 @@ def test_matches_a_frozen_dataclass(cls):
         assert field_values(value) == field_values(other)
     for (a, b), (ta, tb) in zip(product(values, repeat=2), product(twins, repeat=2)):
         assert (a == b, a != b) == (ta == tb, ta != tb)
+        # A Polynomial hashes its packed view, not its terms, so its hash
+        # is not the twin's; equal values must still hash equal.
+        assert a != b or hash(a) == hash(b)
 
 
 def test_defaults():
