@@ -20,14 +20,14 @@ the field.  Arithmetic does not re-validate; its results are made by
 the trusted constructor ``Polynomial._from_view`` (below).
 
 Sums and products share one multiply-accumulate loop, ``_accumulate``.
-Its one caller in arithmetic is ``Polynomial._product_rows``, which
-forms the rows of a product of two sparse polynomial matrices:
-``_sum_of_products`` (behind ``*``, ``+`` and ``-``, one call with right
-factors +1 and -1) is its 1 x n by n x 1 case, :func:`graded.compose`
-passes it the rows of its two factors, and a split of :func:`mf.reduce`
-updates every row of the Schur complement in one call.  Each output row
-is accumulated in one dict keyed by column and monomial and sorted once
-(Gustavson, ACM TOMS 4(3), 1978).
+The parser and the polynomial operators share three view operations:
+``_sum_products`` (a summand of a sum times +1 or -1), ``_negated`` and
+``_view_power``, at the widest operand's width (a power at its
+degree's).  The matrix kernel ``Polynomial._product_rows`` forms the rows
+of a product of two sparse polynomial matrices for
+:func:`graded.compose` and the splits of :func:`mf.reduce`; each output
+row is accumulated in one dict keyed by column and monomial and sorted
+once (Gustavson, ACM TOMS 4(3), 1978).
 
 The loop runs on each polynomial's view.  The view packs each
 monomial into one int (Monagan and Pearce, CASC 2007): the total degree
@@ -69,14 +69,12 @@ emits terms in monomial order with explicit ``*`` and ``^``, rationals as
 parses back to the same polynomial.
 
 The parser evaluates on plain dicts of raw coefficients, keyed and
-settled as a view: a variable is one packed key, ``*`` adds keys, ``^``
-of one term scales its key, and a sum of N summands is one dict.  No
-scalar object or polynomial is made per operator: a product runs
-``_accumulate`` on two dicts, and a sum runs it on each summand and the
-constant +1 or -1, as ``Polynomial._sum`` does; the one ``Polynomial``
-of a parse is made from the final dict.  Keys start at
-width 32, and a parse whose degrees outgrow its width runs again at a
-width that holds them.
+settled as a view: a variable is one packed key, ``*``, ``+`` and ``-``
+run ``_sum_products``, unary ``-`` runs ``_negated`` and ``^`` runs
+``_view_power``, so a sum of N summands is one dict.  No scalar object
+or polynomial is made per operator; the one ``Polynomial`` of a parse is
+made from the final dict.  Keys start at width 32, and a parse whose
+degrees outgrow its width runs again at a width that holds them.
 
 The parser bounds the work of one parse: an optional degree bound on
 every ``*`` and ``^``, MAX_PARSE_PRODUCTS term products, and
@@ -103,8 +101,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import groupby
 from math import gcd, prod
-from operator import mul
-from struct import Struct
 
 from ._value import value_class
 
@@ -124,10 +120,10 @@ MAX_NVARS = 2**10
 # through five frames per level: well inside the interpreter's limit.
 MAX_NESTING = 64
 
-# Most term products one parse may form: the sum over its products of
-# len(a.terms) * len(b.terms), charged before each product.  The degree
-# bound alone admits expansions such as (x0 + ... + x11)^400, which has
-# about 10^20 terms.
+# Most term products one parse may form: the sum over its products a * b
+# of the monomials of a times those of b, charged before each product.
+# The degree bound alone admits expansions such as (x0 + ... + x11)^400,
+# which has about 10^20 terms.
 MAX_PARSE_PRODUCTS = 2**16
 
 # Most coefficient bits the powers of one parse may add, charged before
@@ -400,27 +396,17 @@ def _codec(nvars: int, width: int):
     ``width``-bit fields, the total degree in the top field, then x0,
     x1, ...: integer order is graded lexicographic order.  ``pack`` maps
     an exponent tuple to its int, ``unpack`` an int to its tuple."""
-    if width <= 64:
-        code = "I" if width == 32 else "Q"
-        full, tail = Struct(f">{nvars + 1}{code}"), Struct(f">{nvars}{code}")
-        size, skip = full.size, width // 8
+    shifts = range(width * (nvars - 1), -1, -width)
+    mask = (1 << width) - 1
 
-        def pack(exponents):
-            return int.from_bytes(full.pack(sum(exponents), *exponents), "big")
+    def pack(exponents):
+        key = sum(exponents)
+        for e in exponents:
+            key = key << width | e
+        return key
 
-        def unpack(packed):
-            return tail.unpack_from(packed.to_bytes(size, "big"), skip)
-    else:
-        size = width // 8
-        offsets = range(size, size * (nvars + 1), size)
-
-        def pack(exponents):
-            return int.from_bytes(b"".join(e.to_bytes(size, "big") for e in (sum(exponents), *exponents)),
-                                  "big")
-
-        def unpack(packed):
-            data = packed.to_bytes(size * (nvars + 1), "big")
-            return tuple(int.from_bytes(data[k:k + size], "big") for k in offsets)
+    def unpack(packed):
+        return tuple([packed >> shift & mask for shift in shifts])
     return pack, unpack
 
 
@@ -460,6 +446,65 @@ def _accumulate(acc: dict, left: Iterable, right: Iterable) -> None:
         for k2, c in right:
             k = k1 + k2
             acc[k] = acc.get(k, 0) + a * c
+
+
+def _sum_products(field: Field, products: Iterable[tuple[Iterable, Iterable]]) -> dict:
+    # The settled sum of left * right over ``products``, pairs of views at
+    # one width that holds the degree of the sum.
+    acc: dict = {}
+    for left, right in products:
+        _accumulate(acc, left, right)
+    return _settle(field, acc)
+
+
+# The view pairs of the constants +1 and -1, by the operator of a summand.
+_UNITS = {"+": ((0, 1),), "-": ((0, -1),)}
+
+
+def _negated(field: Field, pairs: Iterable) -> list:
+    # The pairs of the negation, keys kept: over GF(p) the residue p - value.
+    p = field.p
+    return [(k, p - value) for k, value in pairs] if p else [(k, -value) for k, value in pairs]
+
+
+def _size(field: Field, view: Collection[int]) -> int:
+    # The number of terms of a view: over QQ(i), of monomials with a nonzero half.
+    return len({k >> 2 for k in view}) if field.kind == "Qi" else len(view)
+
+
+def _view_power(field: Field, base: dict, exponent: int, times) -> dict:
+    # base^exponent.  A base of one monomial scales its key: (c*x^a)^k =
+    # c^k * x^(k*a), and c^k is nonzero in a field.  Any other base is
+    # squared and multiplied, each product formed by ``times``.
+    if _size(field, base) != 1:
+        return _power(base, exponent, {0: 1}, times)
+    if field.kind == "Qi":
+        key = max(base) >> 2 << 2
+        c = (base.get(key, 0), base.get(key + 1, 0))
+        if c != (1, 0):
+            c = _power(c, exponent, (1, 0), _gaussian_mul)
+        return {k: value for k, value in ((key * exponent + 1, c[1]), (key * exponent, c[0]))
+                if value}
+    (key, c), = base.items()
+    if c != 1:
+        c = pow(c, exponent, field.p) if field.p else c ** exponent
+    return {key * exponent: c}
+
+
+def _power(base, e: int, one, times):
+    # base^e by square-and-multiply, each product formed by times.
+    result = one
+    while e:
+        if e & 1:
+            result = times(result, base)
+        base = times(base, base) if e > 1 else base
+        e >>= 1
+    return result
+
+
+def _gaussian_mul(a: tuple, b: tuple) -> tuple:
+    # (a0 + a1*i) * (b0 + b1*i) on raw (real, imaginary) pairs.
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
 
 
 @value_class
@@ -516,14 +561,17 @@ class Polynomial:
     def _sum_of_products(
         cls, field: Field, nvars: int, pairs: Iterable[tuple["Polynomial", "Polynomial"]]
     ) -> "Polynomial":
-        """The sum of ``left * right`` over ``pairs``: the one entry of a
-        1 x n by n x 1 :meth:`_product_rows`."""
-        lefts, rights = [], []
-        for left, right in pairs:
-            lefts.append((len(rights), left))
-            rights.append(((0, right),))
-        (row,) = cls._product_rows(field, nvars, (lefts,), rights)
-        return row[0][1] if row else cls(field, nvars, ())
+        """The sum of ``left * right`` over ``pairs``, at the width of the
+        widest operand.  Trusted, as :meth:`_product_rows` is."""
+        pairs = list(pairs)
+        width = max([p._view[0] for pair in pairs for p in pair], default=32)
+        return cls._from_settled(field, nvars, width, _sum_products(
+            field, [(left._kernel_view(width), right._kernel_view(width)) for left, right in pairs]))
+
+    @classmethod
+    def _from_settled(cls, field: Field, nvars: int, width: int, settled: dict) -> "Polynomial":
+        # The polynomial of a settled dict {key: value} at ``width``.
+        return cls._from_view(field, nvars, width, sorted(settled.items(), reverse=True))
 
     @classmethod
     def _product_rows(
@@ -677,9 +725,10 @@ class Polynomial:
 
     def _sum(self, other: "Polynomial", op: str) -> "Polynomial":
         self._check_compat(other)
-        signs = _signs(self.field, self.nvars)
-        return Polynomial._sum_of_products(
-            self.field, self.nvars, ((self, signs[0]), (other, signs[op == "-"])))
+        width = max(self._view[0], other._view[0])
+        products = ((self._kernel_view(width), _UNITS["+"]), (other._kernel_view(width), _UNITS[op]))
+        return Polynomial._from_settled(self.field, self.nvars, width,
+                                        _sum_products(self.field, products))
 
     def __neg__(self) -> "Polynomial":
         # Linked both ways on first use (see the module docstring); the
@@ -690,10 +739,7 @@ class Polynomial:
                 neg = self
             else:
                 width, pairs = self._view
-                p = self.field.p
-                neg = Polynomial._from_view(self.field, self.nvars, width,
-                                            [(k, p - value) for k, value in pairs] if p else
-                                            [(k, -value) for k, value in pairs])
+                neg = Polynomial._from_view(self.field, self.nvars, width, _negated(self.field, pairs))
             object.__setattr__(neg, "_neg", self)
             object.__setattr__(self, "_neg", neg)
         return neg
@@ -713,14 +759,12 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        if len(self.terms) == 1:
-            # (c*x^a)^k = c^k * x^(k*a), and c^k is nonzero in a field.
-            (exps, coeff), = self.terms
-            one = self.field.one
-            if coeff != one:
-                coeff = _power(coeff, exponent, one)
-            return Polynomial(self.field, self.nvars, ((tuple(a * exponent for a in exps), coeff),))
-        return _power(self, exponent, Polynomial.constant(self.field, self.nvars, 1))
+        # At the width of the power's degree, which holds every step's.
+        field = self.field
+        width = _width(max(self.total_degree, 0) * exponent)
+        power = _view_power(field, dict(self._kernel_view(width)), exponent,
+                            lambda a, b: _sum_products(field, ((a.items(), b.items()),)))
+        return Polynomial._from_settled(field, self.nvars, width, power)
 
     # -- printing -------------------------------------------------------
 
@@ -786,24 +830,6 @@ Polynomial.terms = cached_property(lambda poly: _terms_from_view(poly))
 Polynomial.terms.__set_name__(Polynomial, "terms")
 
 
-@lru_cache(maxsize=64)
-def _signs(field: Field, nvars: int) -> tuple[Polynomial, Polynomial]:
-    # The constants +1 and -1, the right factors of the summands of a sum
-    # (index op == "-"), kept from call to call.
-    return Polynomial.constant(field, nvars, 1), Polynomial.constant(field, nvars, -1)
-
-
-def _power(base, e: int, one, times=mul):
-    # base^e by square-and-multiply, each product formed by times.
-    result = one
-    while e:
-        if e & 1:
-            result = times(result, base)
-        base = times(base, base) if e > 1 else base
-        e >>= 1
-    return result
-
-
 def _power_step_bits(values: Collection[int | Fraction]) -> int:
     # The bits, up to rounding, that one multiplication by a polynomial
     # with these raw nonzero coefficients (both halves over QQ(i)) can add
@@ -857,15 +883,6 @@ class _Wider(Exception):
         self.width = _width(degree)
 
 
-def _gaussian_mul(a: tuple, b: tuple) -> tuple:
-    # (a0 + a1*i) * (b0 + b1*i) on raw (real, imaginary) pairs.
-    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-
-# The view pairs of the constants +1 and -1, by the operator of a summand.
-_UNITS = {"+": ((0, 1),), "-": ((0, -1),)}
-
-
 class _Parser:
     """Evaluates an expression on plain dicts {key: raw value}, settled as
     a kernel view is at ``width`` (the module docstring), but unsorted;
@@ -878,12 +895,10 @@ class _Parser:
         self.nvars = nvars
         self.max_degree = max_degree
         self.width = width
-        self.kind, self.p = field.kind, field.p
         # The bits of a key below those of x{nvars - 1}: over QQ(i), those
         # of the exponent of i.
-        self.low = 2 if self.kind == "Qi" else 0
+        self.low = 2 if field.kind == "Qi" else 0
         self.degree_shift = _degree_shift(field, nvars, width)
-        self.one = {0: 1}
         self.depth = 0
         self.products = 0
         self.bits = 0
@@ -899,10 +914,6 @@ class _Parser:
     def degree(self, poly: dict) -> int | float:
         return max(poly) >> self.degree_shift if poly else NEG_INFINITY
 
-    def size(self, poly: dict) -> int:
-        # The number of terms: over QQ(i), of monomials with a nonzero half.
-        return len({k >> 2 for k in poly}) if self.low else len(poly)
-
     def check_degree(self, degree: int | float, at: int) -> None:
         # Called before a product is formed, so that an expression whose
         # expansion exceeds the bound costs no more than reading it.
@@ -917,38 +928,29 @@ class _Parser:
         # there are no more of them than tokens, so a printed polynomial
         # parses back whatever its size.
         if len(a) > 1 or len(b) > 1:
-            cost = self.size(a) * self.size(b)
+            cost = _size(self.field, a) * _size(self.field, b)
             if cost > 1:
                 self.products += cost
                 if self.products > MAX_PARSE_PRODUCTS:
                     raise ParseError(
                         f"expansion needs more than {MAX_PARSE_PRODUCTS} term products", at)
-        acc: dict = {}
-        _accumulate(acc, a.items(), b.items())
-        return _settle(self.field, acc)
-
-    def sum(self, summands: list[tuple[dict, str]]) -> dict:
-        # A whole sum in one dict, however many summands it has: each
-        # summand times the constant +1 or -1.
-        acc: dict = {}
-        for poly, op in summands:
-            _accumulate(acc, poly.items(), _UNITS[op])
-        return _settle(self.field, acc)
+        return _sum_products(self.field, ((a.items(), b.items()),))
 
     def parse(self) -> Polynomial:
         poly = self.expr()
         kind, text, at = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {text!r}", at)
-        return Polynomial._from_view(self.field, self.nvars, self.width,
-                                     sorted(poly.items(), reverse=True))
+        return Polynomial._from_settled(self.field, self.nvars, self.width, poly)
 
     def expr(self) -> dict:
         summands = [(self.term(), "+")]
         while (op := self.peek())[0] == "op" and op[1] in "+-":
             self.advance()
             summands.append((self.term(), op[1]))
-        return summands[0][0] if len(summands) == 1 else self.sum(summands)
+        if len(summands) == 1:
+            return summands[0][0]
+        return _sum_products(self.field, [(poly.items(), _UNITS[op]) for poly, op in summands])
 
     def term(self) -> dict:
         result = self.signed()
@@ -972,11 +974,7 @@ class _Parser:
             else:
                 break
         poly = self.power()
-        if not negate:
-            return poly
-        if self.kind == "Fp":
-            return {k: self.p - value for k, value in poly.items()}
-        return {k: -value for k, value in poly.items()}
+        return dict(_negated(self.field, poly.items())) if negate else poly
 
     def power(self) -> dict:
         base = self.atom()
@@ -991,28 +989,13 @@ class _Parser:
         if exponent > MAX_EXPONENT:
             raise ParseError(f"exponent overflow (limit {MAX_EXPONENT})", nat)
         if not exponent:
-            return self.one
+            return {0: 1}
         self.check_degree(exponent * self.degree(base), at)
         # GF(p) residues never grow.
-        self.bits += 0 if self.kind == "Fp" else exponent * _power_step_bits(base.values())
+        self.bits += 0 if self.field.p else exponent * _power_step_bits(base.values())
         if self.bits > MAX_PARSE_BITS:
             raise ParseError(f"powers need more than {MAX_PARSE_BITS} coefficient bits", at)
-        if len(base) > 1 and self.size(base) > 1:
-            return _power(base, exponent, self.one, lambda a, b: self.product(a, b, at))
-        if not base:
-            return base
-        # (c*x^a)^k = c^k * x^(k*a): the key scales, and c^k is nonzero.
-        key = max(base) >> self.low << self.low
-        if self.low:
-            c = (base.get(key, 0), base.get(key + 1, 0))
-            if c != (1, 0):
-                c = _power(c, exponent, (1, 0), _gaussian_mul)
-            return {k: value for k, value in ((key * exponent + 1, c[1]), (key * exponent, c[0]))
-                    if value}
-        c = base[key]
-        if c != 1:
-            c = pow(c, exponent, self.p) if self.kind == "Fp" else c ** exponent
-        return {key * exponent: c}
+        return _view_power(self.field, base, exponent, lambda a, b: self.product(a, b, at))
 
     def atom(self) -> dict:
         kind, text, at = self.advance()
@@ -1039,16 +1022,17 @@ class _Parser:
                     raise ParseError("zero denominator in rational literal", dat)
                 common = gcd(value, denominator)
                 value, denominator = value // common, denominator // common
-            if self.kind == "Fp":
-                if denominator % self.p == 0:
-                    raise ParseError(f"inverse of zero in F_{self.p}", at)
-                value = value * pow(denominator, -1, self.p) % self.p
+            p = self.field.p
+            if p:
+                if denominator % p == 0:
+                    raise ParseError(f"inverse of zero in F_{p}", at)
+                value = value * pow(denominator, -1, p) % p
             elif denominator != 1:
                 value = Fraction(value, denominator)
             return {0: value} if value else {}
         if kind == "name":
             if text == "i":
-                if self.kind != "Qi":
+                if self.field.kind != "Qi":
                     raise ParseError("'i' is only available over QQ(i)", at)
                 return {1: 1}
             m = re.fullmatch(r"x(\d+)", text)

@@ -68,8 +68,9 @@ class _Module:
         return getattr(sys.modules.get(self._name) or import_module(self._name), attr)
 
 
-algebra, graded, mf_ops, orlov_ops, bott_ops, json, hashlib = map(_Module, (
-    "mfkit.algebra", "mfkit.graded", "mfkit.mf", "mfkit.orlov", "mfkit.bott", "json", "hashlib"))
+algebra, graded, mf_ops, orlov_ops, bott_ops, json, hashlib, re = map(_Module, (
+    "mfkit.algebra", "mfkit.graded", "mfkit.mf", "mfkit.orlov", "mfkit.bott", "json", "hashlib",
+    "re"))
 
 MF_SCHEMA = "mfkit/mf-v1"
 TABLE_SCHEMA = "mfkit/table-v1"
@@ -134,7 +135,7 @@ def mf_to_document(F: MatrixFactorization) -> dict:
         "schema": MF_SCHEMA,
         "field": field_to_json(F.field),
         "nvars": F.nvars,
-        "f": str(F.f),
+        "f": _printed(F.f),
         "d": F.d,
         "F0_degrees": list(F.f0_degrees),
         "F1_degrees": list(F.f1_degrees),
@@ -148,15 +149,26 @@ def _matrix_texts(matrix: HomogeneousMatrix, texts: dict[int, str]) -> list[list
     # printed once per document.  ``texts`` maps id(entry) to its text:
     # the factorization holds every entry until the document is built, so
     # no id is reused meanwhile.  Keying by the polynomial itself would
-    # hash it, which builds its terms.
+    # hash it, which builds a tuple of its view per cell.
     grid = [["0"] * matrix.ncols for _ in matrix.rows]
     for line, row in zip(grid, matrix.rows):
         for c, entry in row:
             text = texts.get(id(entry))
             if text is None:
-                text = texts[id(entry)] = str(entry)
+                text = texts[id(entry)] = _printed(entry)
             line[c] = text
     return grid
+
+
+def _printed(poly: Polynomial) -> str:
+    # A text that would not parse back, an exponent past the parser's cap,
+    # is refused; after printing, so that the digit cap is met first.
+    text = str(poly)
+    if poly.total_degree > algebra.MAX_EXPONENT:
+        exponent = max(map(int, re.findall(r"\^(\d+)", text)), default=0)
+        if exponent > algebra.MAX_EXPONENT:
+            raise ValueError(f"exponent {exponent} exceeds MAX_EXPONENT = {algebra.MAX_EXPONENT}")
+    return text
 
 
 def _expect(doc: dict, key: str, types) -> object:
@@ -469,6 +481,9 @@ def _mf_fermat(args) -> dict:
     if args.field == "Fp" and args.p is None:
         raise SchemaError("--field Fp requires --p")
     field = algebra.QI if args.field == "Qi" else algebra.GF(args.p)
+    # f holds x^(2 * half_degree), which a document may not print.
+    if 2 * args.half_degree > algebra.MAX_EXPONENT:
+        raise ValueError(f"2 * half_degree exceeds MAX_EXPONENT = {algebra.MAX_EXPONENT}")
     F = mf_ops.fermat(args.pairs, args.half_degree, solo=args.solo, field=field)
     return {**_factorization(F), "notes": [FERMAT_NOTE]}
 

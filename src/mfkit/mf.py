@@ -448,9 +448,8 @@ def _split_summand(field: Field, a: SparseRows, b: SparseRows, r: int, c: int) -
     nvars = u.nvars
     one = Polynomial.constant(field, nvars, 1)
     # Row j of the update is 1 * row_j + q_j * (-pivot/u) over the pivot's
-    # columns: the pivot row is scaled once, then one matrix product
-    # updates all the rows.  Kernel products keep their outputs' terms
-    # unbuilt, where scaling each q_j would build them.
+    # columns: the pivot row is scaled once, then one kernel call updates
+    # all the rows.
     minus_uinv = Polynomial.constant(field, nvars, -field.inv(u.constant_term))
     (scaled,) = Polynomial._product_rows(field, nvars, (((0, minus_uinv),),),
                                          (tuple(pivot.items()),))

@@ -148,3 +148,25 @@ def packed_view(poly):
             if c.re:
                 pairs.append((4 * key, raw(c.re)))
     return width, sorted(pairs, reverse=True)
+
+
+def kernel_sum_of_products(field, nvars, pairs):
+    """``Polynomial._sum_of_products`` as it was before the view
+    operations: the one entry of a 1 x n by n x 1 ``_product_rows``."""
+    lefts, rights = [], []
+    for left, right in pairs:
+        lefts.append((len(rights), left))
+        rights.append(((0, right),))
+    (row,) = Polynomial._product_rows(field, nvars, (lefts,), rights)
+    return row[0][1] if row else Polynomial.zero(field, nvars)
+
+
+def square_and_multiply(base, e, one, times):
+    """base^e by square-and-multiply, each product formed by ``times``."""
+    result = one
+    while e:
+        if e & 1:
+            result = times(result, base)
+        base = times(base, base) if e > 1 else base
+        e >>= 1
+    return result

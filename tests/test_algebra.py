@@ -9,7 +9,6 @@ from mfkit import algebra
 from mfkit.algebra import (
     GF,
     FpElement,
-    GaussianRational,
     MAX_NESTING,
     MAX_NVARS,
     NEG_INFINITY,
@@ -242,26 +241,27 @@ class TestBitsBudget:
 
 
 class TestSums:
-    """A parsed sum of two or more summands is one call of the parser's
-    summing loop, which adds every summand into one dict, and no call of
-    the polynomial kernel."""
+    """A parsed sum of two or more summands is one call of the shared sum
+    of products, which adds every summand into one dict, and no call of
+    the matrix kernel."""
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     @pytest.mark.parametrize("n", [2, 3, 50])
     def test_one_kernel_call_per_sum(self, monkeypatch, field, n):
         sums, products = [], []
-        summing = algebra._Parser.sum
+        summing = algebra._sum_products
         kernel = Polynomial._product_rows.__func__
 
-        def counting_sum(parser, summands):
-            sums.append(len(summands))
-            return summing(parser, summands)
+        def counting_sum(field, products):
+            products = list(products)
+            sums.append(len(products))
+            return summing(field, products)
 
         def counting_kernel(cls, *args):
             products.append(args)
             return kernel(cls, *args)
 
-        monkeypatch.setattr(algebra._Parser, "sum", counting_sum)
+        monkeypatch.setattr(algebra, "_sum_products", counting_sum)
         monkeypatch.setattr(Polynomial, "_product_rows", classmethod(counting_kernel))
         text = "x0^0" + "".join(f" {'+-'[k % 2]} x{k % 3}^{k}" for k in range(1, n))
         poly = parse_poly(text, field, 3)
@@ -285,18 +285,19 @@ class TestSums:
 
 
 class TestUnitPowers:
-    """A one-term power whose coefficient is 1 keeps the coefficient."""
+    """A one-term power whose coefficient is 1 keeps the coefficient: it
+    multiplies no raw coefficient."""
 
     def test_no_scalar_multiplications(self, monkeypatch):
         calls = []
-        for cls in (GaussianRational, Fraction):
-            multiply = cls.__mul__
+        for name in ("_power", "_gaussian_mul"):
+            original = getattr(algebra, name)
 
-            def counting(a, b, multiply=multiply):
-                calls.append((a, b))
-                return multiply(a, b)
+            def counting(*args, original=original):
+                calls.append(args)
+                return original(*args)
 
-            monkeypatch.setattr(cls, "__mul__", counting)
+            monkeypatch.setattr(algebra, name, counting)
         x0 = Polynomial.variable(QI, 2, 0)
         assert parse_poly("x0^2", QI, 2).terms == (((2, 0), QI.one),)
         assert (x0 ** 5).terms == (((5, 0), QI.one),)

@@ -349,6 +349,25 @@ class TestFailureModes:
         assert (code, err) == (0, "")
         assert "valid = true" in out and "d = 1099511627776" in out
 
+    def test_degree_two_to_the_64_factorization(self, workdir, capsys):
+        # The trivial factorization (g, 1) of g = x0^(2^64): the kernel
+        # packs its monomials into 128-bit fields.
+        g = "(((x0^1048576)^1048576)^1048576)^16"
+        doc = {"schema": "mfkit/mf-v1", "field": {"type": "Q"}, "nvars": 1, "d": 2**64,
+               "f": g, "F0_degrees": [2**64], "F1_degrees": [0], "s0": [[g]], "s1": [["1"]]}
+        (workdir / "wider.json").write_text(json.dumps(doc))
+        code, out, err = run(capsys, "mf", "validate", "wider.json")
+        assert (code, err) == (0, "")
+        assert "valid = true" in out and "d = 18446744073709551616" in out
+        (workdir / "twice.json").write_text(json.dumps(dict(doc, s1=[["2"]])))
+        code, out, err = run(capsys, "mf", "validate", "twice.json")
+        assert (code, out) == (2, "")
+        assert "got 2*x0^18446744073709551616" in err
+        code, out, err = run(capsys, "mf", "shift", "wider.json")
+        assert (code, out) == (2, "")
+        assert err == ("error [mfkit.cli]: exponent 18446744073709551616 exceeds "
+                       "MAX_EXPONENT = 1048576\n")
+
     def test_json_booleans_in_table_documents(self, workdir, capsys):
         for doc in ({"schema": "mfkit/table-v1", "n": True, "entries": [[0, 0, 2]]},
                     {"schema": "mfkit/table-v1", "n": 3, "entries": [[True, 0, 2]]}):
@@ -892,6 +911,66 @@ def test_coefficient_within_the_bits_budget_past_the_digit_cap_exits_2(workdir, 
     code, out, err = run(capsys, "mf", "shift", "budget.json")
     assert (code, out) == (2, "")
     assert err.startswith(f"error [mfkit.algebra]: Exceeds the limit ({MAX_DIGITS} digits)")
+
+
+# -- one exponent cap for every exponent read or printed ----------------------
+
+
+def test_fermat_at_and_past_the_exponent_cap(workdir, capsys):
+    # f = x0^(2m) + x1^(2m): m = 2^19 prints exponents at the cap and
+    # reads back; m = 2^19 + 1 exits 2 and writes nothing.
+    code, _, err = run(capsys, "mf", "fermat", "--pairs", "1", "--half-degree", "524288",
+                       "--output", "fm.json")
+    assert (code, err) == (0, "")
+    assert json.loads((workdir / "fm.json").read_text())["f"] == "x0^1048576 + x1^1048576"
+    assert run(capsys, "mf", "validate", "fm.json")[::2] == (0, "")
+    code, out, err = run(capsys, "mf", "fermat", "--pairs", "1", "--half-degree", "524289",
+                         "--output", "past.json")
+    assert (code, out, err) == (2, "", "error [mfkit.cli]: 2 * half_degree exceeds "
+                                       "MAX_EXPONENT = 1048576\n")
+    assert not (workdir / "past.json").exists()
+
+
+def test_fermat_far_past_the_exponent_cap_builds_nothing(capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a factorization past the cap was built")
+
+    monkeypatch.setattr(mf, "fermat", unreachable)
+    code, out, err = run(capsys, "mf", "fermat", "--pairs", "3", "--half-degree", "9" * 100_000)
+    assert (code, out) == (2, "")
+    assert err == "error [mfkit.cli]: 2 * half_degree exceeds MAX_EXPONENT = 1048576\n"
+
+
+@pytest.mark.parametrize("entry, exponent", [("x0^1048576", 2**20), ("x0^1048576*x0", 2**20 + 1)])
+def test_shift_at_and_past_the_exponent_cap(workdir, capsys, entry, exponent):
+    # The valid factorization (1, x0^e): its shift prints x0^e, which reads
+    # back at the cap and exits 2 one past it, writing nothing.
+    doc = dict(POWER_DOCUMENT, d=exponent, f=entry, s1=[[entry]])
+    (workdir / "cap.json").write_text(json.dumps(doc))
+    assert run(capsys, "mf", "validate", "cap.json")[::2] == (0, "")
+    code, out, err = run(capsys, "mf", "shift", "cap.json", "--output", "shifted.json")
+    if exponent == 2**20:
+        assert (code, err) == (0, "")
+        shifted = json.loads((workdir / "shifted.json").read_text())
+        assert shifted["s0"] == [["-x0^1048576"]]
+        assert run(capsys, "mf", "validate", "shifted.json")[::2] == (0, "")
+    else:
+        assert (code, out) == (2, "")
+        assert err == "error [mfkit.cli]: exponent 1048577 exceeds MAX_EXPONENT = 1048576\n"
+        assert not (workdir / "shifted.json").exists()
+
+
+def test_shift_of_degree_two_to_the_40_exits_2(workdir, capsys):
+    # The valid factorization (f, 1) of f = x0^(2^40) + x1^(2^40): its shift
+    # would print exponents that no command reads.
+    f = "(x0^1048576)^1048576 + (x1^1048576)^1048576"
+    doc = {"schema": "mfkit/mf-v1", "field": {"type": "Q"}, "nvars": 2, "d": 2**40,
+           "f": f, "F0_degrees": [2**40], "F1_degrees": [0], "s0": [[f]], "s1": [["1"]]}
+    (workdir / "wide.json").write_text(json.dumps(doc))
+    assert run(capsys, "mf", "validate", "wide.json")[::2] == (0, "")
+    code, out, err = run(capsys, "mf", "shift", "wide.json")
+    assert (code, out) == (2, "")
+    assert err == "error [mfkit.cli]: exponent 1099511627776 exceeds MAX_EXPONENT = 1048576\n"
 
 
 # -- the Shamash rank bound ---------------------------------------------------

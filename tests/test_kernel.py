@@ -1,6 +1,7 @@
 """Differential tests of the polynomial kernel.
 
-Arithmetic results skip validation and go through the kernel
+Arithmetic results skip validation.  The operators run the view
+operations of ``algebra`` and matrix products the kernel
 ``Polynomial._product_rows``.  Every polynomial holds its view:
 monomials packed into one int each, with fields of 32 bits doubled until
 its degree fits, and raw coefficients (GF(p) residues summed unreduced,
@@ -26,7 +27,8 @@ sort key, the original and the dense row and column elimination, a
 rescan from (0, 0) after every split, both composites on dense grids,
 one parse per entry, one ``str()`` per cell, dense Kronecker and block
 grids, polynomials built by ``from_pairs``, a packer written out
-field by field, and the printer that read ``terms``.  Degrees just
+field by field, the printer that read ``terms``, the 1 x n by n x 1
+kernel route of the operators and the ``struct`` codec.  Degrees just
 below and above each field width, up to 2^127, and ``MAX_NVARS``
 variables run through the same comparisons.
 """
@@ -36,7 +38,8 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from operator import add, attrgetter
+from operator import add, attrgetter, mul
+from struct import Struct
 from unittest import mock
 
 import pytest
@@ -49,8 +52,9 @@ from mfkit.algebra import (GF, MAX_EXPONENT, MAX_NVARS, QI, QQ, FpElement, Gauss
 from mfkit.cli import MF_SCHEMA, SchemaError, document_to_mf, field_to_json, mf_to_document
 from mfkit.graded import DegreeMultiset, HomogeneousMatrix, compose
 
-from _factories import (packed_view, random_elementary, random_homogeneous, random_reduced_mf,
-                        random_valid_mf, raw)
+from _factories import (kernel_sum_of_products, packed_view, random_elementary,
+                        random_homogeneous, random_reduced_mf, random_valid_mf, raw,
+                        square_and_multiply)
 
 # GF(2^31 - 1): products of two residues come near 2^62, and the kernel
 # sums them unreduced.
@@ -331,6 +335,7 @@ def test_packed_kernel_matches_tuple_kernel(field, data):
     pairs = data.draw(st.lists(st.tuples(polys, polys), min_size=1, max_size=size))
     got = Polynomial._sum_of_products(field, nvars, pairs)
     assert got == tuple_sum_of_products(field, nvars, pairs)
+    assert got == kernel_sum_of_products(field, nvars, pairs)
     assert_public_scalars(got)
     for poly in [got] + [p for pair in pairs for p in pair]:
         assert_view(poly)
@@ -338,6 +343,80 @@ def test_packed_kernel_matches_tuple_kernel(field, data):
     again = Polynomial._sum_of_products(field, nvars, [(got, got), (got, pairs[0][0])])
     assert again == tuple_sum_of_products(field, nvars, [(got, got), (got, pairs[0][0])])
     assert_view(again)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@given(data=st.data())
+def test_operators_match_kernel_route(field, data):
+    # The operators run the view operations at the widest operand's width;
+    # the 1 x n by n x 1 kernel route gives the same polynomials.
+    nvars = data.draw(st.integers(1, 3))
+    polys = st.builds(lambda pairs: Polynomial.from_pairs(field, nvars, pairs),
+                      wide_term_lists(field, nvars))
+    p, q, scalar = data.draw(polys), data.draw(polys), data.draw(scalars(field))
+
+    def const(value):
+        return Polynomial.constant(field, nvars, value)
+
+    def kernel(*pairs):
+        return kernel_sum_of_products(field, nvars, pairs)
+
+    cases = [(p + q, kernel((p, const(1)), (q, const(1)))),
+             (p - q, kernel((p, const(1)), (q, const(-1)))),
+             (p * q, kernel((p, q))),
+             (p.scalar_mul(scalar), kernel((p, const(scalar)))),
+             (-p, kernel((p, const(-1)))),
+             (Polynomial._sum_of_products(field, nvars, [(p, q), (q, q)]), kernel((p, q), (q, q)))]
+    for got, want in cases:
+        assert got == want and str(got) == str(want)
+        assert_view(got)
+
+
+def struct_codec(nvars, width):
+    """``algebra._codec`` as it was: ``struct`` for 32- and 64-bit fields
+    and bytes for wider ones."""
+    if width <= 64:
+        code = "I" if width == 32 else "Q"
+        full, tail = Struct(f">{nvars + 1}{code}"), Struct(f">{nvars}{code}")
+        size, skip = full.size, width // 8
+
+        def pack(exponents):
+            return int.from_bytes(full.pack(sum(exponents), *exponents), "big")
+
+        def unpack(packed):
+            return tail.unpack_from(packed.to_bytes(size, "big"), skip)
+    else:
+        size = width // 8
+        offsets = range(size, size * (nvars + 1), size)
+
+        def pack(exponents):
+            return int.from_bytes(b"".join(e.to_bytes(size, "big") for e in (sum(exponents), *exponents)),
+                                  "big")
+
+        def unpack(packed):
+            data = packed.to_bytes(size * (nvars + 1), "big")
+            return tuple(int.from_bytes(data[k:k + size], "big") for k in offsets)
+    return pack, unpack
+
+
+@pytest.mark.parametrize("width", [32, 64, 128, 256])
+@given(data=st.data())
+def test_codec_matches_struct_codec(width, data):
+    # Total degrees up to 2^(width - 1) - 1, the most a view of that width
+    # holds, split among 0 to 30 variables; the edges drawn often.
+    nvars = data.draw(st.integers(0, 30))
+    top = 2 ** (width - 1) - 1
+    total = 0
+    if nvars:
+        total = data.draw(st.sampled_from([0, 1, top - 1, top, 2 ** (width - 2)]) | st.integers(0, top))
+    cut = st.sampled_from([0, total]) | st.integers(0, total)
+    cuts = sorted(data.draw(st.lists(cut, min_size=max(nvars - 1, 0), max_size=max(nvars - 1, 0))))
+    exps = tuple(b - a for a, b in zip([0] + cuts, cuts + [total]))[:nvars]
+    pack, unpack = algebra._codec(nvars, width)
+    ref_pack, ref_unpack = struct_codec(nvars, width)
+    key = pack(exps)
+    assert key == ref_pack(exps)
+    assert unpack(key) == tuple(ref_unpack(key)) == exps
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -884,17 +963,44 @@ def test_tensor_rejects_an_invalid_factor(field):
 # -- powers ---------------------------------------------------------------------
 
 
-def loop_pow(poly, exponent):
+def loop_pow(poly, exponent, times=mul):
     """``Polynomial.__pow__`` as it was before its one-term fast path:
-    square-and-multiply by full polynomial products."""
-    result = Polynomial.constant(poly.field, poly.nvars, 1)
-    base, e = poly, exponent
-    while e:
-        if e & 1:
-            result = result * base
-        base = base * base if e > 1 else base
-        e >>= 1
-    return result
+    square-and-multiply by full polynomial products, each formed by
+    ``times``."""
+    one = Polynomial.constant(poly.field, poly.nvars, 1)
+    return square_and_multiply(poly, exponent, one, times)
+
+
+def assert_power(field, nvars, pairs, exponent):
+    # p ** exponent builds the terms of neither p nor the power, and equals
+    # square-and-multiply over the tuple kernel, run on a copy of p.
+    p = Polynomial.from_pairs(field, nvars, pairs)
+    power = p ** exponent
+    assert "terms" not in p.__dict__ and "terms" not in power.__dict__
+    copy = Polynomial.from_pairs(field, nvars, pairs)
+    assert power == loop_pow(copy, exponent,
+                             lambda a, b: tuple_sum_of_products(field, nvars, [(a, b)]))
+    assert_view(power)
+    assert_public_scalars(power)
+    return power
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@given(data=st.data())
+def test_power_builds_no_terms_and_matches_tuple_power(field, data):
+    nvars = data.draw(st.integers(1, 3))
+    pairs = data.draw(term_lists(field, nvars, max_size=1) | term_lists(field, nvars, max_size=4))
+    assert_power(field, nvars, pairs, data.draw(st.integers(0, 6)))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("top, width", [(2**31 - 1, 64), (2**62, 128)])
+@pytest.mark.parametrize("terms", [1, 2])
+def test_power_across_a_width_matches_tuple_power(field, top, width, terms):
+    # x0^(2^31 - 1) squared has degree 2^32 - 2, and x0^(2^62) squared 2^63.
+    one = field.one
+    pairs = [((top, 0), one + one), ((0, 1), one)][:terms]
+    assert assert_power(field, 2, pairs, 2)._view[0] == width
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

@@ -3,11 +3,12 @@
 ``parse_poly`` evaluates an expression on plain dicts of raw
 coefficients keyed as kernel views, and makes one ``Polynomial`` per
 text.  ``ReferenceParser`` below is the parser it replaced, which built a
-``Polynomial`` for every atom and made a kernel call or a scalar
-multiplication for every operator.  Both read the module's budgets at
-call time, so a lowered budget applies to both.  On every generated
-expression they must give an equal polynomial, or the same
-:class:`ParseError` message and position.
+``Polynomial`` for every atom and made a kernel call for every operator:
+its sums, products, negations and powers run the 1 x n by n x 1 route
+through ``Polynomial._product_rows``, not the view operations under
+test.  Both read the module's budgets at call time, so a lowered budget
+applies to both.  On every generated expression they must give an equal
+polynomial, or the same :class:`ParseError` message and position.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from mfkit import algebra
 from mfkit.algebra import GF, MAX_EXPONENT, QI, QQ, ParseError, Polynomial, parse_poly
 
-from _factories import packed_view
+from _factories import kernel_sum_of_products, packed_view, square_and_multiply
 
 
 def reference_power_step_bits(poly):
@@ -62,6 +63,12 @@ class ReferenceParser:
         if self.max_degree is not None and degree > self.max_degree:
             raise ParseError(f"degree {degree} exceeds the bound {self.max_degree}", at)
 
+    def constant(self, value):
+        return Polynomial.constant(self.field, self.nvars, value)
+
+    def kernel(self, pairs):
+        return kernel_sum_of_products(self.field, self.nvars, pairs)
+
     def product(self, a, b, at):
         cost = len(a.terms) * len(b.terms)
         if cost > 1:
@@ -69,10 +76,7 @@ class ReferenceParser:
             if self.products > algebra.MAX_PARSE_PRODUCTS:
                 raise ParseError(
                     f"expansion needs more than {algebra.MAX_PARSE_PRODUCTS} term products", at)
-        for scale, poly in ((a, b), (b, a)):
-            if len(scale.terms) == 1 and not any(scale.terms[0][0]):
-                return poly.scalar_mul(scale.terms[0][1])
-        return a * b
+        return self.kernel(((a, b),))
 
     def parse(self):
         poly = self.expr()
@@ -86,15 +90,9 @@ class ReferenceParser:
         while (op := self.peek())[0] == "op" and op[1] in "+-":
             self.advance()
             summands.append((self.term(), op[1]))
-        summands = [(poly, op) for poly, op in summands if poly.terms]
-        if len(summands) > 1:
-            signs = algebra._signs(self.field, self.nvars)
-            return Polynomial._sum_of_products(
-                self.field, self.nvars, ((poly, signs[op == "-"]) for poly, op in summands))
-        if not summands:
-            return Polynomial.zero(self.field, self.nvars)
-        poly, op = summands[0]
-        return poly if op == "+" else -poly
+        if len(summands) == 1:
+            return summands[0][0]
+        return self.kernel([(poly, self.constant(1 if op == "+" else -1)) for poly, op in summands])
 
     def term(self):
         result = self.signed()
@@ -118,7 +116,7 @@ class ReferenceParser:
             else:
                 break
         poly = self.power()
-        return -poly if negate else poly
+        return self.kernel(((poly, self.constant(-1)),)) if negate else poly
 
     def power(self):
         base = self.atom()
@@ -138,9 +136,10 @@ class ReferenceParser:
                     raise ParseError(
                         f"powers need more than {algebra.MAX_PARSE_BITS} coefficient bits", at)
             if len(base.terms) > 1:
-                one = Polynomial.constant(self.field, self.nvars, 1)
-                return algebra._power(base, exponent, one, lambda a, b: self.product(a, b, at))
-            return base ** exponent
+                times = lambda a, b: self.product(a, b, at)  # noqa: E731
+            else:
+                times = lambda a, b: self.kernel(((a, b),))  # noqa: E731
+            return square_and_multiply(base, exponent, self.constant(1), times)
         return base
 
     def atom(self):
