@@ -215,7 +215,12 @@ def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
     raises wherever it appears.  The text ``"0"``, most cells of a
     Fermat-type document, is skipped before any other work: it holds no
     ``*`` or ``^`` and parses to zero under every bound, so skipping it
-    changes no result and no error."""
+    changes no result and no error.  The memo pays although a printed
+    entry takes the parser's one-scan path: a hit costs one comparison,
+    a scan of an entry 7-53 us.  ``algebra.parse_poly`` and
+    ``NEG_INFINITY`` are read once per call, still at call time, so a
+    rebound ``parse_poly`` is the one called."""
+    parse_poly, unbounded = algebra.parse_poly, algebra.NEG_INFINITY
     sources, targets = source.degrees, target.degrees
     nrows, ncols = len(targets), len(sources)
     raw = _expect(doc, key, list)
@@ -235,12 +240,12 @@ def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
             hit = memo.get(text)
             if hit is None or bound < hit[1]:
                 try:
-                    poly = algebra.parse_poly(text, field, nvars, max(bound, 0))
+                    poly = parse_poly(text, field, nvars, max(bound, 0))
                 except algebra.ParseError as exc:
                     raise SchemaError(f"{key}[{r}][{c}]: {exc}") from exc
                 bounded = bound > 0 and ("*" in text or "^" in text)
                 hit = memo[text] = (None if poly.is_zero else poly,
-                                    bound if bounded else algebra.NEG_INFINITY)
+                                    bound if bounded else unbounded)
             if hit[0] is not None:
                 row.append((c, hit[0]))
         rows.append(tuple(row))

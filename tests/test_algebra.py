@@ -26,6 +26,31 @@ from _factories import random_polynomial, random_homogeneous
 FIELDS = [QQ, QI, GF(13)]
 
 
+def twelve_witness_is_prime(n):
+    # The primality test as it was: trial division by the primes up to
+    # 37, then Miller-Rabin with those twelve witnesses, deterministic
+    # below 3.3 * 10^24.
+    if n < 2:
+        return False
+    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n % small == 0:
+            return n == small
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class TestFields:
     def test_prime_validated_at_construction(self):
         with pytest.raises(ValueError, match="not prime"):
@@ -60,6 +85,31 @@ class TestFields:
 
     def test_prime_that_runs_the_squaring_loop(self):
         assert GF(2147483629).p == 2147483629
+
+    def test_primality_agrees_with_a_sieve(self):
+        limit = 300_000
+        sieve = bytearray([1]) * limit
+        sieve[:2] = b"\0\0"
+        for k in range(2, int(limit**0.5) + 1):
+            if sieve[k]:
+                sieve[k * k::k] = bytes(len(range(k * k, limit, k)))
+        assert [n for n in range(limit) if algebra._is_prime(n)] == \
+            [n for n in range(limit) if sieve[n]]
+
+    @pytest.mark.parametrize("n", [2047, 1373653, 25326001, 3215031751])
+    def test_strong_pseudoprimes_to_small_bases_are_composite(self, n):
+        # Strong pseudoprimes to the base 2; 3,215,031,751 to 3, 5 and 7 also.
+        assert not algebra._is_prime(n)
+
+    @pytest.mark.parametrize("n", [61, 7, 2, PRIME_LIMIT])
+    def test_witnesses_and_the_largest_modulus_are_prime(self, n):
+        assert algebra._is_prime(n)
+
+    def test_primality_agrees_with_twelve_witnesses(self):
+        rng = random.Random(20)
+        for n in [rng.randrange(2**31) | 1 for _ in range(20_000)] + \
+                 [rng.randrange(2**15) * rng.randrange(2**16) + 1 for _ in range(5_000)]:
+            assert algebra._is_prime(n) == twelve_witness_is_prime(n), n
 
     def test_square_root_of_minus_one_in_characteristic_two(self):
         assert GF(2).i() == FpElement(1, 2)
@@ -241,9 +291,11 @@ class TestBitsBudget:
 
 
 class TestSums:
-    """A parsed sum of two or more summands is one call of the shared sum
-    of products, which adds every summand into one dict, and no call of
-    the matrix kernel."""
+    """A sum of two or more summands that the recursive parser reads is
+    one call of the shared sum of products, which adds every summand into
+    one dict, and no call of the matrix kernel.  The sums are written
+    without spaces, which printed output never is, so the one-scan path
+    leaves them to the recursive parser."""
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     @pytest.mark.parametrize("n", [2, 3, 50])
@@ -263,7 +315,7 @@ class TestSums:
 
         monkeypatch.setattr(algebra, "_sum_products", counting_sum)
         monkeypatch.setattr(Polynomial, "_product_rows", classmethod(counting_kernel))
-        text = "x0^0" + "".join(f" {'+-'[k % 2]} x{k % 3}^{k}" for k in range(1, n))
+        text = "x0^0" + "".join(f"{'+-'[k % 2]}x{k % 3}^{k}" for k in range(1, n))
         poly = parse_poly(text, field, 3)
         assert sums == [n]
         assert products == []

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from mfkit import bott, cli, mf
-from mfkit.algebra import GF, QI, parse_poly
+from mfkit import algebra, bott, cli, mf
+from mfkit.algebra import GF, QI, QQ, parse_poly
 from mfkit.cli import MAX_DIGITS, SchemaError, document_to_mf, main, mf_to_document
 from mfkit.graded import DegreeMultiset
 from mfkit.orlov import MAX_SHAMASH_RANK
@@ -407,6 +407,46 @@ class TestDocumentRoundtrip:
             again = document_to_mf(json.loads(json.dumps(doc)))
             assert again == variant
             assert mf.presentation_equivalent(again, variant)
+
+    @pytest.mark.parametrize("field", [QQ, QI, GF(13), GF(1282972393)], ids=str)
+    def test_printed_documents_read_back_in_one_scan(self, monkeypatch, field):
+        # Entries with rational, Gaussian and residue coefficients; fermat
+        # needs a square root of -1, which QQ lacks.
+        extra = " + (1/2 - 2/3*i)*x1^2" if field == QI else ""
+        u = parse_poly("1/2*x0^2 - 3*x1*x2 + 5/7*x2^2" + extra, field, 3)
+        v = parse_poly("x0^2 + 2/3*x1^2 - x0*x2", field, 3)
+        F = mf.rank_one(u * v, u, v)
+        variants = [F, mf.tensor(F, mf.rank_one(u * v, v, u)),
+                    mf.reduce(mf.direct_sum(F, mf.trivial_one_f(F.f))),
+                    mf.shift(F), mf.twist(F, 2), mf.dual(F)]
+        if field.has_sqrt_minus_one():
+            G = mf.fermat(2, 2, field=field)
+            variants += [G, mf.tensor(G, G), mf.reduce(mf.direct_sum(G, mf.trivial_one_f(G.f))),
+                         mf.shift(G), mf.twist(G, -3), mf.dual(G)]
+        calls = []
+        init = algebra._Parser.__init__
+        monkeypatch.setattr(algebra._Parser, "__init__",
+                            lambda parser, *args: calls.append(args) or init(parser, *args))
+        for variant in variants:
+            again = document_to_mf(json.loads(json.dumps(mf_to_document(variant))))
+            assert again == variant
+        assert calls == []
+
+    @pytest.mark.parametrize("entry, message", [
+        ("x0 + @", "s0[0][0]: unexpected character '@' (at position 5)"),
+        ("x0 +", "s0[0][0]: unexpected end of input (at position 4)"),
+        ("x0 + 1/0", "s0[0][0]: zero denominator in rational literal (at position 7)"),
+        ("x0^2", "s0[0][0]: degree 2 exceeds the bound 1 (at position 2)"),
+    ])
+    def test_malformed_entry_reaches_the_recursive_parser(self, monkeypatch, entry, message):
+        doc = mf_to_document(mf.fermat(1, 1))
+        doc["s0"][0][0] = entry
+        with pytest.raises(SchemaError) as got:
+            document_to_mf(doc)
+        monkeypatch.setattr(algebra, "_scan_printed", lambda *args: None)
+        with pytest.raises(SchemaError) as want:
+            document_to_mf(doc)
+        assert str(got.value) == str(want.value) == message
 
     def test_translate_rejects_fano_context(self, workdir, capsys):
         # nvars = 4 and d = 2 give n = 3, a = 2 > 0.

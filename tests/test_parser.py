@@ -9,11 +9,19 @@ through ``Polynomial._product_rows``, not the view operations under
 test.  Both read the module's budgets at call time, so a lowered budget
 applies to both.  On every generated expression they must give an equal
 polynomial, or the same :class:`ParseError` message and position.
+
+``parse_poly`` reads printed text in one scan, ``_scan_printed``, and
+hands every other text to the recursive parser.  The tests at the end
+compare the scan with the recursive parser alone: on printed and
+edited printed text, under degree bounds and lowered budgets, wherever
+the scan reads a text it must give the recursive parser's polynomial,
+and parse_poly's errors must stay the recursive parser's.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import prod
 
@@ -317,3 +325,133 @@ def test_budgets_are_read_at_call_time(monkeypatch):
         with pytest.raises(ParseError) as want:
             reference_parse(text, QQ, 3)
         assert (str(got.value), got.value.position) == (str(want.value), want.value.position)
+
+
+# ---------------------------------------------------------------------------
+# The one-scan path for printed text against the recursive parser alone.
+
+
+def recursive_parse(text, field, nvars, max_degree=None):
+    # parse_poly with the one-scan path turned off: _Parser alone.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algebra, "_scan_printed", lambda *args: None)
+        return parse_poly(text, field, nvars, max_degree)
+
+
+def assert_scan_agrees(text, field, nvars, max_degree):
+    # Where the scan reads a text, the recursive parser reads it to the
+    # same view, ``str`` and ``repr``; parse_poly's outcome, error
+    # message and position included, is the recursive parser's.
+    scanned = algebra._scan_printed(text, field, nvars, max_degree)
+    want = outcome(recursive_parse, text, field, nvars, max_degree)
+    if scanned is not None:
+        assert isinstance(want, Polynomial), (text, want)
+        assert (scanned, scanned._view, str(scanned), repr(scanned)) == \
+            (want, want._view, str(want), repr(want)), text
+    assert outcome(parse_poly, text, field, nvars, max_degree) == want, text
+    return scanned
+
+
+SCAN_FIELDS = [QQ, QI, GF(13), GF(2), GF(1282972393)]
+SCAN_BOUNDS = [None, 0, 1, 3, 5, 20, 100]
+
+
+@st.composite
+def printed(draw, field, nvars):
+    # The printed text of a polynomial with small and large exponents and
+    # coefficients, both halves of a Gaussian one possibly zero.
+    rational = st.fractions(max_denominator=10**12).filter(lambda q: abs(q) < 10**30)
+    if field.kind == "Q":
+        coefficient = rational
+    elif field.kind == "Qi":
+        coefficient = st.builds(algebra.GaussianRational, rational, rational)
+    else:
+        coefficient = st.integers(0, 2**40)
+    exponents = st.lists(st.integers(0, 3) | st.sampled_from([7, 40, MAX_EXPONENT]),
+                         min_size=nvars, max_size=nvars).map(tuple)
+    terms = draw(st.lists(st.tuples(exponents, coefficient), max_size=6))
+    return str(Polynomial.from_pairs(field, nvars, terms))
+
+
+@st.composite
+def edited(draw, text):
+    # One to three characters inserted, deleted or replaced.
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        char = draw(st.sampled_from(" +-*/^()ix0123456789@٢\t"))
+        kind = draw(st.sampled_from(["insert", "delete", "replace"]))
+        tail = text[at:] if kind == "insert" else text[at + 1:]
+        text = text[:at] + ("" if kind == "delete" else char) + tail
+    return text
+
+
+@pytest.mark.parametrize("field", SCAN_FIELDS, ids=str)
+@given(data=st.data())
+def test_scan_matches_recursive_parser(field, data):
+    nvars = data.draw(st.integers(1, 4))
+    text = data.draw(printed(field, nvars))
+    edit = data.draw(st.booleans())
+    if edit:
+        text = data.draw(edited(text))
+    max_degree = data.draw(st.sampled_from(SCAN_BOUNDS))
+    budgets = data.draw(st.fixed_dictionaries({}, optional={
+        "MAX_NESTING": st.integers(0, 1),
+        "MAX_EXPONENT": st.sampled_from([1, 3, 40]),
+        "MAX_PARSE_BITS": st.integers(-1, 0),
+    }))
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in budgets.items():
+            patch.setattr(algebra, name, value)
+        scanned = assert_scan_agrees(text, field, nvars, max_degree)
+    if not (edit or budgets) and max_degree is None:
+        assert scanned is not None, text
+
+
+EDGE_TEXTS = [
+    "", "0", "-0", "1", "-1", "x0", "-x0", "--x0", "+x0", "x0 + x1", "x0 - x1", "x0 + -x1",
+    "x0  + x1", " x0", "x0 ", "x0 +", "- x0", "x0+x1", "x0 * x1", "x1*x0", "x0*x0", "x0^0",
+    "x0^1", "x0^2^3", "x0^-1", "x0^", "2^3", "2*3", "3x0", "x0*3", "x0**x1", "x0*", "*x0",
+    "1/2", "1/0", "0/5", "1/2/3", "13/13*x0", "13*x0", "1/13", "26/13*x1", "x3", "x01", "x",
+    "y0", "x٢", "٢*x0", "x0^٢", "x0\t+ x1", "i", "1*i", "x0*i",
+    "(1 + 2*i)", "(1 + 2*i)*x0", "-(1 + 2*i)*x0", "(0 + 1*i)*x1^2", "(-1/2 - 3/4*i)*x0*x1",
+    "x0 - (1 - 1*i)*x1", "(1 + 2*i)x0", "(1 + -2*i)*x0", "(1 + 2*i) * x0", "(1 +  2*i)",
+    "(1 + 2*i", "(1 + 2)", "(x0 + 1*i)", "(1 * 2*i)", "(--1 + 2*i)", "(1 + 2*i)*",
+    "(1/0 + 2*i)", "(1 + 2/0*i)", "x0^1048576", "x0^1048577", "x0^1048576*x1^1048576",
+    "x0^1048576*x0^1048576*x1^1048576", "(x0^1048576)^2048",
+]
+
+
+@pytest.mark.parametrize("text", EDGE_TEXTS)
+def test_scan_edge_texts(text):
+    for budgets in ({}, {"MAX_NESTING": 0}, {"MAX_EXPONENT": 1}, {"MAX_PARSE_BITS": -1}):
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in budgets.items():
+                patch.setattr(algebra, name, value)
+            for field in (QQ, QI, GF(13), GF(2)):
+                for max_degree in (None, -1, 0, 1, 3):
+                    assert_scan_agrees(text, field, 2, max_degree)
+
+
+def test_oversized_literals_are_the_recursive_parsers():
+    # Past the interpreter's digit limit the scan converts nothing: the
+    # recursive parser reports a bad character after the literal, and
+    # otherwise the limit's ValueError.
+    nines = "9" * 5001
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        with pytest.raises(ParseError, match=r"unexpected character '@' \(at position 5007\)"):
+            parse_poly(f"{nines}*x0 + @", QQ, 1)
+        for text in (f"{nines}*x0", f"x0^{nines}", f"x{nines}", f"1/{nines}",
+                     f"({nines} + 1*i)", f"(1 + {nines}*i)*x0"):
+            assert algebra._scan_printed(text, QI, 1, None) is None
+            with pytest.raises(ValueError) as got:
+                parse_poly(text, QI, 1)
+            with pytest.raises(ValueError) as want:
+                recursive_parse(text, QI, 1)
+            assert str(got.value) == str(want.value)
+        sys.set_int_max_str_digits(0)
+        assert_scan_agrees(f"{nines}*x0", QQ, 1, None)
+        assert algebra._scan_printed(f"{nines}*x0", QQ, 1, None) is not None
+    finally:
+        sys.set_int_max_str_digits(limit)
