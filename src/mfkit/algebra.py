@@ -74,13 +74,16 @@ one pass of string methods over the printed form: terms separated by
 exactly " + " or " - ", a leading "-" on the first term only, each term
 a coefficient ``a`` or ``a/b`` (over QQ(i) also ``(re + im*i)`` or
 ``(re - im*i)``), a monomial of factors ``xk`` or ``xk^e`` joined by
-``*``, or a coefficient, ``*`` and a monomial, all digits ASCII.  It
-builds the settled dict that the recursive parser below builds for the
-same text.  Every other spelling, and every text on which the recursive
-parser would raise (a literal past the interpreter's digit limit, a
-variable out of scope, an exponent, degree or budget past its limit, a
-zero denominator), it hands to the recursive parser ``_Parser``, so
-every error message and position is that parser's.  On 2 vCPUs under
+``*``, or a coefficient, ``*`` and a monomial, in ASCII.  It builds
+the settled dict that the recursive parser below builds for the same
+text.  Both readers convert each number with int(), and each literal
+``a`` or ``a/b`` with ``_literal``.  Every other spelling the scan hands
+to the recursive parser ``_Parser``, and so every text on which that
+parser would raise: a variable out of scope, an exponent, degree or
+budget past its limit, and every ValueError of int() or ``_literal`` (a
+number past the interpreter's digit limit, a zero denominator, an
+inverse of zero in F_p).  So every error message and position is that
+parser's.  On 2 vCPUs under
 Python 3.11 the scan reads a printed entry of two terms in 7-16 us and
 a 12-term sum in 26-53 us (the range is the vCPU's speed over time),
 about a fifth of the recursive parser's time.
@@ -113,7 +116,6 @@ is correct.
 from __future__ import annotations
 
 import re
-import sys
 from collections.abc import Collection, Iterable, Mapping, Sequence
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -1032,35 +1034,23 @@ class _Parser:
                 raise ParseError("expected ')'", cat)
             return inner
         if kind == "num":
-            value, denominator = int(text), 1
-            nkind, ntext, _ = self.peek()
-            if nkind == "op" and ntext == "/":
+            # The numerator is converted first: past the interpreter's digit
+            # limit, its ValueError wins over any error after it.
+            value, denominator, dat = int(text), None, at
+            if self.peek()[:2] == ("op", "/"):
                 self.advance()
-                dkind, dtext, dat = self.advance()
-                if dkind != "num":
-                    raise ParseError("expected an integer denominator", dat)
-                denominator = int(dtext)
-                if denominator == 0:
-                    raise ParseError("zero denominator in rational literal", dat)
-                common = gcd(value, denominator)
-                value, denominator = value // common, denominator // common
-            p = self.field.p
-            if p:
-                if denominator % p == 0:
-                    raise ParseError(f"inverse of zero in F_{p}", at)
-                value = value * pow(denominator, -1, p) % p
-            elif denominator != 1:
-                value = Fraction(value, denominator)
+                _, denominator, dat = self.advance()
+            value = _literal(value, denominator, self.field.p, at, dat)
             return {0: value} if value else {}
         if kind == "name":
             if text == "i":
                 if self.field.kind != "Qi":
                     raise ParseError("'i' is only available over QQ(i)", at)
                 return {1: 1}
-            m = re.fullmatch(r"x(\d+)", text)
-            if not m:
+            # Name tokens are ASCII, so isdigit() reads the \d+ of "x\d+".
+            if text[:1] != "x" or not text[1:].isdigit():
                 raise ParseError(f"unknown variable {text!r}", at)
-            index = int(m.group(1))
+            index = int(text[1:])
             if index >= self.nvars:
                 raise ParseError(
                     f"unknown variable {text!r} (only x0..x{self.nvars - 1} in scope)", at
@@ -1071,24 +1061,24 @@ class _Parser:
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", at)
 
 
-def _scan_number(text: str, p: int | None, cap: int) -> int | Fraction | None:
-    # The raw value of the literal "a" or "a/b" as _Parser.atom makes it,
-    # or None where that is not the whole text or the atom would raise.
-    numerator, slash, denominator = text.partition("/")
-    if not (numerator.isascii() and numerator.isdigit()) or len(numerator) > cap:
-        return None
-    value = int(numerator)
-    if not slash:
+def _literal(value: int, denominator: str | None, p: int | None, at: int,
+             dat: int) -> int | Fraction:
+    # The raw value of the literal value/denominator, or of value alone
+    # where denominator is None; at and dat are the positions of the
+    # literal and of its denominator, for the errors.
+    if denominator is None:
         return value % p if p else value
-    if not (denominator.isascii() and denominator.isdigit()) or len(denominator) > cap:
-        return None
+    if not denominator.isdigit():
+        raise ParseError("expected an integer denominator", dat)
     denominator = int(denominator)
     if not denominator:
-        return None
+        raise ParseError("zero denominator in rational literal", dat)
     common = gcd(value, denominator)
     value, denominator = value // common, denominator // common
     if p:
-        return None if denominator % p == 0 else value * pow(denominator, -1, p) % p
+        if denominator % p == 0:
+            raise ParseError(f"inverse of zero in F_{p}", at)
+        return value * pow(denominator, -1, p) % p
     return value if denominator == 1 else Fraction(value, denominator)
 
 
@@ -1097,10 +1087,12 @@ def _scan_printed(text: str, field: Field, nvars: int, max_degree: int | None) -
     module docstring) and :class:`_Parser` would read it without error,
     else None.  The keys and raw values are those _Parser builds at width
     32; every budget, bound and limit _Parser checks is read at call time,
-    and the text is handed back (None) wherever one of them would raise."""
-    cap = sys.get_int_max_str_digits() or len(text)
+    and the text is handed back (None) wherever one of them would raise.
+    Literals are read as _Parser reads them, by int() and :func:`_literal`,
+    so a ValueError of either (the interpreter's digit limit included)
+    hands the text back too."""
     max_exponent = MAX_EXPONENT
-    if MAX_PARSE_BITS < 0 and "^" in text:
+    if not text.isascii() or MAX_PARSE_BITS < 0 and "^" in text:
         return None
     p = field.p
     gaussian = field.kind == "Qi"
@@ -1116,71 +1108,68 @@ def _scan_printed(text: str, field: Field, nvars: int, max_degree: int | None) -
     if word[:1] == "-":
         word, sign = word[1:], -1
     j = 0
-    while True:
-        if word[:1] == "(":
-            # "(re", "+" or "-", "im*i)" with the monomial's "*..." appended.
-            if not gaussian or MAX_NESTING < 1 or j + 2 >= count:
-                return None
-            op = words[j + 1]
-            imag_text, closed, factors = words[j + 2].partition("*i)")
-            j += 2
-            real_text = word[1:]
-            real_sign = 1
-            if real_text[:1] == "-":
-                real_text, real_sign = real_text[1:], -1
-            real = _scan_number(real_text, None, cap)
-            imag = _scan_number(imag_text, None, cap)
-            if real is None or imag is None or not closed or op not in ("+", "-"):
-                return None
-            if factors[:1] not in ("", "*"):
-                return None
-            factors = factors[1:].split("*") if factors else []
-            coefficients = ((0, sign * real_sign * real),
-                            (1, sign * imag if op == "+" else -sign * imag))
-            starred = True
-        else:
-            factors = word.split("*")
-            if word[:1] == "x":
-                value = 1
+    try:
+        while True:
+            if word[:1] == "(":
+                # "(re", "+" or "-", "im*i)" with the monomial's "*..." appended.
+                if not gaussian or MAX_NESTING < 1 or j + 2 >= count:
+                    return None
+                op = words[j + 1]
+                imag_text, closed, factors = words[j + 2].partition("*i)")
+                j += 2
+                real_text, real_sign = word[1:], sign
+                if real_text[:1] == "-":
+                    real_text, real_sign = real_text[1:], -sign
+                if not closed or op not in ("+", "-") or factors[:1] not in ("", "*"):
+                    return None
+                factors = factors[1:].split("*") if factors else []
+                coefficients = []
+                for half, half_sign, literal in ((0, real_sign, real_text),
+                                                 (1, sign if op == "+" else -sign, imag_text)):
+                    numerator, slash, denominator = literal.partition("/")
+                    if not numerator.isdigit():
+                        return None
+                    value = _literal(int(numerator), denominator if slash else None, None, 0, 0)
+                    coefficients.append((half, half_sign * value))
+                starred = True
             else:
-                value = _scan_number(factors.pop(0), p, cap)
-                if value is None:
+                factors = word.split("*")
+                if word[:1] == "x":
+                    value = 1
+                else:
+                    numerator, slash, denominator = factors.pop(0).partition("/")
+                    if not numerator.isdigit():
+                        return None
+                    value = _literal(int(numerator), denominator if slash else None, p, 0, 0)
+                coefficients = ((0, sign * value),)
+                starred = "*" in word or "^" in word
+            key = degree = 0
+            for factor in factors:
+                name, caret, exponent = factor.partition("^")
+                index = name[1:]
+                if name[:1] != "x" or not index.isdigit() or caret and not exponent.isdigit():
                     return None
-            coefficients = ((0, sign * value),)
-            starred = "*" in word or "^" in word
-        key = degree = 0
-        for factor in factors:
-            name, caret, exponent = factor.partition("^")
-            index = name[1:]
-            if name[:1] != "x" or not (index.isascii() and index.isdigit()) or len(index) > cap:
+                index, e = int(index), int(exponent) if caret else 1
+                if index >= nvars or e > max_exponent:
+                    return None
+                degree += e
+                key += e << (top - 32 * index)
+            if degree >> 31 or (starred and max_degree is not None and degree > max_degree):
                 return None
-            index = int(index)
-            if index >= nvars:
+            key += degree << degree_shift
+            for half, value in coefficients:
+                acc[key + half] = acc.get(key + half, 0) + value
+            j += 1
+            if j == count:
+                return Polynomial._from_settled(field, nvars, 32, _settle(field, acc))
+            op = words[j]
+            if op not in ("+", "-") or j + 1 == count:
                 return None
-            if caret:
-                if not (exponent.isascii() and exponent.isdigit()) or len(exponent) > cap:
-                    return None
-                e = int(exponent)
-                if e > max_exponent:
-                    return None
-            else:
-                e = 1
-            degree += e
-            key += e << (top - 32 * index)
-        if degree >> 31 or (starred and max_degree is not None and degree > max_degree):
-            return None
-        key += degree << degree_shift
-        for half, value in coefficients:
-            acc[key + half] = acc.get(key + half, 0) + value
-        j += 1
-        if j == count:
-            return Polynomial._from_settled(field, nvars, 32, _settle(field, acc))
-        op = words[j]
-        if op not in ("+", "-") or j + 1 == count:
-            return None
-        sign = 1 if op == "+" else -1
-        j += 1
-        word = words[j]
+            sign = 1 if op == "+" else -1
+            j += 1
+            word = words[j]
+    except ValueError:
+        return None
 
 
 def parse_poly(text: str, field: Field, nvars: int,

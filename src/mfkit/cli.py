@@ -68,9 +68,8 @@ class _Module:
         return getattr(sys.modules.get(self._name) or import_module(self._name), attr)
 
 
-algebra, graded, mf_ops, orlov_ops, bott_ops, json, hashlib, re = map(_Module, (
-    "mfkit.algebra", "mfkit.graded", "mfkit.mf", "mfkit.orlov", "mfkit.bott", "json", "hashlib",
-    "re"))
+algebra, graded, mf_ops, orlov_ops, bott_ops, json, hashlib = map(_Module, (
+    "mfkit.algebra", "mfkit.graded", "mfkit.mf", "mfkit.orlov", "mfkit.bott", "json", "hashlib"))
 
 MF_SCHEMA = "mfkit/mf-v1"
 TABLE_SCHEMA = "mfkit/table-v1"
@@ -161,11 +160,11 @@ def _matrix_texts(matrix: HomogeneousMatrix, texts: dict[int, str]) -> list[list
 
 
 def _printed(poly: Polynomial) -> str:
-    # A text that would not parse back, an exponent past the parser's cap,
-    # is refused; after printing, so that the digit cap is met first.
+    # A text with an exponent past the parser's cap (read from the terms)
+    # would not parse back; refused after printing, so the digit cap is met first.
     text = str(poly)
     if poly.total_degree > algebra.MAX_EXPONENT:
-        exponent = max(map(int, re.findall(r"\^(\d+)", text)), default=0)
+        exponent = max(max(exps) for exps, _ in poly.terms)
         if exponent > algebra.MAX_EXPONENT:
             raise ValueError(f"exponent {exponent} exceeds MAX_EXPONENT = {algebra.MAX_EXPONENT}")
     return text

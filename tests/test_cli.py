@@ -1000,6 +1000,21 @@ def test_shift_at_and_past_the_exponent_cap(workdir, capsys, entry, exponent):
         assert not (workdir / "shifted.json").exists()
 
 
+def test_shift_with_every_exponent_at_the_cap_and_the_degree_past_it(workdir, capsys):
+    # The valid factorization (1, x0^e*x1^e) with e = MAX_EXPONENT: its
+    # degree 2e passes the cap, each exponent meets it, so the shift prints
+    # and reads back.
+    entry = "x0^1048576*x1^1048576"
+    doc = dict(POWER_DOCUMENT, nvars=2, d=2**21, f=entry, s1=[[entry]])
+    (workdir / "cap2.json").write_text(json.dumps(doc))
+    assert run(capsys, "mf", "validate", "cap2.json")[::2] == (0, "")
+    code, _, err = run(capsys, "mf", "shift", "cap2.json", "--output", "shifted.json")
+    assert (code, err) == (0, "")
+    shifted = json.loads((workdir / "shifted.json").read_text())
+    assert shifted["s0"] == [["-x0^1048576*x1^1048576"]]
+    assert run(capsys, "mf", "validate", "shifted.json")[::2] == (0, "")
+
+
 def test_shift_of_degree_two_to_the_40_exits_2(workdir, capsys):
     # The valid factorization (f, 1) of f = x0^(2^40) + x1^(2^40): its shift
     # would print exponents that no command reads.

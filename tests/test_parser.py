@@ -15,7 +15,9 @@ hands every other text to the recursive parser.  The tests at the end
 compare the scan with the recursive parser alone: on printed and
 edited printed text, under degree bounds and lowered budgets, wherever
 the scan reads a text it must give the recursive parser's polynomial,
-and parse_poly's errors must stay the recursive parser's.
+and parse_poly's errors must stay the recursive parser's.  The last
+tests pin, without that comparison, what both readers give at the
+interpreter's digit limit.
 """
 
 from __future__ import annotations
@@ -455,3 +457,72 @@ def test_oversized_literals_are_the_recursive_parsers():
         assert algebra._scan_printed(f"{nines}*x0", QQ, 1, None) is not None
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+# ---------------------------------------------------------------------------
+# The interpreter's digit limit, checked by int() alone in both readers.
+
+@pytest.fixture
+def digit_limit_640():
+    # Sets the interpreter's digit limit to 640 and yields the message of
+    # its ValueError for 641 digits, as this interpreter words it.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ValueError) as past:
+            int("9" * 641)
+        yield str(past.value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_numerator_past_the_digit_limit_is_converted_before_its_denominator(digit_limit_640):
+    # The numerator is converted before "/" and the denominator are read,
+    # so the limit's ValueError comes before the missing denominator.
+    nines = "9" * 641
+    for text in (f"{nines}/x0", f"{nines}/"):
+        with pytest.raises(ValueError) as got:
+            parse_poly(text, QQ, 1)
+        assert type(got.value) is ValueError and str(got.value) == digit_limit_640
+    # A bad character is found by the tokenizer, before any conversion.
+    with pytest.raises(ParseError) as got:
+        parse_poly(f"1/{nines}*x0 + @", QQ, 1)
+    assert str(got.value) == "unexpected character '@' (at position 649)"
+
+
+# Each place of a printed text that holds digits, as a text template and
+# its field.
+DIGIT_PLACES = {"numerator": ("{n}*x0", QQ), "denominator": ("1/{n}*x0", QQ),
+                "real": ("({n} + 1*i)*x0", QI), "imaginary": ("(1 + {n}*i)*x0", QI),
+                "exponent": ("x0^{n}", QQ), "index": ("x{n}", QQ)}
+
+
+@pytest.mark.parametrize("place", DIGIT_PLACES)
+@pytest.mark.parametrize("digits", [640, 641])
+def test_digit_limit_at_every_number_of_a_printed_text(digit_limit_640, place, digits):
+    # At 640 digits the scan reads a literal, and the recursive parser
+    # refuses an exponent or a variable index past its limit; at 641
+    # digits every one of them raises the interpreter's ValueError.
+    n = "9" * digits
+    template, field = DIGIT_PLACES[place]
+    text = template.format(n=n)
+    if digits == 641:
+        assert algebra._scan_printed(text, field, 1, None) is None
+        with pytest.raises(ValueError) as got:
+            parse_poly(text, field, 1)
+        assert type(got.value) is ValueError and str(got.value) == digit_limit_640
+    elif place in ("exponent", "index"):
+        assert algebra._scan_printed(text, field, 1, None) is None
+        with pytest.raises(ParseError) as got:
+            parse_poly(text, field, 1)
+        assert str(got.value) == {
+            "exponent": f"exponent overflow (limit {MAX_EXPONENT}) (at position 3)",
+            "index": f"unknown variable 'x{n}' (only x0..x0 in scope) (at position 0)",
+        }[place]
+    else:
+        value = {"numerator": int(n), "denominator": Fraction(1, int(n)),
+                 "real": algebra.GaussianRational(Fraction(int(n)), Fraction(1)),
+                 "imaginary": algebra.GaussianRational(Fraction(1), Fraction(int(n)))}[place]
+        want = Polynomial.from_pairs(field, 1, [((1,), value)])
+        assert algebra._scan_printed(text, field, 1, None) == want
+        assert parse_poly(text, field, 1) == want
