@@ -73,6 +73,12 @@ class Counts:
                 raise ValueError(f"negative count {value} at {key}")
         return cls(*fields, tuple(sorted(item for item in counts.items() if item[1])))
 
+    @classmethod
+    def from_mapping(cls, *fields_and_counts):
+        # from_mapping(*fields, counts): from_pairs over the items of counts.
+        *fields, counts = fields_and_counts
+        return cls.from_pairs(counts.items(), *fields)
+
     def get(self, *key) -> int:
         # get(i, j) or get(q); 0 outside the support.
         return dict(self.entries).get(key if len(key) > 1 else key[0], 0)

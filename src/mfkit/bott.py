@@ -30,7 +30,7 @@ each the total of Beilinson-type cohomology tables.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 
 from ._value import Counts, value_class
 
@@ -61,6 +61,12 @@ MAX_SWEEP_DEGREE = 1_000
 # restricted_bott can take two, 1.2-1.5 s through the command.
 MAX_BOTT_N = 80_000
 MAX_BOTT_TWIST = 200_000
+# rho_point's 2^n and orlov.check_rho's bound 2^(e+1): n, and e + 1, at
+# most MAX_POWER_BITS, so the power takes at most 8 MiB.  That is above
+# what the command line prints (2^k has more than cli.MAX_DIGITS digits
+# from k = 996,579 on), so the bound only keeps out the powers that would
+# not fit in memory, or whose shift count overflows, before they are built.
+MAX_POWER_BITS = 2**26
 
 
 def binom(x: int, k: int) -> int:
@@ -88,10 +94,6 @@ class CohomologyVector(Counts):
         if tuple(sorted(self.entries)) != tuple(self.entries):
             raise ValueError("entries must be sorted by degree")
 
-    @classmethod
-    def from_mapping(cls, n: int, counts: Mapping[int, int]) -> "CohomologyVector":
-        return cls.from_pairs(counts.items(), n)
-
     def euler(self) -> int:
         return sum(v if q % 2 == 0 else -v for q, v in self.entries)
 
@@ -105,6 +107,13 @@ def _bounded(n: int, *twists: tuple[str, int]) -> None:
     for name, l in twists:
         if abs(l) > MAX_BOTT_TWIST:
             raise ValueError(f"|{name}| = {abs(l)} exceeds MAX_BOTT_TWIST = {MAX_BOTT_TWIST}")
+
+
+def _require_positive(n: int, d: int = 1) -> None:
+    if n < 1:
+        raise ValueError("ambient dimension n must be >= 1")
+    if d < 1:
+        raise ValueError("hypersurface degree d must be >= 1")
 
 
 def _bott_entry(n: int, p: int, l: int) -> tuple[int, int]:
@@ -136,10 +145,7 @@ def bott_vector(n: int, p: int, l: int) -> CohomologyVector:
 def restricted_bott(n: int, d: int, r: int, t: int) -> CohomologyVector:
     """q -> h^q(P^n, O_X ⊗ Omega^r(r+t)) for the degree-d hypersurface X,
     resolved from the long exact sequence of the restriction."""
-    if n < 1:
-        raise ValueError("ambient dimension n must be >= 1")
-    if d < 1:
-        raise ValueError("hypersurface degree d must be >= 1")
+    _require_positive(n, d)
     if not 0 <= r <= n:
         raise ValueError(f"r = {r} outside [0, {n}]")
     _bounded(n, ("r+t", r + t), ("r+t-d", r + t - d))
@@ -178,8 +184,7 @@ def rho_structure_sheaf(n: int, d: int) -> int:
     the middle because the tail's steps carry the wider powers of two;
     near the switch the two sides take about equal time for d from 200
     to 64,000.  A d above MAX_RHO_DEGREE raises ValueError."""
-    if n < 1:
-        raise ValueError("ambient dimension n must be >= 1")
+    _require_positive(n)
     if n + 1 - d > 0:
         raise ValueError(
             f"rho(O_X) closed form requires a = n+1-d <= 0, got a = {n + 1 - d}"
@@ -225,9 +230,10 @@ def _rho_rows(n_max: int, d_max: int) -> Iterator[tuple[int, int, int]]:
 
 def rho_point(n: int) -> int:
     """rho of a point sheaf: the sum over r of the ranks C(n, r) of
-    Omega^r, which is 2^n."""
-    if n < 1:
-        raise ValueError("ambient dimension n must be >= 1")
+    Omega^r, which is 2^n.  An n above MAX_POWER_BITS raises ValueError."""
+    _require_positive(n)
+    if n > MAX_POWER_BITS:
+        raise ValueError(f"n = {n} exceeds MAX_POWER_BITS = {MAX_POWER_BITS}")
     return 1 << n
 
 
@@ -236,10 +242,7 @@ def rho_line_bundle(n: int, d: int, j: int) -> int:
     No Fano exclusion here; this is how the a > 0 counterexamples are
     computed.  An n above MAX_LINE_BUNDLE_N, or a d or |j| above
     MAX_LINE_BUNDLE_TWIST, raises ValueError."""
-    if n < 1:
-        raise ValueError("ambient dimension n must be >= 1")
-    if d < 1:
-        raise ValueError("hypersurface degree d must be >= 1")
+    _require_positive(n, d)
     if n > MAX_LINE_BUNDLE_N:
         raise ValueError(f"n = {n} exceeds MAX_LINE_BUNDLE_N = {MAX_LINE_BUNDLE_N}")
     if d > MAX_LINE_BUNDLE_TWIST:

@@ -97,10 +97,6 @@ class BettiTable(Counts):
     term_format = "b[{0[0]}][{0[1]}]={1}"
     empty_text = "(empty)"
 
-    @classmethod
-    def from_mapping(cls, counts: Mapping[tuple[int, int], int]) -> "BettiTable":
-        return cls.from_pairs(counts.items())
-
     def mapping(self) -> dict[tuple[int, int], int]:
         return dict(self.entries)
 
@@ -193,30 +189,22 @@ def validate(F: MatrixFactorization) -> list[str]:
     if problems:
         return problems
 
-    # Composite identities; report the first offending entry of each.
-    mismatch = _first_composite_mismatch(compose(F.s1.twist(deg), F.s0), f)
-    if mismatch is not None:
-        problems.append(f"s1*s0 disagrees with f*id at {mismatch}")
-        mismatch = _first_composite_mismatch(compose(F.s0, F.s1), f)
-        if mismatch is not None:
-            problems.append(f"s0*s1 disagrees with f*id at {mismatch}")
+    # Composite identities; report the first offending entry of each.  Row r
+    # of f*id is ((r, f),); s0*s1 is formed only when s1*s0 is not f*id.
+    for name, left, right in (("s1*s0", F.s1.twist(deg), F.s0), ("s0*s1", F.s0, F.s1)):
+        for r, row in enumerate(compose(left, right).rows):
+            if row != ((r, f),):
+                # The row differs at its nonzeros off the diagonal and, unless
+                # it holds f there, at (r, r).
+                got, zero = dict(row), Polynomial.zero(f.field, f.nvars)
+                c = min(c for c in {*got, r} if c != r or got.get(r, zero) != f)
+                expected, entry = (f if r == c else zero), got.get(c, zero)
+                problems.append(f"{name} disagrees with f*id at entry ({r},{c}): got {entry}, "
+                                f"expected {expected}, difference {entry - expected}")
+                break
+        else:
+            break
     return problems
-
-
-def _first_composite_mismatch(prod_matrix: HomogeneousMatrix, f: Polynomial) -> str | None:
-    # Row r differs from f*id at its nonzeros off the diagonal and, unless
-    # it holds f there, at (r, r); report the first in column order.
-    zero = Polynomial.zero(f.field, f.nvars)
-    for r, row in enumerate(prod_matrix.rows):
-        got = dict(row)
-        bad = [c for c in got if c != r]
-        if r not in got or got[r] != f:
-            bad.append(r)
-        if bad:
-            c = min(bad)
-            expected, entry = (f if r == c else zero), got.get(c, zero)
-            return f"entry ({r},{c}): got {entry}, expected {expected}, difference {entry - expected}"
-    return None
 
 
 def is_valid(F: MatrixFactorization) -> bool:

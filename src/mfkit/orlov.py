@@ -24,10 +24,8 @@ the general statements, and they carry the hypotheses left unchecked
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from ._value import Counts, value_class
-from .bott import binom
+from .bott import MAX_POWER_BITS, binom
 
 # The functions that use mf and graded import them, so that the scalar
 # commands load neither.  Type checkers take this name for typing's.
@@ -84,10 +82,6 @@ class CohomologyTable(Counts):
     entries: tuple[tuple[tuple[int, int], int], ...]
     term_format = "T[{0[0]}][{0[1]}]={1}"
     empty_text = "(empty)"
-
-    @classmethod
-    def from_mapping(cls, n: int, counts: Mapping[tuple[int, int], int]) -> "CohomologyTable":
-        return cls.from_pairs(counts.items(), n)
 
     def out_of_support(self) -> tuple[tuple[int, int], ...]:
         return tuple(
@@ -255,14 +249,17 @@ def shamash_counts(n: int, d: int, m: int) -> list[tuple[int, int]]:
         term m = ⊕_{s+2j = -m, j >= 0, 0 <= s <= n+1} R(-s-jd)^C(n+1, s)
 
     Its rank, the sum of the multiplicities, must not exceed
-    MAX_SHAMASH_RANK.
+    MAX_SHAMASH_RANK.  For -m >= 2 and n >= 4 the term holds C(n+1, 2)
+    generators (s = 2) or C(n+1, 3) >= C(n+1, 2) of them (s = 3), so once
+    C(n+1, 2) passes the bound (n >= 2,896) the term is refused without
+    summing the up to n + 2 binomials.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    HypersurfaceContext(n, d)  # raises unless n, d >= 1
     if m > 0:
         raise ValueError("the resolution lives in cohomological degrees <= 0")
+    if m <= -2 and (least := binom(n + 1, 2)) > MAX_SHAMASH_RANK:
+        raise ValueError(f"Shamash term {m} has rank at least {least}, "
+                         f"above MAX_SHAMASH_RANK = {MAX_SHAMASH_RANK}")
     # Terms with s = -m - 2j > n + 1 are empty: j runs from the first with
     # s <= n + 1 to the last with s >= 0, at most n + 2 values whatever m is.
     counts: dict[int, int] = {}
@@ -308,14 +305,17 @@ def check_bgs(ctx: HypersurfaceContext, F: MatrixFactorization) -> Verdict:
 def check_rho(ctx: HypersurfaceContext, value: int) -> Verdict:
     """Instance check of the cohomology lower bound rho >= 2^(e+1); only
     meaningful for a <= 0 (Fano hypersurfaces carry line bundles with rho
-    as small as 2, so a > 0 contexts are rejected)."""
+    as small as 2, so a > 0 contexts are rejected).  The bound is built
+    as a shift, and an e + 1 above bott.MAX_POWER_BITS raises ValueError."""
     if ctx.a > 0:
         raise ValueError(
             f"rho bound requires a = n+1-d <= 0 (got a = {ctx.a}): on Fano "
             "hypersurfaces the bound fails, e.g. rho(O_X(-1)) = 2 on a plane "
             "line and rho(O_X) = 2 on a plane conic"
         )
-    bound = 2 ** (ctx.e + 1)
+    if ctx.e + 1 > MAX_POWER_BITS:
+        raise ValueError(f"e + 1 = {ctx.e + 1} exceeds MAX_POWER_BITS = {MAX_POWER_BITS}")
+    bound = 1 << (ctx.e + 1)
     return _verdict(ctx, "rho >= 2^(e+1)", value, bound, passed=value >= bound)
 
 

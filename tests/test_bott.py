@@ -264,6 +264,14 @@ class TestRhoPoint:
             total += term
         assert value % p == total % p
 
+    def test_at_and_past_the_power_bound(self):
+        bits = bott_module.MAX_POWER_BITS
+        assert bits == 2**26
+        assert rho_point(bits) == 1 << bits
+        for n in (bits + 1, 10**11, 10**40 - 1):
+            with pytest.raises(ValueError, match=f"^n = {n} exceeds MAX_POWER_BITS = {bits}$"):
+                rho_point(n)
+
 
 class TestRhoLineBundle:
     def test_fano_counterexamples(self):

@@ -1056,7 +1056,28 @@ def test_shamash_past_the_rank_bound_exits_2(capsys, monkeypatch):
                    "above MAX_SHAMASH_RANK = 4194304\n")
 
 
+def test_shamash_at_the_rank_bound_in_one_degree(capsys):
+    assert run(capsys, "orlov", "shamash", "--n", "4194303", "--d", "4", "--m", "-1") == (
+        0, "degree 1 x 4194304\n", "")
+
+
 # -- the rho argument bounds --------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rho", "point", "--n", "100000000000"],
+     "[mfkit.bott]: n = 100000000000 exceeds MAX_POWER_BITS = 67108864"),
+    (["rho", "point", "--n", "9" * 40],
+     f"[mfkit.bott]: n = {'9' * 40} exceeds MAX_POWER_BITS = 67108864"),
+    (["check", "rho", "--n", "100000000000", "--d", "100000000001", "--value", "1"],
+     "[mfkit.orlov]: e + 1 = 50000000001 exceeds MAX_POWER_BITS = 67108864"),
+    (["orlov", "shamash", "--n", "20000", "--d", "4", "--m", "-20000"],
+     "[mfkit.orlov]: Shamash term -20000 has rank at least 200010000, "
+     "above MAX_SHAMASH_RANK = 4194304"),
+])
+def test_scalar_queries_past_their_size_bounds_exit_2(capsys, argv, message):
+    # Each ran out of time or memory, or crashed, before it was bounded.
+    assert run(capsys, *argv) == (2, "", f"error {message}\n")
 
 
 @pytest.fixture

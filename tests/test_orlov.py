@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from mfkit import mf
-from mfkit.bott import CohomologyVector
+from mfkit.bott import MAX_POWER_BITS, CohomologyVector
 from mfkit.graded import DegreeMultiset
 from mfkit.mf import BettiTable
 from mfkit.orlov import (
@@ -300,6 +300,44 @@ class TestShamash:
             with pytest.raises(ValueError, match=f"has rank {rank}, above MAX_SHAMASH_RANK"):
                 shamash_degrees(n, 4, m)
 
+    def test_rank_guard_agrees_with_the_exact_sum(self):
+        # Around n = 2,896, where C(n+1, 2) first passes the bound, a term is
+        # refused exactly when its summed rank passes it.
+        refused = 0
+        for n in range(2890, 2911):
+            for m in range(0, -13, -1):
+                rank = sum(math.comb(n + 1, -m - 2 * j) for j in range(-m // 2 + 1)
+                           if -m - 2 * j <= n + 1)
+                if rank <= MAX_SHAMASH_RANK:
+                    assert sum(count for _, count in shamash_counts(n, 4, m)) == rank
+                else:
+                    refused += 1
+                    with pytest.raises(ValueError, match="above MAX_SHAMASH_RANK"):
+                        shamash_counts(n, 4, m)
+        assert refused > 0
+
+    def test_rank_guard_at_the_bound(self):
+        # C(2896, 2) = 4,191,960 generators in degree 2 and one in degree d.
+        assert shamash_counts(2895, 4, -2) == [(2, 4191960), (4, 1)]
+        with pytest.raises(ValueError, match=r"^Shamash term -2 has rank at least 4194856, "
+                                             r"above MAX_SHAMASH_RANK = 4194304$"):
+            shamash_counts(2896, 4, -2)
+        assert shamash_counts(MAX_SHAMASH_RANK - 1, 4, -1) == [(1, MAX_SHAMASH_RANK)]
+        with pytest.raises(ValueError, match="has rank 4194305, above MAX_SHAMASH_RANK"):
+            shamash_counts(MAX_SHAMASH_RANK, 4, -1)
+
+    def test_rank_guard_sums_no_binomial(self, monkeypatch):
+        # Only the guard's C(n+1, 2) is taken; the 10,001 terms are not summed.
+        from mfkit import orlov
+
+        def guard_only(x, k):
+            assert k == 2, "a term past the bound was summed"
+            return math.comb(x, k)
+
+        monkeypatch.setattr(orlov, "binom", guard_only)
+        with pytest.raises(ValueError, match="has rank at least 200010000"):
+            shamash_counts(20000, 4, -20000)
+
 
 class TestCheckBgs:
     def test_fermat_at_equality(self):
@@ -341,6 +379,21 @@ class TestCheckRho:
         with pytest.raises(ValueError, match="a = n\\+1-d <= 0"):
             check_rho(HypersurfaceContext(2, 2), 2)
 
+    def test_bound_is_two_to_the_e_plus_one(self):
+        rng = random.Random(83)
+        for e in [0, 1, 2, 10**4] + [rng.randint(0, 10**4) for _ in range(50)]:
+            n = 2 * e + rng.randint(0, 1) or 1
+            assert check_rho(HypersurfaceContext(n, n + 1), 1).bound == 2 ** (e + 1)
+
+    def test_at_and_past_the_power_bound(self):
+        # e + 1 = MAX_POWER_BITS at n = 2^27 - 1, and one more at n = 2^27.
+        verdict = check_rho(HypersurfaceContext(2**27 - 1, 2**27), 1)
+        assert verdict.bound == 1 << MAX_POWER_BITS and not verdict.passed
+        for n in (2**27, 10**11):
+            with pytest.raises(ValueError, match=f"^e \\+ 1 = {n // 2 + 1} exceeds "
+                                                 f"MAX_POWER_BITS = {MAX_POWER_BITS}$"):
+                check_rho(HypersurfaceContext(n, n + 1), 1)
+
 
 class TestCountTables:
     """The three count tables share one container: summed, sorted,
@@ -363,6 +416,16 @@ class TestCountTables:
         assert (table.get(1, 1), table.get(0, 0), table.total()) == (5, 0, 5)
         vector = CohomologyVector.from_mapping(3, {3: 6, 1: 0})
         assert (vector.get(3), vector.get(1), vector.total()) == (6, 0, 6)
+
+    def test_from_mapping_is_from_pairs(self):
+        for cls, fields, counts in (
+                (BettiTable, (), {(1, 0): 2, (0, 2): 0, (0, -1): 3}),
+                (CohomologyTable, (3,), {(2, 3): 2, (-1, 0): 1, (0, 0): 0}),
+                (CohomologyVector, (3,), {3: 6, 0: 2, 1: 0}),
+                (CohomologyVector, (2,), {})):
+            table = cls.from_mapping(*fields, counts)
+            assert type(table) is cls
+            assert table == cls.from_pairs(counts.items(), *fields)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match=r"^negative count -1 at \(0, 1\)$"):
