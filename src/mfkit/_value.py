@@ -13,7 +13,9 @@ importing dataclasses would cost more than most commands (it imports
 inspect).
 
 ``Counts`` is the one sparse count container behind ``mf.BettiTable``,
-``orlov.CohomologyTable`` and ``bott.CohomologyVector``.
+``orlov.CohomologyTable`` and ``bott.CohomologyVector``.  Its
+``__post_init__`` checks every table's entries once: keys strictly
+ascending, every count positive.
 """
 
 
@@ -61,6 +63,14 @@ class Counts:
     last field, ``entries``, holds ``(key, count)`` pairs sorted by key,
     every count positive; it sets ``term_format`` (one term of ``str``)
     and ``empty_text``, unannotated so that they are not fields."""
+
+    def __post_init__(self):
+        keys = [key for key, _ in self.entries]
+        if keys != sorted(set(keys)):
+            raise ValueError("entries must be sorted by key, each key once")
+        for key, value in self.entries:
+            if value <= 0:
+                raise ValueError(f"count at {key} must be positive, got {value}")
 
     @classmethod
     def from_pairs(cls, pairs, *fields):

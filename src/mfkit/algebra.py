@@ -14,9 +14,12 @@ in graded lexicographic order (highest total degree first, ties broken
 lexicographically).  Equal polynomials are therefore equal as Python
 values, which the test suite relies on for bit-exact comparisons.
 
-:meth:`Polynomial.from_pairs` is the validating entry point: it checks
-arity and signs of exponent vectors and coerces every coefficient into
-the field.  Arithmetic does not re-validate; its results are made by
+:meth:`Polynomial.from_pairs` is the one way from outside values into a
+polynomial, and ``Polynomial(field, nvars, terms)``, the form ``repr``
+prints, runs it: it checks arity and signs of exponent vectors, coerces
+every coefficient into the field, sums the coefficients of each monomial
+and settles the sums as arithmetic does, so every polynomial is
+canonical.  Arithmetic does not re-validate; its results are made by
 the trusted constructor ``Polynomial._from_view`` (below).
 
 Sums and products share one multiply-accumulate loop, ``_accumulate``.
@@ -238,6 +241,9 @@ class FpElement:
     value: int
     p: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "value", self.value % self.p)
+
     def __bool__(self) -> bool:
         return self.value != 0
 
@@ -247,18 +253,18 @@ class FpElement:
 
     def __add__(self, other: "FpElement") -> "FpElement":
         self._check(other)
-        return FpElement((self.value + other.value) % self.p, self.p)
+        return FpElement(self.value + other.value, self.p)
 
     def __sub__(self, other: "FpElement") -> "FpElement":
         self._check(other)
-        return FpElement((self.value - other.value) % self.p, self.p)
+        return FpElement(self.value - other.value, self.p)
 
     def __neg__(self) -> "FpElement":
-        return FpElement(-self.value % self.p, self.p)
+        return FpElement(-self.value, self.p)
 
     def __mul__(self, other: "FpElement") -> "FpElement":
         self._check(other)
-        return FpElement(self.value * other.value % self.p, self.p)
+        return FpElement(self.value * other.value, self.p)
 
     def inverse(self) -> "FpElement":
         if self.value == 0:
@@ -328,11 +334,10 @@ class Field:
                     raise ValueError(f"prime field mismatch: F_{value.p} vs F_{self.p}")
                 return value
             if isinstance(value, int):
-                return FpElement(value % self.p, self.p)
+                return FpElement(value, self.p)
             if isinstance(value, Fraction):
-                num = FpElement(value.numerator % self.p, self.p)
-                den = FpElement(value.denominator % self.p, self.p)
-                return num * den.inverse()
+                num = FpElement(value.numerator, self.p)
+                return num * FpElement(value.denominator, self.p).inverse()
         raise ValueError(f"cannot coerce {value!r} into {self}")
 
     def inv(self, value: Scalar) -> Scalar:
@@ -432,25 +437,6 @@ def _codec(nvars: int, width: int):
     return pack, unpack
 
 
-def _pack(field: Field, nvars: int, terms: Sequence) -> tuple[int, list]:
-    # The view of terms with distinct exponent tuples and nonzero
-    # coefficients in ``field``, in any order: (width, pairs) at the width
-    # of their total degree, keys descending.  Over QQ(i), the nonzero
-    # halves (4 * key + 1, im) and (4 * key, re): keys add under products
-    # and the exponents of i add in the low two bits, which never carry.
-    width = _width(max([sum(exps) for exps, _ in terms], default=0))
-    pack = _codec(nvars, width)[0]
-    if field.kind == "Fp":
-        pairs = [(pack(exps), c.value) for exps, c in terms]
-    elif field.kind == "Q":
-        pairs = [(pack(exps), _raw(c)) for exps, c in terms]
-    else:
-        pairs = [(pack(exps) << 2 | half, _raw(part)) for exps, c in terms
-                 for half, part in ((1, c.im), (0, c.re)) if part]
-    pairs.sort(reverse=True)
-    return width, pairs
-
-
 def _repack(field: Field, nvars: int, pairs: list, width: int, new: int) -> list:
     # View pairs packed at ``width``, packed again at ``new``.  Graded
     # lexicographic order does not depend on the width, so the order holds.
@@ -533,8 +519,10 @@ def _gaussian_mul(a: tuple, b: tuple) -> tuple:
 class Polynomial:
     """Sparse multivariate polynomial in canonical form.
 
-    Do not build ``terms`` by hand; use the classmethod constructors or
-    arithmetic, which canonicalize (drop zeros, merge duplicates, sort).
+    ``Polynomial(field, nvars, terms)`` is :meth:`from_pairs`: the terms
+    may come in any order, with repeated exponent vectors and zero
+    coefficients, and are made canonical (duplicates summed, zeros
+    dropped, sorted).
     """
 
     field: Field
@@ -548,10 +536,9 @@ class Polynomial:
     # over QQ.  Over QQ(i) a term splits into its nonzero halves: key * 4
     # + 1 with the imaginary part, then key * 4 with the real part.
 
-    def __init__(self, field: Field, nvars: int, terms: tuple) -> None:
-        # Trusted: ``terms`` must be canonical.  They are packed, and read
-        # back from the view like every polynomial's.
-        self.__dict__.update(field=field, nvars=nvars, _view=_pack(field, nvars, terms))
+    def __init__(self, field: Field, nvars: int, terms) -> None:
+        # The form ``repr`` prints, read as from_pairs reads any outside terms.
+        self.__dict__.update(Polynomial.from_pairs(field, nvars, terms).__dict__)
 
     # -- construction --------------------------------------------------
 
@@ -562,22 +549,34 @@ class Polynomial:
         nvars: int,
         pairs: Iterable[tuple[tuple[int, ...], Scalar]] | Mapping[tuple[int, ...], Scalar],
     ) -> "Polynomial":
+        """The polynomial of (exponent vector, coefficient) pairs, in any
+        order: each vector's arity and signs checked, each coefficient
+        coerced into ``field``, the coefficients of a repeated vector
+        summed and zero sums dropped."""
         if isinstance(pairs, Mapping):
             pairs = pairs.items()
-        acc: dict[tuple[int, ...], Scalar] = {}
+        checked = []
         for exps, coeff in pairs:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps} has arity {len(exps)}, expected {nvars}")
-            if any(e < 0 for e in exps):
+            if min(exps, default=0) < 0:
                 raise ValueError(f"negative exponent in {exps}")
-            coeff = field.coerce(coeff)
-            if exps in acc:
-                acc[exps] = acc[exps] + coeff
+            checked.append((exps, field.coerce(coeff)))
+        # Packed at the width of the highest degree given; _from_view packs
+        # the sum again at its own, should that degree cancel.
+        width = _width(max([sum(exps) for exps, _ in checked], default=0))
+        pack = _codec(nvars, width)[0]
+        acc: dict[int, int | Fraction] = {}
+        for exps, coeff in checked:
+            key = pack(exps)
+            if field.kind == "Qi":
+                halves = ((key << 2 | 1, _raw(coeff.im)), (key << 2, _raw(coeff.re)))
             else:
-                acc[exps] = coeff
-        terms = [(exps, coeff) for exps, coeff in acc.items() if coeff]
-        return cls._from_view(field, nvars, *_pack(field, nvars, terms))
+                halves = ((key, coeff.value if field.p else _raw(coeff)),)
+            for k, value in halves:
+                acc[k] = acc.get(k, 0) + value
+        return cls._from_settled(field, nvars, width, _settle(field, acc))
 
     @classmethod
     def _sum_of_products(
@@ -669,23 +668,22 @@ class Polynomial:
 
     @classmethod
     def zero(cls, field: Field, nvars: int) -> "Polynomial":
-        return cls(field, nvars, ())
+        return cls._from_view(field, nvars, 32, [])
 
     @classmethod
     def constant(cls, field: Field, nvars: int, value) -> "Polynomial":
-        coeff = field.coerce(value)
-        return cls(field, nvars, (((0,) * nvars, coeff),) if coeff else ())
+        return cls.from_pairs(field, nvars, (((0,) * nvars, value),))
 
     @classmethod
     def variable(cls, field: Field, nvars: int, index: int) -> "Polynomial":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
-        exps = tuple(1 if k == index else 0 for k in range(nvars))
-        return cls(field, nvars, ((exps, field.one),))
+        return cls.from_pairs(
+            field, nvars, ((tuple(int(k == index) for k in range(nvars)), field.one),))
 
     @classmethod
     def monomial(cls, field: Field, nvars: int, exponents: Iterable[int], coeff=1) -> "Polynomial":
-        return cls.from_pairs(field, nvars, [(tuple(exponents), field.coerce(coeff))])
+        return cls.from_pairs(field, nvars, ((exponents, coeff),))
 
     # -- value ------------------------------------------------------------
 
@@ -721,15 +719,14 @@ class Polynomial:
 
     @property
     def constant_term(self) -> Scalar:
-        # Its pairs have the keys 0 and, over QQ(i), 1 for the imaginary half.
-        tail = dict(self._view[1][-2:])
-        kind = self.field.kind
-        if kind == "Qi":
-            if 0 in tail or 1 in tail:
-                return GaussianRational(Fraction(tail.get(0, 0)), Fraction(tail.get(1, 0)))
-        elif 0 in tail:
-            return FpElement(tail[0], self.field.p) if kind == "Fp" else Fraction(tail[0])
-        return self.field.zero
+        # Read only if the last key is that of the monomial 1: 0, and over
+        # QQ(i) 1 for the imaginary half.
+        pairs, field = self._view[1], self.field
+        gaussian = field.kind == "Qi"
+        if not pairs or pairs[-1][0] >> 2 * gaussian:
+            return field.zero
+        tail = dict(pairs[-2:])
+        return _scalar(field, [tail.get(0, 0), tail.get(1, 0)] if gaussian else tail[0])
 
     # -- arithmetic -----------------------------------------------------
 
@@ -830,19 +827,22 @@ def _raw_terms(gaussian: bool, pairs: list) -> Iterable:
     return parts.items()
 
 
+def _scalar(field: Field, raw) -> Scalar:
+    # The public scalar of a raw coefficient as _raw_terms lists it: an
+    # FpElement, a Fraction, or over QQ(i) a GaussianRational of [re, im].
+    if field.kind == "Qi":
+        return GaussianRational(Fraction(raw[0]), Fraction(raw[1]))
+    return FpElement(raw, field.p) if field.p else Fraction(raw)
+
+
 def _terms_from_view(poly: Polynomial) -> tuple:
-    # The terms of a polynomial: each (key, value) pair of its view
-    # unpacked and wrapped into the public scalar type, once per term, so
-    # that terms always hold an FpElement in [0, p), a GaussianRational
-    # with Fraction parts, or a Fraction.
+    # The terms of a polynomial: each term of its view unpacked and wrapped
+    # into the public scalar type, once.
     width, pairs = poly._view
     unpack = _codec(poly.nvars, width)[1]
     field = poly.field
-    if field.kind == "Qi":
-        return tuple([(unpack(k), GaussianRational(Fraction(re), Fraction(im)))
-                      for k, (re, im) in _raw_terms(True, pairs)])
-    wrap = Fraction if field.kind == "Q" else lambda value: FpElement(value, field.p)
-    return tuple([(unpack(k), wrap(value)) for k, value in pairs])
+    return tuple([(unpack(k), _scalar(field, c))
+                  for k, c in _raw_terms(field.kind == "Qi", pairs)])
 
 
 # ``terms`` is built on first read and kept in the instance dict, which

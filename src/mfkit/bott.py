@@ -86,13 +86,12 @@ class CohomologyVector(Counts):
     empty_text = "0"
 
     def __post_init__(self):
-        for q, value in self.entries:
+        for q, _ in self.entries:
             if not 0 <= q <= self.n:
                 raise ValueError(f"cohomological degree {q} outside [0, {self.n}]")
-            if value <= 0:
-                raise ValueError(f"count at q={q} must be positive, got {value}")
-        if tuple(sorted(self.entries)) != tuple(self.entries):
-            raise ValueError("entries must be sorted by degree")
+        # Called by name, not through super(): the value-class tests run
+        # this method on dataclass twins, which do not derive from Counts.
+        Counts.__post_init__(self)
 
     def euler(self) -> int:
         return sum(v if q % 2 == 0 else -v for q, v in self.entries)

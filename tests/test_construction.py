@@ -1,0 +1,157 @@
+"""Every way into a polynomial gives the one canonical value: the
+constructor ``Polynomial(field, nvars, terms)``, ``from_pairs`` on pairs
+or on a mapping, sums of monomials and the parser; and the count tables
+and ``FpElement`` hold their values in one form whichever way they are
+built."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from mfkit import mf, orlov
+from mfkit.algebra import (
+    GF,
+    Field,
+    FpElement,
+    GaussianRational,
+    Polynomial,
+    PRIME_LIMIT,
+    QI,
+    QQ,
+    parse_poly,
+)
+
+from _factories import packed_view
+
+FIELDS = [QQ, QI, GF(13), GF(PRIME_LIMIT)]
+
+# What eval needs to read a polynomial's repr.
+REPR_NAMES = {"Polynomial": Polynomial, "Field": Field, "Fraction": Fraction,
+              "GaussianRational": GaussianRational, "FpElement": FpElement}
+
+
+class TestConstructor:
+    def test_repeated_vectors_are_summed(self):
+        p = Polynomial(QQ, 1, [((1,), 1), ((1,), 2)])
+        assert p == parse_poly("3*x0", QQ, 1)
+        assert str(p) == "3*x0"
+
+    def test_zero_coefficients_are_dropped(self):
+        p = Polynomial(QQ, 1, [((1,), 0)])
+        assert p.is_zero and p == Polynomial.zero(QQ, 1)
+        assert str(p) == "0" and p.terms == ()
+
+    def test_coefficients_are_coerced(self):
+        p = Polynomial(GF(7), 1, [((1,), 10)])
+        assert p == parse_poly("3*x0", GF(7), 1)
+        assert str(p) == "3*x0"
+
+    def test_arity_and_signs_are_checked(self):
+        with pytest.raises(ValueError, match=r"has arity 1, expected 2"):
+            Polynomial(QQ, 2, [((1,), 1)])
+        with pytest.raises(ValueError, match="negative exponent"):
+            Polynomial(QQ, 1, [((-1,), 1)])
+
+    @pytest.mark.parametrize("field", FIELDS[:3], ids=str)
+    def test_repr_reads_back(self, field):
+        text = "3/2*x0^2*x1 - 5*x1 + 7" + (" + (1/3 - 2*i)*x0" if field is QI else "")
+        for p in (parse_poly(text, field, 2), Polynomial.zero(field, 2)):
+            assert eval(repr(p), dict(REPR_NAMES)) == p
+
+
+@st.composite
+def coefficients(draw, field):
+    # An int, a Fraction, or a scalar of the field itself, any of them zero.
+    numerator = draw(st.integers(-30, 30) | st.integers(-2**70, 2**70))
+    denominator = draw(st.integers(1, 9))
+    if field.p is not None and denominator % field.p == 0:
+        denominator = 1
+    kind = draw(st.sampled_from(["int", "fraction", "scalar"]))
+    if kind == "int":
+        return numerator
+    if kind == "fraction" or field is QQ:
+        return Fraction(numerator, denominator)
+    if field is QI:
+        return GaussianRational(Fraction(numerator, denominator), draw(st.integers(-3, 3)))
+    return FpElement(numerator, field.p)
+
+
+@st.composite
+def term_lists(draw):
+    """(field, nvars, pairs): terms in any order with repeated exponent
+    vectors, zero coefficients, terms that cancel, and terms of degree
+    2^31 that cancel, so that the sum's width falls back to 32."""
+    field = draw(st.sampled_from(FIELDS))
+    nvars = draw(st.integers(1, 3))
+    exponents = st.tuples(*[st.integers(0, 3)] * nvars)
+    pairs = draw(st.lists(st.tuples(exponents, coefficients(field)), max_size=8))
+    # Repeats of drawn vectors, with fresh coefficients.
+    for exps in draw(st.lists(st.sampled_from([e for e, _ in pairs]), max_size=4)
+                     if pairs else st.just([])):
+        pairs.append((exps, draw(coefficients(field))))
+    # Terms cancelled by their negations, some of them of degree 2^31.
+    wide = st.tuples(st.just((2**31,) + (0,) * (nvars - 1)), coefficients(field))
+    for exps, coeff in draw(st.lists(st.tuples(exponents, coefficients(field)) | wide,
+                                     max_size=3)):
+        pairs += [(exps, coeff), (exps, -coeff)]
+    return field, nvars, draw(st.permutations(pairs))
+
+
+def reference_sum(field, pairs):
+    # {exponents: coefficient}, summed with the scalar arithmetic.
+    sums = {}
+    for exps, coeff in pairs:
+        sums[exps] = sums.get(exps, field.zero) + field.coerce(coeff)
+    return sums
+
+
+class TestOneCanonicalValue:
+    @given(term_lists())
+    def test_every_way_in_gives_one_value(self, drawn):
+        field, nvars, pairs = drawn
+        p = Polynomial(field, nvars, pairs)
+        sums = reference_sum(field, pairs)
+        expected = sorted([(exps, c) for exps, c in sums.items() if c],
+                          key=lambda term: (sum(term[0]), term[0]), reverse=True)
+        assert p.terms == tuple(expected)
+        assert p._view == packed_view(p)
+        monomials = Polynomial.zero(field, nvars)
+        for exps, coeff in pairs:
+            monomials = monomials + Polynomial.monomial(field, nvars, exps, coeff)
+        for other in (Polynomial.from_pairs(field, nvars, pairs),
+                      Polynomial.from_pairs(field, nvars, sums),
+                      monomials,
+                      parse_poly(str(p), field, nvars)):
+            assert other == p
+            assert (hash(other), str(other), other.is_zero) == (hash(p), str(p), p.is_zero)
+
+    @given(term_lists())
+    def test_constant_term_is_read_from_terms(self, drawn):
+        field, nvars, pairs = drawn
+        p = Polynomial(field, nvars, pairs)
+        assert p.constant_term == dict(p.terms).get((0,) * nvars, field.zero)
+
+
+class TestCountTables:
+    @pytest.mark.parametrize("build", [
+        lambda entries: mf.BettiTable(entries),
+        lambda entries: orlov.CohomologyTable(3, entries),
+    ], ids=["BettiTable", "CohomologyTable"])
+    def test_entries_are_checked(self, build):
+        with pytest.raises(ValueError, match="sorted by key"):
+            build((((0, 1), 1), ((0, 0), 1)))
+        with pytest.raises(ValueError, match="sorted by key"):
+            build((((0, 0), 1), ((0, 0), 1)))
+        with pytest.raises(ValueError, match="must be positive"):
+            build((((0, 0), -1),))
+        with pytest.raises(ValueError, match="must be positive"):
+            build((((0, 0), 0),))
+
+
+class TestFpElement:
+    def test_value_is_the_residue(self):
+        assert FpElement(10, 7) == FpElement(3, 7) == GF(7).coerce(10)
+        assert hash(FpElement(10, 7)) == hash(FpElement(3, 7))
+        assert FpElement(-1, 7).value == 6 and str(FpElement(-1, 7)) == "6"
