@@ -23,14 +23,14 @@ canonical.  Arithmetic does not re-validate; its results are made by
 the trusted constructor ``Polynomial._from_view`` (below).
 
 Sums and products share one multiply-accumulate loop, ``_accumulate``.
-The parser and the polynomial operators share three view operations:
-``_sum_products`` (a summand of a sum times +1 or -1), ``_negated`` and
-``_view_power``, at the widest operand's width (a power at its
-degree's).  The matrix kernel ``Polynomial._product_rows`` forms the rows
-of a product of two sparse polynomial matrices for
-:func:`graded.compose` and the splits of :func:`mf.reduce`; each output
-row is accumulated in one dict keyed by column and monomial and sorted
-once (Gustavson, ACM TOMS 4(3), 1978).
+A sum of any number of signed summands is one ``Polynomial._signed_sum``
+(each summand times +1 or -1, at the widest summand's width), and a power
+is one ``Polynomial._power``: a one-term base has its view scaled by
+``_view_power``, any other is squared and multiplied.  The matrix kernel
+``Polynomial._product_rows`` forms the rows of a product of two sparse
+polynomial matrices for :func:`graded.compose` and the splits of
+:func:`mf.reduce`; each output row is accumulated in one dict keyed by
+column and monomial and sorted once (Gustavson, ACM TOMS 4(3), 1978).
 
 The loop runs on each polynomial's view.  The view packs each
 monomial into one int (Monagan and Pearce, CASC 2007): the total degree
@@ -78,9 +78,9 @@ exactly " + " or " - ", a leading "-" on the first term only, each term
 a coefficient ``a`` or ``a/b`` (over QQ(i) also ``(re + im*i)`` or
 ``(re - im*i)``), a monomial of factors ``xk`` or ``xk^e`` joined by
 ``*``, or a coefficient, ``*`` and a monomial, in ASCII.  It builds
-the settled dict that the recursive parser below builds for the same
-text.  Both readers convert each number with int(), and each literal
-``a`` or ``a/b`` with ``_literal``.  Every other spelling the scan hands
+the view that the recursive parser below builds for the same text.  Both
+readers convert each number with int(), and each literal ``a`` or
+``a/b`` with ``_literal``.  Every other spelling the scan hands
 to the recursive parser ``_Parser``, and so every text on which that
 parser would raise: a variable out of scope, an exponent, degree or
 budget past its limit, and every ValueError of int() or ``_literal`` (a
@@ -89,15 +89,15 @@ inverse of zero in F_p).  So every error message and position is that
 parser's.  On 2 vCPUs under
 Python 3.11 the scan reads a printed entry of two terms in 7-16 us and
 a 12-term sum in 26-53 us (the range is the vCPU's speed over time),
-about a fifth of the recursive parser's time.
+about a tenth of the recursive parser's time.
 
-The parser evaluates on plain dicts of raw coefficients, keyed and
-settled as a view: a variable is one packed key, ``*``, ``+`` and ``-``
-run ``_sum_products``, unary ``-`` runs ``_negated`` and ``^`` runs
-``_view_power``, so a sum of N summands is one dict.  No scalar object
-or polynomial is made per operator; the one ``Polynomial`` of a parse is
-made from the final dict.  Keys start at width 32, and a parse whose
-degrees outgrow its width runs again at a width that holds them.
+The recursive parser evaluates with the polynomial operators, which keep
+every result at the width of its degree: the summands of a sum are added
+by one ``Polynomial._signed_sum``, ``*`` is ``a * b``, unary ``-`` is
+``-p`` and ``^`` is ``Polynomial._power``.  Only its atoms know the key
+layout: a number is one pair, ``i`` the pair (1, 1) and a variable its
+one packed key, each a view at width 32, made in O(1) whatever
+``nvars``.
 
 The parser bounds the work of one parse: an optional degree bound on
 every ``*`` and ``^``, MAX_PARSE_PRODUCTS term products, and
@@ -469,34 +469,25 @@ def _sum_products(field: Field, products: Iterable[tuple[Iterable, Iterable]]) -
 _UNITS = {"+": ((0, 1),), "-": ((0, -1),)}
 
 
-def _negated(field: Field, pairs: Iterable) -> list:
-    # The pairs of the negation, keys kept: over GF(p) the residue p - value.
-    p = field.p
-    return [(k, p - value) for k, value in pairs] if p else [(k, -value) for k, value in pairs]
-
-
-def _size(field: Field, view: Collection[int]) -> int:
+def _size(field: Field, pairs: Collection[tuple]) -> int:
     # The number of terms of a view: over QQ(i), of monomials with a nonzero half.
-    return len({k >> 2 for k in view}) if field.kind == "Qi" else len(view)
+    return len({k >> 2 for k, _ in pairs}) if field.kind == "Qi" else len(pairs)
 
 
-def _view_power(field: Field, base: dict, exponent: int, times) -> dict:
-    # base^exponent.  A base of one monomial scales its key: (c*x^a)^k =
-    # c^k * x^(k*a), and c^k is nonzero in a field.  Any other base is
-    # squared and multiplied, each product formed by ``times``.
-    if _size(field, base) != 1:
-        return _power(base, exponent, {0: 1}, times)
+def _view_power(field: Field, pairs: list, exponent: int) -> list:
+    # The view of (c*x^a)^k = c^k * x^(k*a) from the view of one monomial
+    # c*x^a, at a width that holds the power's degree; c^k is nonzero in a
+    # field.
     if field.kind == "Qi":
-        key = max(base) >> 2 << 2
-        c = (base.get(key, 0), base.get(key + 1, 0))
-        if c != (1, 0):
+        (key, c), = _raw_terms(True, pairs)
+        if c != [1, 0]:
             c = _power(c, exponent, (1, 0), _gaussian_mul)
-        return {k: value for k, value in ((key * exponent + 1, c[1]), (key * exponent, c[0]))
-                if value}
-    (key, c), = base.items()
+        key = key * exponent << 2
+        return [(k, value) for k, value in ((key + 1, c[1]), (key, c[0])) if value]
+    (key, c), = pairs
     if c != 1:
         c = pow(c, exponent, field.p) if field.p else c ** exponent
-    return {key * exponent: c}
+    return [(key * exponent, c)]
 
 
 def _power(base, e: int, one, times):
@@ -539,6 +530,12 @@ class Polynomial:
     def __init__(self, field: Field, nvars: int, terms) -> None:
         # The form ``repr`` prints, read as from_pairs reads any outside terms.
         self.__dict__.update(Polynomial.from_pairs(field, nvars, terms).__dict__)
+
+    @cached_property
+    def terms(self) -> tuple:
+        # Built on first read and kept in the instance dict, which then
+        # shadows the property.
+        return _terms_from_view(self)
 
     # -- construction --------------------------------------------------
 
@@ -588,6 +585,15 @@ class Polynomial:
         width = max([p._view[0] for pair in pairs for p in pair], default=32)
         return cls._from_settled(field, nvars, width, _sum_products(
             field, [(left._kernel_view(width), right._kernel_view(width)) for left, right in pairs]))
+
+    @classmethod
+    def _signed_sum(cls, field: Field, nvars: int, summands: Sequence[tuple]) -> "Polynomial":
+        """The sum of the (polynomial, "+" or "-") ``summands``, at the
+        width of the widest summand: one _sum_products call.  Trusted, as
+        :meth:`_sum_of_products` is."""
+        width = max([p._view[0] for p, _ in summands])
+        return cls._from_settled(field, nvars, width, _sum_products(
+            field, [(p._kernel_view(width), _UNITS[op]) for p, op in summands]))
 
     @classmethod
     def _from_settled(cls, field: Field, nvars: int, width: int, settled: dict) -> "Polynomial":
@@ -737,28 +743,25 @@ class Polynomial:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._sum(other, "+")
+        self._check_compat(other)
+        return Polynomial._signed_sum(self.field, self.nvars, ((self, "+"), (other, "+")))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._sum(other, "-")
-
-    def _sum(self, other: "Polynomial", op: str) -> "Polynomial":
         self._check_compat(other)
-        width = max(self._view[0], other._view[0])
-        products = ((self._kernel_view(width), _UNITS["+"]), (other._kernel_view(width), _UNITS[op]))
-        return Polynomial._from_settled(self.field, self.nvars, width,
-                                        _sum_products(self.field, products))
+        return Polynomial._signed_sum(self.field, self.nvars, ((self, "+"), (other, "-")))
 
     def __neg__(self) -> "Polynomial":
         # Linked both ways on first use (see the module docstring); the
-        # zero polynomial is its own negation.
+        # zero polynomial is its own negation.  Keys are kept, and over
+        # GF(p) a residue r becomes p - r.
         neg = self._neg
         if neg is None:
             if self.is_zero:
                 neg = self
             else:
-                width, pairs = self._view
-                neg = Polynomial._from_view(self.field, self.nvars, width, _negated(self.field, pairs))
+                (width, pairs), p = self._view, self.field.p
+                pairs = [(k, p - c) for k, c in pairs] if p else [(k, -c) for k, c in pairs]
+                neg = Polynomial._from_view(self.field, self.nvars, width, pairs)
             object.__setattr__(neg, "_neg", self)
             object.__setattr__(self, "_neg", neg)
         return neg
@@ -778,12 +781,18 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        # At the width of the power's degree, which holds every step's.
-        field = self.field
-        width = _width(max(self.total_degree, 0) * exponent)
-        power = _view_power(field, dict(self._kernel_view(width)), exponent,
-                            lambda a, b: _sum_products(field, ((a.items(), b.items()),)))
-        return Polynomial._from_settled(field, self.nvars, width, power)
+        return self._power(exponent, Polynomial.__mul__)
+
+    def _power(self, exponent: int, times) -> "Polynomial":
+        # self^exponent: a one-term base has its view scaled at the width of
+        # the power's degree; any other is squared and multiplied by the
+        # module's _power, each product formed by ``times``.
+        field, nvars = self.field, self.nvars
+        if _size(field, self._view[1]) != 1:
+            return _power(self, exponent, Polynomial._from_view(field, nvars, 32, [(0, 1)]), times)
+        width = _width(self.total_degree * exponent)
+        return Polynomial._from_view(field, nvars, width,
+                                     _view_power(field, self._kernel_view(width), exponent))
 
     # -- printing -------------------------------------------------------
 
@@ -845,13 +854,6 @@ def _terms_from_view(poly: Polynomial) -> tuple:
                   for k, c in _raw_terms(field.kind == "Qi", pairs)])
 
 
-# ``terms`` is built on first read and kept in the instance dict, which
-# then shadows the property.  Set after @value_class, which would take a
-# class attribute for the default of the field.
-Polynomial.terms = cached_property(lambda poly: _terms_from_view(poly))
-Polynomial.terms.__set_name__(Polynomial, "terms")
-
-
 def _power_step_bits(values: Collection[int | Fraction]) -> int:
     # The bits, up to rounding, that one multiplication by a polynomial
     # with these raw nonzero coefficients (both halves over QQ(i)) can add
@@ -898,31 +900,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Wider(Exception):
-    """A degree of the parse outgrows its key width; parse_poly parses
-    again at the width that holds it."""
-
-    def __init__(self, degree: int):
-        super().__init__(degree)
-        self.width = _width(degree)
-
-
 class _Parser:
-    """Evaluates an expression on plain dicts {key: raw value}, settled as
-    a kernel view is at ``width`` (the module docstring), but unsorted;
-    every degree must stay below 2^(width - 1), else :class:`_Wider`."""
+    """Evaluates an expression with the polynomial operators (see the
+    module docstring), each result formed only after the checks of the
+    parse's bounds and budgets."""
 
-    def __init__(self, text: str, field: Field, nvars: int, max_degree: int | None, width: int):
+    def __init__(self, text: str, field: Field, nvars: int, max_degree: int | None):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.field = field
         self.nvars = nvars
         self.max_degree = max_degree
-        self.width = width
-        # The bits of a key below those of x{nvars - 1}: over QQ(i), those
-        # of the exponent of i.
-        self.low = 2 if field.kind == "Qi" else 0
-        self.degree_shift = _degree_shift(field, nvars, width)
         self.depth = 0
         self.products = 0
         self.bits = 0
@@ -935,60 +923,59 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def degree(self, poly: dict) -> int | float:
-        return max(poly) >> self.degree_shift if poly else NEG_INFINITY
-
     def check_degree(self, degree: int | float, at: int) -> None:
         # Called before a product is formed, so that an expression whose
         # expansion exceeds the bound costs no more than reading it.
         if self.max_degree is not None and degree > self.max_degree:
             raise ParseError(f"degree {degree} exceeds the bound {self.max_degree}", at)
-        if degree >= 1 << (self.width - 1):
-            raise _Wider(degree)
 
-    def product(self, a: dict, b: dict, at: int) -> dict:
+    def product(self, a: Polynomial, b: Polynomial, at: int) -> Polynomial:
         # Charge the term products of a * b before forming it.  A product
         # of two monomials is not charged: it is one term product, and
         # there are no more of them than tokens, so a printed polynomial
         # parses back whatever its size.
-        if len(a) > 1 or len(b) > 1:
-            cost = _size(self.field, a) * _size(self.field, b)
+        if len(a._view[1]) > 1 or len(b._view[1]) > 1:
+            cost = _size(self.field, a._view[1]) * _size(self.field, b._view[1])
             if cost > 1:
                 self.products += cost
                 if self.products > MAX_PARSE_PRODUCTS:
                     raise ParseError(
                         f"expansion needs more than {MAX_PARSE_PRODUCTS} term products", at)
-        return _sum_products(self.field, ((a.items(), b.items()),))
+        return a * b
+
+    def view(self, pairs: list) -> Polynomial:
+        # An atom: the polynomial of these view pairs at width 32.
+        return Polynomial._from_view(self.field, self.nvars, 32, pairs)
 
     def parse(self) -> Polynomial:
         poly = self.expr()
         kind, text, at = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected {text!r}", at)
-        return Polynomial._from_settled(self.field, self.nvars, self.width, poly)
+        return poly
 
-    def expr(self) -> dict:
+    def expr(self) -> Polynomial:
         summands = [(self.term(), "+")]
         while (op := self.peek())[0] == "op" and op[1] in "+-":
             self.advance()
             summands.append((self.term(), op[1]))
         if len(summands) == 1:
             return summands[0][0]
-        return _sum_products(self.field, [(poly.items(), _UNITS[op]) for poly, op in summands])
+        return Polynomial._signed_sum(self.field, self.nvars, summands)
 
-    def term(self) -> dict:
+    def term(self) -> Polynomial:
         result = self.signed()
         while True:
             kind, text, at = self.peek()
             if kind == "op" and text == "*":
                 self.advance()
                 rhs = self.signed()
-                self.check_degree(self.degree(result) + self.degree(rhs), at)
+                self.check_degree(result.total_degree + rhs.total_degree, at)
                 result = self.product(result, rhs, at)
             else:
                 return result
 
-    def signed(self) -> dict:
+    def signed(self) -> Polynomial:
         negate = False
         while True:
             kind, text, _ = self.peek()
@@ -998,9 +985,9 @@ class _Parser:
             else:
                 break
         poly = self.power()
-        return dict(_negated(self.field, poly.items())) if negate else poly
+        return -poly if negate else poly
 
-    def power(self) -> dict:
+    def power(self) -> Polynomial:
         base = self.atom()
         kind, text, at = self.peek()
         if not (kind == "op" and text == "^"):
@@ -1013,15 +1000,15 @@ class _Parser:
         if exponent > MAX_EXPONENT:
             raise ParseError(f"exponent overflow (limit {MAX_EXPONENT})", nat)
         if not exponent:
-            return {0: 1}
-        self.check_degree(exponent * self.degree(base), at)
+            return self.view([(0, 1)])
+        self.check_degree(exponent * base.total_degree, at)
         # GF(p) residues never grow.
-        self.bits += 0 if self.field.p else exponent * _power_step_bits(base.values())
+        self.bits += 0 if self.field.p else exponent * _power_step_bits([v for _, v in base._view[1]])
         if self.bits > MAX_PARSE_BITS:
             raise ParseError(f"powers need more than {MAX_PARSE_BITS} coefficient bits", at)
-        return _view_power(self.field, base, exponent, lambda a, b: self.product(a, b, at))
+        return base._power(exponent, lambda a, b: self.product(a, b, at))
 
-    def atom(self) -> dict:
+    def atom(self) -> Polynomial:
         kind, text, at = self.advance()
         if kind == "op" and text == "(":
             if self.depth == MAX_NESTING:
@@ -1041,12 +1028,12 @@ class _Parser:
                 self.advance()
                 _, denominator, dat = self.advance()
             value = _literal(value, denominator, self.field.p, at, dat)
-            return {0: value} if value else {}
+            return self.view([(0, value)] if value else [])
         if kind == "name":
             if text == "i":
                 if self.field.kind != "Qi":
                     raise ParseError("'i' is only available over QQ(i)", at)
-                return {1: 1}
+                return self.view([(1, 1)])
             # Name tokens are ASCII, so isdigit() reads the \d+ of "x\d+".
             if text[:1] != "x" or not text[1:].isdigit():
                 raise ParseError(f"unknown variable {text!r}", at)
@@ -1055,9 +1042,10 @@ class _Parser:
                 raise ParseError(
                     f"unknown variable {text!r} (only x0..x{self.nvars - 1} in scope)", at
                 )
-            # Total degree 1 in the top field and exponent 1 in field x{index}.
-            position = self.width * (self.nvars - 1 - index) + self.low
-            return {(1 << self.degree_shift) + (1 << position): 1}
+            # Total degree 1 in the top field and exponent 1 in field
+            # x{index}, above the two bits of i over QQ(i).
+            key = (1 << 32 * self.nvars) + (1 << 32 * (self.nvars - 1 - index))
+            return self.view([(key << 2 if self.field.kind == "Qi" else key, 1)])
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", at)
 
 
@@ -1194,9 +1182,4 @@ def parse_poly(text: str, field: Field, nvars: int,
         poly = _scan_printed(text, field, nvars, max_degree)
         if poly is not None:
             return poly
-    width = 32
-    while True:
-        try:
-            return _Parser(text, field, nvars, max_degree, width).parse()
-        except _Wider as wider:
-            width = wider.width
+    return _Parser(text, field, nvars, max_degree).parse()

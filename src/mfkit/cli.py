@@ -291,6 +291,8 @@ def document_to_table(doc: dict) -> CohomologyTable:
     if not isinstance(doc, dict) or doc.get("schema") != TABLE_SCHEMA:
         raise SchemaError(f"expected schema {TABLE_SCHEMA!r}")
     n = _expect_int(doc, "n")
+    if n < 1:
+        raise SchemaError("n must be >= 1")
     raw = _expect(doc, "entries", list)
     for item in raw:
         if (not isinstance(item, list) or len(item) != 3
@@ -484,6 +486,8 @@ def _mf_reduce(args, F: MatrixFactorization) -> dict:
 def _mf_fermat(args) -> dict:
     if args.field == "Fp" and args.p is None:
         raise SchemaError("--field Fp requires --p")
+    if args.field != "Fp" and args.p is not None:
+        raise SchemaError("--p applies to --field Fp only")
     field = algebra.QI if args.field == "Qi" else algebra.GF(args.p)
     # f holds x^(2 * half_degree), which a document may not print.
     if 2 * args.half_degree > algebra.MAX_EXPONENT:

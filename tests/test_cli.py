@@ -1217,3 +1217,20 @@ def test_sweep_past_the_degree_bound_exits_2_before_any_output(workdir, capsys, 
     assert run(capsys, *argv, *(["--output", "sweep.csv"] if output else [])) == (
         2, "", "error [mfkit.bott]: d_max = 1001 exceeds MAX_SWEEP_DEGREE = 1000\n")
     assert not (workdir / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("field", [[], ["--field", "Qi"]])
+def test_fermat_prime_outside_a_prime_field_exits_2(capsys, field):
+    # --p names the modulus of --field Fp, and no other field takes one.
+    argv = ["mf", "fermat", "--pairs", "1", "--half-degree", "1", *field, "--p", "13"]
+    assert run(capsys, *argv) == (2, "", "error [mfkit.cli]: --p applies to --field Fp only\n")
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_table_document_with_n_below_1_exits_2(workdir, capsys, n):
+    doc = {"schema": "mfkit/table-v1", "n": n, "entries": [[0, 0, 1]]}
+    (workdir / "t.json").write_text(json.dumps(doc))
+    assert run(capsys, "rho", "from-table", "t.json") == (
+        2, "", "error [mfkit.cli]: n must be >= 1\n")
+    with pytest.raises(SchemaError, match="^n must be >= 1$"):
+        cli.document_to_table(doc)

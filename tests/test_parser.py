@@ -1,23 +1,25 @@
-"""The dict-evaluating parser against the parser it replaced.
+"""The recursive parser against two references.
 
-``parse_poly`` evaluates an expression on plain dicts of raw
-coefficients keyed as kernel views, and makes one ``Polynomial`` per
-text.  ``ReferenceParser`` below is the parser it replaced, which built a
-``Polynomial`` for every atom and made a kernel call for every operator:
-its sums, products, negations and powers run the 1 x n by n x 1 route
+``parse_poly`` evaluates an expression with the polynomial operators,
+sharing one signed sum and one power routine with them.
+``ReferenceParser`` below is an earlier parser, which built each atom by
+``Polynomial.from_pairs`` and made a kernel call for every operator: its
+sums, products, negations and powers run the 1 x n by n x 1 route
 through ``Polynomial._product_rows``, not the view operations under
 test.  Both read the module's budgets at call time, so a lowered budget
 applies to both.  On every generated expression they must give an equal
 polynomial, or the same :class:`ParseError` message and position.
 
 ``parse_poly`` reads printed text in one scan, ``_scan_printed``, and
-hands every other text to the recursive parser.  The tests at the end
+hands every other text to the recursive parser.  The tests after those
 compare the scan with the recursive parser alone: on printed and
 edited printed text, under degree bounds and lowered budgets, wherever
 the scan reads a text it must give the recursive parser's polynomial,
 and parse_poly's errors must stay the recursive parser's.  The last
-tests pin, without that comparison, what both readers give at the
-interpreter's digit limit.
+tests of that part pin, without that comparison, what both readers give
+at the interpreter's digit limit.  The last part draws expression trees
+and compares the recursive parser with the same trees evaluated with
+``+``, ``-``, ``*``, ``**`` and unary minus, at degrees past 2^31 too.
 """
 
 from __future__ import annotations
@@ -526,3 +528,139 @@ def test_digit_limit_at_every_number_of_a_printed_text(digit_limit_640, place, d
         want = Polynomial.from_pairs(field, 1, [((1,), value)])
         assert algebra._scan_printed(text, field, 1, None) == want
         assert parse_poly(text, field, 1) == want
+
+
+# ---------------------------------------------------------------------------
+# The recursive parser against the polynomial operators.
+
+
+def operator_trees(nvars, gaussian):
+    # Expression trees: ("x", k), ("n", a, b) for the literal a/b (a alone
+    # where b = 1), ("i",), ("neg", signs, tree) for a run of unary signs,
+    # ("sum", tree, [(op, tree), ...]), ("mul", tree, tree) and ("pow",
+    # tree, e).  A huge exponent applies only to a variable or to a huge
+    # power of one, whose coefficient 1 adds no coefficient bits: such a
+    # leaf has a degree up to 2^40, and its products pass 2^31 and 2^63.
+    variable = st.builds(lambda k: ("x", k), st.integers(0, nvars - 1))
+    huge = st.builds(lambda k, e, f: ("pow", ("pow", ("x", k), e), f),
+                     st.integers(0, nvars - 1), st.sampled_from([MAX_EXPONENT - 1, MAX_EXPONENT]),
+                     st.sampled_from([1, 2**11, 2**20]))
+    number = st.builds(lambda a, b: ("n", a, b), st.integers(0, 12), st.sampled_from([1, 1, 2, 3, 7]))
+    leaves = st.one_of(variable, variable, number, huge, *([st.just(("i",))] if gaussian else []))
+    return st.recursive(leaves, lambda tree: st.one_of(
+        st.builds(lambda signs, t: ("neg", signs, t), st.text("+-", min_size=1, max_size=4), tree),
+        st.builds(lambda t, rest: ("sum", t, rest), tree,
+                  st.lists(st.tuples(st.sampled_from("+-"), tree), min_size=1, max_size=3)),
+        st.builds(lambda a, b: ("mul", a, b), tree, tree),
+        st.builds(lambda t, e: ("pow", t, e), tree, st.integers(0, 3)),
+    ), max_leaves=8)
+
+
+# The grammar rule each tree kind parses as, loosest first; a leaf is an atom.
+RULES = ["expr", "term", "signed", "power", "atom"]
+TREE_RULES = {"sum": "expr", "mul": "term", "neg": "signed", "pow": "power"}
+
+
+def render(tree, rule="expr"):
+    # The text of a tree without spaces, to be read by ``rule``: a tree of
+    # a looser rule is parenthesized.
+    kind = tree[0]
+    if RULES.index(TREE_RULES.get(kind, "atom")) < RULES.index(rule):
+        return f"({render(tree)})"
+    if kind == "x":
+        return f"x{tree[1]}"
+    if kind == "n":
+        return str(tree[1]) if tree[2] == 1 else f"{tree[1]}/{tree[2]}"
+    if kind == "i":
+        return "i"
+    if kind == "sum":
+        return render(tree[1]) + "".join(op + render(t, "term") for op, t in tree[2])
+    if kind == "mul":
+        return render(tree[1], "term") + "*" + render(tree[2], "signed")
+    if kind == "neg":
+        return tree[1] + render(tree[2], "power")
+    return f"{render(tree[1], 'atom')}^{tree[2]}"
+
+
+def evaluate(tree, field, nvars):
+    # The same tree with the polynomial operators, from Polynomial.variable
+    # and Polynomial.constant.
+    kind = tree[0]
+    if kind == "x":
+        return Polynomial.variable(field, nvars, tree[1])
+    if kind == "n":
+        return Polynomial.constant(field, nvars, Fraction(tree[1], tree[2]))
+    if kind == "i":
+        return Polynomial.constant(field, nvars, field.i())
+    if kind == "neg":
+        poly = evaluate(tree[2], field, nvars)
+        for _ in range(tree[1].count("-")):
+            poly = -poly
+        return poly
+    if kind == "sum":
+        poly = evaluate(tree[1], field, nvars)
+        for op, t in tree[2]:
+            poly = poly + evaluate(t, field, nvars) if op == "+" else poly - evaluate(t, field, nvars)
+        return poly
+    if kind == "mul":
+        return evaluate(tree[1], field, nvars) * evaluate(tree[2], field, nvars)
+    return evaluate(tree[1], field, nvars) ** tree[2]
+
+
+OPERATOR_FIELDS = [QQ, QI, GF(13), GF(2**31 - 1)]
+
+
+def assert_operators_agree(text, tree, field, nvars):
+    try:
+        got = recursive_parse(text, field, nvars)
+    except ParseError as exc:
+        # Every text drawn is in the grammar and in scope: only a budget
+        # may refuse one.
+        assert re.search("needs more than|nested deeper", str(exc)), (text, exc)
+        return None
+    want = evaluate(tree, field, nvars)
+    assert (got, got._view, str(got), repr(got)) == (want, want._view, str(want), repr(want)), text
+    return got
+
+
+@pytest.mark.parametrize("field", OPERATOR_FIELDS, ids=str)
+@given(data=st.data())
+def test_recursive_parser_matches_the_operators(field, data):
+    tree = data.draw(operator_trees(NVARS, field == QI))
+    assert_operators_agree(render(tree), tree, field, NVARS)
+
+
+@pytest.mark.parametrize("field", OPERATOR_FIELDS, ids=str)
+@pytest.mark.parametrize("tree, width", [
+    # (x0^1048576)^2048 * x1^1048576, of degree 2^31 + 2^20.
+    (("mul", ("pow", ("pow", ("x", 0), 2**20), 2**11), ("pow", ("x", 1), 2**20)), 64),
+    # -(x0^1048575)^1048576 * (x1 + x2)^2, of degree about 2^40.
+    (("mul", ("neg", "-", ("pow", ("pow", ("x", 0), 2**20 - 1), 2**20)),
+      ("pow", ("sum", ("x", 1), [("+", ("x", 2))]), 2)), 64),
+    # The cube of ((x0^1048576)^1048576)^2 + 2/3, of degree 3 * 2^41.
+    (("pow", ("sum", ("pow", ("pow", ("pow", ("x", 0), 2**20), 2**20), 2), [("+", ("n", 2, 3))]), 3),
+     64),
+    # (((x0^1048576)^1048576)^1048576)^8 * x1, of degree 2^63 + 1.
+    (("mul", ("pow", ("pow", ("pow", ("pow", ("x", 0), 2**20), 2**20), 2**20), 8), ("x", 1)), 128),
+])
+def test_recursive_parser_matches_the_operators_past_two_to_the_31(field, tree, width):
+    # Each tree, and its difference with itself, which cancels to width 32.
+    got = assert_operators_agree(render(tree), tree, field, NVARS)
+    assert got._view[0] == width
+    cancelled = ("sum", tree, [("-", tree)])
+    assert assert_operators_agree(render(cancelled), cancelled, field, NVARS).is_zero
+
+
+@pytest.mark.parametrize("field", [QQ, QI], ids=str)
+def test_sum_of_every_variable_packs_no_exponent_vector(monkeypatch, field):
+    # x0+x1+...+x1023 at nvars = MAX_NVARS: every variable is one key, so
+    # no atom runs from_pairs, which packs an nvars-tuple per term.
+    calls = []
+    from_pairs = Polynomial.from_pairs.__func__
+    monkeypatch.setattr(Polynomial, "from_pairs", classmethod(
+        lambda cls, *args: calls.append(args) or from_pairs(cls, *args)))
+    nvars = algebra.MAX_NVARS
+    text = "+".join(f"x{k}" for k in range(nvars))
+    poly = parse_poly(text, field, nvars)
+    assert calls == []
+    assert str(poly) == text.replace("+", " + ")
