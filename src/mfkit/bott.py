@@ -37,7 +37,8 @@ from ._value import Counts, value_class
 # Largest arguments of the rho and Bott queries, like the parser budgets:
 # at its bounds each command answers in about 1.4 s on 2 vCPUs (Python
 # 3.11, interpreter start included), and past them it raises before any
-# work.
+# work.  Every bound refuses through _at_most, with the one message
+# "<label> = <value> exceeds <NAME> = <bound>".
 #
 # rho_structure_sheaf: n < d <= MAX_RHO_DEGREE.  It takes at most about
 # d/2 steps, on integers of up to d * log2(3) bits; n near d/2 is its
@@ -100,12 +101,15 @@ class CohomologyVector(Counts):
         return tuple(q for q, _ in self.entries)
 
 
+def _at_most(name: str, bound: int, *values: tuple[str, int]) -> None:
+    for label, value in values:
+        if value > bound:
+            raise ValueError(f"{label} = {value} exceeds {name} = {bound}")
+
+
 def _bounded(n: int, *twists: tuple[str, int]) -> None:
-    if n > MAX_BOTT_N:
-        raise ValueError(f"n = {n} exceeds MAX_BOTT_N = {MAX_BOTT_N}")
-    for name, l in twists:
-        if abs(l) > MAX_BOTT_TWIST:
-            raise ValueError(f"|{name}| = {abs(l)} exceeds MAX_BOTT_TWIST = {MAX_BOTT_TWIST}")
+    _at_most("MAX_BOTT_N", MAX_BOTT_N, ("n", n))
+    _at_most("MAX_BOTT_TWIST", MAX_BOTT_TWIST, *((f"|{name}|", abs(l)) for name, l in twists))
 
 
 def _require_positive(n: int, d: int = 1) -> None:
@@ -188,8 +192,7 @@ def rho_structure_sheaf(n: int, d: int) -> int:
         raise ValueError(
             f"rho(O_X) closed form requires a = n+1-d <= 0, got a = {n + 1 - d}"
         )
-    if d > MAX_RHO_DEGREE:
-        raise ValueError(f"d = {d} exceeds MAX_RHO_DEGREE = {MAX_RHO_DEGREE}")
+    _at_most("MAX_RHO_DEGREE", MAX_RHO_DEGREE, ("d", d))
     s, c = 0, 1  # c = C(d, k)
     if 2 * n < d + d // 32:
         for k in range(n + 1):
@@ -213,8 +216,7 @@ def rho_structure_sheaf_rows(n_max: int, d_max: int) -> Iterator[tuple[int, int,
     The step is the product with 1+2x.  The seed holds because the
     alternating sum of 2^k * C(n+1, k) over 0 <= k <= n+1 is
     (2-1)^(n+1) = 1, and its k = n+1 term is 2^(n+1)."""
-    if d_max > MAX_SWEEP_DEGREE:
-        raise ValueError(f"d_max = {d_max} exceeds MAX_SWEEP_DEGREE = {MAX_SWEEP_DEGREE}")
+    _at_most("MAX_SWEEP_DEGREE", MAX_SWEEP_DEGREE, ("d_max", d_max))
     return _rho_rows(n_max, d_max)
 
 
@@ -231,8 +233,7 @@ def rho_point(n: int) -> int:
     """rho of a point sheaf: the sum over r of the ranks C(n, r) of
     Omega^r, which is 2^n.  An n above MAX_POWER_BITS raises ValueError."""
     _require_positive(n)
-    if n > MAX_POWER_BITS:
-        raise ValueError(f"n = {n} exceeds MAX_POWER_BITS = {MAX_POWER_BITS}")
+    _at_most("MAX_POWER_BITS", MAX_POWER_BITS, ("n", n))
     return 1 << n
 
 
@@ -242,10 +243,6 @@ def rho_line_bundle(n: int, d: int, j: int) -> int:
     computed.  An n above MAX_LINE_BUNDLE_N, or a d or |j| above
     MAX_LINE_BUNDLE_TWIST, raises ValueError."""
     _require_positive(n, d)
-    if n > MAX_LINE_BUNDLE_N:
-        raise ValueError(f"n = {n} exceeds MAX_LINE_BUNDLE_N = {MAX_LINE_BUNDLE_N}")
-    if d > MAX_LINE_BUNDLE_TWIST:
-        raise ValueError(f"d = {d} exceeds MAX_LINE_BUNDLE_TWIST = {MAX_LINE_BUNDLE_TWIST}")
-    if abs(j) > MAX_LINE_BUNDLE_TWIST:
-        raise ValueError(f"|j| = {abs(j)} exceeds MAX_LINE_BUNDLE_TWIST = {MAX_LINE_BUNDLE_TWIST}")
+    _at_most("MAX_LINE_BUNDLE_N", MAX_LINE_BUNDLE_N, ("n", n))
+    _at_most("MAX_LINE_BUNDLE_TWIST", MAX_LINE_BUNDLE_TWIST, ("d", d), ("|j|", abs(j)))
     return sum(restricted_bott(n, d, r, j).total() for r in range(n + 1))

@@ -174,16 +174,8 @@ def _expect(doc: dict, key: str, types) -> object:
     if key not in doc:
         raise SchemaError(f"missing key {key!r}")
     value = doc[key]
-    if not isinstance(value, types):
-        raise SchemaError(f"key {key!r} has the wrong type")
-    return value
-
-
-def _expect_int(doc: dict, key: str) -> int:
-    # JSON true/false load as bool, a subclass of int; the schemas do not
-    # admit them where they ask for an integer.
-    value = _expect(doc, key, int)
-    if type(value) is not int:
+    # JSON true/false load as bool, a subclass of int; no schema key admits them.
+    if not isinstance(value, types) or isinstance(value, bool):
         raise SchemaError(f"key {key!r} has the wrong type")
     return value
 
@@ -257,12 +249,12 @@ def document_to_mf(doc: dict) -> MatrixFactorization:
     if doc.get("schema") != MF_SCHEMA:
         raise SchemaError(f"expected schema {MF_SCHEMA!r}, got {doc.get('schema')!r}")
     field = field_from_json(_expect(doc, "field", dict))
-    nvars = _expect_int(doc, "nvars")
+    nvars = _expect(doc, "nvars", int)
     if nvars < 1:
         raise SchemaError("nvars must be >= 1")
     if nvars > algebra.MAX_NVARS:
         raise SchemaError(f"nvars must be <= {algebra.MAX_NVARS}")
-    d = _expect_int(doc, "d")
+    d = _expect(doc, "d", int)
     try:
         f = algebra.parse_poly(_expect(doc, "f", str), field, nvars, d)
     except algebra.ParseError as exc:
@@ -290,7 +282,7 @@ def table_to_document(table: CohomologyTable) -> dict:
 def document_to_table(doc: dict) -> CohomologyTable:
     if not isinstance(doc, dict) or doc.get("schema") != TABLE_SCHEMA:
         raise SchemaError(f"expected schema {TABLE_SCHEMA!r}")
-    n = _expect_int(doc, "n")
+    n = _expect(doc, "n", int)
     if n < 1:
         raise SchemaError("n must be >= 1")
     raw = _expect(doc, "entries", list)
@@ -544,14 +536,12 @@ def _sweep_threads() -> None:
     """Validate ``MFKIT_THREADS``.  The sweep runs in one thread whatever
     its value; a malformed value is still an error (exit 2)."""
     raw = os.environ.get("MFKIT_THREADS", "")
-    if not raw:
-        return
     try:
-        threads = int(raw)
-    except ValueError as exc:
-        raise SchemaError(f"MFKIT_THREADS must be a positive integer, got {raw!r}") from exc
-    if threads < 1:
-        raise SchemaError(f"MFKIT_THREADS must be a positive integer, got {raw!r}")
+        if not raw or int(raw) >= 1:
+            return
+    except ValueError:
+        pass
+    raise SchemaError(f"MFKIT_THREADS must be a positive integer, got {raw!r}")
 
 
 def _sweep_csv_blocks(cells):

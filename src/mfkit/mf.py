@@ -224,8 +224,7 @@ def require_valid(F: MatrixFactorization) -> MatrixFactorization:
 
 def trivial_one_f(f: Polynomial) -> MatrixFactorization:
     """The rank-1 trivial factorization (S, S, 1, f)."""
-    one = Polynomial.constant(f.field, f.nvars, 1)
-    return _mk(f, (0,), (0,), [(0, 0, one)], [(0, 0, f)])
+    return rank_one(f, Polynomial.constant(f.field, f.nvars, 1), f)
 
 
 def trivial_f_one(f: Polynomial) -> MatrixFactorization:
@@ -538,11 +537,6 @@ def presentation_equivalent(F: MatrixFactorization, G: MatrixFactorization) -> b
 
 def _block_permutations(degrees: list[int]) -> Iterable[list[int]]:
     # All permutations of indices that fix the (sorted) degree sequence.
-    blocks = []
-    start = 0
-    for _, grp in groupby(degrees):
-        size = len(list(grp))
-        blocks.append(list(range(start, start + size)))
-        start += size
+    blocks = [[k for k, _ in grp] for _, grp in groupby(enumerate(degrees), itemgetter(1))]
     for combo in product(*(permutations(block) for block in blocks)):
         yield [k for part in combo for k in part]

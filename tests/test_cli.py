@@ -1234,3 +1234,32 @@ def test_table_document_with_n_below_1_exits_2(workdir, capsys, n):
         2, "", "error [mfkit.cli]: n must be >= 1\n")
     with pytest.raises(SchemaError, match="^n must be >= 1$"):
         cli.document_to_table(doc)
+
+
+@pytest.mark.parametrize("raw, accepted", [
+    ("", True), ("1", True), (" 4 ", True), ("+4", True), ("4_0", True), ("٤", True),
+    ("0", False), ("-1", False), ("1.0", False), ("four", False),
+])
+def test_thread_setting_accepted_when_int_reads_at_least_1(capsys, monkeypatch, raw, accepted):
+    # Unset or empty, or any text that int() reads as 1 or more; "٤" is
+    # the Arabic-Indic digit four.
+    monkeypatch.setenv("MFKIT_THREADS", raw)
+    refusal = f"error [mfkit.cli]: MFKIT_THREADS must be a positive integer, got {raw!r}\n"
+    argv = ("sweep", "rho-structure-sheaf", "--n-max", "2", "--d-max", "3")
+    assert run(capsys, *argv) == ((0, SWEEP_CSV, "") if accepted else (2, "", refusal))
+
+
+@pytest.mark.parametrize("command, doc, key", [
+    ("mf validate", fermat_document(nvars=True), "nvars"),
+    ("mf validate", fermat_document(d=True), "d"),
+    ("mf validate", fermat_document(d=False), "d"),
+    ("mf validate", fermat_document(field=True), "field"),
+    ("mf validate", fermat_document(f=True), "f"),
+    ("mf validate", fermat_document(s0=True), "s0"),
+    ("rho from-table", {"schema": "mfkit/table-v1", "n": True, "entries": []}, "n"),
+    ("rho from-table", {"schema": "mfkit/table-v1", "n": 3, "entries": False}, "entries"),
+])
+def test_json_boolean_for_any_key_exits_2(workdir, capsys, command, doc, key):
+    (workdir / "in.json").write_text(json.dumps(doc))
+    assert run(capsys, *command.split(), "in.json") == (
+        2, "", f"error [mfkit.cli]: key {key!r} has the wrong type\n")
