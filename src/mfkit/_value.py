@@ -7,16 +7,21 @@ fields in order (class attributes are defaults) and then calls
 tuple of fields, a ``__repr__`` that names them, and assignment and
 deletion that raise AttributeError.  A class keeps each of these
 methods that it defines itself (``Polynomial`` keeps its ``__init__``,
-``__eq__`` and ``__hash__``).  The methods are generated as source code, as
-dataclasses does, so an equality test is one inline tuple compare;
-importing dataclasses would cost more than most commands (it imports
-inspect).
+``__eq__`` and ``__hash__``).  Only ``__init__``, which runs once per
+value, is generated as source code, as dataclasses does, so that it
+stores each field inline.  ``__eq__``, ``__hash__`` and ``__repr__`` are
+closures over one ``operator.attrgetter`` of the fields, shared by the
+instances of the class; compiling them too took about a third of
+mfkit's import time.  Importing dataclasses would cost more than most
+commands (it imports inspect).
 
 ``Counts`` is the one sparse count container behind ``mf.BettiTable``,
 ``orlov.CohomologyTable`` and ``bott.CohomologyVector``.  Its
 ``__post_init__`` checks every table's entries once: keys strictly
 ascending, every count positive.
 """
+
+from operator import attrgetter
 
 
 def _no_setattr(self, name, value):
@@ -29,31 +34,44 @@ def _no_delattr(self, name):
 
 def value_class(cls: type) -> type:
     names = list(cls.__annotations__)
-    namespace = {"_setattr": object.__setattr__}
-    params = []
-    for name in names:
-        if name in cls.__dict__:
-            namespace[f"_default_{name}"] = cls.__dict__[name]
-            name = f"{name}=_default_{name}"
-        params.append(name)
-    fields = lambda obj: "".join(f"{obj}.{name}, " for name in names)
-    source = (
-        f"def __init__(self, {', '.join(params)}):\n"
-        + "".join(f"    _setattr(self, {name!r}, {name})\n" for name in names)
-        + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else "")
-        + "def __eq__(self, other):\n"
-        "    if other.__class__ is self.__class__:\n"
-        f"        return ({fields('self')}) == ({fields('other')})\n"
-        "    return NotImplemented\n"
-        f"def __hash__(self):\n    return hash(({fields('self')}))\n"
-        "def __repr__(self):\n"
-        "    return f'{self.__class__.__qualname__}("
-        + ", ".join(f"{name}={{self.{name}!r}}" for name in names) + ")'\n"
-    )
-    exec(source, namespace)
-    for method in ("__init__", "__eq__", "__hash__", "__repr__"):
+    # The field tuple of an instance: attrgetter returns a bare value for
+    # one name, so a one-field class wraps it, and hashes as the dataclass.
+    fields = attrgetter(*names)
+    if len(names) == 1:
+        fields = lambda obj, one=fields: (one(obj),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __repr__(self):
+        shown = ", ".join(map("{}={!r}".format, names, fields(self)))
+        return f"{self.__class__.__qualname__}({shown})"
+
+    methods = {"__eq__": __eq__, "__hash__": __hash__, "__repr__": __repr__}
+    if "__init__" not in cls.__dict__:
+        # Generated source, the one hot method: one inline store per field.
+        namespace = {"_setattr": object.__setattr__}
+        params = []
+        for name in names:
+            if name in cls.__dict__:
+                namespace[f"_default_{name}"] = cls.__dict__[name]
+                name = f"{name}=_default_{name}"
+            params.append(name)
+        exec(
+            f"def __init__(self, {', '.join(params)}):\n"
+            + "".join(f"    _setattr(self, {name!r}, {name})\n" for name in names)
+            + ("    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""),
+            namespace,
+        )
+        methods["__init__"] = namespace["__init__"]
+    for method, function in methods.items():
         if method not in cls.__dict__:
-            setattr(cls, method, namespace[method])
+            setattr(cls, method, function)
     cls.__setattr__, cls.__delattr__ = _no_setattr, _no_delattr
     return cls
 

@@ -120,12 +120,16 @@ from __future__ import annotations
 
 import re
 from collections.abc import Collection, Iterable, Mapping, Sequence
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import groupby
 from math import gcd, prod
 
 from ._value import value_class
+
+# Type checkers take this name for typing's.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 NEG_INFINITY = float("-inf")
 
@@ -164,6 +168,17 @@ class ParseError(ValueError):
         self.position = position
 
 
+@lru_cache(maxsize=None)
+def _fraction() -> type:
+    # fractions.Fraction, imported where a Fraction is first built or
+    # checked: fractions (with decimal and numbers, which it imports)
+    # costs 2.3-3.8 ms of start-up, and a GF(p) command never loads it.
+    # A from-import statement in each of those places would cost about
+    # 1 us per call (Python 3.11), this call about 40 ns.
+    from fractions import Fraction
+    return Fraction
+
+
 def _is_prime(n: int) -> bool:
     # Deterministic Miller-Rabin for n < 4,759,123,141 = 48,781 * 97,561,
     # the least odd composite that the witnesses 2, 7 and 61 all pass
@@ -199,6 +214,7 @@ class GaussianRational:
     im: Fraction
 
     def __post_init__(self):
+        Fraction = _fraction()
         if not isinstance(self.re, Fraction) or not isinstance(self.im, Fraction):
             object.__setattr__(self, "re", Fraction(self.re))
             object.__setattr__(self, "im", Fraction(self.im))
@@ -275,7 +291,7 @@ class FpElement:
         return str(self.value)
 
 
-Scalar = Fraction | GaussianRational | FpElement
+Scalar = "Fraction | GaussianRational | FpElement"
 
 
 def _sqrt_minus_one(p: int) -> int:
@@ -321,13 +337,14 @@ class Field:
     def coerce(self, value) -> Scalar:
         """Convert an int, Fraction or same-field scalar to this field."""
         if self.kind == "Q":
+            Fraction = _fraction()
             if isinstance(value, (int, Fraction)):
                 return Fraction(value)
         elif self.kind == "Qi":
             if isinstance(value, GaussianRational):
                 return value
-            if isinstance(value, (int, Fraction)):
-                return GaussianRational(Fraction(value), Fraction(0))
+            if isinstance(value, (int, _fraction())):
+                return GaussianRational(value, 0)
         else:
             if isinstance(value, FpElement):
                 if value.p != self.p:
@@ -335,7 +352,7 @@ class Field:
                 return value
             if isinstance(value, int):
                 return FpElement(value, self.p)
-            if isinstance(value, Fraction):
+            if isinstance(value, _fraction()):
                 num = FpElement(value.numerator, self.p)
                 return num * FpElement(value.denominator, self.p).inverse()
         raise ValueError(f"cannot coerce {value!r} into {self}")
@@ -344,7 +361,7 @@ class Field:
         if self.kind == "Q":
             if value == 0:
                 raise ZeroDivisionError("inverse of zero rational")
-            return Fraction(1) / value
+            return _fraction()(1) / value
         return value.inverse()
 
     def has_sqrt_minus_one(self) -> bool:
@@ -357,7 +374,7 @@ class Field:
     def i(self) -> Scalar:
         """A distinguished square root of -1, if the field has one."""
         if self.kind == "Qi":
-            return GaussianRational(Fraction(0), Fraction(1))
+            return GaussianRational(0, 1)
         if self.kind == "Fp":
             if self.p == 2:
                 return FpElement(1, 2)
@@ -724,15 +741,21 @@ class Polynomial:
         return not pairs or pairs[0][0] >> shift == pairs[-1][0] >> shift
 
     @property
+    def _has_constant_term(self) -> bool:
+        # A nonzero constant term, read from the view without building a
+        # scalar (over QQ and QQ(i) a scalar, even zero, loads fractions):
+        # the last key is that of the monomial 1, 0, and over QQ(i) 1 for
+        # the imaginary half.
+        pairs = self._view[1]
+        return bool(pairs) and not pairs[-1][0] >> 2 * (self.field.kind == "Qi")
+
+    @property
     def constant_term(self) -> Scalar:
-        # Read only if the last key is that of the monomial 1: 0, and over
-        # QQ(i) 1 for the imaginary half.
-        pairs, field = self._view[1], self.field
-        gaussian = field.kind == "Qi"
-        if not pairs or pairs[-1][0] >> 2 * gaussian:
+        field = self.field
+        if not self._has_constant_term:
             return field.zero
-        tail = dict(pairs[-2:])
-        return _scalar(field, [tail.get(0, 0), tail.get(1, 0)] if gaussian else tail[0])
+        tail = dict(self._view[1][-2:])
+        return _scalar(field, [tail.get(0, 0), tail.get(1, 0)] if field.kind == "Qi" else tail[0])
 
     # -- arithmetic -----------------------------------------------------
 
@@ -840,8 +863,8 @@ def _scalar(field: Field, raw) -> Scalar:
     # The public scalar of a raw coefficient as _raw_terms lists it: an
     # FpElement, a Fraction, or over QQ(i) a GaussianRational of [re, im].
     if field.kind == "Qi":
-        return GaussianRational(Fraction(raw[0]), Fraction(raw[1]))
-    return FpElement(raw, field.p) if field.p else Fraction(raw)
+        return GaussianRational(*raw)
+    return FpElement(raw, field.p) if field.p else _fraction()(raw)
 
 
 def _terms_from_view(poly: Polynomial) -> tuple:
@@ -1067,7 +1090,7 @@ def _literal(value: int, denominator: str | None, p: int | None, at: int,
         if denominator % p == 0:
             raise ParseError(f"inverse of zero in F_{p}", at)
         return value * pow(denominator, -1, p) % p
-    return value if denominator == 1 else Fraction(value, denominator)
+    return value if denominator == 1 else _fraction()(value, denominator)
 
 
 def _scan_printed(text: str, field: Field, nvars: int, max_degree: int | None) -> Polynomial | None:

@@ -25,12 +25,16 @@ reads the environment.
 
 A command imports what it runs on first use: ``bott`` queries and ``rho
 point`` load :mod:`mfkit.bott` alone, other scalar queries add orlov, and
-document commands add algebra, graded, mf, json and hashlib.  ``main``
-reads a plain, well-formed command line from ``COMMANDS`` itself.  It
-imports argparse and builds the parser, with the leaves of the group
-named on the command line only, just for ``--help``, usage errors and
-the spellings that only argparse reads (``--flag=value``, abbreviated
-or repeated flags, ``--``).
+document commands add algebra, graded, mf and json.  ``fractions`` loads
+only where a Fraction is built: for a QQ or QQ(i) value that is not an
+integer, or a unit that reduce inverts over those fields.  An input's
+SHA-256 comes from the interpreter's builtin module below
+BUILTIN_SHA256_BELOW bytes, so hashlib loads only for larger inputs.
+``main`` reads a plain, well-formed command line from ``COMMANDS``
+itself.  It imports argparse and builds the parser, with the leaves of
+the group named on the command line only, just for ``--help``, usage
+errors and the spellings that only argparse reads (``--flag=value``,
+abbreviated or repeated flags, ``--``).
 """
 
 from __future__ import annotations
@@ -68,8 +72,8 @@ class _Module:
         return getattr(sys.modules.get(self._name) or import_module(self._name), attr)
 
 
-algebra, graded, mf_ops, orlov_ops, bott_ops, json, hashlib = map(_Module, (
-    "mfkit.algebra", "mfkit.graded", "mfkit.mf", "mfkit.orlov", "mfkit.bott", "json", "hashlib"))
+algebra, graded, mf_ops, orlov_ops, bott_ops, json = map(_Module, (
+    "mfkit.algebra", "mfkit.graded", "mfkit.mf", "mfkit.orlov", "mfkit.bott", "json"))
 
 MF_SCHEMA = "mfkit/mf-v1"
 TABLE_SCHEMA = "mfkit/table-v1"
@@ -369,9 +373,30 @@ def _read_json(path: str) -> tuple[dict, str]:
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(data), hashlib.sha256(data).hexdigest()
+        return json.loads(data), _sha256_hex(data)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
+
+
+# Inputs shorter than this are digested by the interpreter's builtin
+# SHA-256, which spares the import of hashlib (OpenSSL's _hashlib and
+# _blake2, 2.4-4.6 ms); longer ones by hashlib.  On 2 vCPUs with the
+# SHA-NI instructions under Python 3.11, OpenSSL digests the 23.4 MB
+# rank-1024 Fermat document in 16 ms and the builtin in 91-100 ms, so
+# about 1 MB of builtin hashing costs as much as the import.
+BUILTIN_SHA256_BELOW = 1 << 20
+
+
+def _sha256_hex(data: bytes) -> str:
+    if len(data) < BUILTIN_SHA256_BELOW:
+        try:
+            # The builtin module is _sha2 from Python 3.12 on, _sha256 before.
+            builtin = import_module("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+        except ImportError:  # an interpreter built without it
+            pass
+        else:
+            return builtin.sha256(data).hexdigest()
+    return import_module("hashlib").sha256(data).hexdigest()
 
 
 def _dump(obj: dict, handle) -> None:

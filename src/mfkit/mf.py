@@ -371,7 +371,7 @@ def dual(F: MatrixFactorization) -> MatrixFactorization:
 
 def is_reduced(F: MatrixFactorization) -> bool:
     """True iff no entry of s0 or s1 has a nonzero constant term."""
-    return not any(e.constant_term for m in (F.s0, F.s1) for row in m.rows for _, e in row)
+    return not any(e._has_constant_term for m in (F.s0, F.s1) for row in m.rows for _, e in row)
 
 
 def reduce(F: MatrixFactorization) -> MatrixFactorization:
@@ -411,7 +411,7 @@ def reduce(F: MatrixFactorization) -> MatrixFactorization:
 def _find_unit(rows: SparseRows, start: int) -> tuple[int, int] | None:
     for r, row in rows.items():
         if r >= start:
-            units = [c for c, entry in row.items() if entry.constant_term]
+            units = [c for c, entry in row.items() if entry._has_constant_term]
             if units:
                 return r, min(units)
     return None

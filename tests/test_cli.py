@@ -8,12 +8,15 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mfkit import algebra, bott, cli, mf
 from mfkit.algebra import GF, QI, QQ, parse_poly
 from mfkit.cli import MAX_DIGITS, SchemaError, document_to_mf, main, mf_to_document
 from mfkit.graded import DegreeMultiset
 from mfkit.orlov import MAX_SHAMASH_RANK
+import test_value_class
 
 FERMAT_REPORT = """\
 operation: mf fermat
@@ -1263,3 +1266,39 @@ def test_json_boolean_for_any_key_exits_2(workdir, capsys, command, doc, key):
     (workdir / "in.json").write_text(json.dumps(doc))
     assert run(capsys, *command.split(), "in.json") == (
         2, "", f"error [mfkit.cli]: key {key!r} has the wrong type\n")
+
+
+# The input digest against hashlib: inputs below cli.BUILTIN_SHA256_BELOW
+# take the interpreter's builtin module (_sha256 before Python 3.12,
+# _sha2 from it on), longer ones hashlib.
+@given(st.binary(max_size=4096))
+def test_input_digest_matches_hashlib(data):
+    assert cli._sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("size", [0, cli.BUILTIN_SHA256_BELOW - 1, cli.BUILTIN_SHA256_BELOW,
+                                  cli.BUILTIN_SHA256_BELOW + 1, 3 * cli.BUILTIN_SHA256_BELOW + 5])
+def test_input_digest_matches_hashlib_across_the_switch(size):
+    assert cli.BUILTIN_SHA256_BELOW == 1 << 20
+    data = bytes(range(251)) * (size // 251) + b"x" * (size % 251)
+    assert cli._sha256_hex(data) == hashlib.sha256(data).hexdigest()
+
+
+def test_input_digest_without_the_builtin_module(monkeypatch):
+    # An interpreter built without it: importing the name fails.
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, None)
+    assert cli._sha256_hex(b"mfkit") == hashlib.sha256(b"mfkit").hexdigest()
+
+
+def test_command_matches_a_frozen_dataclass(monkeypatch):
+    # cli.Command is the fourteenth value class, beside the thirteen that
+    # tests/test_value_class.py samples: its twin check, run on Command.
+    validate = cli.COMMANDS[0]
+    monkeypatch.setitem(test_value_class.SAMPLES, cli.Command, lambda: [
+        validate, cli.Command(**test_value_class.field_values(validate)), cli.COMMANDS[-1],
+        cli.Command("mf", "validate", "", validate.compute)])
+    test_value_class.test_matches_a_frozen_dataclass(cli.Command)
+    args = ("mf", "validate", "", validate.compute)
+    twin = test_value_class.twin(cli.Command)(*args)
+    assert test_value_class.field_values(cli.Command(*args)) == test_value_class.field_values(twin)

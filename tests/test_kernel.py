@@ -164,6 +164,17 @@ def test_constant_term_matches_linear_scan(field, data):
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 @given(data=st.data())
+def test_has_constant_term_matches_linear_scan(field, data):
+    # The view-level test that mf.is_reduced and mf.reduce read.
+    nvars = data.draw(st.integers(1, 3))
+    p = Polynomial.from_pairs(field, nvars, data.draw(term_lists(field, nvars)))
+    q = Polynomial.from_pairs(field, nvars, data.draw(term_lists(field, nvars)))
+    for poly in (p, q, p * q, p + q, p - p + Polynomial.constant(field, nvars, 1)):
+        assert poly._has_constant_term == any(not any(e) for e, _ in poly.terms)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@given(data=st.data())
 def test_canonical_sort_matches_old_key(field, data):
     nvars = data.draw(st.integers(1, 4))
     acc = data.draw(st.dictionaries(st.tuples(*[st.integers(0, 3)] * nvars), scalars(field)))

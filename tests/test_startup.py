@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import mfkit
-from mfkit import mf
+from mfkit import algebra, mf
 from mfkit.cli import COMMANDS, GROUPS, _UsageError, build_parser, main, mf_to_document
 from test_cli import GOLDEN_USAGE_ERRORS
 
@@ -52,14 +52,20 @@ HEAVY = {"dataclasses", "inspect", "fractions", "json", "hashlib",
          "mfkit.algebra", "mfkit.graded", "mfkit.mf"}
 
 
-def loaded_modules(*argv, cwd=None, expected=0) -> set[str]:
+def child_run(*argv, cwd=None, expected=0) -> tuple[str, set[str]]:
+    """The command's stdout and the modules loaded, in the -S child."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     env.pop("MFKIT_THREADS", None)
     done = subprocess.run([sys.executable, "-S", "-c", CHILD, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=120)
-    code, *modules = done.stdout.splitlines()[-1].split()
+    output, last = done.stdout[:-1].rsplit("\n", 1)
+    code, *modules = last.split()
     assert (done.returncode, code) == (0, str(expected)), done.stderr
-    return set(modules)
+    return output, set(modules)
+
+
+def loaded_modules(*argv, cwd=None, expected=0) -> set[str]:
+    return child_run(*argv, cwd=cwd, expected=expected)[1]
 
 
 ARGPARSE = {"argparse", "gettext", "locale"}
@@ -91,6 +97,50 @@ def test_validate_loads_no_dataclasses(tmp_path):
     assert {"mfkit.algebra", "mfkit.mf"} <= modules
     assert not {"dataclasses", "inspect"} & modules
     assert "typing" not in modules
+
+
+# What a command loads only for rationals (fractions, and the decimal and
+# numbers modules it imports) or for inputs past cli.BUILTIN_SHA256_BELOW
+# (hashlib, with OpenSSL's _hashlib and _blake2).
+RATIONALS = {"fractions", "decimal", "numbers"}
+HASHLIB = {"hashlib", "_hashlib", "_blake2"}
+
+
+# A reduced Fermat document has integral coefficients, and reduce splits
+# nothing off it, so over QQ(i) too no Fraction is built.
+@pytest.mark.parametrize("field", [algebra.GF(13), algebra.QI], ids=str)
+@pytest.mark.parametrize("argv", [("mf", "validate"), ("mf", "reduce"), ("rho", "from-mf"),
+                                  ("orlov", "translate")])
+def test_integral_document_commands_load_no_fractions_or_hashlib(tmp_path, argv, field):
+    (tmp_path / "g.json").write_text(json.dumps(mf_to_document(mf.fermat(2, 2, field=field))))
+    modules = loaded_modules(*argv, "g.json", cwd=tmp_path)
+    assert {"mfkit.algebra", "mfkit.mf"} <= modules
+    assert not (RATIONALS | HASHLIB) & modules
+
+
+HALF = """{"schema": "mfkit/mf-v1", "field": {"type": "Q"}, "nvars": 1, "d": 2, \
+"f": "x0^2", "F0_degrees": [1], "F1_degrees": [0], "s0": [["1/2*x0"]], "s1": [["2*x0"]]}"""
+
+HALF_VALIDATED = """\
+operation: mf validate
+input half.json: sha256=39cb4ed0a59153abc5005c9a5bf2a675bcf64a276d78b5b22a4fe97192576972
+rank = 1
+d = 2
+nvars = 1
+field = QQ
+F0_degrees = [1]
+F1_degrees = [0]
+reduced = true
+valid = true
+"""
+
+
+def test_a_rational_entry_loads_fractions_and_prints_as_before(tmp_path):
+    (tmp_path / "half.json").write_text(HALF)
+    output, modules = child_run("mf", "validate", "half.json", cwd=tmp_path)
+    assert output == HALF_VALIDATED
+    assert "fractions" in modules
+    assert not HASHLIB & modules
 
 
 def test_package_names_resolve():
