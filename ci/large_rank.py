@@ -5,38 +5,46 @@ check both documents against their pinned SHA-256 digests.  Exits
 nonzero on the first failing command or digest.
 
 Run from the root of a checkout, with an absolute PYTHONPATH, since the
-script works in a temporary directory::
+script works in a temporary directory, removed on exit::
 
     PYTHONPATH=$PWD/src python ci/large_rank.py
 """
-import os, subprocess, sys, tempfile, time
+import hashlib, os, subprocess, sys, tempfile, time
+
+
+def main() -> None:
+    """Run the four commands and check both documents in the working
+    directory; exit nonzero on the first failure."""
+    # Each child's own peak RSS, from its rusage through os.wait4:
+    # RUSAGE_CHILDREN keeps the maximum over all children so far.
+    for argv in (["mf", "fermat", "--pairs", "11", "--half-degree", "2",
+                  "--field", "Fp", "--p", "13", "--output", "r1024.json"],
+                 ["mf", "validate", "r1024.json", "--json"],
+                 ["mf", "shift", "r1024.json", "--output", "s1024.json"],
+                 ["mf", "validate", "s1024.json", "--json"]):
+        start = time.perf_counter()
+        child = subprocess.Popen(["timeout", "600", sys.executable, "-m", "mfkit", *argv],
+                                 stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        elapsed = time.perf_counter() - start
+        code = os.waitstatus_to_exitcode(status)
+        print(f"{' '.join(argv)}: exit {code}, {elapsed:.2f} s, "
+              f"peak RSS {usage.ru_maxrss / 1024:.0f} MB")
+        if code:
+            sys.exit(code)
+    # The goldens never print a document this large, so pin both
+    # artifacts by digest.
+    for name, digest in (
+            ("r1024.json", "0d948a363a1b4f65e67fe709dd3c3c4486ac0f22b518ef150f5113fce2cfa0b9"),
+            ("s1024.json", "f5f3d6e2474d8ba3ba822c77f262ebc60aa69896833bfe5aef4f53ef1aee87c8")):
+        with open(name, "rb") as handle:
+            got = hashlib.sha256(handle.read()).hexdigest()
+        print(f"{name}: sha256 {got}")
+        if got != digest:
+            sys.exit(f"{name}: sha256 {got}, expected {digest}")
+
+
 # The documents this writes stay out of the checkout.
-os.chdir(tempfile.mkdtemp())
-# Each child's own peak RSS, from its rusage through os.wait4:
-# RUSAGE_CHILDREN keeps the maximum over all children so far.
-for argv in (["mf", "fermat", "--pairs", "11", "--half-degree", "2",
-              "--field", "Fp", "--p", "13", "--output", "r1024.json"],
-             ["mf", "validate", "r1024.json", "--json"],
-             ["mf", "shift", "r1024.json", "--output", "s1024.json"],
-             ["mf", "validate", "s1024.json", "--json"]):
-    start = time.perf_counter()
-    child = subprocess.Popen(["timeout", "600", sys.executable, "-m", "mfkit", *argv],
-                             stdout=subprocess.DEVNULL)
-    _, status, usage = os.wait4(child.pid, 0)
-    elapsed = time.perf_counter() - start
-    code = os.waitstatus_to_exitcode(status)
-    print(f"{' '.join(argv)}: exit {code}, {elapsed:.2f} s, "
-          f"peak RSS {usage.ru_maxrss / 1024:.0f} MB")
-    if code:
-        sys.exit(code)
-# The goldens never print a document this large, so pin both
-# artifacts by digest.
-import hashlib
-for name, digest in (
-        ("r1024.json", "0d948a363a1b4f65e67fe709dd3c3c4486ac0f22b518ef150f5113fce2cfa0b9"),
-        ("s1024.json", "f5f3d6e2474d8ba3ba822c77f262ebc60aa69896833bfe5aef4f53ef1aee87c8")):
-    with open(name, "rb") as handle:
-        got = hashlib.sha256(handle.read()).hexdigest()
-    print(f"{name}: sha256 {got}")
-    if got != digest:
-        sys.exit(f"{name}: sha256 {got}, expected {digest}")
+with tempfile.TemporaryDirectory() as work:
+    os.chdir(work)
+    main()

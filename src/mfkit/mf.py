@@ -374,13 +374,24 @@ def is_reduced(F: MatrixFactorization) -> bool:
     return not any(e._has_constant_term for m in (F.s0, F.s1) for row in m.rows for _, e in row)
 
 
+def may_reduce_to_zero(F: MatrixFactorization) -> bool:
+    """False when :func:`reduce` cannot take F to rank 0.  A split deletes
+    one row of s0 and one of s1, its pivot's row among them, and gives no
+    row a unit: the update adds q * (-p/u) to a row, a term with a
+    constant only if that row's own q is a unit.  So rank 0 takes at least
+    rank(F0) rows of s0 and s1 that hold a unit."""
+    return sum(any(e._has_constant_term for _, e in row)
+               for m in (F.s0, F.s1) for row in m.rows) >= F.rank0
+
+
 def reduce(F: MatrixFactorization) -> MatrixFactorization:
     """Split off trivial rank-1 summands until no unit entries remain.
 
     Pivot policy: scan s0 then s1 in row-major order and take the first
     unit (nonzero constant) entry.  Each split performs exact row/column
     elimination over the polynomial ring and deletes one generator from
-    F0 and one from F1.  Reduced inputs are returned unchanged.
+    F0 and one from F1; a pivot alone in its row or its column needs the
+    deletion only.  Reduced inputs are returned unchanged.
 
     Each matrix is scanned once, resuming at the row of the last pivot.
     This finds the pivots, hence the output, of a scan from (0, 0) after
@@ -395,11 +406,12 @@ def reduce(F: MatrixFactorization) -> MatrixFactorization:
     """
     s0: SparseRows = {r: dict(row) for r, row in enumerate(F.s0.rows)}
     s1: SparseRows = {r: dict(row) for r, row in enumerate(F.s1.rows)}
+    one = Polynomial._from_view(F.field, F.nvars, 32, [(0, 1)])
     for a, b in ((s0, s1), (s1, s0)):
         r = 0
         while (pos := _find_unit(a, r)) is not None:
             r, c = pos
-            _split_summand(F.field, a, b, r, c)
+            _split_summand(F.field, one, a, b, r, c)
     if len(s1) == F.rank0:
         return F
     # The rows of s1 are the F0 generators left, those of s0 the F1 ones.
@@ -417,10 +429,12 @@ def _find_unit(rows: SparseRows, start: int) -> tuple[int, int] | None:
     return None
 
 
-def _split_summand(field: Field, a: SparseRows, b: SparseRows, r: int, c: int) -> None:
+def _split_summand(field: Field, one: Polynomial, a: SparseRows, b: SparseRows,
+                   r: int, c: int) -> None:
     """Split off the trivial summand at the unit pivot a[r][c] and delete
     its generator pair: row r and column c of ``a``, row c and column r of
-    the partner ``b``.  Mutates the rows in place.
+    the partner ``b``.  Mutates the rows in place; ``one`` is the
+    constant 1 of the ring.
 
     With a = [[u, p], [q, A]] (pivot first), the row operations R and the
     column operations C that clear q and p give R*a*C = diag(u, A - q*p/u)
@@ -428,29 +442,29 @@ def _split_summand(field: Field, a: SparseRows, b: SparseRows, r: int, c: int) -
     and R^-1 only its pivot column, so B' is b without them.  Clearing p
     touches only the pivot row of a, which is deleted too.  What remains
     is the Schur complement A - q*p/u, computed over the nonzero entries
-    of q and p."""
+    of q and p; where q or p is zero it is A, and the split is the
+    deletion alone."""
     pivot = a.pop(r)
     del b[c]
     u = pivot.pop(c)
-    nvars = u.nvars
-    one = Polynomial.constant(field, nvars, 1)
+    for row in b.values():
+        row.pop(r, None)
+    # The rows of q, each without its entry in the pivot column.
+    rows = [(row, q) for row in a.values() if (q := row.pop(c, None)) is not None]
+    if not (rows and pivot):
+        return
     # Row j of the update is 1 * row_j + q_j * (-pivot/u) over the pivot's
     # columns: the pivot row is scaled once, then one kernel call updates
     # all the rows.
-    minus_uinv = Polynomial.constant(field, nvars, -field.inv(u.constant_term))
-    (scaled,) = Polynomial._product_rows(field, nvars, (((0, minus_uinv),),),
+    nvars = u.nvars
+    (scaled,) = Polynomial._product_rows(field, nvars, (((0, u._minus_inverse()),),),
                                          (tuple(pivot.items()),))
-    rows, lefts, rights = [], [], [scaled]
-    for row in a.values():
-        q = row.pop(c, None)
-        if q is not None:
-            rows.append(row)
-            lefts.append(((0, q), (len(rights), one)))
-            rights.append([(k, row.pop(k)) for k in pivot if k in row])
-    for row, update in zip(rows, Polynomial._product_rows(field, nvars, lefts, rights)):
+    lefts, rights = [], [scaled]
+    for row, q in rows:
+        lefts.append(((0, q), (len(rights), one)))
+        rights.append([(k, row.pop(k)) for k in pivot if k in row])
+    for (row, _), update in zip(rows, Polynomial._product_rows(field, nvars, lefts, rights)):
         row.update(update)
-    for row in b.values():
-        row.pop(r, None)
 
 
 # ---------------------------------------------------------------------------

@@ -291,12 +291,13 @@ def shamash_degrees(n: int, d: int, m: int) -> DegreeMultiset:
 def check_bgs(ctx: HypersurfaceContext, F: MatrixFactorization) -> Verdict:
     """Instance check of the rank lower bound rank(F0) >= 2^e for
     nontrivial factorizations.  Trivial inputs (those reducing to rank 0)
-    are marked not applicable."""
+    are marked not applicable; F is reduced only where
+    :func:`mf.may_reduce_to_zero` allows rank 0."""
     from . import mf as mf_ops
     problems = mf_ops.validate(F)
     if problems:
         raise ValueError("invalid matrix factorization: " + problems[0])
-    trivial = mf_ops.reduce(F).rank0 == 0
+    trivial = mf_ops.may_reduce_to_zero(F) and mf_ops.reduce(F).rank0 == 0
     bound = 2 ** ctx.e
     return _verdict(ctx, "rank >= 2^e", F.rank0, bound, passed=True if trivial else F.rank0 >= bound,
                     applicable=not trivial, trivial=trivial)

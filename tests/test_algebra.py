@@ -125,6 +125,22 @@ class TestFields:
             GF(13).coerce(GF(17).coerce(1))
 
 
+class TestMinusInverse:
+    # -1/c of the constant term c, from the raw unit where c is +-1 or +-i
+    # over QQ(i), through Field.inv otherwise: the same polynomial.
+    @pytest.mark.parametrize("field, text", [
+        (QQ, "1"), (QQ, "-1"), (QQ, "2"), (QQ, "-1/3"), (QQ, "2/3"), (QQ, "x0 + 1/2"),
+        (QI, "1"), (QI, "-1"), (QI, "i"), (QI, "-i"), (QI, "1 + i"), (QI, "2 - i"), (QI, "3"),
+        (QI, "1/2 + 1/2*i"), (QI, "1/2*i"), (QI, "x0*x1 + 3*i"),
+        (GF(13), "1"), (GF(13), "12"), (GF(13), "5"), (GF(13), "x0^2 + 7"), (GF(2), "1"),
+    ])
+    def test_matches_the_field_inverse(self, field, text):
+        u = parse_poly(text, field, 2)
+        got = u._minus_inverse()
+        assert got == Polynomial.constant(field, 2, -field.inv(u.constant_term))
+        assert got.terms == (((0, 0), -field.inv(u.constant_term)),)
+
+
 class TestParsing:
     def test_fermat_quartic(self):
         p = parse_poly("x0^4 + x1^4", QQ, 2)

@@ -15,7 +15,7 @@ from mfkit.bott import (
     rho_line_bundle,
     rho_point,
     rho_structure_sheaf,
-    rho_structure_sheaf_rows,
+    rho_sweep_rows,
 )
 
 
@@ -233,7 +233,8 @@ class TestRhoStructureSheafFastPaths:
             for n in range(1, n_max + 1)
             for d in range(n + 1, d_max + 1)
         ]
-        assert list(rho_structure_sheaf_rows(n_max, d_max)) == expected
+        assert [(n, d, rho) for n, rhos in rho_sweep_rows(n_max, d_max)
+                for d, rho in enumerate(rhos, n + 1)] == expected
 
 
 class TestRhoPoint:

@@ -1205,12 +1205,13 @@ def test_sweep_rows_at_the_degree_bound():
     # The command prints 159 MB here; the rows it prints are checked in-process.
     d_max = bott.MAX_SWEEP_DEGREE
     cells = 0
-    for n, d, rho in bott.rho_structure_sheaf_rows(d_max + 5, d_max):
-        cells += 1
-        if d == n + 1:
-            assert rho == 2 ** (n + 1)
-        elif d == d_max and n % 97 == 0:
-            assert rho == bott.rho_structure_sheaf(n, d)
+    for n, rhos in bott.rho_sweep_rows(d_max + 5, d_max):
+        for d, rho in enumerate(rhos, n + 1):
+            cells += 1
+            if d == n + 1:
+                assert rho == 2 ** (n + 1)
+            elif d == d_max and n % 97 == 0:
+                assert rho == bott.rho_structure_sheaf(n, d)
     assert cells == d_max * (d_max - 1) // 2
 
 

@@ -52,9 +52,9 @@ from mfkit.algebra import (GF, MAX_EXPONENT, MAX_NVARS, QI, QQ, FpElement, Gauss
 from mfkit.cli import MF_SCHEMA, SchemaError, document_to_mf, field_to_json, mf_to_document
 from mfkit.graded import DegreeMultiset, HomogeneousMatrix, compose
 
-from _factories import (kernel_sum_of_products, packed_view, random_elementary,
-                        random_homogeneous, random_reduced_mf, random_valid_mf, raw,
-                        square_and_multiply)
+from _factories import (kernel_sum_of_products, mix_bases, packed_view, partly_reducible,
+                        random_elementary, random_homogeneous, random_reduced_mf,
+                        random_valid_mf, raw, square_and_multiply)
 
 # GF(2^31 - 1): products of two residues come near 2^62, and the kernel
 # sums them unreduced.
@@ -615,54 +615,6 @@ def rescan_reduce(F):
             continue
         break
     return grid_mk(F.f, f0, f1, s0, s1)
-
-
-def elementary(field, nvars, degrees, i, j, lam):
-    # The identity on ``degrees`` with ``lam`` at (i, j).
-    grid = [list(row) for row in HomogeneousMatrix.identity(field, nvars, degrees).entries]
-    grid[i][j] = lam
-    return HomogeneousMatrix(field, nvars, degrees, degrees, grid)
-
-
-def mix_bases(F, rng, steps):
-    """F after ``steps`` random graded elementary basis changes of F0 and
-    F1: s0 -> s0*E, s1 -> E^-1*s1 on F0 and s0 -> G*s0, s1 -> s1*G^-1 on
-    F1.  The result factors the same f, with its units spread over
-    several entries."""
-    field, nvars, d = F.field, F.nvars, F.d
-    s0, s1 = F.s0, F.s1
-    for _ in range(steps):
-        on_f0 = rng.random() < 0.5
-        degrees = s0.source if on_f0 else s0.target
-        i, j = rng.sample(range(degrees.rank), 2)
-        if degrees[j] < degrees[i]:
-            i, j = j, i
-        lam = random_homogeneous(field, nvars, degrees[j] - degrees[i], rng)
-        forward = elementary(field, nvars, degrees, i, j, lam)
-        backward = elementary(field, nvars, degrees, i, j, -lam)
-        if on_f0:
-            s0, s1 = compose(s0, forward), compose(backward, s1)
-        else:
-            s0, s1 = compose(forward, s0), compose(s1, backward.twist(-d))
-    return mf.MatrixFactorization(F.f, s0, s1)
-
-
-def partly_reducible(field, rank, rng):
-    """A valid, non-reduced factorization of the given rank (4, 8 or 16):
-    random rank-one factors in 3 variables tensored together, the first
-    one summed with a twisted trivial factor, then mixed bases."""
-    nvars, d = 3, rng.choice([2, 3])
-    factors = [random_elementary(field, nvars, d, rng)]
-    trivial = mf.trivial_one_f if rng.random() < 0.5 else mf.trivial_f_one
-    factors[0] = mf.direct_sum(factors[0], mf.twist(trivial(factors[0].f), rng.randint(-1, 1)))
-    result = factors[0]
-    while result.rank < rank:
-        while True:
-            G = random_elementary(field, nvars, d, rng)
-            if not (result.f + G.f).is_zero:
-                break
-        result = mf.tensor(result, G)
-    return mix_bases(result, rng, rng.randint(1, 2 * rank))
 
 
 @pytest.mark.parametrize("field", [QQ, QI, GF(13)], ids=["QQ", "QQ(i)", "GF(13)"])

@@ -246,6 +246,23 @@ class TestReduce:
         assert R.rank0 == 0
         assert mf.validate(R) == []
 
+    @pytest.mark.parametrize("field", [QQ, QI, FP13], ids=str)
+    def test_isolated_pivots_split_without_the_kernel(self, monkeypatch, field):
+        # A pivot alone in its row or its column leaves the rest as it is:
+        # the split deletes its row and column, and no product is formed.
+        F = random_reduced_mf(random.Random(f"isolated-{field}"), field=field)
+        f = F.f
+        padded = [mf.direct_sum(F, mf.trivial_one_f(f)), mf.direct_sum(mf.trivial_f_one(f), F),
+                  mf.direct_sum(mf.direct_sum(mf.trivial_one_f(f), F), mf.trivial_f_one(f))]
+        calls = []
+        product_rows = Polynomial._product_rows
+        monkeypatch.setattr(Polynomial, "_product_rows",
+                            lambda *args: calls.append(args) or product_rows(*args))
+        for G in padded:
+            R = mf.reduce(G)
+            assert mf.presentation_equivalent(R, F)
+        assert calls == []
+
     def test_idempotent_on_random_inputs(self):
         rng = random.Random(61)
         for _ in range(50):

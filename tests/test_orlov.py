@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from mfkit import mf
+from mfkit.algebra import GF, QI, QQ
 from mfkit.bott import MAX_POWER_BITS, CohomologyVector
 from mfkit.graded import DegreeMultiset
 from mfkit.mf import BettiTable
@@ -27,7 +28,7 @@ from mfkit.orlov import (
     table_to_betti,
 )
 
-from _factories import random_reduced_mf
+from _factories import mix_bases, partly_reducible, random_elementary, random_reduced_mf
 
 CTX34 = HypersurfaceContext(3, 4)
 
@@ -363,6 +364,41 @@ class TestCheckBgs:
         verdict = check_bgs(CTX34, mf.fermat(2, 2))
         assert any("irreducible" in note for note in verdict.notes)
         assert any("smooth" in note for note in verdict.notes)
+
+    @pytest.mark.parametrize("field", [QQ, QI, GF(13)], ids=["QQ", "QQ(i)", "GF(13)"])
+    def test_trivial_matches_reduce(self, monkeypatch, field):
+        # check_bgs reduces only where mf.may_reduce_to_zero allows rank 0;
+        # its verdict must be that of reducing every input.
+        reduce = mf.reduce
+        reduce_calls = []
+        monkeypatch.setattr(mf, "reduce", lambda F: reduce_calls.append(F) or reduce(F))
+        cases = []
+        for seed in range(6):
+            rng = random.Random(f"bgs-{field}-{seed}")
+            cases.append(partly_reducible(field, rng.choice([4, 8]), rng))
+            # Fully trivial: summands (1, f) and (f, 1), twisted, then
+            # mixed, and their sum with a reduced rank-one factor of f, mixed.
+            factor = random_elementary(field, 3, rng.choice([2, 3]), rng)
+            summands = [mf.twist(rng.choice([mf.trivial_one_f, mf.trivial_f_one])(factor.f),
+                                 rng.randint(-1, 1)) for _ in range(rng.randint(2, 5))]
+            trivial = summands[0]
+            for summand in summands[1:]:
+                trivial = mf.direct_sum(trivial, summand)
+            mixed = mix_bases(trivial, rng, rng.randint(1, 2 * trivial.rank0))
+            cases += [trivial, mixed,
+                      mix_bases(mf.direct_sum(trivial, factor), rng, 4 * trivial.rank0)]
+        outcomes = set()
+        for F in cases:
+            reduce_calls.clear()
+            expected = reduce(F)
+            may = mf.may_reduce_to_zero(F)
+            assert may or expected.rank0 > 0
+            verdict = check_bgs(HypersurfaceContext(2, F.d), F)
+            assert verdict.trivial == (expected.rank0 == 0) == (not verdict.applicable)
+            assert len(reduce_calls) == may
+            outcomes.add((bool(reduce_calls), verdict.trivial))
+        # Skipped, reduced to rank 0, and reduced to a nonzero rank.
+        assert outcomes == {(False, False), (True, True), (True, False)}
 
 
 class TestCheckRho:

@@ -138,7 +138,7 @@ class TestBott:
         ("MAX_BOTT_TWIST", lambda: bott.restricted_bott(2, 3, 1, 3),
          "|r+t| = 4 exceeds MAX_BOTT_TWIST = 3"),
         ("MAX_RHO_DEGREE", lambda: bott.rho_structure_sheaf(1, 4), "d = 4 exceeds MAX_RHO_DEGREE = 3"),
-        ("MAX_SWEEP_DEGREE", lambda: bott.rho_structure_sheaf_rows(1, 4),
+        ("MAX_SWEEP_DEGREE", lambda: bott.rho_sweep_rows(1, 4),
          "d_max = 4 exceeds MAX_SWEEP_DEGREE = 3"),
         ("MAX_POWER_BITS", lambda: bott.rho_point(4), "n = 4 exceeds MAX_POWER_BITS = 3"),
         ("MAX_LINE_BUNDLE_N", lambda: bott.rho_line_bundle(4, 1, 0),

@@ -118,6 +118,38 @@ def test_integral_document_commands_load_no_fractions_or_hashlib(tmp_path, argv,
     assert not (RATIONALS | HASHLIB) & modules
 
 
+def split_first_fermat():
+    """The QQ(i) rank-4 tensor of (x0^2 + i*x1^2, x0^2 - i*x1^2) plus its
+    trivial factor (1, f0) with (x2^2 + i*x3^2, x2^2 - i*x3^2): the unit
+    entries 1 and -1 that reduce splits off first."""
+    def factor(k):
+        u, v = (algebra.parse_poly(f"x{k}^2 {sign} i*x{k + 1}^2", algebra.QI, 4) for sign in "+-")
+        return mf.rank_one(u * v, u, v)
+
+    first = factor(0)
+    return mf.tensor(mf.direct_sum(first, mf.trivial_one_f(first.f)), factor(2))
+
+
+# What reduce printed for it when the pivot inverse went through Field.inv.
+SPLIT_FIRST_REDUCED = {
+    "schema": "mfkit/mf-v1", "field": {"type": "Qi"}, "nvars": 4,
+    "f": "x0^4 + x1^4 + x2^4 + x3^4", "d": 4, "F0_degrees": [4, 4], "F1_degrees": [2, 2],
+    "s0": [["x0^2 + (0 + 1*i)*x1^2", "x2^2 + (0 - 1*i)*x3^2"],
+           ["x2^2 + (0 + 1*i)*x3^2", "-x0^2 + (0 + 1*i)*x1^2"]],
+    "s1": [["x0^2 + (0 - 1*i)*x1^2", "x2^2 + (0 - 1*i)*x3^2"],
+           ["x2^2 + (0 + 1*i)*x3^2", "-x0^2 + (0 - 1*i)*x1^2"]],
+}
+
+
+def test_reduce_over_gaussian_units_loads_no_fractions(tmp_path):
+    # The pivots are +-1, so -1/u is built from the raw unit in ints.
+    F = split_first_fermat()
+    (tmp_path / "rs.json").write_text(json.dumps(mf_to_document(F)))
+    output, modules = child_run("mf", "reduce", "rs.json", cwd=tmp_path)
+    assert output == json.dumps(SPLIT_FIRST_REDUCED, indent=2) + "\n"
+    assert not (RATIONALS | HASHLIB) & modules
+
+
 HALF = """{"schema": "mfkit/mf-v1", "field": {"type": "Q"}, "nvars": 1, "d": 2, \
 "f": "x0^2", "F0_degrees": [1], "F1_degrees": [0], "s0": [["1/2*x0"]], "s1": [["2*x0"]]}"""
 
