@@ -16,11 +16,17 @@ values, which the test suite relies on for bit-exact comparisons.
 
 :meth:`Polynomial.from_pairs` is the one way from outside values into a
 polynomial, and ``Polynomial(field, nvars, terms)``, the form ``repr``
-prints, runs it: it checks arity and signs of exponent vectors, coerces
-every coefficient into the field, sums the coefficients of each monomial
-and settles the sums as arithmetic does, so every polynomial is
-canonical.  Arithmetic does not re-validate; its results are made by
-the trusted constructor ``Polynomial._from_view`` (below).
+prints, runs it: it checks arity and signs of exponent vectors, converts
+each coefficient once, by ``_raw_value``, to its raw view value (below),
+sums the coefficients of each monomial and settles the sums as
+arithmetic does, so every polynomial is canonical; an integer
+coefficient never becomes a public scalar on the way.
+:meth:`Field.coerce` wraps the same raw value into the public scalar.
+Arithmetic does not re-validate; its results are made by the trusted
+constructor ``Polynomial._from_view`` (below).  Only this module builds
+a view: a variable is :meth:`Polynomial.variable`, one packed key, and
+the constant i over QQ(i) is ``Polynomial._i``, both in O(1) whatever
+``nvars``.
 
 Sums and products share one multiply-accumulate loop, ``_accumulate``.
 A sum of any number of signed summands is one ``Polynomial._signed_sum``
@@ -94,10 +100,9 @@ about a tenth of the recursive parser's time.
 The recursive parser evaluates with the polynomial operators, which keep
 every result at the width of its degree: the summands of a sum are added
 by one ``Polynomial._signed_sum``, ``*`` is ``a * b``, unary ``-`` is
-``-p`` and ``^`` is ``Polynomial._power``.  Only its atoms know the key
-layout: a number is one pair, ``i`` the pair (1, 1) and a variable its
-one packed key, each a view at width 32, made in O(1) whatever
-``nvars``.
+``-p`` and ``^`` is ``Polynomial._power``.  Its atoms are views at width
+32, made in O(1) whatever ``nvars``: a number is one pair, ``i`` is
+``Polynomial._i`` and a variable :meth:`Polynomial.variable`.
 
 The parser bounds the work of one parse: an optional degree bound on
 every ``*`` and ``^``, MAX_PARSE_PRODUCTS term products, and
@@ -296,7 +301,8 @@ Scalar = "Fraction | GaussianRational | FpElement"
 
 def _sqrt_minus_one(p: int) -> int:
     # For p = 1 (mod 4): a^((p-1)/4) squares to -1 when a is a nonresidue.
-    for a in range(2, p):
+    # a = 1 passes only for p = 2, where 1 = -1 is its own square root.
+    for a in range(1, p):
         if pow(a, (p - 1) // 2, p) == p - 1:
             return pow(a, (p - 1) // 4, p)
     raise ValueError(f"no square root of -1 modulo {p}")
@@ -335,27 +341,9 @@ class Field:
         return self.coerce(1)
 
     def coerce(self, value) -> Scalar:
-        """Convert an int, Fraction or same-field scalar to this field."""
-        if self.kind == "Q":
-            Fraction = _fraction()
-            if isinstance(value, (int, Fraction)):
-                return Fraction(value)
-        elif self.kind == "Qi":
-            if isinstance(value, GaussianRational):
-                return value
-            if isinstance(value, (int, _fraction())):
-                return GaussianRational(value, 0)
-        else:
-            if isinstance(value, FpElement):
-                if value.p != self.p:
-                    raise ValueError(f"prime field mismatch: F_{value.p} vs F_{self.p}")
-                return value
-            if isinstance(value, int):
-                return FpElement(value, self.p)
-            if isinstance(value, _fraction()):
-                num = FpElement(value.numerator, self.p)
-                return num * FpElement(value.denominator, self.p).inverse()
-        raise ValueError(f"cannot coerce {value!r} into {self}")
+        """Convert an int, Fraction or same-field scalar to this field: the
+        public scalar of its raw view value."""
+        return _scalar(self, _raw_value(self, value))
 
     def inv(self, value: Scalar) -> Scalar:
         if self.kind == "Q":
@@ -365,22 +353,15 @@ class Field:
         return value.inverse()
 
     def has_sqrt_minus_one(self) -> bool:
-        if self.kind == "Qi":
-            return True
-        if self.kind == "Fp":
-            return self.p % 4 == 1 or self.p == 2
-        return False
+        return self.kind == "Qi" or self.kind == "Fp" and (self.p % 4 == 1 or self.p == 2)
 
     def i(self) -> Scalar:
         """A distinguished square root of -1, if the field has one."""
+        if not self.has_sqrt_minus_one():
+            raise ValueError(f"{self} contains no square root of -1")
         if self.kind == "Qi":
             return GaussianRational(0, 1)
-        if self.kind == "Fp":
-            if self.p == 2:
-                return FpElement(1, 2)
-            if self.p % 4 == 1:
-                return FpElement(_sqrt_minus_one(self.p), self.p)
-        raise ValueError(f"{self} contains no square root of -1")
+        return FpElement(_sqrt_minus_one(self.p), self.p)
 
     def __str__(self) -> str:
         if self.kind == "Q":
@@ -402,6 +383,30 @@ def GF(p: int) -> Field:
 def _raw(q: Fraction) -> int | Fraction:
     # A rational component as a plain int when it is integral.
     return q.numerator if q.denominator == 1 else q
+
+
+def _raw_value(field: Field, value) -> int | Fraction | list:
+    # The raw view value of an int, a Fraction or a scalar of ``field``: an
+    # int or a Fraction over QQ, [re, im] over QQ(i), a residue over GF(p).
+    # Fraction is looked for last, so an int never loads fractions.
+    p = field.p
+    if isinstance(value, int):
+        raw = value
+    elif p and isinstance(value, FpElement):
+        if value.p != p:
+            raise ValueError(f"prime field mismatch: F_{value.p} vs F_{p}")
+        return value.value
+    elif field.kind == "Qi" and isinstance(value, GaussianRational):
+        return [_raw(value.re), _raw(value.im)]
+    elif isinstance(value, _fraction()):
+        if p and not value.denominator % p:
+            raise ZeroDivisionError(f"inverse of zero in F_{p}")
+        raw = value.numerator * pow(value.denominator, -1, p) if p else _raw(value)
+    else:
+        raise ValueError(f"cannot coerce {value!r} into {field}")
+    if p:
+        return raw % p
+    return [raw, 0] if field.kind == "Qi" else raw
 
 
 def _width(degree: int) -> int:
@@ -576,18 +581,18 @@ class Polynomial:
                 raise ValueError(f"exponent vector {exps} has arity {len(exps)}, expected {nvars}")
             if min(exps, default=0) < 0:
                 raise ValueError(f"negative exponent in {exps}")
-            checked.append((exps, field.coerce(coeff)))
+            checked.append((exps, _raw_value(field, coeff)))
         # Packed at the width of the highest degree given; _from_view packs
         # the sum again at its own, should that degree cancel.
         width = _width(max([sum(exps) for exps, _ in checked], default=0))
         pack = _codec(nvars, width)[0]
         acc: dict[int, int | Fraction] = {}
-        for exps, coeff in checked:
+        for exps, value in checked:
             key = pack(exps)
             if field.kind == "Qi":
-                halves = ((key << 2 | 1, _raw(coeff.im)), (key << 2, _raw(coeff.re)))
+                halves = ((key << 2 | 1, value[1]), (key << 2, value[0]))
             else:
-                halves = ((key, coeff.value if field.p else _raw(coeff)),)
+                halves = ((key, value),)
             for k, value in halves:
                 acc[k] = acc.get(k, 0) + value
         return cls._from_settled(field, nvars, width, _settle(field, acc))
@@ -701,8 +706,18 @@ class Polynomial:
     def variable(cls, field: Field, nvars: int, index: int) -> "Polynomial":
         if not 0 <= index < nvars:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
-        return cls.from_pairs(
-            field, nvars, ((tuple(int(k == index) for k in range(nvars)), field.one),))
+        # Total degree 1 in the top field and exponent 1 in field x{index},
+        # above the two bits of i over QQ(i): one key, whatever ``nvars``.
+        key = (1 << 32 * nvars) + (1 << 32 * (nvars - 1 - index))
+        return cls._from_view(field, nvars, 32, [(key << 2 if field.kind == "Qi" else key, 1)])
+
+    @classmethod
+    def _i(cls, field: Field, nvars: int) -> "Polynomial":
+        # The constant i: its view over QQ(i), else field.i(), which raises
+        # where the field has no square root of -1.
+        if field.kind == "Qi":
+            return cls._from_view(field, nvars, 32, [(1, 1)])
+        return cls.constant(field, nvars, field.i())
 
     @classmethod
     def monomial(cls, field: Field, nvars: int, exponents: Iterable[int], coeff=1) -> "Polynomial":
@@ -1071,7 +1086,7 @@ class _Parser:
             if text == "i":
                 if self.field.kind != "Qi":
                     raise ParseError("'i' is only available over QQ(i)", at)
-                return self.view([(1, 1)])
+                return Polynomial._i(self.field, self.nvars)
             # Name tokens are ASCII, so isdigit() reads the \d+ of "x\d+".
             if text[:1] != "x" or not text[1:].isdigit():
                 raise ParseError(f"unknown variable {text!r}", at)
@@ -1080,10 +1095,7 @@ class _Parser:
                 raise ParseError(
                     f"unknown variable {text!r} (only x0..x{self.nvars - 1} in scope)", at
                 )
-            # Total degree 1 in the top field and exponent 1 in field
-            # x{index}, above the two bits of i over QQ(i).
-            key = (1 << 32 * self.nvars) + (1 << 32 * (self.nvars - 1 - index))
-            return self.view([(key << 2 if self.field.kind == "Qi" else key, 1)])
+            return Polynomial.variable(self.field, self.nvars, index)
         raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", at)
 
 

@@ -406,7 +406,7 @@ def reduce(F: MatrixFactorization) -> MatrixFactorization:
     """
     s0: SparseRows = {r: dict(row) for r, row in enumerate(F.s0.rows)}
     s1: SparseRows = {r: dict(row) for r, row in enumerate(F.s1.rows)}
-    one = Polynomial._from_view(F.field, F.nvars, 32, [(0, 1)])
+    one = Polynomial.constant(F.field, F.nvars, 1)
     for a, b in ((s0, s1), (s1, s0)):
         r = 0
         while (pos := _find_unit(a, r)) is not None:
@@ -501,9 +501,9 @@ def fermat(pairs: int, half_degree: int, *, solo: bool = False,
     log_rank = pairs if solo else pairs - 1
     if log_rank >= MAX_FERMAT_RANK.bit_length():  # 2^log_rank > MAX_FERMAT_RANK
         raise ValueError(f"rank 2^{log_rank} exceeds MAX_FERMAT_RANK = {MAX_FERMAT_RANK}")
-    i_scalar = field.i()
     m = half_degree
     nvars = 2 * pairs + (1 if solo else 0)
+    i = Polynomial._i(field, nvars)
 
     def power(index: int) -> Polynomial:
         return Polynomial.variable(field, nvars, index) ** m
@@ -511,7 +511,7 @@ def fermat(pairs: int, half_degree: int, *, solo: bool = False,
     factors = []
     for j in range(pairs):
         u, v = power(2 * j), power(2 * j + 1)
-        factors.append(rank_one(u * u + v * v, u + v * i_scalar, u - v * i_scalar))
+        factors.append(rank_one(u * u + v * v, u + v * i, u - v * i))
     if solo:
         w = power(2 * pairs)
         factors.append(rank_one(w * w, w, w))

@@ -23,7 +23,7 @@ from mfkit.algebra import (
     parse_poly,
 )
 
-from _factories import packed_view
+from _factories import packed_view, reference_coerce
 
 FIELDS = [QQ, QI, GF(13), GF(PRIME_LIMIT)]
 
@@ -132,6 +132,93 @@ class TestOneCanonicalValue:
         field, nvars, pairs = drawn
         p = Polynomial(field, nvars, pairs)
         assert p.constant_term == dict(p.terms).get((0,) * nvars, field.zero)
+
+
+@st.composite
+def outside_values(draw, field):
+    """Any value an outside caller may hand to Field.coerce or from_pairs:
+    ints (negative, zero, past 2^64) and bools; Fractions, some with a
+    denominator that is a multiple of a prime the fields use; Gaussian
+    rationals; residues of the field's own prime and of another."""
+    p = field.p or 13
+    ints = st.integers(-30, 30) | st.integers(-2**70, 2**70)
+    fractions = st.builds(lambda n, d, m: Fraction(n, d * m), ints, st.integers(1, 9),
+                          st.sampled_from([1, p, 13]))
+    primes = st.sampled_from([p, 13, 17, PRIME_LIMIT])
+    return draw(st.one_of(
+        ints, st.booleans(), fractions,
+        st.builds(GaussianRational, fractions, fractions | ints),
+        st.builds(FpElement, ints, primes)))
+
+
+def outcome(call):
+    """(type, value) of what call returns, or (type, message) of what it raises."""
+    try:
+        value = call()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+class TestOneConverter:
+    """Field.coerce and from_pairs read an outside value by one converter
+    to the raw view value; both agree with the scalar path it replaced."""
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @given(data=st.data())
+    def test_coerce_matches_the_reference(self, field, data):
+        value = data.draw(outside_values(field))
+        assert outcome(lambda: field.coerce(value)) == outcome(lambda: reference_coerce(field, value))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @given(data=st.data())
+    def test_from_pairs_matches_coerced_pairs(self, field, data):
+        exponents = st.tuples(st.integers(0, 3), st.integers(0, 3))
+        pairs = data.draw(st.lists(st.tuples(exponents, outside_values(field)), max_size=6))
+
+        def views(call):
+            kind, p = outcome(call)
+            return (kind, p) if isinstance(p, str) else (kind, p._view, p.terms, repr(p), str(p))
+
+        assert views(lambda: Polynomial.from_pairs(field, 2, pairs)) == views(
+            lambda: Polynomial.from_pairs(
+                field, 2, [(exps, reference_coerce(field, c)) for exps, c in pairs]))
+
+    @pytest.mark.parametrize("field", [GF(13), GF(PRIME_LIMIT)], ids=str)
+    def test_a_denominator_divisible_by_p_is_refused(self, field):
+        for call in (field.coerce, lambda c: reference_coerce(field, c),
+                     lambda c: Polynomial.constant(field, 1, c)):
+            with pytest.raises(ZeroDivisionError, match=rf"^inverse of zero in F_{field.p}$"):
+                call(Fraction(1, 2 * field.p))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @pytest.mark.parametrize("nvars", [1, 2, 1024])
+    def test_variable_is_the_parsed_variable(self, field, nvars):
+        for k in {0, nvars - 1}:
+            variable, parsed = Polynomial.variable(field, nvars, k), parse_poly(f"x{k}", field, nvars)
+            assert variable == parsed and variable._view == parsed._view
+            assert variable.terms == parsed.terms
+
+    @pytest.mark.parametrize("nvars", [1, 3])
+    def test_i_is_the_parsed_i(self, nvars):
+        i = Polynomial._i(QI, nvars)
+        for other in (parse_poly("i", QI, nvars), parse_poly("(0 + 1*i)", QI, nvars),
+                      Polynomial.constant(QI, nvars, QI.i())):
+            assert i == other and i._view == other._view
+        assert Polynomial._i(GF(13), nvars) == Polynomial.constant(GF(13), nvars, GF(13).i())
+        with pytest.raises(ValueError, match=r"^QQ contains no square root of -1$"):
+            Polynomial._i(QQ, 1)
+
+    def test_i_of_each_prime_field(self):
+        # i squares to -1 where has_sqrt_minus_one holds, and raises where not.
+        for p in (2, 3, 5, 7, 13, 17, PRIME_LIMIT):
+            field = GF(p)
+            if field.has_sqrt_minus_one():
+                assert field.i() * field.i() == field.coerce(-1)
+            else:
+                with pytest.raises(ValueError, match=rf"^GF\({p}\) contains no square root of -1$"):
+                    field.i()
+        assert GF(2).i() == FpElement(1, 2)
 
 
 class TestCountTables:

@@ -2,6 +2,7 @@
 the CLI imports and builds only what the command runs."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 import mfkit
 from mfkit import algebra, mf
 from mfkit.cli import COMMANDS, GROUPS, _UsageError, build_parser, main, mf_to_document
-from test_cli import GOLDEN_USAGE_ERRORS
+from test_cli import GOLDEN, GOLDEN_USAGE_ERRORS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -148,6 +149,34 @@ def test_reduce_over_gaussian_units_loads_no_fractions(tmp_path):
     output, modules = child_run("mf", "reduce", "rs.json", cwd=tmp_path)
     assert output == json.dumps(SPLIT_FIRST_REDUCED, indent=2) + "\n"
     assert not (RATIONALS | HASHLIB) & modules
+
+
+# Every coefficient these build is an integer: 1, i and the variables.
+@pytest.mark.parametrize("case", ["mf fermat --pairs 2 --half-degree 2",
+                                  "mf fermat --pairs 1 --half-degree 2 --solo"])
+def test_fermat_over_gaussian_rationals_loads_no_fractions(case):
+    output, modules = child_run(*case.split())
+    assert hashlib.sha256(output.encode()).hexdigest() == GOLDEN[f"{case} [text]"]["stdout"]
+    assert not RATIONALS & modules
+
+
+CONSTRUCTORS = """\
+import sys
+from mfkit import algebra, graded, mf
+for field in (algebra.QQ, algebra.QI):
+    f = algebra.parse_poly("x0^2 + x1^2", field, 2)
+    mf.trivial_one_f(f)
+    mf.trivial_f_one(f)
+    graded.HomogeneousMatrix.identity(field, 2, graded.DegreeMultiset((0, 1)))
+print("fractions" in sys.modules)
+"""
+
+
+def test_constructors_of_integral_factorizations_load_no_fractions():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    done = subprocess.run([sys.executable, "-S", "-c", CONSTRUCTORS], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 HALF = """{"schema": "mfkit/mf-v1", "field": {"type": "Q"}, "nvars": 1, "d": 2, \
