@@ -70,6 +70,12 @@ def documents() -> dict[str, dict]:
     dense = {"schema": "mfkit/mf-v1", "field": {"type": "Q"}, "nvars": 1, "d": 2,
              "f": "x0^2", "F0_degrees": [1] * rank, "F1_degrees": [0] * rank,
              "s0": [["x0"] * rank] * rank, "s1": [["x0"] * rank] * rank}
+    # The trivial factorization (1, f) of f = x0 + ... + x1023, printed,
+    # in algebra.MAX_NVARS variables, declaring a 4,000-digit degree: the
+    # printed-form scan packs f at the width of its bound clamped to
+    # 2^31 - 1, 32 bits, not in fields of 16,384 bits (1,024 keys of 2 MB).
+    printed_every = " + ".join(f"x{k}" for k in range(algebra.MAX_NVARS))
+    huge_degree = dict(every_variable, d=10**3999, f=printed_every, s1=[[printed_every]])
     return {
         "tower": tower, "expansion": expansion, "long_sum": long_sum,
         # long_sum with one more " +" at the end of its f: printed text up
@@ -96,7 +102,7 @@ def documents() -> dict[str, dict]:
         # reader.
         "exponent_digits": dict(power, d=1, f="x0", s0=[["x0^" + past_digits]], s1=[["x0"]]),
         "index_digits": dict(power, d=1, f="x0", s0=[["x" + past_digits]], s1=[["x0"]]),
-        "dense": dense,
+        "dense": dense, "huge_degree": huge_degree,
     }
 
 
@@ -167,6 +173,7 @@ CASES = [
     running(2, "rho", "structure-sheaf", "--n", "2", "--d", "64001"),
     running(2, "sweep", "rho-structure-sheaf", "--n-max", "2", "--d-max", "1001"),
     running(2, "mf", "validate", "dense.json"),
+    validating("huge_degree", 2, "f must be homogeneous of the declared degree d = 1000"),
 ]
 
 

@@ -33,20 +33,25 @@ A sum of any number of signed summands is one ``Polynomial._signed_sum``
 (each summand times +1 or -1, at the widest summand's width), and a power
 is one ``Polynomial._power``: a one-term base has its view scaled by
 ``_view_power``, any other is squared and multiplied.  The matrix kernel
-``Polynomial._product_rows`` forms the rows of a product of two sparse
-polynomial matrices for :func:`graded.compose` and the splits of
-:func:`mf.reduce`; each output row is accumulated in one dict keyed by
-column and monomial and sorted once (Gustavson, ACM TOMS 4(3), 1978).
+``Polynomial._row_sums`` yields the rows of a product of two sparse
+polynomial matrices one at a time, each accumulated in one dict keyed by
+column and monomial and settled (Gustavson, ACM TOMS 4(3), 1978).
+:func:`mf.validate` compares each yielded row with f and stops at the
+first that differs; ``Polynomial._product_rows`` sorts each row once
+and splits it into polynomials, for :func:`graded.compose` and the
+splits of :func:`mf.reduce`.
 
 The loop runs on each polynomial's view.  The view packs each
 monomial into one int (Monagan and Pearce, CASC 2007): the total degree
 in the top field, then x0, x1, ... in fields of equal width, so that
 adding two ints multiplies the monomials and int order is graded
-lexicographic order.  The width is 32 bits, doubled until the degree of
-every operand stays below half of the field range; one loop thus covers
-every degree.  Coefficients are raw: GF(p) residues as plain ints,
-summed unreduced and reduced ``% p`` once per output term; QQ values as
-ints or Fractions.  Over QQ(i) a coefficient splits into its nonzero
+lexicographic order.  The width is ``_MIN_WIDTH`` = 8 bits, doubled
+until the degree of every operand stays below half of the field range;
+one loop thus covers every degree.  Narrow fields keep keys short: a
+degree-4 monomial in 12 variables packs into 104 bits, not 416, and the
+dict updates of the loop hash and add ints of that size.  Coefficients
+are raw: GF(p) residues as plain ints, summed unreduced and reduced
+``% p`` once per output term; QQ values as ints or Fractions.  Over QQ(i) a coefficient splits into its nonzero
 real and imaginary halves, the exponent of i kept in the two low bits of
 the key, so a product of halves is one multiplication: the coefficients
 1 and i of Fermat-type factorizations cost one dict update per term
@@ -101,8 +106,8 @@ The recursive parser evaluates with the polynomial operators, which keep
 every result at the width of its degree: the summands of a sum are added
 by one ``Polynomial._signed_sum``, ``*`` is ``a * b``, unary ``-`` is
 ``-p`` and ``^`` is ``Polynomial._power``.  Its atoms are views at width
-32, made in O(1) whatever ``nvars``: a number is one pair, ``i`` is
-``Polynomial._i`` and a variable :meth:`Polynomial.variable`.
+``_MIN_WIDTH``, made in O(1) whatever ``nvars``: a number is one pair,
+``i`` is ``Polynomial._i`` and a variable :meth:`Polynomial.variable`.
 
 The parser bounds the work of one parse: an optional degree bound on
 every ``*`` and ``^``, MAX_PARSE_PRODUCTS term products, and
@@ -124,7 +129,7 @@ is correct.
 from __future__ import annotations
 
 import re
-from collections.abc import Collection, Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from functools import cached_property, lru_cache
 from itertools import groupby
 from math import gcd, prod
@@ -163,6 +168,9 @@ MAX_PARSE_PRODUCTS = 2**16
 # product budget free, so without it (((2*x0)^1024)^1024)^1024 would
 # build a 2^30-bit integer within any degree bound of 2^30 or more.
 MAX_PARSE_BITS = 2**24
+
+# Bits per field of the narrowest packed monomials: total degrees up to 127.
+_MIN_WIDTH = 8
 
 
 class ParseError(ValueError):
@@ -411,9 +419,10 @@ def _raw_value(field: Field, value) -> int | Fraction | list:
 
 def _width(degree: int) -> int:
     # Bits per field of the packed monomials of a polynomial of total
-    # degree `degree`: the least 32 * 2^k with degree < 2^(width - 1), so
-    # that the degree of a product of two such polynomials still fits.
-    width = 32
+    # degree `degree` >= 0: the least _MIN_WIDTH * 2^k with degree <
+    # 2^(width - 1), so that the degree of a product of two such
+    # polynomials still fits.  A negative degree never leaves the loop.
+    width = _MIN_WIDTH
     while degree >> (width - 1):
         width *= 2
     return width
@@ -437,6 +446,18 @@ def _degree_shift(field: Field, nvars: int, width: int) -> int:
     # of nvars + 1, above the two bits that hold the exponent of i over
     # QQ(i).
     return width * nvars + (2 if field.kind == "Qi" else 0)
+
+
+def _column_shift(field: Field, nvars: int, width: int) -> int:
+    # The kernel keys a term of column c as c << this | key: above the
+    # field of the total degree, which a product of two operands of
+    # ``width`` fills.
+    return _degree_shift(field, nvars, width) + width
+
+
+def _kernel_width(*matrices: Iterable[Iterable[tuple[int, "Polynomial"]]]) -> int:
+    # The width of the widest entry of these sparse rows.
+    return max([p._view[0] for rows in matrices for row in rows for _, p in row], default=_MIN_WIDTH)
 
 
 @lru_cache(maxsize=64)
@@ -604,7 +625,7 @@ class Polynomial:
         """The sum of ``left * right`` over ``pairs``, at the width of the
         widest operand.  Trusted, as :meth:`_product_rows` is."""
         pairs = list(pairs)
-        width = max([p._view[0] for pair in pairs for p in pair], default=32)
+        width = max([p._view[0] for pair in pairs for p in pair], default=_MIN_WIDTH)
         return cls._from_settled(field, nvars, width, _sum_products(
             field, [(left._kernel_view(width), right._kernel_view(width)) for left, right in pairs]))
 
@@ -631,16 +652,27 @@ class Polynomial:
         given by their sparse rows of (column, polynomial), zeros allowed.
         Row r of the result lists the nonzero sums of L[r][m] * R[m][c]
         over m as (c, polynomial), c ascending (Gustavson, ACM TOMS 4(3),
-        1978).  Each result row is accumulated in one dict keyed by column
-        and packed monomial and sorted once; each row of R is packed once
-        per call.  Trusted: every operand must lie in the ring (``field``,
+        1978): the rows that :meth:`_row_sums` yields at the width of the
+        widest operand, each sorted once and split into its polynomials.
+        Trusted: every operand must lie in the ring (``field``,
         ``nvars``).  See the module docstring."""
-        # The widest operand sets the width.
-        width = max([p._view[0] for rows in (left_rows, right_rows) for row in rows
-                     for _, p in row], default=32)
-        shift = _degree_shift(field, nvars, width) + width
+        width = _kernel_width(left_rows, right_rows)
+        shift = _column_shift(field, nvars, width)
+        return [cls._row_from_sums(field, nvars, width, shift, sums)
+                for sums in cls._row_sums(field, nvars, width, left_rows, right_rows)]
+
+    @classmethod
+    def _row_sums(cls, field: Field, nvars: int, width: int, left_rows: Iterable[Iterable[tuple]],
+                  right_rows: Sequence[Iterable[tuple]]) -> Iterator[dict]:
+        """The kernel's loop, one row of L * R at a time: yields the
+        settled sums of each row as one dict {c << shift | k: value}, for
+        the column c and the key k at ``width`` of each nonzero term, where
+        shift is ``_column_shift(field, nvars, width)``; ``width`` must
+        hold every operand.  Each row of R is packed once, on first use,
+        and kept across rows; a consumer that stops early forms no later
+        row.  Trusted, as :meth:`_product_rows` is."""
+        shift = _column_shift(field, nvars, width)
         right_terms: dict[int, list] = {}
-        out = []
         for row in left_rows:
             acc: dict[int, int | Fraction] = {}
             for m, left in row:
@@ -650,20 +682,18 @@ class Polynomial:
                     for c, right in right_rows[m]:
                         terms = right._kernel_view(width)
                         if c:
-                            base = c << shift
-                            terms = [(base + k, value) for k, value in terms]
+                            terms = [((c << shift) + k, value) for k, value in terms]
                         rterms += terms
                 _accumulate(acc, left._kernel_view(width), rterms)
-            out.append(cls._row_from_sums(field, nvars, width, shift, acc) if acc else [])
-        return out
+            yield _settle(field, acc)
 
     @classmethod
     def _row_from_sums(cls, field: Field, nvars: int, width: int, shift: int,
-                       acc: dict[int, int | Fraction]) -> list[tuple[int, "Polynomial"]]:
-        # The nonzero polynomials of one accumulated row: the settled
-        # (key, value) pairs, sorted once and split at the column slots
-        # above ``shift``, each slot's pairs one polynomial's view.
-        items = sorted(_settle(field, acc).items(), reverse=True)
+                       sums: dict[int, int | Fraction]) -> list[tuple[int, "Polynomial"]]:
+        # The nonzero polynomials of one row that _row_sums yields: its
+        # pairs sorted once and split at the column slots above ``shift``,
+        # each slot's pairs one polynomial's view.
+        items = sorted(sums.items(), reverse=True)
         mask = (1 << shift) - 1
         row = [(slot, cls._from_view(field, nvars, width,
                                      [(k & mask, value) for k, value in group]))
@@ -696,7 +726,7 @@ class Polynomial:
 
     @classmethod
     def zero(cls, field: Field, nvars: int) -> "Polynomial":
-        return cls._from_view(field, nvars, 32, [])
+        return cls._from_view(field, nvars, _MIN_WIDTH, [])
 
     @classmethod
     def constant(cls, field: Field, nvars: int, value) -> "Polynomial":
@@ -708,15 +738,15 @@ class Polynomial:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         # Total degree 1 in the top field and exponent 1 in field x{index},
         # above the two bits of i over QQ(i): one key, whatever ``nvars``.
-        key = (1 << 32 * nvars) + (1 << 32 * (nvars - 1 - index))
-        return cls._from_view(field, nvars, 32, [(key << 2 if field.kind == "Qi" else key, 1)])
+        key = (1 << _MIN_WIDTH * nvars) + (1 << _MIN_WIDTH * (nvars - 1 - index))
+        return cls._from_view(field, nvars, _MIN_WIDTH, [(key << 2 if field.kind == "Qi" else key, 1)])
 
     @classmethod
     def _i(cls, field: Field, nvars: int) -> "Polynomial":
         # The constant i: its view over QQ(i), else field.i(), which raises
         # where the field has no square root of -1.
         if field.kind == "Qi":
-            return cls._from_view(field, nvars, 32, [(1, 1)])
+            return cls._from_view(field, nvars, _MIN_WIDTH, [(1, 1)])
         return cls.constant(field, nvars, field.i())
 
     @classmethod
@@ -784,7 +814,7 @@ class Polynomial:
             re, im = tail.get(0, 0), tail.get(1, 0)
             if (re, im) in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                 view = [(1, im)] if im else [(0, -re)]
-                return Polynomial._from_view(field, self.nvars, 32, view)
+                return Polynomial._from_view(field, self.nvars, _MIN_WIDTH, view)
         return Polynomial.constant(field, self.nvars, -field.inv(self.constant_term))
 
     # -- arithmetic -----------------------------------------------------
@@ -842,7 +872,7 @@ class Polynomial:
         # module's _power, each product formed by ``times``.
         field, nvars = self.field, self.nvars
         if _size(field, self._view[1]) != 1:
-            return _power(self, exponent, Polynomial._from_view(field, nvars, 32, [(0, 1)]), times)
+            return _power(self, exponent, Polynomial._from_view(field, nvars, _MIN_WIDTH, [(0, 1)]), times)
         width = _width(self.total_degree * exponent)
         return Polynomial._from_view(field, nvars, width,
                                      _view_power(field, self._kernel_view(width), exponent))
@@ -997,8 +1027,8 @@ class _Parser:
         return a * b
 
     def view(self, pairs: list) -> Polynomial:
-        # An atom: the polynomial of these view pairs at width 32.
-        return Polynomial._from_view(self.field, self.nvars, 32, pairs)
+        # An atom: the constant of these view pairs, at the narrowest width.
+        return Polynomial._from_view(self.field, self.nvars, _MIN_WIDTH, pairs)
 
     def parse(self) -> Polynomial:
         poly = self.expr()
@@ -1123,21 +1153,33 @@ def _literal(value: int, denominator: str | None, p: int | None, at: int,
 def _scan_printed(text: str, field: Field, nvars: int, max_degree: int | None) -> Polynomial | None:
     """The polynomial of ``text`` if it is in the printed form (see the
     module docstring) and :class:`_Parser` would read it without error,
-    else None.  The keys and raw values are those _Parser builds at width
-    32; every budget, bound and limit _Parser checks is read at call time,
-    and the text is handed back (None) wherever one of them would raise.
-    Literals are read as _Parser reads them, by int() and :func:`_literal`,
-    so a ValueError of either (the interpreter's digit limit included)
-    hands the text back too."""
+    else None.  The keys and raw values are those _Parser builds, packed
+    at the width of ``max_degree`` clamped to [0, 2^31 - 1].  That width
+    holds every term the scan keeps: an unstarred term has degree at most
+    1, a starred one past ``max_degree`` is handed back, and so is any
+    term the width cannot hold.  Where the highest degree read has a
+    narrower width, as in a document's entry only if it is not of its
+    bound's degree, the text is read again under that degree as the
+    bound, which admits the same terms.  Unbounded (None), the text is
+    packed at ``_MIN_WIDTH`` and, where a term needs wider fields, read
+    again under the bound 2^31 - 1, which admits the same terms.  The
+    clamp keeps the fields at most 32 bits wide whatever the bound (a
+    bound of 10^1000 would give 4,096-bit fields), and _width of a
+    negative bound would never return.  Every budget, bound and limit
+    _Parser checks is read at call time, and the text is handed back
+    (None) wherever one of them would raise.  Literals are read as _Parser
+    reads them, by int() and :func:`_literal`, so a ValueError of either
+    (the interpreter's digit limit included) hands the text back too."""
     max_exponent = MAX_EXPONENT
     if not text.isascii() or MAX_PARSE_BITS < 0 and "^" in text:
         return None
     p = field.p
     gaussian = field.kind == "Qi"
     low = 2 if gaussian else 0
-    degree_shift = 32 * nvars + low
-    # The shift of field x0; x{k} sits 32 * k bits lower.
-    top = degree_shift - 32
+    width = _MIN_WIDTH if max_degree is None else _width(min(max(max_degree, 0), 2**31 - 1))
+    degree_shift = width * nvars + low
+    # The shift of field x0; x{k} sits width * k bits lower.
+    top = degree_shift - width
     acc: dict[int, int | Fraction] = {}
     words = text.split(" ")
     count = len(words)
@@ -1191,15 +1233,25 @@ def _scan_printed(text: str, field: Field, nvars: int, max_degree: int | None) -
                 if index >= nvars or e > max_exponent:
                     return None
                 degree += e
-                key += e << (top - 32 * index)
-            if degree >> 31 or (starred and max_degree is not None and degree > max_degree):
+                key += e << (top - width * index)
+            if degree >> (width - 1) or (starred and max_degree is not None and degree > max_degree):
+                # Unbounded, a term too wide for the narrowest fields has the
+                # text read again under 2^31 - 1, which admits the same terms.
+                if max_degree is None and not degree >> 31:
+                    return _scan_printed(text, field, nvars, 2**31 - 1)
                 return None
             key += degree << degree_shift
             for half, value in coefficients:
                 acc[key + half] = acc.get(key + half, 0) + value
             j += 1
             if j == count:
-                return Polynomial._from_settled(field, nvars, 32, _settle(field, acc))
+                # Read again under the tight bound of the highest degree read,
+                # where that degree's width is narrower: _from_view would pack
+                # every key again, and a key of 1,024 32-bit fields costs a
+                # thousand shifts of a 4 KB int.
+                if _width(highest := max(acc, default=0) >> degree_shift) < width:
+                    return _scan_printed(text, field, nvars, highest)
+                return Polynomial._from_settled(field, nvars, width, _settle(field, acc))
             op = words[j]
             if op not in ("+", "-") or j + 1 == count:
                 return None

@@ -32,8 +32,8 @@ from itertools import chain, groupby, permutations, product
 from operator import itemgetter
 
 from ._value import Counts, value_class
-from .algebra import QI, Field, Polynomial
-from .graded import DegreeMultiset, HomogeneousMatrix, Row, compose
+from .algebra import QI, Field, Polynomial, _column_shift, _kernel_width, _width
+from .graded import DegreeMultiset, HomogeneousMatrix, Row
 
 # A matrix under reduction: {row: {column: nonzero entry}} over the generators left.
 SparseRows = dict[int, dict[int, Polynomial]]
@@ -163,11 +163,15 @@ def validate(F: MatrixFactorization) -> list[str]:
     """Diagnostics list; empty iff F is a valid graded matrix
     factorization of its polynomial.
 
-    Only s1*s0 is computed when it equals f*id; s0*s1 is computed only to
-    report its own mismatch.  At that point rank(F0) = rank(F1) = r and
-    f != 0, and k[x] is a domain: det(s1)*det(s0) = f^r != 0, so s0 is
-    invertible over the fraction field, s1 = f*s0^-1, and
-    s0*s1 = s0*(f*s0^-1) = f*id."""
+    The composites are checked row by row as the kernel sums them
+    (:meth:`Polynomial._row_sums`): each settled row is compared with f
+    in its diagonal column, and each composite stops at its first row
+    that differs, the only row made into polynomials, to report its
+    first offending entry.  Only s1*s0 is computed when it equals f*id;
+    s0*s1 is computed only to report its own mismatch.  At that point
+    rank(F0) = rank(F1) = r and f != 0, and k[x] is a domain:
+    det(s1)*det(s0) = f^r != 0, so s0 is invertible over the fraction
+    field, s1 = f*s0^-1, and s0*s1 = s0*(f*s0^-1) = f*id."""
     problems: list[str] = []
     f = F.f
     deg = f.total_degree
@@ -189,14 +193,22 @@ def validate(F: MatrixFactorization) -> list[str]:
     if problems:
         return problems
 
-    # Composite identities; report the first offending entry of each.  Row r
-    # of f*id is ((r, f),); s0*s1 is formed only when s1*s0 is not f*id.
-    for name, left, right in (("s1*s0", F.s1.twist(deg), F.s0), ("s0*s1", F.s0, F.s1)):
-        for r, row in enumerate(compose(left, right).rows):
-            if row != ((r, f),):
+    # Composite identities; report the first offending entry of each.  Each
+    # row is checked as the kernel settles it: row r of f*id is f's view in
+    # column r.  The width's fields need only hold f's degree, as they hold
+    # that of any product of two operands, so f of degree 128 over entries
+    # of degree 64 is compared at 8 bits and no operand is packed again.
+    # Only a reported row is split into polynomials, and no row after it
+    # is formed; s0*s1 is formed only when s1*s0 is not f*id.
+    for name, left, right in (("s1*s0", F.s1.rows, F.s0.rows), ("s0*s1", F.s0.rows, F.s1.rows)):
+        width = max(_kernel_width(left, right), _width(deg >> 1))
+        shift, view = _column_shift(f.field, f.nvars, width), f._kernel_view(width)
+        for r, sums in enumerate(Polynomial._row_sums(f.field, f.nvars, width, left, right)):
+            if sums != {(r << shift) + k: value for k, value in view}:
                 # The row differs at its nonzeros off the diagonal and, unless
                 # it holds f there, at (r, r).
-                got, zero = dict(row), Polynomial.zero(f.field, f.nvars)
+                got = dict(Polynomial._row_from_sums(f.field, f.nvars, width, shift, sums))
+                zero = Polynomial.zero(f.field, f.nvars)
                 c = min(c for c in {*got, r} if c != r or got.get(r, zero) != f)
                 expected, entry = (f if r == c else zero), got.get(c, zero)
                 problems.append(f"{name} disagrees with f*id at entry ({r},{c}): got {entry}, "

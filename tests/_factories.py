@@ -38,6 +38,56 @@ def reference_coerce(self: Field, value):
     raise ValueError(f"cannot coerce {value!r} into {self}")
 
 
+def compose_validate(F: mf.MatrixFactorization) -> list[str]:
+    """``mf.validate`` as it was before it checked each row of a
+    composite as the kernel settles it, body unchanged: both composites
+    are formed whole by ``graded.compose`` and compared with f*id row by
+    row.  Kept for the differential tests.
+
+    Only s1*s0 is computed when it equals f*id; s0*s1 is computed only to
+    report its own mismatch.  At that point rank(F0) = rank(F1) = r and
+    f != 0, and k[x] is a domain: det(s1)*det(s0) = f^r != 0, so s0 is
+    invertible over the fraction field, s1 = f*s0^-1, and
+    s0*s1 = s0*(f*s0^-1) = f*id."""
+    problems: list[str] = []
+    f = F.f
+    deg = f.total_degree
+    if f.is_zero or not f.is_homogeneous or not isinstance(deg, int) or deg < 1:
+        return [f"f = {f} must be homogeneous of degree >= 1"]
+    for name, matrix in (("s0", F.s0), ("s1", F.s1)):
+        if matrix.field != f.field or matrix.nvars != f.nvars:
+            return [f"{name} lives in a different polynomial ring than f"]
+    f0, f1 = F.s0.source, F.s0.target
+    if f0.rank != f1.rank:
+        problems.append(f"rank mismatch: rank(F0) = {f0.rank}, rank(F1) = {f1.rank}")
+    if F.s1.source != f1.twist(-deg):
+        problems.append(f"s1 source degrees {F.s1.source} must be F1 degrees shifted by d = {deg}: "
+                        f"{f1.twist(-deg)}")
+    if F.s1.target != f0:
+        problems.append(f"s1 target degrees {F.s1.target} must equal F0 degrees {f0}")
+    problems.extend(f"s0 {msg}" for msg in F.s0.validate())
+    problems.extend(f"s1 {msg}" for msg in F.s1.validate())
+    if problems:
+        return problems
+
+    # Composite identities; report the first offending entry of each.  Row r
+    # of f*id is ((r, f),); s0*s1 is formed only when s1*s0 is not f*id.
+    for name, left, right in (("s1*s0", F.s1.twist(deg), F.s0), ("s0*s1", F.s0, F.s1)):
+        for r, row in enumerate(compose(left, right).rows):
+            if row != ((r, f),):
+                # The row differs at its nonzeros off the diagonal and, unless
+                # it holds f there, at (r, r).
+                got, zero = dict(row), Polynomial.zero(f.field, f.nvars)
+                c = min(c for c in {*got, r} if c != r or got.get(r, zero) != f)
+                expected, entry = (f if r == c else zero), got.get(c, zero)
+                problems.append(f"{name} disagrees with f*id at entry ({r},{c}): got {entry}, "
+                                f"expected {expected}, difference {entry - expected}")
+                break
+        else:
+            break
+    return problems
+
+
 def random_scalar(field: Field, rng: random.Random, nonzero: bool = False):
     while True:
         if field.kind == "Q":
@@ -193,9 +243,9 @@ def raw(q: Fraction) -> int | Fraction:
 
 
 def natural_width(poly):
-    # The field width of a view: the least 32 * 2^k above the total degree
+    # The field width of a view: the least 8 * 2^k above the total degree
     # by one bit, so that the degree of a product still fits.
-    degree, width = sum(poly.terms[0][0]) if poly.terms else 0, 32
+    degree, width = sum(poly.terms[0][0]) if poly.terms else 0, 8
     while degree >= 2 ** (width - 1):
         width *= 2
     return width

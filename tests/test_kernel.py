@@ -3,7 +3,7 @@
 Arithmetic results skip validation.  The operators run the view
 operations of ``algebra`` and matrix products the kernel
 ``Polynomial._product_rows``.  Every polynomial holds its view:
-monomials packed into one int each, with fields of 32 bits doubled until
+monomials packed into one int each, with fields of 8 bits doubled until
 its degree fits, and raw coefficients (GF(p) residues summed unreduced,
 integral rationals as ints, QQ(i) coefficients split into real and
 imaginary halves).  It builds its terms from the view on first read, and
@@ -52,9 +52,9 @@ from mfkit.algebra import (GF, MAX_EXPONENT, MAX_NVARS, QI, QQ, FpElement, Gauss
 from mfkit.cli import MF_SCHEMA, SchemaError, document_to_mf, field_to_json, mf_to_document
 from mfkit.graded import DegreeMultiset, HomogeneousMatrix, compose
 
-from _factories import (kernel_sum_of_products, mix_bases, packed_view, partly_reducible,
-                        random_elementary, random_homogeneous, random_reduced_mf,
-                        random_valid_mf, raw, square_and_multiply)
+from _factories import (compose_validate, kernel_sum_of_products, mix_bases, packed_view,
+                        partly_reducible, random_elementary, random_homogeneous,
+                        random_reduced_mf, random_valid_mf, raw, square_and_multiply)
 
 # GF(2^31 - 1): products of two residues come near 2^62, and the kernel
 # sums them unreduced.
@@ -320,8 +320,8 @@ def assert_view(poly):
 # Exponents just below and above the degrees that each field width holds
 # (a view of width w holds total degrees below 2^(w-1)), near MAX_EXPONENT,
 # and at 2^40.
-WIDE_EXPONENTS = [0, 1, 2, MAX_EXPONENT - 1, MAX_EXPONENT, 2**30, 2**31 - 2, 2**31 - 1, 2**31,
-                  2**32, 2**40, 2**62, 2**63 - 1, 2**63, 2**126, 2**127]
+WIDE_EXPONENTS = [0, 1, 2, 63, 64, 127, 128, 32767, 32768, MAX_EXPONENT - 1, MAX_EXPONENT, 2**30,
+                  2**31 - 2, 2**31 - 1, 2**31, 2**32, 2**40, 2**62, 2**63 - 1, 2**63, 2**126, 2**127]
 
 
 def wide_term_lists(field, nvars, max_size=4, coeff=None):
@@ -385,9 +385,9 @@ def test_operators_match_kernel_route(field, data):
 
 def struct_codec(nvars, width):
     """``algebra._codec`` as it was: ``struct`` for 32- and 64-bit fields
-    and bytes for wider ones."""
+    and bytes for wider ones; ``struct`` also for 8- and 16-bit fields."""
     if width <= 64:
-        code = "I" if width == 32 else "Q"
+        code = {8: "B", 16: "H", 32: "I", 64: "Q"}[width]
         full, tail = Struct(f">{nvars + 1}{code}"), Struct(f">{nvars}{code}")
         size, skip = full.size, width // 8
 
@@ -410,7 +410,7 @@ def struct_codec(nvars, width):
     return pack, unpack
 
 
-@pytest.mark.parametrize("width", [32, 64, 128, 256])
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 128, 256])
 @given(data=st.data())
 def test_codec_matches_struct_codec(width, data):
     # Total degrees up to 2^(width - 1) - 1, the most a view of that width
@@ -653,10 +653,12 @@ def inflate(F, N):
 
 
 @pytest.mark.parametrize("field", [QQ, QI, GF(2**31 - 1)], ids=["QQ", "QQ(i)", "GF(2^31-1)"])
-@pytest.mark.parametrize("N", [2**28, 2**30, 2**62])
+@pytest.mark.parametrize("N", [64, 2**14, 2**28, 2**30, 2**62])
 def test_reduce_across_widths_matches_dense_elimination(field, N):
-    # With N = 2^28 every degree stays below 2^31; N = 2^30 and N = 2^62
-    # put operands of 32, 64 and 128-bit fields into one Schur update.
+    # N = 64 and N = 2^14 put operands of 8 and 16-bit, and of 16 and
+    # 32-bit fields into one Schur update; with N = 2^28 every degree stays
+    # below 2^31; N = 2^30 and N = 2^62 put operands of 32, 64 and 128-bit
+    # fields into one Schur update.
     F = partly_reducible(field, 8, random.Random(f"wide-{field}-{N}"))
     wide = inflate(F, N)
     assert mf.validate(wide) == []
@@ -1041,29 +1043,96 @@ def wrapped(monkeypatch):
     return built
 
 
+@pytest.fixture
+def composites(monkeypatch):
+    """The rows that each call of the row generator yields, one list per
+    call, and the arguments of every row split into polynomials."""
+    calls, split = [], []
+    row_sums, row_from_sums = Polynomial._row_sums.__func__, Polynomial._row_from_sums.__func__
+
+    def recording(cls, *args):
+        rows = []
+        calls.append(rows)
+        for sums in row_sums(cls, *args):
+            rows.append(sums)
+            yield sums
+
+    def splitting(cls, *args):
+        split.append(args)
+        return row_from_sums(cls, *args)
+
+    monkeypatch.setattr(Polynomial, "_row_sums", classmethod(recording))
+    monkeypatch.setattr(Polynomial, "_row_from_sums", classmethod(splitting))
+    return calls, split
+
+
 @pytest.mark.parametrize("field", [QI, GF(13)], ids=["QQ(i)", "GF(13)"])
-def test_validate_builds_no_composite_terms(monkeypatch, wrapped, field):
-    composites = []
-
-    def recording(a, b):
-        product = compose(a, b)
-        composites.append(product)
-        return product
-
-    monkeypatch.setattr(mf, "compose", recording)
+def test_validate_builds_no_composite_terms(wrapped, composites, field):
+    calls, split = composites
     built = mf.fermat(4, 2, field=field)
     loaded = document_to_mf(mf_to_document(built))
     for F in (built, loaded):
         wrapped.clear()
-        composites.clear()
+        calls.clear()
+        split.clear()
         assert mf.validate(F) == []
-        entries = [e for product in composites for row in product.rows for _, e in row]
-        assert len(composites) == 1 and len(entries) == F.rank
-        assert all("terms" not in e.__dict__ for e in entries)
+        # One composite of F.rank settled rows, each f's view in one column,
+        # and no row made into polynomials.
+        assert len(calls) == 1 and len(calls[0]) == F.rank
+        assert all(len(sums) == len(F.f._view[1]) for sums in calls[0])
+        assert split == []
         assert wrapped == []
-    # Printing reads the view, so it builds no terms either.
-    str(entries[0])
-    assert wrapped == []
+
+
+def dense_invalid_document(field, rank):
+    # Every entry x0, F0 degrees all 1, F1 degrees all 0, f = x0^2: every
+    # entry of either composite is rank * x0^2, so row 0 already fails.
+    return {"schema": MF_SCHEMA, "field": field_to_json(field), "nvars": 1, "f": "x0^2", "d": 2,
+            "F0_degrees": [1] * rank, "F1_degrees": [0] * rank,
+            "s0": [["x0"] * rank] * rank, "s1": [["x0"] * rank] * rank}
+
+
+@pytest.mark.parametrize("field", [QQ, QI, GF(13)], ids=["QQ", "QQ(i)", "GF(13)"])
+def test_validate_forms_no_row_after_the_first_bad_one(composites, field):
+    calls, split = composites
+    F = document_to_mf(dense_invalid_document(field, 16))
+    problems = mf.validate(F)
+    # Each composite stops at its row 0, the one row split.
+    assert [len(rows) for rows in calls] == [1, 1]
+    assert len(split) == 2
+    assert [problem.split(" ")[0] for problem in problems] == ["s1*s0", "s0*s1"]
+    assert problems == compose_validate(F)
+
+
+def validate_case(field, rng):
+    # A valid factorization: with trivial summands, partly reducible with
+    # mixed bases, or f of degree 128 over entries of degree below 128,
+    # so that the composite is checked at a width wider than its operands'.
+    kind = rng.randrange(3)
+    if kind == 0:
+        return random_valid_mf(rng, field=field)
+    if kind == 1:
+        return partly_reducible(field, rng.choice([4, 8]), rng)
+    F = random_elementary(field, 2, 128, rng)
+    G = random_elementary(field, 2, 128, rng)
+    return mf.tensor(F, G) if not (F.f + G.f).is_zero and rng.random() < 0.5 else F
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+@given(seed=st.integers(0, 2**32 - 1), perturb=st.booleans())
+def test_validate_matches_compose_validate(field, seed, perturb):
+    rng = random.Random(seed)
+    F = validate_case(field, rng)
+    assert mf.validate(F) == []
+    if perturb:
+        F = perturbed(F, rng)
+    want = compose_validate(F)
+    assert mf.validate(F) == want
+    # Read back from its document, which only a factorization whose
+    # entries have their degrees can make, every entry is one that the
+    # printed-form scan packed at the width of its bound.
+    if all(problem.startswith(("s1*s0 ", "s0*s1 ")) for problem in want):
+        assert mf.validate(document_to_mf(mf_to_document(F))) == want
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
@@ -1152,11 +1221,12 @@ def printed_scalars(field):
 
 # Total degrees at the edges of each width: the least and the largest
 # that the view of that width holds.
-WIDTH_EDGES = {32: [1, 2**31 - 1], 64: [2**31, 2**63 - 1], 128: [2**63, 2**127 - 1]}
+WIDTH_EDGES = {8: [1, 127], 16: [128, 32767], 32: [32768, 2**31 - 1], 64: [2**31, 2**63 - 1],
+               128: [2**63, 2**127 - 1]}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-@pytest.mark.parametrize("width", [32, 64, 128])
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
 @given(data=st.data())
 def test_printer_matches_terms_printer(field, width, data):
     nvars = data.draw(st.integers(1, 3))
@@ -1210,12 +1280,12 @@ def test_negation_is_one_shared_object(field, data):
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
-@pytest.mark.parametrize("width", [32, 64, 128])
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
 @given(data=st.data())
 def test_negation_keeps_the_view(field, width, data):
     # A polynomial made from a view at the given width is negated on its
     # raw values and builds no terms.
-    top = {32: 3, 64: 2**40, 128: 2**100}[width]
+    top = {8: 3, 16: 200, 32: 2**20, 64: 2**40, 128: 2**100}[width]
     one = field.one
     small = st.tuples(st.integers(0, 1), st.integers(0, 1))
     pairs = [((top, 0), one + one)] + data.draw(st.lists(st.tuples(small, scalars(field)), max_size=4))

@@ -436,6 +436,29 @@ def test_scan_edge_texts(text):
                     assert_scan_agrees(text, field, 2, max_degree)
 
 
+@pytest.mark.parametrize("max_degree", [-1, 2**31, 10**1000], ids=["-1", "2^31", "10^1000"])
+@pytest.mark.parametrize("text", EDGE_TEXTS)
+def test_scan_clamps_its_bound(monkeypatch, text, max_degree):
+    # The scan packs at the width of its bound clamped to [0, 2^31 - 1]: it
+    # asks for no width of a negative degree, which would never return,
+    # packs in fields of at most 32 bits, and answers as the recursive
+    # parser does.
+    widths = []
+    width = algebra._width
+
+    def recording(degree):
+        assert degree >= 0
+        widths.append(width(degree))
+        return widths[-1]
+
+    for field in (QQ, QI, GF(13)):
+        with monkeypatch.context() as patch:
+            patch.setattr(algebra, "_width", recording)
+            algebra._scan_printed(text, field, 2, max_degree)
+        assert_scan_agrees(text, field, 2, max_degree)
+    assert max(widths, default=0) <= 32
+
+
 def test_oversized_literals_are_the_recursive_parsers():
     # Past the interpreter's digit limit the scan converts nothing: the
     # recursive parser reports a bad character after the literal, and
