@@ -8,10 +8,13 @@ with its expected code, with every fragment and without a traceback in
 its stderr.  The script prints each case's exit code, wall time, peak
 RSS and stderr, and exits 1 if any case fails.
 
-Run from the root of a checkout, with an absolute PYTHONPATH, since the
-script works in a temporary directory, removed on exit::
+Run from the root of a checkout::
 
-    PYTHONPATH=$PWD/src python ci/hostile_inputs.py
+    PYTHONPATH=src python ci/hostile_inputs.py
+
+The script works in a temporary directory, removed on exit, so it makes
+each PYTHONPATH entry absolute for its children first; a relative or an
+absolute PYTHONPATH works alike.
 """
 import json, os, resource, subprocess, sys, tempfile, time
 from mfkit import algebra, cli, mf
@@ -76,6 +79,14 @@ def documents() -> dict[str, dict]:
     # 2^31 - 1, 32 bits, not in fields of 16,384 bits (1,024 keys of 2 MB).
     printed_every = " + ".join(f"x{k}" for k in range(algebra.MAX_NVARS))
     huge_degree = dict(every_variable, d=10**3999, f=printed_every, s1=[[printed_every]])
+    # mixed1024: the valid rank-1 factorization (x0 + ... + x1023, x0^200)
+    # of their printed product, in algebra.MAX_NVARS variables.  The
+    # entries pack at 8 and 16 bits, so the product repacks every key of
+    # the sum; with one big-int shift per field that took 0.7 s.
+    ring = algebra.QQ, algebra.MAX_NVARS
+    product = algebra.parse_poly(printed_every, *ring) * algebra.parse_poly("x0^200", *ring)
+    mixed1024 = dict(every_variable, d=201, f=str(product), F0_degrees=[1], F1_degrees=[0],
+                     s0=[[printed_every]], s1=[["x0^200"]])
     return {
         "tower": tower, "expansion": expansion, "long_sum": long_sum,
         # long_sum with one more " +" at the end of its f: printed text up
@@ -102,7 +113,7 @@ def documents() -> dict[str, dict]:
         # reader.
         "exponent_digits": dict(power, d=1, f="x0", s0=[["x0^" + past_digits]], s1=[["x0"]]),
         "index_digits": dict(power, d=1, f="x0", s0=[["x" + past_digits]], s1=[["x0"]]),
-        "dense": dense, "huge_degree": huge_degree,
+        "dense": dense, "huge_degree": huge_degree, "mixed1024": mixed1024,
     }
 
 
@@ -174,6 +185,7 @@ CASES = [
     running(2, "sweep", "rho-structure-sheaf", "--n-max", "2", "--d-max", "1001"),
     running(2, "mf", "validate", "dense.json"),
     validating("huge_degree", 2, "f must be homogeneous of the declared degree d = 1000"),
+    validating("mixed1024", 0),
 ]
 
 
@@ -214,6 +226,10 @@ def main() -> bool:
     return failed
 
 
+# The children run in the temporary directory, so a relative entry such
+# as src is resolved against the directory the script started in.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    entry and os.path.abspath(entry) for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep))
 # The documents this writes stay out of the checkout.
 with tempfile.TemporaryDirectory() as work:
     os.chdir(work)

@@ -4,10 +4,13 @@ validate it, shift it and validate the shift, each through
 check both documents against their pinned SHA-256 digests.  Exits
 nonzero on the first failing command or digest.
 
-Run from the root of a checkout, with an absolute PYTHONPATH, since the
-script works in a temporary directory, removed on exit::
+Run from the root of a checkout::
 
-    PYTHONPATH=$PWD/src python ci/large_rank.py
+    PYTHONPATH=src python ci/large_rank.py
+
+The script works in a temporary directory, removed on exit, so it makes
+each PYTHONPATH entry absolute for its children first; a relative or an
+absolute PYTHONPATH works alike.
 """
 import hashlib, os, subprocess, sys, tempfile, time
 
@@ -44,6 +47,10 @@ def main() -> None:
             sys.exit(f"{name}: sha256 {got}, expected {digest}")
 
 
+# The children run in the temporary directory, so a relative entry such
+# as src is resolved against the directory the script started in.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    entry and os.path.abspath(entry) for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep))
 # The documents this writes stay out of the checkout.
 with tempfile.TemporaryDirectory() as work:
     os.chdir(work)

@@ -242,6 +242,34 @@ def raw(q: Fraction) -> int | Fraction:
     return q.numerator if q.denominator == 1 else q
 
 
+def reference_codec(nvars: int, width: int):
+    """``algebra._codec`` as it was before its fields went whole bytes
+    through ``bytes``, body unchanged: one big-int shift per field, so
+    quadratic in ``nvars``; kept for the differential tests."""
+    shifts = range(width * (nvars - 1), -1, -width)
+    mask = (1 << width) - 1
+
+    def pack(exponents):
+        key = sum(exponents)
+        for e in exponents:
+            key = key << width | e
+        return key
+
+    def unpack(packed):
+        return tuple([packed >> shift & mask for shift in shifts])
+    return pack, unpack
+
+
+def reference_repack(field: Field, nvars: int, pairs: list, width: int, new: int) -> list:
+    """``algebra._repack`` as it was before it copied bytes by slice
+    assignment, body unchanged: each key unpacked and packed again by
+    :func:`reference_codec`."""
+    unpack, pack = reference_codec(nvars, width)[1], reference_codec(nvars, new)[0]
+    if field.kind == "Qi":
+        return [(pack(unpack(k >> 2)) << 2 | k & 3, value) for k, value in pairs]
+    return [(pack(unpack(k)), value) for k, value in pairs]
+
+
 def natural_width(poly):
     # The field width of a view: the least 8 * 2^k above the total degree
     # by one bit, so that the degree of a product still fits.

@@ -28,9 +28,10 @@ rescan from (0, 0) after every split, both composites on dense grids,
 one parse per entry, one ``str()`` per cell, dense Kronecker and block
 grids, polynomials built by ``from_pairs``, a packer written out
 field by field, the printer that read ``terms``, the 1 x n by n x 1
-kernel route of the operators and the ``struct`` codec.  Degrees just
-below and above each field width, up to 2^127, and ``MAX_NVARS``
-variables run through the same comparisons.
+kernel route of the operators, the ``struct`` codec, and the codec and
+repack of one big-int shift per field that the byte codec replaced.
+Degrees just below and above each field width, up to 2^127, and
+``MAX_NVARS`` variables run through the same comparisons.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ from mfkit.graded import DegreeMultiset, HomogeneousMatrix, compose
 
 from _factories import (compose_validate, kernel_sum_of_products, mix_bases, packed_view,
                         partly_reducible, random_elementary, random_homogeneous,
-                        random_reduced_mf, random_valid_mf, raw, square_and_multiply)
+                        random_reduced_mf, random_valid_mf, raw, reference_codec,
+                        reference_repack, square_and_multiply)
 
 # GF(2^31 - 1): products of two residues come near 2^62, and the kernel
 # sums them unreduced.
@@ -428,6 +430,43 @@ def test_codec_matches_struct_codec(width, data):
     key = pack(exps)
     assert key == ref_pack(exps)
     assert unpack(key) == tuple(ref_unpack(key)) == exps
+
+
+WIDTHS = [8, 16, 32, 64, 128]
+
+
+@pytest.mark.parametrize("width,new", list(itertools.product(WIDTHS, repeat=2)))
+@given(data=st.data())
+def test_byte_codec_and_repack_match_shift_codec(width, new, data):
+    # Keys of both widths, widening and narrowing: a total degree up to
+    # the narrower full field, edges drawn often (0, 2^(w-1) - 1 and
+    # 2^w - 1 for the narrower w), split among at most three variables;
+    # over QQ(i) each key carries some of the low bits 0-3 of i.
+    nvars = data.draw(st.sampled_from([1, 2, 12, MAX_NVARS]))
+    narrow = min(width, new)
+    top = 2 ** narrow - 1
+    total = data.draw(st.sampled_from([0, 1, 2 ** (narrow - 1) - 1, top]) | st.integers(0, top))
+    places = data.draw(st.lists(st.integers(0, nvars - 1), min_size=1, max_size=3, unique=True))
+    cuts = sorted(data.draw(st.lists(st.sampled_from([0, total]) | st.integers(0, total),
+                                     min_size=len(places) - 1, max_size=len(places) - 1)))
+    parts = dict(zip(places, (b - a for a, b in zip([0] + cuts, cuts + [total]))))
+    exps = tuple(parts.get(k, 0) for k in range(nvars))
+    for w in (width, new):
+        pack, unpack = algebra._codec(nvars, w)
+        ref_pack, ref_unpack = reference_codec(nvars, w)
+        key = pack(exps)
+        assert key == ref_pack(exps)
+        assert unpack(key) == ref_unpack(key) == exps
+    field = data.draw(st.sampled_from([QQ, QI]))
+    key = algebra._codec(nvars, width)[0](exps)
+    if field.kind == "Qi":
+        lows = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+        pairs = [(key << 2 | low, low - 2) for low in sorted(lows, reverse=True)]
+    else:
+        pairs = [(key, 1)]
+    got = algebra._repack(field, nvars, pairs, width, new)
+    assert got == reference_repack(field, nvars, pairs, width, new)
+    assert algebra._repack(field, nvars, got, new, width) == pairs
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)

@@ -90,6 +90,13 @@ class TestAlgebra:
         with pytest.raises(ValueError, match=f"^variable index {index} out of range for 2 variables$"):
             Polynomial.variable(QQ, 2, index)
 
+    @pytest.mark.parametrize("index", [1.0, "1", None])
+    def test_variable_index_not_an_int(self, index):
+        # Refused before any key is built, with the index named.
+        with pytest.raises(ValueError, match=f"^variable index {re.escape(repr(index))} out of range "
+                                             "for 3 variables$"):
+            Polynomial.variable(QQ, 3, index)
+
     def test_negative_power(self):
         with pytest.raises(ValueError, match="^polynomial exponent must be a nonnegative integer$"):
             quartic() ** -1
