@@ -75,8 +75,8 @@ def documents() -> dict[str, dict]:
              "s0": [["x0"] * rank] * rank, "s1": [["x0"] * rank] * rank}
     # The trivial factorization (1, f) of f = x0 + ... + x1023, printed,
     # in algebra.MAX_NVARS variables, declaring a 4,000-digit degree: the
-    # printed-form scan packs f at the width of its bound clamped to
-    # 2^31 - 1, 32 bits, not in fields of 16,384 bits (1,024 keys of 2 MB).
+    # printed-form scan packs f at the width of its terms, 8 bits, not at
+    # that of its bound, in fields of 16,384 bits (1,024 keys of 2 MB).
     printed_every = " + ".join(f"x{k}" for k in range(algebra.MAX_NVARS))
     huge_degree = dict(every_variable, d=10**3999, f=printed_every, s1=[[printed_every]])
     # mixed1024: the valid rank-1 factorization (x0 + ... + x1023, x0^200)
@@ -204,34 +204,41 @@ def run(name: str, argv: list[str], expected: int, fragments: tuple[str, ...]) -
     stderr = child.stderr.read()
     child.stderr.close()
     # The child's own peak RSS, from its rusage through os.wait4, as in
-    # ci/large_rank.py.
+    # ci/large_rank.py.  Its exit code is set on the Popen, which reaped
+    # nothing itself, so that it does not warn that the child still runs.
     _, status, usage = os.wait4(child.pid, 0)
     elapsed = time.perf_counter() - start
-    code = os.waitstatus_to_exitcode(status)
+    code = child.returncode = os.waitstatus_to_exitcode(status)
     print(f"{name}: exit {code} (expected {expected}), {elapsed:.2f} s, "
           f"peak RSS {usage.ru_maxrss / 1024:.0f} MB\n{stderr}")
     return (code != expected or "Traceback" in stderr
             or not all(fragment in stderr for fragment in fragments))
 
 
-def main() -> bool:
-    """Write the documents into the working directory, run every case and
-    return True if any failed."""
+def write_documents() -> None:
+    """Write every document into the working directory as name.json."""
     for name, doc in documents().items():
         with open(f"{name}.json", "w") as out:
             json.dump(doc, out)
+
+
+def main() -> bool:
+    """Write the documents into the working directory, run every case and
+    return True if any failed."""
+    write_documents()
     failed = False
     for case in CASES:
         failed |= run(*case)
     return failed
 
 
-# The children run in the temporary directory, so a relative entry such
-# as src is resolved against the directory the script started in.
-os.environ["PYTHONPATH"] = os.pathsep.join(
-    entry and os.path.abspath(entry) for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep))
-# The documents this writes stay out of the checkout.
-with tempfile.TemporaryDirectory() as work:
-    os.chdir(work)
-    failed = main()
-sys.exit(failed)
+if __name__ == "__main__":
+    # The children run in the temporary directory, so a relative entry
+    # such as src is resolved against the directory the script started in.
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        entry and os.path.abspath(entry) for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep))
+    # The documents this writes stay out of the checkout.
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        failed = main()
+    sys.exit(failed)

@@ -19,7 +19,9 @@ def main() -> None:
     """Run the four commands and check both documents in the working
     directory; exit nonzero on the first failure."""
     # Each child's own peak RSS, from its rusage through os.wait4:
-    # RUSAGE_CHILDREN keeps the maximum over all children so far.
+    # RUSAGE_CHILDREN keeps the maximum over all children so far.  The
+    # exit code is set on the Popen, which reaped nothing itself, so that
+    # it does not warn that the child still runs.
     for argv in (["mf", "fermat", "--pairs", "11", "--half-degree", "2",
                   "--field", "Fp", "--p", "13", "--output", "r1024.json"],
                  ["mf", "validate", "r1024.json", "--json"],
@@ -30,7 +32,7 @@ def main() -> None:
                                  stdout=subprocess.DEVNULL)
         _, status, usage = os.wait4(child.pid, 0)
         elapsed = time.perf_counter() - start
-        code = os.waitstatus_to_exitcode(status)
+        code = child.returncode = os.waitstatus_to_exitcode(status)
         print(f"{' '.join(argv)}: exit {code}, {elapsed:.2f} s, "
               f"peak RSS {usage.ru_maxrss / 1024:.0f} MB")
         if code:
@@ -47,11 +49,12 @@ def main() -> None:
             sys.exit(f"{name}: sha256 {got}, expected {digest}")
 
 
-# The children run in the temporary directory, so a relative entry such
-# as src is resolved against the directory the script started in.
-os.environ["PYTHONPATH"] = os.pathsep.join(
-    entry and os.path.abspath(entry) for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep))
-# The documents this writes stay out of the checkout.
-with tempfile.TemporaryDirectory() as work:
-    os.chdir(work)
-    main()
+if __name__ == "__main__":
+    # The children run in the temporary directory, so a relative entry
+    # such as src is resolved against the directory the script started in.
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        entry and os.path.abspath(entry) for entry in os.environ.get("PYTHONPATH", "").split(os.pathsep))
+    # The documents this writes stay out of the checkout.
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        main()

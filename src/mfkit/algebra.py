@@ -28,26 +28,30 @@ a view: a variable is :meth:`Polynomial.variable`, one packed key, and
 the constant i over QQ(i) is ``Polynomial._i``, both in O(1) whatever
 ``nvars``.
 
-Sums and products share one multiply-accumulate loop, ``_accumulate``.
-A sum of any number of signed summands is one ``Polynomial._signed_sum``
-(each summand times +1 or -1, at the widest summand's width), and a power
+Sums and products share one multiply-accumulate loop,
+``_sum_products``.  A sum of any number of signed summands is one
+``Polynomial._signed_sum`` (each summand times +1 or -1), and a power
 is one ``Polynomial._power``: a one-term base has its view scaled by
 ``_view_power``, any other is squared and multiplied.  The matrix kernel
 ``Polynomial._row_sums`` yields the rows of a product of two sparse
-polynomial matrices one at a time, each accumulated in one dict keyed by
-column and monomial and settled (Gustavson, ACM TOMS 4(3), 1978).
-:func:`mf.validate` compares each yielded row with f and stops at the
-first that differs; ``Polynomial._product_rows`` sorts each row once
-and splits it into polynomials, for :func:`graded.compose` and the
-splits of :func:`mf.reduce`.
+polynomial matrices one at a time, each summed by ``_sum_products`` in
+one dict keyed by column and monomial (Gustavson, ACM TOMS 4(3), 1978).
+``Polynomial._first_entry_off`` compares each yielded row with f * id
+and stops at the first that differs, for :func:`mf.validate`;
+``Polynomial._product_rows`` sorts each row once and splits it into
+polynomials, for :func:`graded.compose` and the splits of
+:func:`mf.reduce`.  No other module reads a packed key or picks a width.
 
 The loop runs on each polynomial's view.  The view packs each
 monomial into one int (Monagan and Pearce, CASC 2007): the total degree
 in the top field, then x0, x1, ... in fields of equal width, so that
 adding two ints multiplies the monomials and int order is graded
-lexicographic order.  The width is ``_MIN_WIDTH`` = 8 bits, doubled
-until the degree of every operand stays below half of the field range;
-one loop thus covers every degree.  Narrow fields keep keys short: a
+lexicographic order.  A width is ``_MIN_WIDTH`` = 8 bits, doubled until
+a degree stays below half of the field range (``_width``), and two rules
+place every width: a value is stored at the width of its own degree
+(``_from_view``), and a kernel call runs at the width of its widest
+operand, so the degree of every product fits; one loop thus covers every
+degree.  Narrow fields keep keys short: a
 degree-4 monomial in 12 variables packs into 104 bits, not 416, and the
 dict updates of the loop hash and add ints of that size.  Every field
 is a whole number of bytes, so ``_codec`` packs and unpacks a key, and
@@ -97,7 +101,10 @@ exactly " + " or " - ", a leading "-" on the first term only, each term
 a coefficient ``a`` or ``a/b`` (over QQ(i) also ``(re + im*i)`` or
 ``(re - im*i)``), a monomial of factors ``xk`` or ``xk^e`` joined by
 ``*``, or a coefficient, ``*`` and a monomial, in ASCII.  It builds
-the view that the recursive parser below builds for the same text.  Both
+the view that the recursive parser below builds for the same text,
+packed at ``_MIN_WIDTH`` and read once more at the width of the first
+term whose degree does not fit; printed text lists its highest degree
+first, so it is read at most twice.  Both
 readers convert each number with int(), and each literal ``a`` or
 ``a/b`` with ``_literal``.  Every other spelling the scan hands
 to the recursive parser ``_Parser``, and so every text on which that
@@ -512,22 +519,17 @@ def _repack(field: Field, nvars: int, pairs: list, width: int, new: int) -> list
     return [(move(k), value) for k, value in pairs]
 
 
-def _accumulate(acc: dict, left: Iterable, right: Iterable) -> None:
-    # The one multiply-accumulate loop: acc[k1 + k2] += a * c over the
-    # (key, raw value) pairs (k1, a) of ``left`` and (k2, c) of ``right``.
-    # ``right`` is iterated once per pair of ``left``.
-    for k1, a in left:
-        for k2, c in right:
-            k = k1 + k2
-            acc[k] = acc.get(k, 0) + a * c
-
-
 def _sum_products(field: Field, products: Iterable[tuple[Iterable, Iterable]]) -> dict:
-    # The settled sum of left * right over ``products``, pairs of views at
-    # one width that holds the degree of the sum.
+    # The one multiply-accumulate loop: the settled sum of left * right
+    # over ``products``, pairs of views at one width that holds the degree
+    # of the sum, each term product (k1, a) * (k2, c) added at k1 + k2.
+    # ``right`` is iterated once per pair of ``left``.
     acc: dict = {}
     for left, right in products:
-        _accumulate(acc, left, right)
+        for k1, a in left:
+            for k2, c in right:
+                k = k1 + k2
+                acc[k] = acc.get(k, 0) + a * c
     return _settle(field, acc)
 
 
@@ -687,28 +689,22 @@ class Polynomial:
     @classmethod
     def _row_sums(cls, field: Field, nvars: int, width: int, left_rows: Iterable[Iterable[tuple]],
                   right_rows: Sequence[Iterable[tuple]]) -> Iterator[dict]:
-        """The kernel's loop, one row of L * R at a time: yields the
-        settled sums of each row as one dict {c << shift | k: value}, for
-        the column c and the key k at ``width`` of each nonzero term, where
-        shift is ``_column_shift(field, nvars, width)``; ``width`` must
-        hold every operand.  Each row of R is packed once, on first use,
-        and kept across rows; a consumer that stops early forms no later
-        row.  Trusted, as :meth:`_product_rows` is."""
+        """The kernel, one row of L * R at a time, each one _sum_products
+        call: yields the settled sums of each row as one dict {c << shift
+        | k: value}, for the column c and the key k at ``width`` of each
+        nonzero term, where shift is ``_column_shift(field, nvars,
+        width)``; ``width`` must hold every operand.  Each row of R is
+        packed once, on first use, and kept across rows; a consumer that
+        stops early forms no later row.  Trusted, as :meth:`_product_rows`
+        is."""
         shift = _column_shift(field, nvars, width)
         right_terms: dict[int, list] = {}
         for row in left_rows:
-            acc: dict[int, int | Fraction] = {}
-            for m, left in row:
-                rterms = right_terms.get(m)
-                if rterms is None:
-                    rterms = right_terms[m] = []
-                    for c, right in right_rows[m]:
-                        terms = right._kernel_view(width)
-                        if c:
-                            terms = [((c << shift) + k, value) for k, value in terms]
-                        rterms += terms
-                _accumulate(acc, left._kernel_view(width), rterms)
-            yield _settle(field, acc)
+            for m, _ in row:
+                if m not in right_terms:
+                    right_terms[m] = [((c << shift) + k, value) for c, right in right_rows[m]
+                                      for k, value in right._kernel_view(width)]
+            yield _sum_products(field, [(left._kernel_view(width), right_terms[m]) for m, left in row])
 
     @classmethod
     def _row_from_sums(cls, field: Field, nvars: int, width: int, shift: int,
@@ -723,6 +719,32 @@ class Polynomial:
                for slot, group in groupby(items, lambda item: item[0] >> shift)]
         row.reverse()
         return row
+
+    @classmethod
+    def _first_entry_off(cls, f: "Polynomial", left_rows: Sequence[Iterable[tuple]],
+                         right_rows: Sequence[Iterable[tuple]]) -> tuple[int, int, "Polynomial"] | None:
+        """The first entry (r, c, entry) of L * R, in row order and then
+        column order, at which it differs from f * id, or None where it
+        equals f * id; f is nonzero.  Each row is compared as
+        :meth:`_row_sums` settles it: row r of f * id is f's view in
+        column r.  The fields hold every operand and f's degree, as they
+        hold that of any product of two operands, so f of degree 128 over
+        entries of degree 64 is compared at 8 bits and no operand is
+        packed again.  No row after the first that differs is formed, and
+        only that row is split into polynomials.  Trusted, as
+        :meth:`_product_rows` is."""
+        field, nvars = f.field, f.nvars
+        width = max(_kernel_width(left_rows, right_rows), _width(f.total_degree >> 1))
+        shift, view = _column_shift(field, nvars, width), f._kernel_view(width)
+        for r, sums in enumerate(cls._row_sums(field, nvars, width, left_rows, right_rows)):
+            if sums != {(r << shift) + k: value for k, value in view}:
+                # The row differs at its nonzeros off the diagonal and, unless
+                # it holds f there, at (r, r).
+                got = dict(cls._row_from_sums(field, nvars, width, shift, sums))
+                zero = cls.zero(field, nvars)
+                c = min(c for c in {*got, r} if c != r or got.get(r, zero) != f)
+                return r, c, got.get(c, zero)
+        return None
 
     @classmethod
     def _from_view(cls, field: Field, nvars: int, width: int, view: list) -> "Polynomial":
@@ -817,13 +839,16 @@ class Polynomial:
         pairs = self._view[1]
         return bool(pairs) and not pairs[-1][0] >> 2 * (self.field.kind == "Qi")
 
+    def _raw_constant(self) -> int | Fraction | list:
+        # The raw value of the constant term as _raw_terms lists it, zero
+        # included: only the monomial 1 packs to the keys 0 and, over QQ(i),
+        # 1, the last keys of a view.
+        tail = dict(self._view[1][-2:])
+        return [tail.get(0, 0), tail.get(1, 0)] if self.field.kind == "Qi" else tail.get(0, 0)
+
     @property
     def constant_term(self) -> Scalar:
-        field = self.field
-        if not self._has_constant_term:
-            return field.zero
-        tail = dict(self._view[1][-2:])
-        return _scalar(field, [tail.get(0, 0), tail.get(1, 0)] if field.kind == "Qi" else tail[0])
+        return _scalar(self.field, self._raw_constant())
 
     def _minus_inverse(self) -> "Polynomial":
         # The constant polynomial -1/c of the nonzero constant term c.  Over
@@ -833,8 +858,7 @@ class Polynomial:
         # Field.inv.
         field = self.field
         if field.kind == "Qi":
-            tail = dict(self._view[1][-2:])
-            re, im = tail.get(0, 0), tail.get(1, 0)
+            re, im = self._raw_constant()
             if (re, im) in ((1, 0), (-1, 0), (0, 1), (0, -1)):
                 view = [(1, im)] if im else [(0, -re)]
                 return Polynomial._from_view(field, self.nvars, _MIN_WIDTH, view)
@@ -1166,33 +1190,29 @@ def _literal(value: int, denominator: str | None, p: int | None, at: int,
     return value if denominator == 1 else _fraction()(value, denominator)
 
 
-def _scan_printed(text: str, field: Field, nvars: int, max_degree: int | None) -> Polynomial | None:
+def _scan_printed(text: str, field: Field, nvars: int, max_degree: int | None,
+                  width: int = _MIN_WIDTH) -> Polynomial | None:
     """The polynomial of ``text`` if it is in the printed form (see the
     module docstring) and :class:`_Parser` would read it without error,
     else None.  The keys and raw values are those _Parser builds, packed
-    at the width of ``max_degree`` clamped to [0, 2^31 - 1].  That width
-    holds every term the scan keeps: an unstarred term has degree at most
-    1, a starred one past ``max_degree`` is handed back, and so is any
-    term the width cannot hold.  Where the highest degree read has a
-    narrower width, as in a document's entry only if it is not of its
-    bound's degree, the text is read again under that degree as the
-    bound, which admits the same terms.  Unbounded (None), the text is
-    packed at ``_MIN_WIDTH`` and, where a term needs wider fields, read
-    again under the bound 2^31 - 1, which admits the same terms.  The
-    clamp keeps the fields at most 32 bits wide whatever the bound (a
-    bound of 10^1000 would give 4,096-bit fields), and _width of a
-    negative bound would never return.  Every budget, bound and limit
-    _Parser checks is read at call time, and the text is handed back
-    (None) wherever one of them would raise.  Literals are read as _Parser
-    reads them, by int() and :func:`_literal`, so a ValueError of either
-    (the interpreter's digit limit included) hands the text back too."""
+    at ``width``.  A term whose degree ``width`` cannot hold has the text
+    read again at the width of that degree, so each read is at least
+    twice as wide as the one before and takes every term of the reads
+    before it; a term of degree 2^31 or more is handed back, so the
+    fields are at most 32 bits wide, and so is a starred term past
+    ``max_degree`` (an unstarred term has degree at most 1, and _Parser
+    checks no bound on it).  _from_view narrows the result where its top
+    degree cancels.  Every budget, bound and limit _Parser checks is read
+    at call time, and the text is handed back (None) wherever one of them
+    would raise.  Literals are read as _Parser reads them, by int() and
+    :func:`_literal`, so a ValueError of either (the interpreter's digit
+    limit included) hands the text back too."""
     max_exponent = MAX_EXPONENT
     if not text.isascii() or MAX_PARSE_BITS < 0 and "^" in text:
         return None
     p = field.p
     gaussian = field.kind == "Qi"
     low = 2 if gaussian else 0
-    width = _MIN_WIDTH if max_degree is None else _width(min(max(max_degree, 0), 2**31 - 1))
     degree_shift = width * nvars + low
     # The shift of field x0; x{k} sits width * k bits lower.
     top = degree_shift - width
@@ -1250,26 +1270,15 @@ def _scan_printed(text: str, field: Field, nvars: int, max_degree: int | None) -
                     return None
                 degree += e
                 key += e << (top - width * index)
-            if degree >> (width - 1) or (starred and max_degree is not None and degree > max_degree):
-                # Unbounded, a term too wide for the narrowest fields has the
-                # text read again under 2^31 - 1, which admits the same terms.
-                # Reading all unbounded text at 32 bits would make the second
-                # read above the rule: a 12-term sum took 37 us, not 20 us.
-                if max_degree is None and not degree >> 31:
-                    return _scan_printed(text, field, nvars, 2**31 - 1)
+            if degree >> 31 or starred and max_degree is not None and degree > max_degree:
                 return None
+            if degree >> (width - 1):
+                return _scan_printed(text, field, nvars, max_degree, _width(degree))
             key += degree << degree_shift
             for half, value in coefficients:
                 acc[key + half] = acc.get(key + half, 0) + value
             j += 1
             if j == count:
-                # Read again under the tight bound of the highest degree read,
-                # where that degree's width is narrower: a second scan costs
-                # less than _from_view packing every key again.  On 2 vCPUs
-                # under Python 3.11, x0 + ... + x1023 under the bound 10^3999
-                # reads in 24-25 ms this way and in 32 ms through the repack.
-                if _width(highest := max(acc, default=0) >> degree_shift) < width:
-                    return _scan_printed(text, field, nvars, highest)
                 return Polynomial._from_settled(field, nvars, width, _settle(field, acc))
             op = words[j]
             if op not in ("+", "-") or j + 1 == count:

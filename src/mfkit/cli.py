@@ -265,7 +265,7 @@ def document_to_mf(doc: dict) -> MatrixFactorization:
         f = algebra.parse_poly(_expect(doc, "f", str), field, nvars, d)
     except algebra.ParseError as exc:
         raise SchemaError(f"f: {exc}") from exc
-    if f.is_zero or not f.is_homogeneous or f.total_degree != d:
+    if not f.is_homogeneous or f.total_degree != d:
         raise SchemaError(f"f must be homogeneous of the declared degree d = {d}")
     F0 = graded.DegreeMultiset(_parse_degree_list(doc, "F0_degrees"))
     F1 = graded.DegreeMultiset(_parse_degree_list(doc, "F1_degrees"))

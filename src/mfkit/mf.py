@@ -32,7 +32,7 @@ from itertools import chain, groupby, permutations, product
 from operator import itemgetter
 
 from ._value import Counts, value_class
-from .algebra import QI, Field, Polynomial, _column_shift, _kernel_width, _width
+from .algebra import QI, Field, Polynomial
 from .graded import DegreeMultiset, HomogeneousMatrix, Row
 
 # A matrix under reduction: {row: {column: nonzero entry}} over the generators left.
@@ -122,7 +122,7 @@ def _mk(f: Polynomial, f0_degrees: Degrees, f1_degrees: Degrees,
     as listed.  Both generator lists are sorted, and each entry is filed
     once in the sparse row its generators sort to."""
     deg = f.total_degree
-    if f.is_zero or not f.is_homogeneous or not isinstance(deg, int) or deg < 1:
+    if not f.is_homogeneous or not isinstance(deg, int) or deg < 1:
         raise ValueError("f must be homogeneous of degree >= 1")
     p0, p1 = _argsort(f0_degrees), _argsort(f1_degrees)
     F0 = DegreeMultiset(tuple(f0_degrees[k] for k in p0))
@@ -163,11 +163,11 @@ def validate(F: MatrixFactorization) -> list[str]:
     """Diagnostics list; empty iff F is a valid graded matrix
     factorization of its polynomial.
 
-    The composites are checked row by row as the kernel sums them
-    (:meth:`Polynomial._row_sums`): each settled row is compared with f
-    in its diagonal column, and each composite stops at its first row
-    that differs, the only row made into polynomials, to report its
-    first offending entry.  Only s1*s0 is computed when it equals f*id;
+    Each composite is checked by one kernel call,
+    :meth:`Polynomial._first_entry_off`, which compares each row with f
+    in its diagonal column as it sums the row and stops at the first row
+    that differs, the only row made into polynomials, with its first
+    offending entry.  Only s1*s0 is computed when it equals f*id;
     s0*s1 is computed only to report its own mismatch.  At that point
     rank(F0) = rank(F1) = r and f != 0, and k[x] is a domain:
     det(s1)*det(s0) = f^r != 0, so s0 is invertible over the fraction
@@ -175,7 +175,7 @@ def validate(F: MatrixFactorization) -> list[str]:
     problems: list[str] = []
     f = F.f
     deg = f.total_degree
-    if f.is_zero or not f.is_homogeneous or not isinstance(deg, int) or deg < 1:
+    if not f.is_homogeneous or not isinstance(deg, int) or deg < 1:
         return [f"f = {f} must be homogeneous of degree >= 1"]
     for name, matrix in (("s0", F.s0), ("s1", F.s1)):
         if matrix.field != f.field or matrix.nvars != f.nvars:
@@ -193,29 +193,16 @@ def validate(F: MatrixFactorization) -> list[str]:
     if problems:
         return problems
 
-    # Composite identities; report the first offending entry of each.  Each
-    # row is checked as the kernel settles it: row r of f*id is f's view in
-    # column r.  The width's fields need only hold f's degree, as they hold
-    # that of any product of two operands, so f of degree 128 over entries
-    # of degree 64 is compared at 8 bits and no operand is packed again.
-    # Only a reported row is split into polynomials, and no row after it
-    # is formed; s0*s1 is formed only when s1*s0 is not f*id.
+    # Composite identities; report the first offending entry of each, as
+    # the kernel finds it.  s0*s1 is formed only when s1*s0 is not f*id.
     for name, left, right in (("s1*s0", F.s1.rows, F.s0.rows), ("s0*s1", F.s0.rows, F.s1.rows)):
-        width = max(_kernel_width(left, right), _width(deg >> 1))
-        shift, view = _column_shift(f.field, f.nvars, width), f._kernel_view(width)
-        for r, sums in enumerate(Polynomial._row_sums(f.field, f.nvars, width, left, right)):
-            if sums != {(r << shift) + k: value for k, value in view}:
-                # The row differs at its nonzeros off the diagonal and, unless
-                # it holds f there, at (r, r).
-                got = dict(Polynomial._row_from_sums(f.field, f.nvars, width, shift, sums))
-                zero = Polynomial.zero(f.field, f.nvars)
-                c = min(c for c in {*got, r} if c != r or got.get(r, zero) != f)
-                expected, entry = (f if r == c else zero), got.get(c, zero)
-                problems.append(f"{name} disagrees with f*id at entry ({r},{c}): got {entry}, "
-                                f"expected {expected}, difference {entry - expected}")
-                break
-        else:
+        off = Polynomial._first_entry_off(f, left, right)
+        if off is None:
             break
+        r, c, entry = off
+        expected = f if r == c else Polynomial.zero(f.field, f.nvars)
+        problems.append(f"{name} disagrees with f*id at entry ({r},{c}): got {entry}, "
+                        f"expected {expected}, difference {entry - expected}")
     return problems
 
 

@@ -15,9 +15,10 @@ hands every other text to the recursive parser.  The tests after those
 compare the scan with the recursive parser alone: on printed and
 edited printed text, under degree bounds and lowered budgets, wherever
 the scan reads a text it must give the recursive parser's polynomial,
-and parse_poly's errors must stay the recursive parser's.  The last
-tests of that part pin, without that comparison, what both readers give
-at the interpreter's digit limit.  The last part draws expression trees
+and parse_poly's errors must stay the recursive parser's.  Two tests
+count the scan's reads of a text and check the width it packs at.  The
+last tests of that part pin, without that comparison, what both readers
+give at the interpreter's digit limit.  The last part draws expression trees
 and compares the recursive parser with the same trees evaluated with
 ``+``, ``-``, ``*``, ``**`` and unary minus, at degrees past 2^31 too.
 """
@@ -33,8 +34,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mfkit import algebra
+from mfkit import algebra, mf
 from mfkit.algebra import GF, MAX_EXPONENT, QI, QQ, ParseError, Polynomial, parse_poly
+from mfkit.cli import document_to_mf, mf_to_document
 
 from _factories import kernel_sum_of_products, packed_view, square_and_multiply
 
@@ -422,6 +424,7 @@ EDGE_TEXTS = [
     "(1 + 2*i", "(1 + 2)", "(x0 + 1*i)", "(1 * 2*i)", "(--1 + 2*i)", "(1 + 2*i)*",
     "(1/0 + 2*i)", "(1 + 2/0*i)", "x0^1048576", "x0^1048577", "x0^1048576*x1^1048576",
     "x0^1048576*x0^1048576*x1^1048576", "(x0^1048576)^2048",
+    "x1 + x0^200", "x0^200 - x0^200 + x1", "x1 + x0^40000",
 ]
 
 
@@ -439,10 +442,10 @@ def test_scan_edge_texts(text):
 @pytest.mark.parametrize("max_degree", [-1, 2**31, 10**1000], ids=["-1", "2^31", "10^1000"])
 @pytest.mark.parametrize("text", EDGE_TEXTS)
 def test_scan_clamps_its_bound(monkeypatch, text, max_degree):
-    # The scan packs at the width of its bound clamped to [0, 2^31 - 1]: it
-    # asks for no width of a negative degree, which would never return,
-    # packs in fields of at most 32 bits, and answers as the recursive
-    # parser does.
+    # Whatever its bound, the scan asks for the width of no negative
+    # degree, which would never return, packs in fields of at most 32 bits,
+    # as it hands back a term of degree 2^31 or more, and answers as the
+    # recursive parser does.
     widths = []
     width = algebra._width
 
@@ -457,6 +460,53 @@ def test_scan_clamps_its_bound(monkeypatch, text, max_degree):
             algebra._scan_printed(text, field, 2, max_degree)
         assert_scan_agrees(text, field, 2, max_degree)
     assert max(widths, default=0) <= 32
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """The text of every call of the scan, in order, second reads included."""
+    texts = []
+    scan = algebra._scan_printed
+
+    def counting(text, *args):
+        texts.append(text)
+        return scan(text, *args)
+
+    monkeypatch.setattr(algebra, "_scan_printed", counting)
+    return texts
+
+
+def test_a_document_reads_each_distinct_text_once(scans):
+    # Every entry and f of a Fermat document has degree below 128, so each
+    # is read once, at the narrowest width; "0" entries are not read.
+    doc = mf_to_document(mf.fermat(4, 2))
+    F = document_to_mf(doc)
+    entries = {text for key in ("s0", "s1") for row in doc[key] for text in row if text != "0"}
+    assert sorted(scans) == sorted([doc["f"], *entries])
+    assert all(e._view[0] == algebra._width(e.total_degree)
+               for m in (F.s0, F.s1) for row in m.rows for _, e in row)
+
+
+@pytest.mark.parametrize("max_degree", [None, 200, 10**3999], ids=["None", "200", "10^3999"])
+@pytest.mark.parametrize("text, reads, width", [
+    # The highest degree first: read at 8 bits, then once at its own width.
+    ("x0^200 + x1", 2, 16),
+    # Read at 16 bits, narrowed to 8 where the top degree cancels.
+    ("x0^200 - x0^200 + x1", 2, 8),
+    # Not canonical: each wider term has the text read again.
+    ("x1 + x0^200 + x0^40000", 3, 32),
+])
+def test_the_scan_reads_at_its_terms_width(scans, text, reads, width, max_degree):
+    if max_degree == 200 and "40000" in text:
+        # The second read hands the term past the bound back to the
+        # recursive parser, which refuses it.
+        with pytest.raises(ParseError, match="degree 40000 exceeds the bound 200"):
+            parse_poly(text, QQ, 2, max_degree)
+        assert scans == [text] * 2
+        return
+    poly = parse_poly(text, QQ, 2, max_degree)
+    assert scans == [text] * reads
+    assert poly._view[0] == algebra._width(poly.total_degree) == width
 
 
 def test_oversized_literals_are_the_recursive_parsers():
