@@ -346,7 +346,10 @@ class Field:
         if self.kind not in ("Q", "Qi", "Fp"):
             raise ValueError(f"unknown field kind {self.kind!r}")
         if self.kind == "Fp":
-            if self.p is None or self.p < 2 or self.p > PRIME_LIMIT:
+            # A float or bool modulus would compute inexactly or as an int.
+            if type(self.p) is not int:
+                raise ValueError(f"prime modulus must be an int, not {type(self.p).__name__}")
+            if self.p < 2 or self.p > PRIME_LIMIT:
                 raise ValueError(f"prime modulus must lie in [2, {PRIME_LIMIT}]")
             if not _is_prime(self.p):
                 raise ValueError(f"{self.p} is not prime")
@@ -615,22 +618,32 @@ class Polynomial:
         pairs: Iterable[tuple[tuple[int, ...], Scalar]] | Mapping[tuple[int, ...], Scalar],
     ) -> "Polynomial":
         """The polynomial of (exponent vector, coefficient) pairs, in any
-        order: each vector's arity and signs checked, each coefficient
-        coerced into ``field``, the coefficients of a repeated vector
-        summed and zero sums dropped."""
+        order: each vector's arity, integer entries and signs checked,
+        each coefficient coerced into ``field``, the coefficients of a
+        repeated vector summed and zero sums dropped."""
         if isinstance(pairs, Mapping):
             pairs = pairs.items()
-        checked = []
+        checked, top = [], 0
         for exps, coeff in pairs:
             exps = tuple(exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent vector {exps} has arity {len(exps)}, expected {nvars}")
+            # A float, Fraction, str or None among the exponents makes the
+            # sum another type, or raises: one check per vector, not per
+            # exponent.  A bool counts as the int it equals.
+            try:
+                degree = sum(exps)
+            except TypeError:
+                degree = None
+            if type(degree) is not int:
+                raise ValueError(f"exponent vector {exps} holds a value that is not an int")
             if min(exps, default=0) < 0:
                 raise ValueError(f"negative exponent in {exps}")
             checked.append((exps, _raw_value(field, coeff)))
+            top = degree if degree > top else top
         # Packed at the width of the highest degree given; _from_view packs
         # the sum again at its own, should that degree cancel.
-        width = _width(max([sum(exps) for exps, _ in checked], default=0))
+        width = _width(top)
         pack = _codec(nvars, width)[0]
         acc: dict[int, int | Fraction] = {}
         for exps, value in checked:
@@ -779,7 +792,7 @@ class Polynomial:
 
     @classmethod
     def variable(cls, field: Field, nvars: int, index: int) -> "Polynomial":
-        if not (isinstance(index, int) and 0 <= index < nvars):
+        if not (type(index) is int and 0 <= index < nvars):
             raise ValueError(f"variable index {index!r} out of range for {nvars} variables")
         # Total degree 1 in the top field and exponent 1 in field x{index},
         # above the two bits of i over QQ(i): one key, whatever ``nvars``.

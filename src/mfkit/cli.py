@@ -135,12 +135,12 @@ def field_from_json(obj) -> Field:
 
 
 def mf_to_document(F: MatrixFactorization) -> dict:
-    texts: dict[int, str] = {}
+    texts = {id(F.f): _printed(F.f)}
     return {
         "schema": MF_SCHEMA,
         "field": field_to_json(F.field),
         "nvars": F.nvars,
-        "f": _printed(F.f),
+        "f": texts[id(F.f)],
         "d": F.d,
         "F0_degrees": list(F.f0_degrees),
         "F1_degrees": list(F.f1_degrees),
@@ -150,11 +150,12 @@ def mf_to_document(F: MatrixFactorization) -> dict:
 
 
 def _matrix_texts(matrix: HomogeneousMatrix, texts: dict[int, str]) -> list[list[str]]:
-    # A zero entry prints as "0"; each distinct nonzero entry object is
-    # printed once per document.  ``texts`` maps id(entry) to its text:
-    # the factorization holds every entry until the document is built, so
-    # no id is reused meanwhile.  Keying by the polynomial itself would
-    # hash it, which builds a tuple of its view per cell.
+    # A zero entry prints as "0"; each distinct nonzero entry object, f
+    # included, is printed once per document.  ``texts`` maps id(entry) to
+    # its text and arrives holding f's: the factorization holds f and
+    # every entry until the document is built, so no id is reused
+    # meanwhile.  Keying by the polynomial itself would hash it, which
+    # builds a tuple of its view per cell.
     grid = [["0"] * matrix.ncols for _ in matrix.rows]
     for line, row in zip(grid, matrix.rows):
         for c, entry in row:
@@ -195,6 +196,20 @@ def _parse_degree_list(doc: dict, key: str) -> tuple[int, ...]:
     return tuple(raw)
 
 
+def _parse_entry(parse_poly, memo: dict, text: str, field: Field, nvars: int, bound: int, where: str):
+    """Parse one entry text of a document, ``f`` or a cell, with
+    ``parse_poly`` under ``bound``, and store and return its memo entry
+    (see :func:`_parse_matrix`).  A ParseError becomes a SchemaError
+    that names ``where``."""
+    try:
+        poly = parse_poly(text, field, nvars, bound)
+    except algebra.ParseError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+    bounded = bound > 0 and ("*" in text or "^" in text)
+    memo[text] = hit = (None if poly.is_zero else poly, bound if bounded else float("-inf"))
+    return hit
+
+
 def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
                   source: DegreeMultiset, target: DegreeMultiset,
                   memo: dict[str, tuple[Polynomial | None, int | float]]) -> HomogeneousMatrix:
@@ -202,23 +217,22 @@ def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
     degrees into its sparse rows, the nonzero ``(column, polynomial)``
     pairs of each row.  Entry ``[r][c]`` parses under the degree bound
     ``max(source[c] - target[r], 0)``.  ``memo`` maps each entry text
-    already parsed in this document to its polynomial, None when it is
-    zero, and the smallest ``source[c] - target[r]`` known to admit it:
-    NEG_INFINITY when it parsed under the bound 0, or holds no ``*`` or
-    ``^`` (the only places the bound is checked).  A text that parses
-    under one bound parses to the same polynomial under any larger one,
-    so a hit costs one comparison and a text is parsed again only under a
-    smaller bound.  A string that fails to parse is never stored, so it
-    raises wherever it appears.  The text ``"0"``, most cells of a
-    Fermat-type document, is skipped before any other work: it holds no
-    ``*`` or ``^`` and parses to zero under every bound, so skipping it
-    changes no result and no error.  The memo pays although a printed
-    entry takes the parser's one-scan path: a hit costs one comparison,
-    a scan of an entry 7-53 us.  ``algebra.parse_poly`` and
-    ``NEG_INFINITY`` are read once per call, still at call time, so a
-    rebound ``parse_poly`` is the one called."""
-    parse_poly, unbounded = algebra.parse_poly, algebra.NEG_INFINITY
-    sources, targets = source.degrees, target.degrees
+    already parsed in this document, ``f``'s included, to its polynomial,
+    None when it is zero, and the smallest bound known to admit it: the
+    bound it parsed under, or -inf when that bound is 0 or the text
+    holds no ``*`` or ``^`` (the only places the bound is checked).
+    :func:`_parse_entry` fills it on a miss.  A text that parses under one
+    bound parses to the same polynomial under any larger one, so a hit
+    costs one comparison and a text is parsed again only under a smaller
+    bound.  A string that fails to parse is never stored, so it raises
+    wherever it appears.  The text ``"0"``, most cells of a Fermat-type
+    document, is skipped before any other work: it holds no ``*`` or
+    ``^`` and parses to zero under every bound, so skipping it changes no
+    result and no error.  The memo pays although a printed entry takes
+    the parser's one-scan path: a hit costs one comparison, a scan of an
+    entry 7-53 us.  ``algebra.parse_poly`` is read once per call, still
+    at call time, so a rebound ``parse_poly`` is the one called."""
+    parse_poly, sources, targets = algebra.parse_poly, source.degrees, target.degrees
     nrows, ncols = len(targets), len(sources)
     raw = _expect(doc, key, list)
     if len(raw) != nrows:
@@ -236,13 +250,7 @@ def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
             bound = sources[c] - targets[r]
             hit = memo.get(text)
             if hit is None or bound < hit[1]:
-                try:
-                    poly = parse_poly(text, field, nvars, max(bound, 0))
-                except algebra.ParseError as exc:
-                    raise SchemaError(f"{key}[{r}][{c}]: {exc}") from exc
-                bounded = bound > 0 and ("*" in text or "^" in text)
-                hit = memo[text] = (None if poly.is_zero else poly,
-                                    bound if bounded else unbounded)
+                hit = _parse_entry(parse_poly, memo, text, field, nvars, max(bound, 0), f"{key}[{r}][{c}]")
             if hit[0] is not None:
                 row.append((c, hit[0]))
         rows.append(tuple(row))
@@ -261,15 +269,13 @@ def document_to_mf(doc: dict) -> MatrixFactorization:
     if nvars > algebra.MAX_NVARS:
         raise SchemaError(f"nvars must be <= {algebra.MAX_NVARS}")
     d = _expect(doc, "d", int)
-    try:
-        f = algebra.parse_poly(_expect(doc, "f", str), field, nvars, d)
-    except algebra.ParseError as exc:
-        raise SchemaError(f"f: {exc}") from exc
-    if not f.is_homogeneous or f.total_degree != d:
+    # f is the document's first entry text, parsed under d itself; None when zero.
+    memo: dict[str, tuple[Polynomial | None, int | float]] = {}
+    f = _parse_entry(algebra.parse_poly, memo, _expect(doc, "f", str), field, nvars, d, "f")[0]
+    if f is None or not f.is_homogeneous or f.total_degree != d:
         raise SchemaError(f"f must be homogeneous of the declared degree d = {d}")
     F0 = graded.DegreeMultiset(_parse_degree_list(doc, "F0_degrees"))
     F1 = graded.DegreeMultiset(_parse_degree_list(doc, "F1_degrees"))
-    memo: dict[str, tuple[Polynomial | None, int | float]] = {}
     return mf_ops.MatrixFactorization(
         f,
         _parse_matrix(doc, "s0", field, nvars, F0, F1, memo),
@@ -374,8 +380,14 @@ def _read_json(path: str) -> tuple[dict, str]:
             data = handle.read()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
+    # One copy of the input at a time: the bytes are digested, decoded as
+    # json.loads decodes bytes, and dropped before the tree is built.
+    # JSONDecoder, not json.loads(str), reads the text, because the latter
+    # refuses a text that still starts with a BOM with a message of its own.
+    digest, text = _sha256_hex(data), data.decode(json.detect_encoding(data), "surrogatepass")
+    del data
     try:
-        return json.loads(data), _sha256_hex(data)
+        return json.JSONDecoder().decode(text), digest
     except (json.JSONDecodeError, RecursionError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from exc
 
@@ -434,22 +446,21 @@ def _emit(args, report: dict, *, artifact: dict | None = None,
     Text mode prints the bare value for scalar queries and the rendered
     report otherwise; ``--json`` always prints the full report.  When
     ``--output`` is given, the artifact (falling back to the report) is
-    written there and stdout keeps the report/value."""
-    if artifact is not None:
-        if args.output is not None:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                _dump(artifact, handle)
-        else:
-            _dump(artifact, _stdout())
-            if not args.json:
-                return
-    elif args.output is not None:
+    written there and stdout keeps the report/value, or nothing when the
+    report itself went to ``--output``.  The text report is rendered only
+    where it is written."""
+    if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
-            if args.json:
-                _dump(report, handle)
-            else:
+            if artifact is None and not args.json:
                 handle.write(report_to_text(report))
-        return
+            else:
+                _dump(report if artifact is None else artifact, handle)
+        if artifact is None:
+            return
+    elif artifact is not None:
+        _dump(artifact, _stdout())
+        if not args.json:
+            return
     if args.json:
         _dump(report, _stdout())
     elif scalar is not None:

@@ -5,8 +5,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from mfkit import mf
+from mfkit import algebra, graded, mf
+from mfkit import mf as mf_ops
 from mfkit.algebra import GF, Field, FpElement, GaussianRational, Polynomial, _fraction
+from mfkit.cli import (MF_SCHEMA, SchemaError, _expect, _parse_degree_list, _printed,
+                       field_from_json, field_to_json)
 from mfkit.graded import DegreeMultiset, HomogeneousMatrix, compose
 
 FP13 = GF(13)
@@ -322,3 +325,99 @@ def square_and_multiply(base, e, one, times):
         base = times(base, base) if e > 1 else base
         e >>= 1
     return result
+
+
+# ``cli.document_to_mf``/``_parse_matrix`` and ``cli.mf_to_document``/
+# ``_matrix_texts`` as they were before f became one more entry text of
+# its document, bodies unchanged: f parsed outside the entry memo and
+# printed outside the id-keyed text memo.  Kept for the differential
+# tests.
+
+
+def reference_mf_to_document(F: mf.MatrixFactorization) -> dict:
+    texts: dict[int, str] = {}
+    return {
+        "schema": MF_SCHEMA,
+        "field": field_to_json(F.field),
+        "nvars": F.nvars,
+        "f": _printed(F.f),
+        "d": F.d,
+        "F0_degrees": list(F.f0_degrees),
+        "F1_degrees": list(F.f1_degrees),
+        "s0": reference_matrix_texts(F.s0, texts),
+        "s1": reference_matrix_texts(F.s1, texts),
+    }
+
+
+def reference_matrix_texts(matrix: HomogeneousMatrix, texts: dict[int, str]) -> list[list[str]]:
+    grid = [["0"] * matrix.ncols for _ in matrix.rows]
+    for line, row in zip(grid, matrix.rows):
+        for c, entry in row:
+            text = texts.get(id(entry))
+            if text is None:
+                text = texts[id(entry)] = _printed(entry)
+            line[c] = text
+    return grid
+
+
+def reference_parse_matrix(doc: dict, key: str, field: Field, nvars: int,
+                           source: DegreeMultiset, target: DegreeMultiset,
+                           memo: dict[str, tuple[Polynomial | None, int | float]]) -> HomogeneousMatrix:
+    parse_poly, unbounded = algebra.parse_poly, algebra.NEG_INFINITY
+    sources, targets = source.degrees, target.degrees
+    nrows, ncols = len(targets), len(sources)
+    raw = _expect(doc, key, list)
+    if len(raw) != nrows:
+        raise SchemaError(f"{key} must have {nrows} rows, got {len(raw)}")
+    rows = []
+    for r, raw_row in enumerate(raw):
+        if not isinstance(raw_row, list) or len(raw_row) != ncols:
+            raise SchemaError(f"{key} row {r} must be a list of {ncols} strings")
+        row = []
+        for c, text in enumerate(raw_row):
+            if text == "0":
+                continue
+            if not isinstance(text, str):
+                raise SchemaError(f"{key}[{r}][{c}] must be a polynomial string")
+            bound = sources[c] - targets[r]
+            hit = memo.get(text)
+            if hit is None or bound < hit[1]:
+                try:
+                    poly = parse_poly(text, field, nvars, max(bound, 0))
+                except algebra.ParseError as exc:
+                    raise SchemaError(f"{key}[{r}][{c}]: {exc}") from exc
+                bounded = bound > 0 and ("*" in text or "^" in text)
+                hit = memo[text] = (None if poly.is_zero else poly,
+                                    bound if bounded else unbounded)
+            if hit[0] is not None:
+                row.append((c, hit[0]))
+        rows.append(tuple(row))
+    return graded.HomogeneousMatrix._from_rows(field, nvars, source, target, tuple(rows))
+
+
+def reference_document_to_mf(doc: dict) -> mf.MatrixFactorization:
+    if not isinstance(doc, dict):
+        raise SchemaError("document must be a JSON object")
+    if doc.get("schema") != MF_SCHEMA:
+        raise SchemaError(f"expected schema {MF_SCHEMA!r}, got {doc.get('schema')!r}")
+    field = field_from_json(_expect(doc, "field", dict))
+    nvars = _expect(doc, "nvars", int)
+    if nvars < 1:
+        raise SchemaError("nvars must be >= 1")
+    if nvars > algebra.MAX_NVARS:
+        raise SchemaError(f"nvars must be <= {algebra.MAX_NVARS}")
+    d = _expect(doc, "d", int)
+    try:
+        f = algebra.parse_poly(_expect(doc, "f", str), field, nvars, d)
+    except algebra.ParseError as exc:
+        raise SchemaError(f"f: {exc}") from exc
+    if not f.is_homogeneous or f.total_degree != d:
+        raise SchemaError(f"f must be homogeneous of the declared degree d = {d}")
+    F0 = graded.DegreeMultiset(_parse_degree_list(doc, "F0_degrees"))
+    F1 = graded.DegreeMultiset(_parse_degree_list(doc, "F1_degrees"))
+    memo: dict[str, tuple[Polynomial | None, int | float]] = {}
+    return mf_ops.MatrixFactorization(
+        f,
+        reference_parse_matrix(doc, "s0", field, nvars, F0, F1, memo),
+        reference_parse_matrix(doc, "s1", field, nvars, F1.twist(-d), F0, memo),
+    )

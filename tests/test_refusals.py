@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from mfkit import bott, mf
-from mfkit.algebra import QI, QQ, FpElement, GaussianRational, Polynomial, parse_poly
+from mfkit.algebra import QI, QQ, Field, FpElement, GaussianRational, Polynomial, parse_poly
 from mfkit.graded import DegreeMultiset, HomogeneousMatrix, compose
 
 from _factories import FP13
@@ -96,6 +96,24 @@ class TestAlgebra:
         with pytest.raises(ValueError, match=f"^variable index {re.escape(repr(index))} out of range "
                                              "for 3 variables$"):
             Polynomial.variable(QQ, 3, index)
+
+    @pytest.mark.parametrize("index", [True, False])
+    def test_variable_index_a_bool(self, index):
+        with pytest.raises(ValueError, match=f"^variable index {index} out of range for 3 variables$"):
+            Polynomial.variable(QQ, 3, index)
+
+    @pytest.mark.parametrize("exps", [(1.0, 2), ("1", 2), (2, "1"), (Fraction(1), 2), (None, 0)])
+    def test_exponent_not_an_int(self, exps):
+        with pytest.raises(ValueError, match=f"^exponent vector {re.escape(repr(exps))} holds a value "
+                                             "that is not an int$"):
+            Polynomial.from_pairs(QQ, 2, [((0, 0), 1), (exps, 1)])
+
+    @pytest.mark.parametrize("p, kind", [(2.0, "float"), (5.0, "float"), (True, "bool"),
+                                         (Fraction(5), "Fraction"), ("5", "str"), (None, "NoneType")])
+    def test_modulus_not_an_int(self, p, kind):
+        # A float modulus would compute in floats, a bool one as F_1 or F_2.
+        with pytest.raises(ValueError, match=f"^prime modulus must be an int, not {kind}$"):
+            Field("Fp", p)
 
     def test_negative_power(self):
         with pytest.raises(ValueError, match="^polynomial exponent must be a nonnegative integer$"):
