@@ -25,8 +25,19 @@ coefficient never becomes a public scalar on the way.
 Arithmetic does not re-validate; its results are made by the trusted
 constructor ``Polynomial._from_view`` (below).  Only this module builds
 a view: a variable is :meth:`Polynomial.variable`, one packed key, and
-the constant i over QQ(i) is ``Polynomial._i``, both in O(1) whatever
+the constant i is ``Polynomial._i``, one pair, both in O(1) whatever
 ``nvars``.
+
+There is one multiplicative inverse, ``_inverse``, on raw values:
+modulo p over GF(p), else (re - im*i) / (re^2 + im^2), each part a
+Fraction only where it is not an integer.  :meth:`Field.inv` wraps the
+inverse of ``_raw_value``'s value as :meth:`Field.coerce` wraps that
+value; ``GaussianRational.inverse`` is ``QI.inv`` and
+``FpElement.inverse`` inverts modulo its own p.  The GF(p) denominators
+of a Fraction or a literal go through it, and so do the pivots that
+:func:`mf.reduce` splits off, by ``Polynomial._minus_inverse``, with no
+public scalar built: the pivots +-1 over QQ and +-1 and +-i over QQ(i)
+load no fractions.
 
 Sums and products share one multiply-accumulate loop,
 ``_sum_products``.  A sum of any number of signed summands is one
@@ -266,10 +277,7 @@ class GaussianRational:
         )
 
     def inverse(self) -> "GaussianRational":
-        norm = self.re * self.re + self.im * self.im
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussianRational(self.re / norm, -self.im / norm)
+        return QI.inv(self)
 
     def __str__(self) -> str:
         if self.im == 0:
@@ -311,9 +319,8 @@ class FpElement:
         return FpElement(self.value * other.value, self.p)
 
     def inverse(self) -> "FpElement":
-        if self.value == 0:
-            raise ZeroDivisionError(f"inverse of zero in F_{self.p}")
-        return FpElement(pow(self.value, -1, self.p), self.p)
+        # Modulo its own p, which need not be prime.
+        return FpElement(_inverse(self.value, self.p), self.p)
 
     def __str__(self) -> str:
         return str(self.value)
@@ -371,12 +378,11 @@ class Field:
         public scalar of its raw view value."""
         return _scalar(self, _raw_value(self, value))
 
-    def inv(self, value: Scalar) -> Scalar:
-        if self.kind == "Q":
-            if value == 0:
-                raise ZeroDivisionError("inverse of zero rational")
-            return _fraction()(1) / value
-        return value.inverse()
+    def inv(self, value) -> Scalar:
+        """The inverse of a nonzero int, Fraction or same-field scalar, the
+        values that :meth:`coerce` takes: the public scalar of the inverse
+        of its raw view value."""
+        return _scalar(self, _inverse(_raw_value(self, value), self.p))
 
     def has_sqrt_minus_one(self) -> bool:
         return self.kind == "Qi" or self.kind == "Fp" and (self.p % 4 == 1 or self.p == 2)
@@ -425,14 +431,30 @@ def _raw_value(field: Field, value) -> int | Fraction | list:
     elif field.kind == "Qi" and isinstance(value, GaussianRational):
         return [_raw(value.re), _raw(value.im)]
     elif isinstance(value, _fraction()):
-        if p and not value.denominator % p:
-            raise ZeroDivisionError(f"inverse of zero in F_{p}")
-        raw = value.numerator * pow(value.denominator, -1, p) if p else _raw(value)
+        raw = value.numerator * _inverse(value.denominator, p) if p else _raw(value)
     else:
         raise ValueError(f"cannot coerce {value!r} into {field}")
     if p:
         return raw % p
     return [raw, 0] if field.kind == "Qi" else raw
+
+
+def _inverse(raw, p: int | None = None):
+    # The inverse of a nonzero raw view value: modulo p where p is given,
+    # else (re - im*i) / (re^2 + im^2) of [re, im] over QQ(i) or of [raw, 0]
+    # over QQ, each part a Fraction only where it is not an integer, so
+    # that inverting +-1 or +-i loads no fractions.
+    if p:
+        if not raw % p:
+            raise ZeroDivisionError(f"inverse of zero in F_{p}")
+        return pow(raw, -1, p)
+    gaussian = isinstance(raw, list)
+    re, im = raw if gaussian else (raw, 0)
+    norm = re * re + im * im
+    if not norm:
+        raise ZeroDivisionError(f"inverse of zero {'Gaussian ' * gaussian}rational")
+    parts = [q // norm if not q % norm else _fraction()(q, norm) for q in (re, -im)]
+    return parts if gaussian else parts[0]
 
 
 def _width(degree: int) -> int:
@@ -801,11 +823,11 @@ class Polynomial:
 
     @classmethod
     def _i(cls, field: Field, nvars: int) -> "Polynomial":
-        # The constant i: its view over QQ(i), else field.i(), which raises
-        # where the field has no square root of -1.
-        if field.kind == "Qi":
-            return cls._from_view(field, nvars, _MIN_WIDTH, [(1, 1)])
-        return cls.constant(field, nvars, field.i())
+        # The constant i, one pair of a view: over QQ(i) the imaginary half
+        # 1, else the residue of field.i(), which raises where the field has
+        # no square root of -1.
+        view = [(1, 1)] if field.kind == "Qi" else [(0, field.i().value)]
+        return cls._from_view(field, nvars, _MIN_WIDTH, view)
 
     @classmethod
     def monomial(cls, field: Field, nvars: int, exponents: Iterable[int], coeff=1) -> "Polynomial":
@@ -864,18 +886,14 @@ class Polynomial:
         return _scalar(self.field, self._raw_constant())
 
     def _minus_inverse(self) -> "Polynomial":
-        # The constant polynomial -1/c of the nonzero constant term c.  Over
-        # QQ(i) a Gaussian unit, c = +-1 or +-i, is inverted on its raw
-        # view value, since -1/(+-1) = -+1 and -1/(+-i) = +-i: a
-        # GaussianRational would load fractions.  Any other c goes through
-        # Field.inv.
+        # The constant polynomial -1/c of the nonzero constant term c: the
+        # raw inverse of c negated and settled into a view, no public scalar
+        # built (over QQ and QQ(i) one would load fractions).
         field = self.field
-        if field.kind == "Qi":
-            re, im = self._raw_constant()
-            if (re, im) in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                view = [(1, im)] if im else [(0, -re)]
-                return Polynomial._from_view(field, self.nvars, _MIN_WIDTH, view)
-        return Polynomial.constant(field, self.nvars, -field.inv(self.constant_term))
+        inverse = _inverse(self._raw_constant(), field.p)
+        halves = enumerate(inverse) if field.kind == "Qi" else ((0, inverse),)
+        settled = _settle(field, {k: -value for k, value in halves})
+        return Polynomial._from_settled(field, self.nvars, _MIN_WIDTH, settled)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -886,10 +904,14 @@ class Polynomial:
             raise ValueError(f"variable count mismatch: {self.nvars} vs {other.nvars}")
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check_compat(other)
         return Polynomial._signed_sum(self.field, self.nvars, ((self, "+"), (other, "+")))
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
+        if not isinstance(other, Polynomial):
+            return NotImplemented
         self._check_compat(other)
         return Polynomial._signed_sum(self.field, self.nvars, ((self, "+"), (other, "-")))
 
@@ -1199,7 +1221,7 @@ def _literal(value: int, denominator: str | None, p: int | None, at: int,
     if p:
         if denominator % p == 0:
             raise ParseError(f"inverse of zero in F_{p}", at)
-        return value * pow(denominator, -1, p) % p
+        return value * _inverse(denominator, p) % p
     return value if denominator == 1 else _fraction()(value, denominator)
 
 

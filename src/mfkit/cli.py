@@ -27,10 +27,10 @@ reads the environment.
 A command imports what it runs on first use: ``bott`` queries and ``rho
 point`` load :mod:`mfkit.bott` alone, other scalar queries add orlov, and
 document commands add algebra, graded, mf and json.  ``fractions`` loads
-only where a Fraction is built: for a QQ or QQ(i) value that is not an
-integer, or a pivot that reduce inverts over those fields, other than
-+-1 and +-i over QQ(i); so ``mf fermat`` over QQ(i), whose coefficients
-are integers, loads none.  An input's
+only where a QQ or QQ(i) value that is not an integer is built, a
+pivot inverse included (those of +-1 and +-i are integers); so ``mf
+fermat`` over QQ(i), whose coefficients are integers, loads none.  An
+input's
 SHA-256 comes from the interpreter's builtin module below
 BUILTIN_SHA256_BELOW bytes, so hashlib loads only for larger inputs.
 ``main`` reads a plain, well-formed command line from ``COMMANDS``

@@ -9,6 +9,7 @@ from mfkit import algebra
 from mfkit.algebra import (
     GF,
     FpElement,
+    GaussianRational,
     MAX_NESTING,
     MAX_NVARS,
     NEG_INFINITY,
@@ -21,7 +22,9 @@ from mfkit.algebra import (
     parse_poly,
 )
 
-from _factories import random_polynomial, random_homogeneous
+from _factories import (random_homogeneous, random_polynomial, reference_fp_inverse,
+                        reference_gaussian_inverse, reference_inv, reference_minus_inverse)
+from test_construction import outcome
 
 FIELDS = [QQ, QI, GF(13)]
 
@@ -139,6 +142,94 @@ class TestMinusInverse:
         got = u._minus_inverse()
         assert got == Polynomial.constant(field, 2, -field.inv(u.constant_term))
         assert got.terms == (((0, 0), -field.inv(u.constant_term)),)
+
+
+INVERSE_FIELDS = [QQ, QI, GF(2), GF(13), GF(PRIME_LIMIT)]
+
+# Gaussian rationals of norm 1: their inverses are their conjugates.
+NORM_ONE = [GaussianRational(Fraction(s * a, c), Fraction(t * b, c))
+            for a, b, c in ((3, 4, 5), (5, 12, 13), (20, 21, 29)) for s in (1, -1) for t in (1, -1)]
+
+
+@st.composite
+def nonzero_scalars(draw, field):
+    """A nonzero scalar of ``field``: +-1, +-i where the field has i,
+    rationals with small or large numerators and denominators (each half
+    over QQ(i)), and over QQ(i) Gaussian rationals of norm 1."""
+    p = field.p
+    numerators = st.integers(-30, 30) | st.integers(-2**80, 2**80)
+    # Over GF(p) no denominator is a multiple of p.
+    denominators = (st.integers(1, 30) | st.integers(1, 2**80)).map(
+        lambda d: d + 1 if p and not d % p else d)
+    rationals = st.builds(Fraction, numerators, denominators)
+    units = [1, -1] + ([field.i(), -field.i()] if field.has_sqrt_minus_one() else [])
+    values = st.sampled_from(units) | rationals
+    if field is QI:
+        values |= st.sampled_from(NORM_ONE) | st.builds(GaussianRational, rationals, rationals)
+    return draw(values.map(field.coerce).filter(bool))
+
+
+def typed_view(poly):
+    # The view with the type of each value, so that an integral value kept
+    # as a Fraction differs from the int a view holds.
+    width, pairs = poly._view
+    return width, [(k, type(value), value) for k, value in pairs]
+
+
+class TestOneInverse:
+    """Field.inv, both scalar inverse methods, GF(p) denominators and
+    _minus_inverse share one inverse on raw values; each agrees with the
+    path it replaced."""
+
+    @pytest.mark.parametrize("field", INVERSE_FIELDS, ids=str)
+    @given(data=st.data())
+    def test_matches_the_references(self, field, data):
+        value = data.draw(nonzero_scalars(field))
+        expected = reference_inv(field, value)
+        assert outcome(lambda: field.inv(value)) == (type(expected), expected)
+        if field is QI:
+            assert value.inverse() == reference_gaussian_inverse(value) == expected
+        elif field.p:
+            assert value.inverse() == reference_fp_inverse(value) == expected
+        for text in ("0", "x0*x1^2"):
+            u = parse_poly(text, field, 2) + Polynomial.constant(field, 2, value)
+            got, reference = u._minus_inverse(), reference_minus_inverse(u)
+            assert typed_view(got) == typed_view(reference)
+            assert got.terms == reference.terms
+
+    @pytest.mark.parametrize("field, message", [
+        (QQ, "inverse of zero rational"),
+        (QI, "inverse of zero Gaussian rational"),
+        (GF(2), "inverse of zero in F_2"),
+        (GF(13), "inverse of zero in F_13"),
+        (GF(PRIME_LIMIT), f"inverse of zero in F_{PRIME_LIMIT}"),
+    ], ids=str)
+    def test_zero_raises_as_before(self, field, message):
+        u = parse_poly("x0", field, 1)
+        refused = (ZeroDivisionError, message)
+        assert outcome(lambda: field.inv(field.zero)) == refused
+        assert outcome(lambda: reference_inv(field, field.zero)) == refused
+        assert outcome(u._minus_inverse) == outcome(lambda: reference_minus_inverse(u)) == refused
+        if field.kind != "Q":
+            assert outcome(field.zero.inverse) == refused
+
+    @pytest.mark.parametrize("field", INVERSE_FIELDS[2:], ids=str)
+    def test_a_denominator_divisible_by_p_raises_as_before(self, field):
+        p = field.p
+        refused = (ZeroDivisionError, f"inverse of zero in F_{p}")
+        for value in (Fraction(1, p), Fraction(-5, 3 * p)):
+            assert outcome(lambda: field.coerce(value)) == refused
+        for text in (f"1/{p}", f"x0 - 5/{3 * p}"):
+            with pytest.raises(ParseError, match=rf"^inverse of zero in F_{p} \(at position \d+\)$"):
+                parse_poly(text, field, 1)
+
+    @pytest.mark.parametrize("value, p", [(3, 4), (2, 4), (5, 9), (1, 1)])
+    def test_an_element_of_a_composite_modulus_inverts_as_before(self, value, p):
+        element = FpElement(value, p)
+        assert outcome(element.inverse) == outcome(lambda: reference_fp_inverse(element))
+
+    def test_three_is_its_own_inverse_modulo_four(self):
+        assert FpElement(3, 4).inverse() == FpElement(3, 4)
 
 
 class TestParsing:

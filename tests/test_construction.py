@@ -184,6 +184,18 @@ class TestOneConverter:
             lambda: Polynomial.from_pairs(
                 field, 2, [(exps, reference_coerce(field, c)) for exps, c in pairs]))
 
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    @given(data=st.data())
+    def test_inv_takes_what_coerce_takes(self, field, data):
+        # Field.inv of a value coerce accepts is that of the coerced value;
+        # of any other value, coerce's error.
+        value = data.draw(outside_values(field))
+        coerced = outcome(lambda: field.coerce(value))
+        if issubclass(coerced[0], Exception):
+            assert outcome(lambda: field.inv(value)) == coerced
+        else:
+            assert outcome(lambda: field.inv(value)) == outcome(lambda: field.inv(coerced[1]))
+
     @pytest.mark.parametrize("field", [GF(13), GF(PRIME_LIMIT)], ids=str)
     def test_a_denominator_divisible_by_p_is_refused(self, field):
         for call in (field.coerce, lambda c: reference_coerce(field, c),

@@ -1,6 +1,7 @@
 """Library refusals, each with its exact message: the error branches of
 mf, graded, algebra and bott that the other tests do not reach."""
 
+import operator
 import re
 from fractions import Fraction
 
@@ -144,6 +145,35 @@ class TestAlgebra:
     def test_zero_inverse(self, field, message):
         with pytest.raises(ZeroDivisionError, match=f"^{re.escape(message)}$"):
             field.inv(field.zero)
+
+    @pytest.mark.parametrize("field, value", [
+        (QI, 2), (FP13, 3), (FP13, Fraction(1, 2)), (QQ, -3), (QI, Fraction(2, 3)),
+    ], ids=str)
+    def test_inverse_of_what_coerce_takes(self, field, value):
+        assert field.inv(value) == field.inv(field.coerce(value))
+
+    @pytest.mark.parametrize("field, value, message", [
+        (QQ, 1.5, "cannot coerce 1.5 into QQ"),
+        (FP13, FpElement(3, 17), "prime field mismatch: F_17 vs F_13"),
+        (QQ, QI.coerce(2), f"cannot coerce {QI.coerce(2)!r} into QQ"),
+    ], ids=["float", "other-prime", "gaussian-into-QQ"])
+    def test_inverse_of_what_coerce_refuses(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            field.coerce(value)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            field.inv(value)
+
+    @pytest.mark.parametrize("op, symbol", [(operator.add, "+"), (operator.sub, "-")])
+    @pytest.mark.parametrize("other", [1, None, Fraction(1, 2)], ids=repr)
+    def test_polynomial_sum_with_a_non_polynomial(self, op, symbol, other):
+        # Refused by Python's operator protocol, on either side; a product
+        # with a scalar stays a product.
+        x = parse_poly("x0", QQ, 1)
+        message = f"^unsupported operand type\\(s\\) for {re.escape(symbol)}: "
+        for left, right in ((x, other), (other, x)):
+            with pytest.raises(TypeError, match=message):
+                op(left, right)
+        assert x * 2 == 2 * x == parse_poly("2*x0", QQ, 1)
 
 
 class TestBott:

@@ -151,6 +151,33 @@ def test_reduce_over_gaussian_units_loads_no_fractions(tmp_path):
     assert not (RATIONALS | HASHLIB) & modules
 
 
+def split_first_monomials():
+    """The QQ rank-4 tensor of (x0, x1) plus its trivial factor (1, x0*x1)
+    with (x2, x3): the unit entries 1 and -1 that reduce splits off first."""
+    x = [algebra.Polynomial.variable(algebra.QQ, 4, k) for k in range(4)]
+    first = mf.rank_one(x[0] * x[1], x[0], x[1])
+    return mf.tensor(mf.direct_sum(first, mf.trivial_one_f(first.f)),
+                     mf.rank_one(x[2] * x[3], x[2], x[3]))
+
+
+# What reduce printed for it when the pivot inverse went through Field.inv.
+SPLIT_FIRST_MONOMIALS_REDUCED = {
+    "schema": "mfkit/mf-v1", "field": {"type": "Q"}, "nvars": 4,
+    "f": "x0*x1 + x2*x3", "d": 2, "F0_degrees": [2, 2], "F1_degrees": [1, 1],
+    "s0": [["x0", "x3"], ["x2", "-x1"]],
+    "s1": [["x1", "x3"], ["x2", "-x0"]],
+}
+
+
+def test_reduce_over_rational_units_loads_no_fractions(tmp_path):
+    # The pivots are +-1 over QQ, whose inverses are integers.
+    F = split_first_monomials()
+    (tmp_path / "rs.json").write_text(json.dumps(mf_to_document(F)))
+    output, modules = child_run("mf", "reduce", "rs.json", cwd=tmp_path)
+    assert output == json.dumps(SPLIT_FIRST_MONOMIALS_REDUCED, indent=2) + "\n"
+    assert not (RATIONALS | HASHLIB) & modules
+
+
 # Every coefficient these build is an integer: 1, i and the variables.
 @pytest.mark.parametrize("case", ["mf fermat --pairs 2 --half-degree 2",
                                   "mf fermat --pairs 1 --half-degree 2 --solo"])
