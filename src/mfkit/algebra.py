@@ -225,16 +225,11 @@ def _is_prime(n: int) -> bool:
     # A witness that n divides proves nothing and is skipped.
     if n < 2 or n % 2 == 0:
         return n == 2
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
     for a in (2, 7, 61):
-        if a % n == 0:
-            continue
         x = pow(a, d, n)
-        if x in (1, n - 1):
+        if not a % n or x in (1, n - 1):
             continue
         for _ in range(s - 1):
             x = x * x % n
@@ -255,6 +250,9 @@ class GaussianRational:
     def __post_init__(self):
         Fraction = _fraction()
         if not isinstance(self.re, Fraction) or not isinstance(self.im, Fraction):
+            # A float part would compute inexactly, a str or Decimal one be parsed.
+            if not all(isinstance(part, (int, Fraction)) for part in (self.re, self.im)):
+                raise ValueError("Gaussian rational parts must be ints or Fractions")
             object.__setattr__(self, "re", Fraction(self.re))
             object.__setattr__(self, "im", Fraction(self.im))
 
@@ -294,6 +292,9 @@ class FpElement:
     p: int
 
     def __post_init__(self):
+        # A float value or modulus would compute inexactly, a bool modulus as an int.
+        if type(self.p) is not int or self.p < 1 or not isinstance(self.value, int):
+            raise ValueError("a residue needs an int value and an int modulus >= 1")
         object.__setattr__(self, "value", self.value % self.p)
 
     def __bool__(self) -> bool:

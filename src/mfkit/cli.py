@@ -24,13 +24,16 @@ running sum over the row before.
 exits 2) but has no effect: the sweep runs in one thread.  Nothing else
 reads the environment.
 
-A command imports what it runs on first use: ``bott`` queries and ``rho
+A command imports what it runs on first use.  It reads library names
+through the package at call time (``mfkit.mf.reduce``): the package
+imports a submodule on its first access and binds it as an attribute, so
+each later read is a plain attribute load that sees a rebound function.
+The functions that use ``json`` import it.  ``bott`` queries and ``rho
 point`` load :mod:`mfkit.bott` alone, other scalar queries add orlov, and
 document commands add algebra, graded, mf and json.  ``fractions`` loads
-only where a QQ or QQ(i) value that is not an integer is built, a
-pivot inverse included (those of +-1 and +-i are integers); so ``mf
-fermat`` over QQ(i), whose coefficients are integers, loads none.  An
-input's
+only where a QQ or QQ(i) value that is not an integer is built, a pivot
+inverse included (those of +-1 and +-i are integers); so ``mf fermat``
+over QQ(i), whose coefficients are integers, loads none.  An input's
 SHA-256 comes from the interpreter's builtin module below
 BUILTIN_SHA256_BELOW bytes, so hashlib loads only for larger inputs.
 ``main`` reads a plain, well-formed command line from ``COMMANDS``
@@ -48,6 +51,8 @@ from collections.abc import Callable
 from importlib import import_module
 from types import SimpleNamespace
 
+import mfkit
+
 from ._value import value_class
 
 # Type checkers take this name for typing's; no command imports typing.
@@ -61,21 +66,6 @@ if TYPE_CHECKING:
     from .mf import BettiTable, MatrixFactorization
     from .orlov import CohomologyTable, HypersurfaceContext, Verdict
 
-
-class _Module:
-    """A module imported on its first attribute access.  Each access
-    reads the module's attribute at that time, so a rebound module
-    attribute reaches every command."""
-
-    def __init__(self, name: str):
-        self._name = name
-
-    def __getattr__(self, attr: str):
-        return getattr(sys.modules.get(self._name) or import_module(self._name), attr)
-
-
-algebra, graded, mf_ops, orlov_ops, bott_ops, json = map(_Module, (
-    "mfkit.algebra", "mfkit.graded", "mfkit.mf", "mfkit.orlov", "mfkit.bott", "json"))
 
 MF_SCHEMA = "mfkit/mf-v1"
 TABLE_SCHEMA = "mfkit/table-v1"
@@ -120,15 +110,15 @@ def field_from_json(obj) -> Field:
         raise SchemaError("field descriptor must be an object with a 'type' key")
     kind = obj["type"]
     if kind == "Q":
-        return algebra.QQ
+        return mfkit.algebra.QQ
     if kind == "Qi":
-        return algebra.QI
+        return mfkit.algebra.QI
     if kind == "Fp":
         p = obj.get("p")
         if type(p) is not int:
             raise SchemaError("field descriptor of type 'Fp' needs an integer 'p'")
         try:
-            return algebra.GF(p)
+            return mfkit.algebra.GF(p)
         except ValueError as exc:
             raise SchemaError(str(exc)) from exc
     raise SchemaError(f"unknown field type {kind!r}")
@@ -169,11 +159,11 @@ def _matrix_texts(matrix: HomogeneousMatrix, texts: dict[int, str]) -> list[list
 def _printed(poly: Polynomial) -> str:
     # A text with an exponent past the parser's cap (read from the terms)
     # would not parse back; refused after printing, so the digit cap is met first.
-    text = str(poly)
-    if poly.total_degree > algebra.MAX_EXPONENT:
+    text, cap = str(poly), mfkit.algebra.MAX_EXPONENT
+    if poly.total_degree > cap:
         exponent = max(max(exps) for exps, _ in poly.terms)
-        if exponent > algebra.MAX_EXPONENT:
-            raise ValueError(f"exponent {exponent} exceeds MAX_EXPONENT = {algebra.MAX_EXPONENT}")
+        if exponent > cap:
+            raise ValueError(f"exponent {exponent} exceeds MAX_EXPONENT = {cap}")
     return text
 
 
@@ -196,14 +186,14 @@ def _parse_degree_list(doc: dict, key: str) -> tuple[int, ...]:
     return tuple(raw)
 
 
-def _parse_entry(parse_poly, memo: dict, text: str, field: Field, nvars: int, bound: int, where: str):
-    """Parse one entry text of a document, ``f`` or a cell, with
-    ``parse_poly`` under ``bound``, and store and return its memo entry
-    (see :func:`_parse_matrix`).  A ParseError becomes a SchemaError
-    that names ``where``."""
+def _parse_entry(memo: dict, text: str, field: Field, nvars: int, bound: int, where: str):
+    """Parse one entry text of a document, ``f`` or a cell, under
+    ``bound``, and store and return its memo entry (see
+    :func:`_parse_matrix`).  A ParseError becomes a SchemaError that
+    names ``where``."""
     try:
-        poly = parse_poly(text, field, nvars, bound)
-    except algebra.ParseError as exc:
+        poly = mfkit.algebra.parse_poly(text, field, nvars, bound)
+    except mfkit.algebra.ParseError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
     bounded = bound > 0 and ("*" in text or "^" in text)
     memo[text] = hit = (None if poly.is_zero else poly, bound if bounded else float("-inf"))
@@ -230,9 +220,9 @@ def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
     ``^`` and parses to zero under every bound, so skipping it changes no
     result and no error.  The memo pays although a printed entry takes
     the parser's one-scan path: a hit costs one comparison, a scan of an
-    entry 7-53 us.  ``algebra.parse_poly`` is read once per call, still
-    at call time, so a rebound ``parse_poly`` is the one called."""
-    parse_poly, sources, targets = algebra.parse_poly, source.degrees, target.degrees
+    entry 7-53 us.  :func:`_parse_entry` reads ``mfkit.algebra.parse_poly``
+    at each parse, so a rebound ``parse_poly`` is the one called."""
+    sources, targets = source.degrees, target.degrees
     nrows, ncols = len(targets), len(sources)
     raw = _expect(doc, key, list)
     if len(raw) != nrows:
@@ -250,11 +240,11 @@ def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
             bound = sources[c] - targets[r]
             hit = memo.get(text)
             if hit is None or bound < hit[1]:
-                hit = _parse_entry(parse_poly, memo, text, field, nvars, max(bound, 0), f"{key}[{r}][{c}]")
+                hit = _parse_entry(memo, text, field, nvars, max(bound, 0), f"{key}[{r}][{c}]")
             if hit[0] is not None:
                 row.append((c, hit[0]))
         rows.append(tuple(row))
-    return graded.HomogeneousMatrix._from_rows(field, nvars, source, target, tuple(rows))
+    return mfkit.graded.HomogeneousMatrix._from_rows(field, nvars, source, target, tuple(rows))
 
 
 def document_to_mf(doc: dict) -> MatrixFactorization:
@@ -266,17 +256,17 @@ def document_to_mf(doc: dict) -> MatrixFactorization:
     nvars = _expect(doc, "nvars", int)
     if nvars < 1:
         raise SchemaError("nvars must be >= 1")
-    if nvars > algebra.MAX_NVARS:
-        raise SchemaError(f"nvars must be <= {algebra.MAX_NVARS}")
+    if nvars > mfkit.algebra.MAX_NVARS:
+        raise SchemaError(f"nvars must be <= {mfkit.algebra.MAX_NVARS}")
     d = _expect(doc, "d", int)
     # f is the document's first entry text, parsed under d itself; None when zero.
     memo: dict[str, tuple[Polynomial | None, int | float]] = {}
-    f = _parse_entry(algebra.parse_poly, memo, _expect(doc, "f", str), field, nvars, d, "f")[0]
+    f = _parse_entry(memo, _expect(doc, "f", str), field, nvars, d, "f")[0]
     if f is None or not f.is_homogeneous or f.total_degree != d:
         raise SchemaError(f"f must be homogeneous of the declared degree d = {d}")
-    F0 = graded.DegreeMultiset(_parse_degree_list(doc, "F0_degrees"))
-    F1 = graded.DegreeMultiset(_parse_degree_list(doc, "F1_degrees"))
-    return mf_ops.MatrixFactorization(
+    F0 = mfkit.graded.DegreeMultiset(_parse_degree_list(doc, "F0_degrees"))
+    F1 = mfkit.graded.DegreeMultiset(_parse_degree_list(doc, "F1_degrees"))
+    return mfkit.mf.MatrixFactorization(
         f,
         _parse_matrix(doc, "s0", field, nvars, F0, F1, memo),
         _parse_matrix(doc, "s1", field, nvars, F1.twist(-d), F0, memo),
@@ -303,7 +293,7 @@ def document_to_table(doc: dict) -> CohomologyTable:
                 or any(type(x) is not int for x in item)):
             raise SchemaError("table entries must be [p, h, count] integer triples")
     try:
-        return orlov_ops.CohomologyTable.from_pairs((((p, h), v) for p, h, v in raw), n)
+        return mfkit.orlov.CohomologyTable.from_pairs((((p, h), v) for p, h, v in raw), n)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -343,6 +333,7 @@ def _fmt_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (list, tuple, dict)):
+        import json
         return json.dumps(value, separators=(", ", ": "))
     return str(value)
 
@@ -375,6 +366,7 @@ def report_to_text(report: dict) -> str:
 
 
 def _read_json(path: str) -> tuple[dict, str]:
+    import json
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -416,6 +408,7 @@ def _sha256_hex(data: bytes) -> str:
 def _dump(obj: dict, handle) -> None:
     # json.dump streams the encoder's chunks; json.dumps with indent holds
     # them all before the join, several times the document's size.
+    import json
     json.dump(obj, handle, indent=2)
     handle.write("\n")
 
@@ -470,7 +463,7 @@ def _emit(args, report: dict, *, artifact: dict | None = None,
 
 
 def _context_of_document(F: MatrixFactorization) -> HypersurfaceContext:
-    return orlov_ops.HypersurfaceContext(n=F.nvars - 1, d=F.d)
+    return mfkit.orlov.HypersurfaceContext(n=F.nvars - 1, d=F.d)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +478,7 @@ def _mf_results(F: MatrixFactorization) -> dict:
         "field": str(F.field),
         "F0_degrees": list(F.f0_degrees),
         "F1_degrees": list(F.f1_degrees),
-        "reduced": mf_ops.is_reduced(F),
+        "reduced": mfkit.mf.is_reduced(F),
     }
 
 
@@ -502,14 +495,14 @@ def _value(value, context: HypersurfaceContext | None = None, **results) -> dict
 
 
 def _mf_validate(args, F: MatrixFactorization) -> dict:
-    diagnostics = mf_ops.validate(F)
+    diagnostics = mfkit.mf.validate(F)
     return {"results": {**_mf_results(F), "valid": not diagnostics},
             "diagnostics": diagnostics, "rejected": bool(diagnostics)}
 
 
 def _mf_reduce(args, F: MatrixFactorization) -> dict:
-    mf_ops.require_valid(F)
-    reduced = mf_ops.reduce(F)
+    mfkit.mf.require_valid(F)
+    reduced = mfkit.mf.reduce(F)
     return _factorization(reduced, rank_before=F.rank0, splits=F.rank0 - reduced.rank0)
 
 
@@ -518,11 +511,11 @@ def _mf_fermat(args) -> dict:
         raise SchemaError("--field Fp requires --p")
     if args.field != "Fp" and args.p is not None:
         raise SchemaError("--p applies to --field Fp only")
-    field = algebra.QI if args.field == "Qi" else algebra.GF(args.p)
+    field = mfkit.algebra.QI if args.field == "Qi" else mfkit.algebra.GF(args.p)
     # f holds x^(2 * half_degree), which a document may not print.
-    if 2 * args.half_degree > algebra.MAX_EXPONENT:
-        raise ValueError(f"2 * half_degree exceeds MAX_EXPONENT = {algebra.MAX_EXPONENT}")
-    F = mf_ops.fermat(args.pairs, args.half_degree, solo=args.solo, field=field)
+    if 2 * args.half_degree > mfkit.algebra.MAX_EXPONENT:
+        raise ValueError(f"2 * half_degree exceeds MAX_EXPONENT = {mfkit.algebra.MAX_EXPONENT}")
+    F = mfkit.mf.fermat(args.pairs, args.half_degree, solo=args.solo, field=field)
     return {**_factorization(F), "notes": [FERMAT_NOTE]}
 
 
@@ -532,23 +525,23 @@ def _vector(vector: CohomologyVector) -> dict:
 
 
 def _orlov_translate(args, F: MatrixFactorization) -> dict:
-    mf_ops.require_valid(F)
+    mfkit.mf.require_valid(F)
     ctx = _context_of_document(F)
-    table = orlov_ops.betti_to_table(ctx, mf_ops.betti(F))
+    table = mfkit.orlov.betti_to_table(ctx, mfkit.mf.betti(F))
     diagnostics = [f"out-of-support entry (p={p}, h={h})" for p, h in table.out_of_support()]
     return {"context": ctx, "results": _entries("table", table), "diagnostics": diagnostics,
             "artifact": table_to_document(table)}
 
 
 def _table_in_context(args, table: CohomologyTable, operation, key: str, to_document) -> dict:
-    ctx = orlov_ops.HypersurfaceContext(args.n, args.d)
+    ctx = mfkit.orlov.HypersurfaceContext(args.n, args.d)
     result = operation(ctx, table)
     return {"context": ctx, "results": _entries(key, result), "artifact": to_document(result)}
 
 
 def _orlov_phi0(args) -> dict:
-    ctx = orlov_ops.HypersurfaceContext(args.n, args.d)
-    descriptor = orlov_ops.phi0_residue(ctx, args.l)
+    ctx = mfkit.orlov.HypersurfaceContext(args.n, args.d)
+    descriptor = mfkit.orlov.phi0_residue(ctx, args.l)
     if descriptor is None:
         return {"context": ctx, "results": {"l": args.l, "zero": True}, "scalar": "0"}
     return {"context": ctx, "results": {"l": args.l, "zero": False,
@@ -558,7 +551,7 @@ def _orlov_phi0(args) -> dict:
 
 
 def _orlov_shamash(args) -> dict:
-    pairs = orlov_ops.shamash_counts(args.n, args.d, args.m)
+    pairs = mfkit.orlov.shamash_counts(args.n, args.d, args.m)
     return {
         "results": {"m": args.m, "degrees": [[deg, mult] for deg, mult in pairs],
                     "rank": sum(mult for _, mult in pairs)},
@@ -599,7 +592,7 @@ def _sweep_csv_blocks(rows):
 def _sweep_rho_structure_sheaf(args) -> None:
     _sweep_threads()
     # The rows are checked against their bounds here, before any output.
-    blocks = _sweep_csv_blocks(bott_ops.rho_sweep_rows(args.n_max, args.d_max))
+    blocks = _sweep_csv_blocks(mfkit.bott.rho_sweep_rows(args.n_max, args.d_max))
     if args.output is not None:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.writelines(blocks)
@@ -613,7 +606,7 @@ class Command:
     keywords plus optional ``artifact`` (the JSON document for --output),
     ``scalar`` (the bare value of text mode) and ``rejected`` (invalid
     input), or None when it wrote its own output.  It calls library
-    functions through their module at call time (``mf_ops.reduce(...)``),
+    functions through the package at call time (``mfkit.mf.reduce(...)``),
     so that a rebound module attribute reaches every command."""
 
     group: str
@@ -638,19 +631,19 @@ COMMANDS = (
     Command("mf", "validate", "validate a factorization document", _mf_validate, ("mf",)),
     Command("mf", "reduce", "split off trivial summands", _mf_reduce, ("mf",)),
     Command("mf", "tensor", "tensor two factorizations",
-            lambda args, F, G: _factorization(mf_ops.tensor(F, G, normalize=args.normalize)),
+            lambda args, F, G: _factorization(mfkit.mf.tensor(F, G, normalize=args.normalize)),
             ("mf", "mf"),
             options=(("--normalize", {"action": "store_true",
                                       "help": "twist so the minimum F1 degree is 0"}),)),
     Command("mf", "shift", "triangulated shift [1]",
-            lambda args, F: _factorization(mf_ops.shift(mf_ops.require_valid(F))), ("mf",)),
+            lambda args, F: _factorization(mfkit.mf.shift(mfkit.mf.require_valid(F))), ("mf",)),
     Command("mf", "twist", "grading twist",
-            lambda args, F: _factorization(mf_ops.twist(mf_ops.require_valid(F), args.t)),
+            lambda args, F: _factorization(mfkit.mf.twist(mfkit.mf.require_valid(F), args.t)),
             ("mf",), ("--t",)),
     Command("mf", "dual", "transpose dual",
-            lambda args, F: _factorization(mf_ops.dual(mf_ops.require_valid(F))), ("mf",)),
+            lambda args, F: _factorization(mfkit.mf.dual(mfkit.mf.require_valid(F))), ("mf",)),
     Command("mf", "betti", "Betti table of a reduced factorization",
-            lambda args, F: {"results": _entries("betti", mf_ops.betti(mf_ops.require_valid(F)))},
+            lambda args, F: {"results": _entries("betti", mfkit.mf.betti(mfkit.mf.require_valid(F)))},
             ("mf",)),
     Command("mf", "fermat", "Fermat-type generator", _mf_fermat,
             ints=("--pairs", "--half-degree"),
@@ -658,32 +651,32 @@ COMMANDS = (
                      ("--field", {"choices": ["Qi", "Fp"], "default": "Qi"}),
                      ("--p", {"type": int, "default": None, "help": "modulus for --field Fp"}))),
     Command("bott", "eval", "one cohomology dimension",
-            lambda args: _value(bott_ops.bott(args.n, args.p, args.q, args.l)),
+            lambda args: _value(mfkit.bott.bott(args.n, args.p, args.q, args.l)),
             ints=("--n", "--p", "--q", "--l")),
     Command("bott", "vector", "vector over all q",
-            lambda args: _vector(bott_ops.bott_vector(args.n, args.p, args.l)),
+            lambda args: _vector(mfkit.bott.bott_vector(args.n, args.p, args.l)),
             ints=("--n", "--p", "--l")),
     Command("bott", "restricted", "restriction to a hypersurface",
-            lambda args: _vector(bott_ops.restricted_bott(args.n, args.d, args.r, args.t)),
+            lambda args: _vector(mfkit.bott.restricted_bott(args.n, args.d, args.r, args.t)),
             ints=("--n", "--d", "--r", "--t")),
     Command("rho", "structure-sheaf", "rho(O_X), closed form",
-            lambda args: _value(bott_ops.rho_structure_sheaf(args.n, args.d),
-                                orlov_ops.HypersurfaceContext(args.n, args.d)),
+            lambda args: _value(mfkit.bott.rho_structure_sheaf(args.n, args.d),
+                                mfkit.orlov.HypersurfaceContext(args.n, args.d)),
             ints=("--n", "--d")),
     Command("rho", "point", "rho of a point sheaf",
-            lambda args: _value(bott_ops.rho_point(args.n)), ints=("--n",)),
+            lambda args: _value(mfkit.bott.rho_point(args.n)), ints=("--n",)),
     Command("rho", "line-bundle", "rho(O_X(j))",
-            lambda args: _value(bott_ops.rho_line_bundle(args.n, args.d, args.j),
-                                orlov_ops.HypersurfaceContext(args.n, args.d), j=args.j),
+            lambda args: _value(mfkit.bott.rho_line_bundle(args.n, args.d, args.j),
+                                mfkit.orlov.HypersurfaceContext(args.n, args.d), j=args.j),
             ints=("--n", "--d", "--j")),
     Command("rho", "from-mf", "rho from a reduced factorization",
-            lambda args, F: _value(orlov_ops.rho_of_mf(F), _context_of_document(F)),
+            lambda args, F: _value(mfkit.orlov.rho_of_mf(F), _context_of_document(F)),
             ("mf",)),
     Command("rho", "from-table", "rho as a table total",
-            lambda args, table: _value(orlov_ops.rho_of_table(table)), ("table",)),
+            lambda args, table: _value(mfkit.orlov.rho_of_table(table)), ("table",)),
     Command("orlov", "translate", "Betti table -> cohomology table", _orlov_translate, ("mf",)),
     Command("orlov", "invert", "cohomology table -> Betti table",
-            lambda args, table: _table_in_context(args, table, orlov_ops.table_to_betti,
+            lambda args, table: _table_in_context(args, table, mfkit.orlov.table_to_betti,
                                                   "betti", betti_to_document),
             ("table",), ("--n", "--d")),
     Command("orlov", "phi0", "residue field image descriptor", _orlov_phi0,
@@ -691,14 +684,14 @@ COMMANDS = (
     Command("orlov", "shamash", "Shamash resolution degrees", _orlov_shamash,
             ints=("--n", "--d", "--m")),
     Command("orlov", "dual-table", "duality involution of a table",
-            lambda args, table: _table_in_context(args, table, orlov_ops.dual_table,
+            lambda args, table: _table_in_context(args, table, mfkit.orlov.dual_table,
                                                   "table", table_to_document),
             ("table",), ("--n", "--d")),
     Command("check", "bgs", "rank(F0) >= 2^e on a factorization document",
-            lambda args, F: _check(_context_of_document(F), orlov_ops.check_bgs, F), ("mf",)),
+            lambda args, F: _check(_context_of_document(F), mfkit.orlov.check_bgs, F), ("mf",)),
     Command("check", "rho", "rho >= 2^(e+1) for a supplied value",
-            lambda args: _check(orlov_ops.HypersurfaceContext(args.n, args.d), orlov_ops.check_rho,
-                                args.value),
+            lambda args: _check(mfkit.orlov.HypersurfaceContext(args.n, args.d),
+                                mfkit.orlov.check_rho, args.value),
             ints=("--n", "--d", "--value")),
     Command("sweep", "rho-structure-sheaf", "CSV of rho(O_X) against the 2^(e+1) bound",
             _sweep_rho_structure_sheaf, ints=("--n-max", "--d-max")),

@@ -198,11 +198,11 @@ def rho_of_table(table: CohomologyTable) -> int:
 def rho_of_mf(F: MatrixFactorization) -> int:
     """rho of the sheaf-theoretic image of F: rank(F0) + rank(F1),
     requiring F valid and reduced."""
-    from . import mf as mf_ops
-    problems = mf_ops.validate(F)
+    from . import mf
+    problems = mf.validate(F)
     if problems:
         raise ValueError("invalid matrix factorization: " + problems[0])
-    if not mf_ops.is_reduced(F):
+    if not mf.is_reduced(F):
         raise ValueError("rho requires a reduced factorization; call reduce() first")
     return F.rank0 + F.rank1
 
@@ -293,11 +293,11 @@ def check_bgs(ctx: HypersurfaceContext, F: MatrixFactorization) -> Verdict:
     nontrivial factorizations.  Trivial inputs (those reducing to rank 0)
     are marked not applicable; F is reduced only where
     :func:`mf.may_reduce_to_zero` allows rank 0."""
-    from . import mf as mf_ops
-    problems = mf_ops.validate(F)
+    from . import mf
+    problems = mf.validate(F)
     if problems:
         raise ValueError("invalid matrix factorization: " + problems[0])
-    trivial = mf_ops.may_reduce_to_zero(F) and mf_ops.reduce(F).rank0 == 0
+    trivial = mf.may_reduce_to_zero(F) and mf.reduce(F).rank0 == 0
     bound = 2 ** ctx.e
     return _verdict(ctx, "rank >= 2^e", F.rank0, bound, passed=True if trivial else F.rank0 >= bound,
                     applicable=not trivial, trivial=trivial)

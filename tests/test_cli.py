@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mfkit
 from mfkit import algebra, bott, cli, mf
 from mfkit.algebra import GF, QI, QQ, parse_poly
 from mfkit.cli import MAX_DIGITS, SchemaError, document_to_mf, main, mf_to_document
@@ -982,6 +983,30 @@ def test_fermat_far_past_the_exponent_cap_builds_nothing(capsys, monkeypatch):
     code, out, err = run(capsys, "mf", "fermat", "--pairs", "3", "--half-degree", "9" * 100_000)
     assert (code, out) == (2, "")
     assert err == "error [mfkit.cli]: 2 * half_degree exceeds MAX_EXPONENT = 1048576\n"
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    ("algebra", "parse_poly", ("mf", "validate", "g.json")),
+    ("mf", "validate", ("mf", "validate", "g.json")),
+    ("orlov", "betti_to_table", ("orlov", "translate", "g.json")),
+    ("bott", "rho_point", ("rho", "point", "--n", "3")),
+])
+def test_commands_call_a_library_function_rebound_on_its_module(workdir, capsys, monkeypatch,
+                                                                   module, name, argv):
+    # The CLI reads library names through the package at call time, so a
+    # wrapper set on the module, as a tracer sets one, sees every call.
+    write_fermat(capsys)
+    expected = run(capsys, *argv)
+    owner = getattr(mfkit, module)
+    original, calls = getattr(owner, name), []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    assert run(capsys, *argv) == expected
+    assert calls if name == "parse_poly" else len(calls) == 1
 
 
 @pytest.mark.parametrize("entry, exponent", [("x0^1048576", 2**20), ("x0^1048576*x0", 2**20 + 1)])

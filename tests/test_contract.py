@@ -1,4 +1,5 @@
-"""The robustness contract of ``ci/``, run in tier-1.
+"""The scripts of ``ci/``, run in tier-1: the robustness contract and
+the code-line count.
 
 Each row of ``ci/hostile_inputs.py``'s ``CASES`` is one test, run by that
 script's own ``run``: ``python -m mfkit`` in a child under ``timeout 60``
@@ -7,6 +8,8 @@ each of its stderr fragments and without a traceback.  One more test runs
 ``ci/large_rank.py``'s ``main``: its four rank-1024 commands and its two
 pinned digests.  The children run in a temporary directory, so their
 PYTHONPATH is the absolute directory that holds the ``mfkit`` under test.
+The last tests run ``ci/code_lines.py`` on a fixed source whose code
+lines are known.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ def script(name):
 
 hostile = script("hostile_inputs")
 large_rank = script("large_rank")
+code_lines = script("code_lines")
 
 
 @pytest.fixture(scope="module")
@@ -67,3 +71,39 @@ def test_large_rank_commands_and_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("PYTHONPATH", SOURCE)
     large_rank.main()
+
+
+# Six code lines: the import, the class and def lines, both lines of the
+# string that is no docstring, and the return.  Docstrings, comments and
+# blank lines are not counted.
+COUNTED = '''\
+"""Module docstring,
+on two lines."""
+
+import os  # a comment
+
+
+class Shape:
+    """Class docstring."""
+
+    # A comment line.
+
+    def area(self):
+        """Function
+        docstring."""
+        text = """not a
+docstring"""
+        return text
+'''
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines():
+    assert code_lines.code_lines(COUNTED) == 6
+
+
+def test_code_lines_total_is_the_sum_of_the_modules(tmp_path, capsys):
+    (tmp_path / "a.py").write_text(COUNTED)
+    (tmp_path / "b.py").write_text("x = 1\n\ny = [\n    2,\n]\n")
+    (tmp_path / "notes.txt").write_text("not a module\n")
+    code_lines.main(str(tmp_path))
+    assert capsys.readouterr().out == "     6 a.py\n     4 b.py\n    10 total\n"

@@ -3,6 +3,7 @@ mf, graded, algebra and bott that the other tests do not reach."""
 
 import operator
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,45 @@ class TestAlgebra:
     def test_fp_prime_mismatch(self):
         with pytest.raises(ValueError, match="^prime field mismatch: F_13 vs F_7$"):
             FpElement(3, 13) - FpElement(3, 7)
+
+    @pytest.mark.parametrize("build", [
+        lambda: FpElement(3, 13.0),
+        lambda: FpElement(3, True),
+        lambda: FpElement(1, Fraction(13)),
+        lambda: FpElement(1, 0),
+        lambda: FpElement(1, -5),
+        lambda: FpElement(3.0, 13),
+        lambda: FpElement("3", 13),
+        lambda: FpElement(Fraction(3), 13),
+        lambda: FpElement(3, 13) * FpElement(3, 13.0),
+        lambda: FP13.coerce(FpElement(3, 13.0)),
+    ], ids=["float-modulus", "bool-modulus", "Fraction-modulus", "zero-modulus",
+            "negative-modulus", "float-value", "str-value", "Fraction-value", "product",
+            "coerce"])
+    def test_fp_element_of_a_bad_value_or_modulus(self, build):
+        # A float would compute inexactly, a modulus of 0 divide by zero.
+        with pytest.raises(ValueError, match="^a residue needs an int value and an int modulus >= 1$"):
+            build()
+
+    @pytest.mark.parametrize("value, p, residue", [(-1, 1, 0), (7, 4, 3), (True, 13, 1)])
+    def test_fp_element_of_an_int_modulo_any_positive_modulus(self, value, p, residue):
+        assert FpElement(value, p).value == residue
+
+    @pytest.mark.parametrize("build", [
+        lambda: GaussianRational(0.1, 0),
+        lambda: GaussianRational(Fraction(1, 2), 0.5),
+        lambda: GaussianRational("1/2", "3"),
+        lambda: GaussianRational(Decimal("0.1"), 0),
+        lambda: QI.coerce(GaussianRational(0.1, 0)),
+    ], ids=["float", "float-im", "str", "Decimal", "coerce"])
+    def test_gaussian_rational_of_a_part_neither_int_nor_fraction(self, build):
+        # As QI.coerce(0.1) refuses a float, rather than take its binary value.
+        with pytest.raises(ValueError, match="^Gaussian rational parts must be ints or Fractions$"):
+            build()
+
+    def test_gaussian_rational_of_ints_and_fractions(self):
+        assert GaussianRational(1, Fraction(1, 2)) == GaussianRational(Fraction(1), Fraction(1, 2))
+        assert GaussianRational(True, 0).re == 1
 
     @pytest.mark.parametrize("field, message", [
         (QQ, "inverse of zero rational"),
