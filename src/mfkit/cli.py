@@ -870,4 +870,5 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from mfkit.__main__ import run
+    run()
