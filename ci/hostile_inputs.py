@@ -75,8 +75,8 @@ def documents() -> dict[str, dict]:
              "s0": [["x0"] * rank] * rank, "s1": [["x0"] * rank] * rank}
     # The trivial factorization (1, f) of f = x0 + ... + x1023, printed,
     # in algebra.MAX_NVARS variables, declaring a 4,000-digit degree: the
-    # printed-form scan packs f at the width of its terms, 8 bits, not at
-    # that of its bound, in fields of 16,384 bits (1,024 keys of 2 MB).
+    # reader packs f at the width of its terms, 8 bits, not at that of its
+    # bound, in fields of 16,384 bits (1,024 keys of 2 MB).
     printed_every = " + ".join(f"x{k}" for k in range(algebra.MAX_NVARS))
     huge_degree = dict(every_variable, d=10**3999, f=printed_every, s1=[[printed_every]])
     # mixed1024: the valid rank-1 factorization (x0 + ... + x1023, x0^200)
@@ -90,10 +90,11 @@ def documents() -> dict[str, dict]:
     return {
         "tower": tower, "expansion": expansion, "long_sum": long_sum,
         # long_sum with one more " +" at the end of its f: printed text up
-        # to the last term, which only the recursive parser rejects.
+        # to the last term, where the read fails and the text is read from
+        # its tokens, which report the error.
         "long_sum_open": dict(long_sum, f=long_sum["f"] + " +"),
-        # long_sum written without spaces, which only the recursive
-        # parser reads.
+        # long_sum with every space removed from its entries, read as
+        # fast as the printed one.
         "long_sum_tight": json.loads(json.dumps(long_sum).replace(" ", "")),
         "every_variable": every_variable, "wide": wide, "wider": wider,
         # The invalid (h, 2).
@@ -106,11 +107,10 @@ def documents() -> dict[str, dict]:
         "budget": dict(power, d=4095 * 4096, f="((2*x0)^4095)^4096",
                        s1=[["((2*x0)^4095)^4096"]]),
         # An entry literal past cli.MAX_DIGITS followed by a bad
-        # character: the parser reports the character, not the digit cap.
+        # character: the reader reports the character, not the digit cap.
         "literal_at": dict(power, d=1, f="x0", s1=[[past_digits + "*x0 + @"]]),
         # An s0 entry whose exponent, and one whose variable index, has one
-        # digit past cli.MAX_DIGITS: int() alone meets the cap, in either
-        # reader.
+        # digit past cli.MAX_DIGITS: int() alone meets the cap.
         "exponent_digits": dict(power, d=1, f="x0", s0=[["x0^" + past_digits]], s1=[["x0"]]),
         "index_digits": dict(power, d=1, f="x0", s0=[["x" + past_digits]], s1=[["x0"]]),
         "dense": dense, "huge_degree": huge_degree, "mixed1024": mixed1024,

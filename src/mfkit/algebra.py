@@ -39,7 +39,7 @@ of a Fraction or a literal go through it, and so do the pivots that
 public scalar built: the pivots +-1 over QQ and +-1 and +-i over QQ(i)
 load no fractions.
 
-Sums and products share one multiply-accumulate loop,
+Sums and products of polynomials share one multiply-accumulate loop,
 ``_sum_products``.  A sum of any number of signed summands is one
 ``Polynomial._signed_sum`` (each summand times +1 or -1), and a power
 is one ``Polynomial._power``: a one-term base has its view scaled by
@@ -105,37 +105,37 @@ emits terms in monomial order with explicit ``*`` and ``^``, rationals as
 ``a/b`` and Gaussian coefficients as ``(a/b + c/d*i)``; printed output
 parses back to the same polynomial.
 
-Two readers share that grammar.  Almost every text read is one this
-module printed, and :func:`parse_poly` first tries ``_scan_printed``,
-one pass of string methods over the printed form: terms separated by
-exactly " + " or " - ", a leading "-" on the first term only, each term
-a coefficient ``a`` or ``a/b`` (over QQ(i) also ``(re + im*i)`` or
-``(re - im*i)``), a monomial of factors ``xk`` or ``xk^e`` joined by
-``*``, or a coefficient, ``*`` and a monomial, in ASCII.  It builds
-the view that the recursive parser below builds for the same text,
-packed at ``_MIN_WIDTH`` and read once more at the width of the first
-term whose degree does not fit; printed text lists its highest degree
-first, so it is read at most twice.  Both
-readers convert each number with int(), and each literal ``a`` or
-``a/b`` with ``_literal``.  Every other spelling the scan hands
-to the recursive parser ``_Parser``, and so every text on which that
-parser would raise: a variable out of scope, an exponent, degree or
-budget past its limit, and every ValueError of int() or ``_literal`` (a
-number past the interpreter's digit limit, a zero denominator, an
-inverse of zero in F_p).  So every error message and position is that
-parser's.  On 2 vCPUs under
-Python 3.11 the scan reads a printed entry of two terms in 7-16 us and
-a 12-term sum in 26-53 us (the range is the vCPU's speed over time),
-about a tenth of the recursive parser's time.
+One reader, ``_Reader``, reads every text, in one recursive descent
+that evaluates on raw dicts.  A term whose factors are numbers, ``i``,
+variables and their powers is one raw coefficient and one packed key,
+the terms of a sum are added into one dict, each with the sign before
+it and those before its factors, and the dict is settled once by
+``_settle``; over QQ(i) a parenthesized coefficient ``(re + im*i)`` or
+``(re - im*i)`` of integer parts, as the printer writes it, is one raw
+constant.  Only parentheses that hold anything else, and powers of
+anything but a variable, go through the polynomial operators, ``a * b``
+after the budget charge and ``Polynomial._power``, which keep every
+result at the width of its degree.  A read packs at one width,
+``_MIN_WIDTH`` first; a term whose degree that width cannot hold has the
+text read again at the width of that degree, so printed text, which
+lists its highest degree first, is read at most twice.
 
-The recursive parser evaluates with the polynomial operators, which keep
-every result at the width of its degree: the summands of a sum are added
-by one ``Polynomial._signed_sum``, ``*`` is ``a * b``, unary ``-`` is
-``-p`` and ``^`` is ``Polynomial._power``.  Its atoms are views at width
-``_MIN_WIDTH``, made in O(1) whatever ``nvars``: a number is one pair,
-``i`` is ``Polynomial._i`` and a variable :meth:`Polynomial.variable`.
+An ASCII text is read from its words (``_words``): the text split at
+white space once every operator but ``^`` is set apart by spaces, so
+that a printed factor ``xk^e`` is one word, with no regular expression.
+A word that is not one token of the grammar or such a power cannot be
+read, and neither can a power ``xk^e`` past a bound or before another
+``^``; where a read of words fails, there or on any error, the text is
+read again from its tokens (``_tokens``, one ``re.finditer``), which
+alone give an error its position, a character outside the grammar
+before anything else.  Any
+other text is read from its tokens at once.  Every number is converted
+by int(), a numerator before its denominator, so the interpreter's digit
+limit is checked by int() alone.  On 2 vCPUs under Python 3.11 the reader
+reads a printed entry of two terms in 6-12 us and a 12-term sum in 20-30
+us (the range is the vCPU's speed over time).
 
-The parser bounds the work of one parse: an optional degree bound on
+The reader bounds the work of one parse: an optional degree bound on
 every ``*`` and ``^``, MAX_PARSE_PRODUCTS term products, and
 MAX_PARSE_BITS coefficient bits, charged before each ``^`` as the
 exponent times the bits one power step can add (nothing over GF(p), and
@@ -180,7 +180,7 @@ MAX_EXPONENT = 2**20
 MAX_NVARS = 2**10
 
 # Deepest parenthesis nesting accepted by the parser, which recurses
-# through five frames per level: well inside the interpreter's limit.
+# through two frames per level: well inside the interpreter's limit.
 MAX_NESTING = 64
 
 # Most term products one parse may form: the sum over its products a * b
@@ -508,21 +508,27 @@ def _codec(nvars: int, width: int):
     x1, ...: integer order is graded lexicographic order.  ``pack`` maps
     an exponent tuple to its int, ``unpack`` an int to its tuple.  A
     field is ``width // 8`` whole bytes, so both go through one
-    big-endian ``bytes`` of the key, in time linear in ``nvars``; at 8
-    bits each byte is a field."""
+    big-endian ``bytes`` of the key, in time linear in ``nvars``: fields
+    of 1, 2, 4 or 8 bytes by one ``struct.Struct`` each way, wider ones
+    by one ``to_bytes`` per field."""
     size = width // 8
     length = size * (nvars + 1)
+    if size <= 8:
+        # Imported on the first call only: the codec is cached.
+        from struct import Struct
+        code = {1: "B", 2: "H", 4: "I", 8: "Q"}[size]
+        full, tail = Struct(f">{nvars + 1}{code}"), Struct(f">{nvars}{code}")
+        return (lambda exponents: int.from_bytes(full.pack(sum(exponents), *exponents), "big"),
+                lambda packed: tail.unpack_from(packed.to_bytes(length, "big"), size))
     # The bytes of x0, x1, ... in the key's bytes, below the total degree.
     cuts = [slice(k, k + size) for k in range(size, length, size)]
 
     def pack(exponents):
-        fields = (sum(exponents), *exponents)
-        data = bytes(fields) if size == 1 else b"".join([e.to_bytes(size, "big") for e in fields])
-        return int.from_bytes(data, "big")
+        return int.from_bytes(b"".join([e.to_bytes(size, "big") for e in (sum(exponents), *exponents)]), "big")
 
     def unpack(packed):
         data = packed.to_bytes(length, "big")
-        return tuple(data[1:]) if size == 1 else tuple([int.from_bytes(data[cut], "big") for cut in cuts])
+        return tuple([int.from_bytes(data[cut], "big") for cut in cuts])
     return pack, unpack
 
 
@@ -1051,279 +1057,225 @@ def degree_info(p: Polynomial) -> tuple[int | float, bool]:
 # Parsing
 
 
-# Compiled by re on the first text the scan hands over, not at import:
-# a command whose entries are all printed never tokenizes.
-_TOKEN_PATTERN = r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])|(\S)"
+# A token of the grammar: a number, a name or an operator.  Any other
+# character but white space is a token of its own, which no rule reads.
+_TOKEN = r"(\d+|[A-Za-z_][A-Za-z_0-9]*|[-+*/^()])|\S"
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in re.finditer(_TOKEN_PATTERN, text):
-        if m.lastindex == 4:
-            raise ParseError(f"unexpected character {m.group(4)!r}", m.start())
-        tokens.append((("num", "name", "op")[m.lastindex - 1], m.group(), m.start()))
-    tokens.append(("end", "", len(text)))
-    return tokens
+def _tokens(text: str) -> tuple[list[str], list[int]]:
+    # The tokens of ``text`` and their positions, each list closed by the
+    # end, "" at len(text).  A character outside the grammar raises.
+    for m in (matches := list(re.finditer(_TOKEN, text))):
+        if m.lastindex is None:
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+    return [m.group() for m in matches] + [""], [m.start() for m in matches] + [len(text)]
 
 
-class _Parser:
-    """Evaluates an expression with the polynomial operators (see the
-    module docstring), each result formed only after the checks of the
-    parse's bounds and budgets."""
+def _words(text: str) -> list[str]:
+    # The words of an ASCII ``text`` once every operator but '^' is set
+    # apart by spaces, closed by "": its tokens wherever each word is one
+    # token or a power xk^e.
+    return [*text.replace("+", " + ").replace("-", " - ").replace("*", " * ").replace("/", " / ").replace(
+        "(", " ( ").replace(")", " ) ").split(), ""]
 
-    def __init__(self, text: str, field: Field, nvars: int, max_degree: int | None):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.field = field
-        self.nvars = nvars
-        self.max_degree = max_degree
-        self.depth = 0
-        self.products = 0
-        self.bits = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
+def _index(name: str) -> int | None:
+    # k for the name xk of a variable, else None.
+    return int(name[1:]) if name[:1] == "x" and name[1:].isdigit() else None
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
-    def check_degree(self, degree: int | float, at: int) -> None:
+class _Wider(Exception):
+    """A term does not fit the width of a read: read the text again at
+    the width ``args[0]``."""
+
+
+class _Reader:
+    """One read of an expression at one width (see the module docstring).
+    A value is a Polynomial or a raw term (coefficient, key, degree): the
+    key packed at the read's width, the degree NEG_INFINITY where the
+    coefficient is zero.  Each result is formed only after the checks of
+    the parse's bounds and budgets.  An error is raised at the position of
+    a token, or at -1 in a read of words, which knows no positions."""
+
+    def __init__(self, tokens: list[str], positions: list[int] | None, field: Field, nvars: int,
+                 max_degree: int | None, width: int):
+        self.tokens, self.positions, self.i, self.field, self.nvars = tokens, positions, 0, field, nvars
+        self.max_degree, self.width, self.p, self.gaussian = max_degree, width, field.p, field.kind == "Qi"
+        self.one, self.depth, self.products, self.bits = (1, 0) if self.gaussian else 1, 0, 0, 0
+
+    def fail(self, message: str, index: int):
+        raise ParseError(message, self.positions[index] if self.positions else -1)
+
+    def check_degree(self, degree: int | float, index: int) -> None:
         # Called before a product is formed, so that an expression whose
         # expansion exceeds the bound costs no more than reading it.
         if self.max_degree is not None and degree > self.max_degree:
-            raise ParseError(f"degree {degree} exceeds the bound {self.max_degree}", at)
+            self.fail(f"degree {degree} exceeds the bound {self.max_degree}", index)
 
-    def product(self, a: Polynomial, b: Polynomial, at: int) -> Polynomial:
-        # Charge the term products of a * b before forming it.  A product
-        # of two monomials is not charged: it is one term product, and
-        # there are no more of them than tokens, so a printed polynomial
-        # parses back whatever its size.
-        if len(a._view[1]) > 1 or len(b._view[1]) > 1:
-            cost = _size(self.field, a._view[1]) * _size(self.field, b._view[1])
-            if cost > 1:
-                self.products += cost
-                if self.products > MAX_PARSE_PRODUCTS:
-                    raise ParseError(
-                        f"expansion needs more than {MAX_PARSE_PRODUCTS} term products", at)
+    def product(self, a: Polynomial | tuple, b: Polynomial | tuple, index: int) -> Polynomial:
+        # a * b for the '*' at token ``index``, after the degree bound and
+        # a charge of its term products.  A product of two monomials is one
+        # term product, and there are no more of them than tokens, so it is
+        # not charged: a printed polynomial parses back whatever its size.
+        a, b = self.poly(a), self.poly(b)
+        self.check_degree(a.total_degree + b.total_degree, index)
+        cost = _size(self.field, a._view[1]) * _size(self.field, b._view[1])
+        if cost > 1:
+            self.products += cost
+            if self.products > MAX_PARSE_PRODUCTS:
+                self.fail(f"expansion needs more than {MAX_PARSE_PRODUCTS} term products", index)
         return a * b
 
-    def view(self, pairs: list) -> Polynomial:
-        # An atom: the constant of these view pairs, at the narrowest width.
-        return Polynomial._from_view(self.field, self.nvars, _MIN_WIDTH, pairs)
+    def poly(self, value) -> Polynomial:
+        # The polynomial of a value: a raw term must fit the read's width.
+        if type(value) is not tuple:
+            return value
+        coef, key, degree = value
+        if degree >= 1 << self.width - 1:
+            raise _Wider(_width(degree))
+        # A zero coefficient, of degree NEG_INFINITY, is settled away.
+        key += max(degree, 0) << _degree_shift(self.field, self.nvars, self.width)
+        acc = {key: coef[0], key + 1: coef[1]} if self.gaussian else {key: coef}
+        return Polynomial._from_settled(self.field, self.nvars, self.width, _settle(self.field, acc))
 
-    def parse(self) -> Polynomial:
-        poly = self.expr()
-        kind, text, at = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {text!r}", at)
-        return poly
-
-    def expr(self) -> Polynomial:
-        summands = [(self.term(), "+")]
-        while (op := self.peek())[0] == "op" and op[1] in "+-":
-            self.advance()
-            summands.append((self.term(), op[1]))
-        if len(summands) == 1:
-            return summands[0][0]
-        return Polynomial._signed_sum(self.field, self.nvars, summands)
-
-    def term(self) -> Polynomial:
-        result = self.signed()
-        while (op := self.peek())[:2] == ("op", "*"):
-            self.advance()
-            rhs = self.signed()
-            self.check_degree(result.total_degree + rhs.total_degree, op[2])
-            result = self.product(result, rhs, op[2])
-        return result
-
-    def signed(self) -> Polynomial:
-        negate = False
-        while (op := self.peek())[0] == "op" and op[1] in "+-":
-            self.advance()
-            negate ^= op[1] == "-"
-        poly = self.power()
-        return -poly if negate else poly
-
-    def power(self) -> Polynomial:
-        base = self.atom()
-        kind, text, at = self.peek()
-        if not (kind == "op" and text == "^"):
-            return base
-        self.advance()
-        nkind, ntext, nat = self.advance()
-        if nkind != "num":
-            raise ParseError("expected a nonnegative integer exponent", nat)
-        exponent = int(ntext)
-        if exponent > MAX_EXPONENT:
-            raise ParseError(f"exponent overflow (limit {MAX_EXPONENT})", nat)
-        if not exponent:
-            return self.view([(0, 1)])
-        self.check_degree(exponent * base.total_degree, at)
-        # GF(p) residues never grow.
-        self.bits += 0 if self.field.p else exponent * _power_step_bits([v for _, v in base._view[1]])
-        if self.bits > MAX_PARSE_BITS:
-            raise ParseError(f"powers need more than {MAX_PARSE_BITS} coefficient bits", at)
-        return base._power(exponent, lambda a, b: self.product(a, b, at))
-
-    def atom(self) -> Polynomial:
-        kind, text, at = self.advance()
-        if kind == "op" and text == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", at)
-            self.depth += 1
-            inner = self.expr()
-            self.depth -= 1
-            ckind, ctext, cat = self.advance()
-            if not (ckind == "op" and ctext == ")"):
-                raise ParseError("expected ')'", cat)
-            return inner
-        if kind == "num":
-            # The numerator is converted first: past the interpreter's digit
-            # limit, its ValueError wins over any error after it.
-            value, denominator, dat = int(text), None, at
-            if self.peek()[:2] == ("op", "/"):
-                self.advance()
-                _, denominator, dat = self.advance()
-            value = _literal(value, denominator, self.field.p, at, dat)
-            return self.view([(0, value)] if value else [])
-        if kind == "name":
-            if text == "i":
-                if self.field.kind != "Qi":
-                    raise ParseError("'i' is only available over QQ(i)", at)
-                return Polynomial._i(self.field, self.nvars)
-            # Name tokens are ASCII, so isdigit() reads the \d+ of "x\d+".
-            if text[:1] != "x" or not text[1:].isdigit():
-                raise ParseError(f"unknown variable {text!r}", at)
-            index = int(text[1:])
-            if index >= self.nvars:
-                raise ParseError(
-                    f"unknown variable {text!r} (only x0..x{self.nvars - 1} in scope)", at
-                )
-            return Polynomial.variable(self.field, self.nvars, index)
-        raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", at)
-
-
-def _literal(value: int, denominator: str | None, p: int | None, at: int,
-             dat: int) -> int | Fraction:
-    # The raw value of the literal value/denominator, or of value alone
-    # where denominator is None; at and dat are the positions of the
-    # literal and of its denominator, for the errors.
-    if denominator is None:
-        return value % p if p else value
-    if not denominator.isdigit():
-        raise ParseError("expected an integer denominator", dat)
-    denominator = int(denominator)
-    if not denominator:
-        raise ParseError("zero denominator in rational literal", dat)
-    common = gcd(value, denominator)
-    value, denominator = value // common, denominator // common
-    if p:
-        if denominator % p == 0:
-            raise ParseError(f"inverse of zero in F_{p}", at)
-        return value * _inverse(denominator, p) % p
-    return value if denominator == 1 else _fraction()(value, denominator)
-
-
-def _scan_printed(text: str, field: Field, nvars: int, max_degree: int | None,
-                  width: int = _MIN_WIDTH) -> Polynomial | None:
-    """The polynomial of ``text`` if it is in the printed form (see the
-    module docstring) and :class:`_Parser` would read it without error,
-    else None.  The keys and raw values are those _Parser builds, packed
-    at ``width``.  A term whose degree ``width`` cannot hold has the text
-    read again at the width of that degree, so each read is at least
-    twice as wide as the one before and takes every term of the reads
-    before it; a term of degree 2^31 or more is handed back, so the
-    fields are at most 32 bits wide, and so is a starred term past
-    ``max_degree`` (an unstarred term has degree at most 1, and _Parser
-    checks no bound on it).  _from_view narrows the result where its top
-    degree cancels.  Every budget, bound and limit _Parser checks is read
-    at call time, and the text is handed back (None) wherever one of them
-    would raise.  Literals are read as _Parser reads them, by int() and
-    :func:`_literal`, so a ValueError of either (the interpreter's digit
-    limit included) hands the text back too."""
-    max_exponent = MAX_EXPONENT
-    if not text.isascii() or MAX_PARSE_BITS < 0 and "^" in text:
-        return None
-    p = field.p
-    gaussian = field.kind == "Qi"
-    low = 2 if gaussian else 0
-    degree_shift = width * nvars + low
-    # The shift of field x0; x{k} sits width * k bits lower.
-    top = degree_shift - width
-    acc: dict[int, int | Fraction] = {}
-    words = text.split(" ")
-    count = len(words)
-    word = words[0]
-    sign = 1
-    if word[:1] == "-":
-        word, sign = word[1:], -1
-    j = 0
-    try:
+    def expr(self) -> dict:
+        # expr := term (('+' | '-') term)*, term := signed ('*' signed)*,
+        # signed := ('+' | '-')* power: the terms added into one dict,
+        # settled once.  The sign before a term and those before its
+        # factors negate the term, which is one raw value while its factors
+        # are.  A variable, its power and an integer are read here, any
+        # other atom and power by atom and power.
+        tokens, i, one, p, gaussian, max_degree = self.tokens, self.i, self.one, self.p, self.gaussian, self.max_degree
+        acc, nvars, width = {}, self.nvars, self.width
+        # x{k} is packed at top less width * k, the total degree at
+        # degree_shift; fits is the highest degree that the width holds,
+        # and a power of a variable up to cap is within every bound.
+        top, fits = (degree_shift := _degree_shift(self.field, nvars, width)) - width, (1 << width - 1) - 1
+        cap = (MAX_EXPONENT if max_degree is None or max_degree > MAX_EXPONENT else max_degree) * (MAX_PARSE_BITS >= 0)
         while True:
-            if word[:1] == "(":
-                # "(re", "+" or "-", "im*i)" with the monomial's "*..." appended.
-                if not gaussian or MAX_NESTING < 1 or j + 2 >= count:
-                    return None
-                op = words[j + 1]
-                imag_text, closed, factors = words[j + 2].partition("*i)")
-                j += 2
-                real_text, real_sign = word[1:], sign
-                if real_text[:1] == "-":
-                    real_text, real_sign = real_text[1:], -sign
-                if not closed or op not in ("+", "-") or factors[:1] not in ("", "*"):
-                    return None
-                factors = factors[1:].split("*") if factors else []
-                coefficients = []
-                for half, half_sign, literal in ((0, real_sign, real_text),
-                                                 (1, sign if op == "+" else -sign, imag_text)):
-                    numerator, slash, denominator = literal.partition("/")
-                    if not numerator.isdigit():
-                        return None
-                    value = _literal(int(numerator), denominator if slash else None, None, 0, 0)
-                    coefficients.append((half, half_sign * value))
-                starred = True
-            else:
-                factors = word.split("*")
-                if word[:1] == "x":
-                    value = 1
+            # The term so far: poly, or else coef * key of degree ``degree``,
+            # set by its first factor; star is the index of its last '*'.
+            poly, star, negate = None, None, False
+            while True:
+                while (text := tokens[i]) in ("+", "-"):
+                    negate ^= text == "-"
+                    i += 1
+                i += 1
+                name, caret, exponent = text.partition("^")
+                if (index := _index(name)) is not None and (not caret or exponent.isdecimal() and tokens[i] != "^"):
+                    # A word xk^e past a bound fails too, and is read again
+                    # from the tokens, which alone report the error; one
+                    # before another '^' is not read here, as the grammar
+                    # has one '^' to a power.
+                    e = int(exponent) if caret else 1
+                    if index >= nvars or caret and e > cap:
+                        self.fail(f"unknown variable {text!r} (only x0..x{nvars - 1} in scope)", i - 1)
+                    value = one, e << top - width * index, e
+                elif text.isdecimal() and tokens[i] != "/":
+                    c = int(text) % p if p else int(text)
+                    value = ((c, 0) if gaussian else c), 0, 0 if c else NEG_INFINITY
                 else:
-                    numerator, slash, denominator = factors.pop(0).partition("/")
-                    if not numerator.isdigit():
-                        return None
-                    value = _literal(int(numerator), denominator if slash else None, p, 0, 0)
-                coefficients = ((0, sign * value),)
-                starred = "*" in word or "^" in word
-            key = degree = 0
-            for factor in factors:
-                name, caret, exponent = factor.partition("^")
-                index = name[1:]
-                if name[:1] != "x" or not index.isdigit() or caret and not exponent.isdigit():
-                    return None
-                index, e = int(index), int(exponent) if caret else 1
-                if index >= nvars or e > max_exponent:
-                    return None
-                degree += e
-                key += e << (top - width * index)
-            if degree >> 31 or starred and max_degree is not None and degree > max_degree:
-                return None
-            if degree >> (width - 1):
-                return _scan_printed(text, field, nvars, max_degree, _width(degree))
-            key += degree << degree_shift
-            for half, value in coefficients:
-                acc[key + half] = acc.get(key + half, 0) + value
-            j += 1
-            if j == count:
-                return Polynomial._from_settled(field, nvars, width, _settle(field, acc))
-            op = words[j]
-            if op not in ("+", "-") or j + 1 == count:
-                return None
-            sign = 1 if op == "+" else -1
-            j += 1
-            word = words[j]
-    except ValueError:
-        return None
+                    value, i = self.atom(text, i - 1)
+                if tokens[i] == "^":
+                    value, i = self.power(value, i), i + 2
+                if poly is None and type(value) is tuple:
+                    if star is None:
+                        coef, key, degree = value
+                    else:
+                        degree += value[2]
+                        if max_degree is not None and degree > max_degree:
+                            self.check_degree(degree, star)
+                        if (c := value[0]) != one:
+                            coef = _gaussian_mul(coef, c) if gaussian else coef * c % p if p else coef * c
+                        key += value[1]
+                else:
+                    poly = self.poly(value) if star is None else \
+                        self.product((coef, key, degree) if poly is None else poly, value, star)
+                if tokens[i] != "*":
+                    break
+                star, i = i, i + 1
+            if poly is not None or degree > fits:
+                poly = self.poly((coef, key, degree)) if poly is None else poly
+                if poly._view[0] > width:
+                    raise _Wider(poly._view[0])
+                for k, c in poly._kernel_view(width):
+                    acc[k] = acc.get(k, 0) - c if negate else acc.get(k, 0) + c
+            elif degree >= 0:
+                key += degree << degree_shift
+                if gaussian:
+                    if coef[1]:
+                        acc[key + 1] = acc.get(key + 1, 0) - coef[1] if negate else acc.get(key + 1, 0) + coef[1]
+                    coef = coef[0]
+                if coef:
+                    acc[key] = acc.get(key, 0) - coef if negate else acc.get(key, 0) + coef
+            if tokens[i] != "+" and tokens[i] != "-":
+                self.i = i
+                return _settle(self.field, acc)
+
+    def atom(self, text: str, at: int) -> tuple:
+        # The atom ``text`` at token ``at`` and the index after it, read by
+        # expr where it is a variable or an integer.
+        tokens, p = self.tokens, self.p
+        if text.isdecimal():
+            # The numerator is converted first: past the interpreter's
+            # digit limit, its ValueError wins over any error after it.
+            value, denominator = int(text), tokens[at + 2]
+            if not denominator.isdigit():
+                self.fail("expected an integer denominator", at + 2)
+            if not int(denominator):
+                self.fail("zero denominator in rational literal", at + 2)
+            common = gcd(value, int(denominator))
+            value, denominator = value // common, int(denominator) // common
+            if p and not denominator % p:
+                self.fail(f"inverse of zero in F_{p}", at)
+            value = value * _inverse(denominator, p) % p if p else value if denominator == 1 else \
+                _fraction()(value, denominator)
+            return (((value, 0) if self.gaussian else value), 0, 0 if value else NEG_INFINITY), at + 3
+        if text == "(":
+            return self.group(at)
+        if text == "i" and self.gaussian:
+            return ((0, 1), 0, 0), at + 1
+        self.fail("'i' is only available over QQ(i)" if text == "i" else
+                  f"unknown variable {text!r}" if text[:1].isidentifier() else
+                  f"unexpected {text!r}" if text else "unexpected end of input", at)
+
+    def power(self, base, at: int) -> Polynomial | tuple:
+        # base ^ NUMBER, the '^' at token ``at``.
+        text = self.tokens[at + 1]
+        if not text.isdecimal():
+            self.fail("expected a nonnegative integer exponent", at + 1)
+        exponent = int(text)
+        if exponent > MAX_EXPONENT:
+            self.fail(f"exponent overflow (limit {MAX_EXPONENT})", at + 1)
+        if not exponent:
+            return self.one, 0, 0
+        # A power of a variable stays raw; GF(p) residues never grow.
+        raw = type(base) is tuple and base[0] == self.one
+        base = base if raw else self.poly(base)
+        self.check_degree(exponent * (base[2] if raw else base.total_degree), at)
+        self.bits += 0 if self.p or raw else exponent * _power_step_bits([v for _, v in base._view[1]])
+        if self.bits > MAX_PARSE_BITS:
+            self.fail(f"powers need more than {MAX_PARSE_BITS} coefficient bits", at)
+        return (self.one, base[1] * exponent, base[2] * exponent) if raw else \
+            base._power(exponent, lambda a, b: self.product(a, b, at))
+
+    def group(self, at: int) -> tuple:
+        # '(' expr ')' at token ``at`` and the index after it.
+        if self.depth == MAX_NESTING:
+            self.fail(f"parentheses nested deeper than {MAX_NESTING}", at)
+        tokens, i = self.tokens, at + 1
+        # The printed Gaussian coefficient (re + im*i) or (re - im*i) of
+        # integer parts is read as one raw constant.
+        if (self.gaussian and tokens[i + 3:i + 6] == ["*", "i", ")"] and tokens[i + 1] in ("+", "-") and
+                tokens[i].isdecimal() and tokens[i + 2].isdecimal() and (self.max_degree or 0) >= 0):
+            real, imag = int(tokens[i]), int(tokens[i + 2])
+            return ((real, imag if tokens[i + 1] == "+" else -imag), 0, 0 if real or imag else NEG_INFINITY), i + 6
+        self.i, self.depth = i, self.depth + 1
+        sums = self.expr()
+        self.depth -= 1
+        if tokens[self.i] != ")":
+            self.fail("expected ')'", self.i)
+        return Polynomial._from_settled(self.field, self.nvars, self.width, sums), self.i + 1
 
 
 def parse_poly(text: str, field: Field, nvars: int,
@@ -1338,14 +1290,26 @@ def parse_poly(text: str, field: Field, nvars: int,
     would form more than MAX_PARSE_PRODUCTS term products in all, or whose
     powers could add more than MAX_PARSE_BITS coefficient bits in all,
     raises :class:`ParseError` at the operator that crosses the budget.
-    Printed text is read in one scan (see the module docstring); the
-    result and every error are those of the recursive parser."""
+    One reader reads every text, from its words or its tokens (see the
+    module docstring)."""
     if nvars < 0:
         raise ValueError("nvars must be nonnegative")
     if nvars > MAX_NVARS:
         raise ValueError(f"nvars {nvars} exceeds MAX_NVARS = {MAX_NVARS}")
-    if isinstance(text, str):
-        poly = _scan_printed(text, field, nvars, max_degree)
-        if poly is not None:
-            return poly
-    return _Parser(text, field, nvars, max_degree).parse()
+    words, width = isinstance(text, str) and text.isascii(), _MIN_WIDTH
+    tokens, positions = (_words(text), None) if words else _tokens(text)
+    while True:
+        try:
+            sums = (reader := _Reader(tokens, positions, field, nvars, max_degree, width)).expr()
+            if tokens[reader.i]:
+                reader.fail(f"unexpected {tokens[reader.i]!r}", reader.i)
+            return Polynomial._from_settled(field, nvars, width, sums)
+        except _Wider as wider:
+            width = wider.args[0]
+        except ValueError:
+            # A read of words that fails, on a word that is no token or on
+            # any error, is read again from the tokens, which alone give
+            # every error its position, a bad character's first.
+            if not words:
+                raise
+            (tokens, positions), words = _tokens(text), False

@@ -218,9 +218,9 @@ def _parse_matrix(doc: dict, key: str, field: Field, nvars: int,
     wherever it appears.  The text ``"0"``, most cells of a Fermat-type
     document, is skipped before any other work: it holds no ``*`` or
     ``^`` and parses to zero under every bound, so skipping it changes no
-    result and no error.  The memo pays although a printed entry takes
-    the parser's one-scan path: a hit costs one comparison, a scan of an
-    entry 7-53 us.  :func:`_parse_entry` reads ``mfkit.algebra.parse_poly``
+    result and no error.  The memo pays although the reader reads a
+    printed entry from its words: a hit costs one comparison, a read of an
+    entry 6-30 us.  :func:`_parse_entry` reads ``mfkit.algebra.parse_poly``
     at each parse, so a rebound ``parse_poly`` is the one called."""
     sources, targets = source.degrees, target.degrees
     nrows, ncols = len(targets), len(sources)

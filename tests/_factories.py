@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
+from math import gcd
 
 from mfkit import algebra, graded, mf
 from mfkit import mf as mf_ops
-from mfkit.algebra import _MIN_WIDTH, GF, Field, FpElement, GaussianRational, Polynomial, _fraction
+from mfkit.algebra import (_MIN_WIDTH, GF, Field, FpElement, GaussianRational, ParseError, Polynomial,
+                           _fraction)
 from mfkit.cli import (MF_SCHEMA, SchemaError, _expect, _parse_degree_list, _printed,
                        field_from_json, field_to_json)
 from mfkit.graded import DegreeMultiset, HomogeneousMatrix, compose
@@ -302,6 +305,27 @@ def reference_codec(nvars: int, width: int):
     return pack, unpack
 
 
+def reference_byte_codec(nvars: int, width: int):
+    """``algebra._codec`` as it was before fields of 1, 2, 4 or 8 bytes
+    went through ``struct``, body unchanged: one ``bytes`` of the key,
+    each byte a field at 8 bits and one ``to_bytes`` piece per field
+    above; kept for the differential tests."""
+    size = width // 8
+    length = size * (nvars + 1)
+    # The bytes of x0, x1, ... in the key's bytes, below the total degree.
+    cuts = [slice(k, k + size) for k in range(size, length, size)]
+
+    def pack(exponents):
+        fields = (sum(exponents), *exponents)
+        data = bytes(fields) if size == 1 else b"".join([e.to_bytes(size, "big") for e in fields])
+        return int.from_bytes(data, "big")
+
+    def unpack(packed):
+        data = packed.to_bytes(length, "big")
+        return tuple(data[1:]) if size == 1 else tuple([int.from_bytes(data[cut], "big") for cut in cuts])
+    return pack, unpack
+
+
 def reference_repack(field: Field, nvars: int, pairs: list, width: int, new: int) -> list:
     """``algebra._repack`` as it was before it copied bytes by slice
     assignment, body unchanged: each key unpacked and packed again by
@@ -460,3 +484,307 @@ def reference_document_to_mf(doc: dict) -> mf.MatrixFactorization:
         reference_parse_matrix(doc, "s0", field, nvars, F0, F1, memo),
         reference_parse_matrix(doc, "s1", field, nvars, F1.twist(-d), F0, memo),
     )
+
+
+# ``algebra.parse_poly``'s two readers as they were before one reader
+# replaced them, bodies unchanged but for their names and the budgets,
+# which they read through ``algebra`` so that a lowered budget applies
+# to them: the one-scan path for printed text, ``reference_scan_printed``,
+# and the recursive parser that read every text the scan declined,
+# ``ReferenceRecursiveParser``.  ``reference_read`` runs them as
+# ``parse_poly`` did.  Kept for the differential tests.
+
+
+REFERENCE_TOKEN_PATTERN = r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^()])|(\S)"
+
+
+def reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    for m in re.finditer(REFERENCE_TOKEN_PATTERN, text):
+        if m.lastindex == 4:
+            raise ParseError(f"unexpected character {m.group(4)!r}", m.start())
+        tokens.append((("num", "name", "op")[m.lastindex - 1], m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class ReferenceRecursiveParser:
+    """Evaluates an expression with the polynomial operators, each result
+    formed only after the checks of the parse's bounds and budgets: the
+    summands of a sum are added by one ``Polynomial._signed_sum``, ``*``
+    is ``a * b``, unary ``-`` is ``-p`` and ``^`` is
+    ``Polynomial._power``; every atom is a view at 8 bits."""
+
+    def __init__(self, text: str, field: Field, nvars: int, max_degree: int | None):
+        self.tokens = reference_tokenize(text)
+        self.pos = 0
+        self.field = field
+        self.nvars = nvars
+        self.max_degree = max_degree
+        self.depth = 0
+        self.products = 0
+        self.bits = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def check_degree(self, degree: int | float, at: int) -> None:
+        # Called before a product is formed, so that an expression whose
+        # expansion exceeds the bound costs no more than reading it.
+        if self.max_degree is not None and degree > self.max_degree:
+            raise ParseError(f"degree {degree} exceeds the bound {self.max_degree}", at)
+
+    def product(self, a: Polynomial, b: Polynomial, at: int) -> Polynomial:
+        # Charge the term products of a * b before forming it.  A product
+        # of two monomials is not charged: it is one term product, and
+        # there are no more of them than tokens, so a printed polynomial
+        # parses back whatever its size.
+        if len(a._view[1]) > 1 or len(b._view[1]) > 1:
+            cost = algebra._size(self.field, a._view[1]) * algebra._size(self.field, b._view[1])
+            if cost > 1:
+                self.products += cost
+                if self.products > algebra.MAX_PARSE_PRODUCTS:
+                    raise ParseError(
+                        f"expansion needs more than {algebra.MAX_PARSE_PRODUCTS} term products", at)
+        return a * b
+
+    def view(self, pairs: list) -> Polynomial:
+        # An atom: the constant of these view pairs, at the narrowest width.
+        return Polynomial._from_view(self.field, self.nvars, _MIN_WIDTH, pairs)
+
+    def parse(self) -> Polynomial:
+        poly = self.expr()
+        kind, text, at = self.peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r}", at)
+        return poly
+
+    def expr(self) -> Polynomial:
+        summands = [(self.term(), "+")]
+        while (op := self.peek())[0] == "op" and op[1] in "+-":
+            self.advance()
+            summands.append((self.term(), op[1]))
+        if len(summands) == 1:
+            return summands[0][0]
+        return Polynomial._signed_sum(self.field, self.nvars, summands)
+
+    def term(self) -> Polynomial:
+        result = self.signed()
+        while (op := self.peek())[:2] == ("op", "*"):
+            self.advance()
+            rhs = self.signed()
+            self.check_degree(result.total_degree + rhs.total_degree, op[2])
+            result = self.product(result, rhs, op[2])
+        return result
+
+    def signed(self) -> Polynomial:
+        negate = False
+        while (op := self.peek())[0] == "op" and op[1] in "+-":
+            self.advance()
+            negate ^= op[1] == "-"
+        poly = self.power()
+        return -poly if negate else poly
+
+    def power(self) -> Polynomial:
+        base = self.atom()
+        kind, text, at = self.peek()
+        if not (kind == "op" and text == "^"):
+            return base
+        self.advance()
+        nkind, ntext, nat = self.advance()
+        if nkind != "num":
+            raise ParseError("expected a nonnegative integer exponent", nat)
+        exponent = int(ntext)
+        if exponent > algebra.MAX_EXPONENT:
+            raise ParseError(f"exponent overflow (limit {algebra.MAX_EXPONENT})", nat)
+        if not exponent:
+            return self.view([(0, 1)])
+        self.check_degree(exponent * base.total_degree, at)
+        # GF(p) residues never grow.
+        self.bits += 0 if self.field.p else exponent * algebra._power_step_bits([v for _, v in base._view[1]])
+        if self.bits > algebra.MAX_PARSE_BITS:
+            raise ParseError(f"powers need more than {algebra.MAX_PARSE_BITS} coefficient bits", at)
+        return base._power(exponent, lambda a, b: self.product(a, b, at))
+
+    def atom(self) -> Polynomial:
+        kind, text, at = self.advance()
+        if kind == "op" and text == "(":
+            if self.depth == algebra.MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {algebra.MAX_NESTING}", at)
+            self.depth += 1
+            inner = self.expr()
+            self.depth -= 1
+            ckind, ctext, cat = self.advance()
+            if not (ckind == "op" and ctext == ")"):
+                raise ParseError("expected ')'", cat)
+            return inner
+        if kind == "num":
+            # The numerator is converted first: past the interpreter's digit
+            # limit, its ValueError wins over any error after it.
+            value, denominator, dat = int(text), None, at
+            if self.peek()[:2] == ("op", "/"):
+                self.advance()
+                _, denominator, dat = self.advance()
+            value = reference_literal(value, denominator, self.field.p, at, dat)
+            return self.view([(0, value)] if value else [])
+        if kind == "name":
+            if text == "i":
+                if self.field.kind != "Qi":
+                    raise ParseError("'i' is only available over QQ(i)", at)
+                return Polynomial._i(self.field, self.nvars)
+            # Name tokens are ASCII, so isdigit() reads the \d+ of "x\d+".
+            if text[:1] != "x" or not text[1:].isdigit():
+                raise ParseError(f"unknown variable {text!r}", at)
+            index = int(text[1:])
+            if index >= self.nvars:
+                raise ParseError(
+                    f"unknown variable {text!r} (only x0..x{self.nvars - 1} in scope)", at
+                )
+            return Polynomial.variable(self.field, self.nvars, index)
+        raise ParseError(f"unexpected {text!r}" if text else "unexpected end of input", at)
+
+
+def reference_literal(value: int, denominator: str | None, p: int | None, at: int,
+                      dat: int) -> int | Fraction:
+    # The raw value of the literal value/denominator, or of value alone
+    # where denominator is None; at and dat are the positions of the
+    # literal and of its denominator, for the errors.
+    if denominator is None:
+        return value % p if p else value
+    if not denominator.isdigit():
+        raise ParseError("expected an integer denominator", dat)
+    denominator = int(denominator)
+    if not denominator:
+        raise ParseError("zero denominator in rational literal", dat)
+    common = gcd(value, denominator)
+    value, denominator = value // common, denominator // common
+    if p:
+        if denominator % p == 0:
+            raise ParseError(f"inverse of zero in F_{p}", at)
+        return value * algebra._inverse(denominator, p) % p
+    return value if denominator == 1 else algebra._fraction()(value, denominator)
+
+
+def reference_scan_printed(text: str, field: Field, nvars: int, max_degree: int | None,
+                           width: int = _MIN_WIDTH) -> Polynomial | None:
+    """The polynomial of ``text`` if it is in the printed form and
+    :class:`ReferenceRecursiveParser` would read it without error, else
+    None.  The printed form: terms separated by exactly " + " or " - ", a
+    leading "-" on the first term only, each term a coefficient ``a`` or
+    ``a/b`` (over QQ(i) also ``(re + im*i)`` or ``(re - im*i)``), a
+    monomial of factors ``xk`` or ``xk^e`` joined by ``*``, or a
+    coefficient, ``*`` and a monomial, in ASCII.  The keys and raw values
+    are those ReferenceRecursiveParser builds, packed
+    at ``width``.  A term whose degree ``width`` cannot hold has the text
+    read again at the width of that degree, so each read is at least
+    twice as wide as the one before and takes every term of the reads
+    before it; a term of degree 2^31 or more is handed back, so the
+    fields are at most 32 bits wide, and so is a starred term past
+    ``max_degree`` (an unstarred term has degree at most 1, and
+    ReferenceRecursiveParser checks no bound on it).  _from_view narrows
+    the result where its top degree cancels.  Every budget, bound and
+    limit ReferenceRecursiveParser checks is read at call time, and the
+    text is handed back (None) wherever one of them would raise.
+    Literals are read as ReferenceRecursiveParser reads them, by int()
+    and :func:`reference_literal`, so a ValueError of either (the
+    interpreter's digit limit included) hands the text back too."""
+    max_exponent = algebra.MAX_EXPONENT
+    if not text.isascii() or algebra.MAX_PARSE_BITS < 0 and "^" in text:
+        return None
+    p = field.p
+    gaussian = field.kind == "Qi"
+    low = 2 if gaussian else 0
+    degree_shift = width * nvars + low
+    # The shift of field x0; x{k} sits width * k bits lower.
+    top = degree_shift - width
+    acc: dict[int, int | Fraction] = {}
+    words = text.split(" ")
+    count = len(words)
+    word = words[0]
+    sign = 1
+    if word[:1] == "-":
+        word, sign = word[1:], -1
+    j = 0
+    try:
+        while True:
+            if word[:1] == "(":
+                # "(re", "+" or "-", "im*i)" with the monomial's "*..." appended.
+                if not gaussian or algebra.MAX_NESTING < 1 or j + 2 >= count:
+                    return None
+                op = words[j + 1]
+                imag_text, closed, factors = words[j + 2].partition("*i)")
+                j += 2
+                real_text, real_sign = word[1:], sign
+                if real_text[:1] == "-":
+                    real_text, real_sign = real_text[1:], -sign
+                if not closed or op not in ("+", "-") or factors[:1] not in ("", "*"):
+                    return None
+                factors = factors[1:].split("*") if factors else []
+                coefficients = []
+                for half, half_sign, literal in ((0, real_sign, real_text),
+                                                 (1, sign if op == "+" else -sign, imag_text)):
+                    numerator, slash, denominator = literal.partition("/")
+                    if not numerator.isdigit():
+                        return None
+                    value = reference_literal(int(numerator), denominator if slash else None, None, 0, 0)
+                    coefficients.append((half, half_sign * value))
+                starred = True
+            else:
+                factors = word.split("*")
+                if word[:1] == "x":
+                    value = 1
+                else:
+                    numerator, slash, denominator = factors.pop(0).partition("/")
+                    if not numerator.isdigit():
+                        return None
+                    value = reference_literal(int(numerator), denominator if slash else None, p, 0, 0)
+                coefficients = ((0, sign * value),)
+                starred = "*" in word or "^" in word
+            key = degree = 0
+            for factor in factors:
+                name, caret, exponent = factor.partition("^")
+                index = name[1:]
+                if name[:1] != "x" or not index.isdigit() or caret and not exponent.isdigit():
+                    return None
+                index, e = int(index), int(exponent) if caret else 1
+                if index >= nvars or e > max_exponent:
+                    return None
+                degree += e
+                key += e << (top - width * index)
+            if degree >> 31 or starred and max_degree is not None and degree > max_degree:
+                return None
+            if degree >> (width - 1):
+                return reference_scan_printed(text, field, nvars, max_degree, algebra._width(degree))
+            key += degree << degree_shift
+            for half, value in coefficients:
+                acc[key + half] = acc.get(key + half, 0) + value
+            j += 1
+            if j == count:
+                return Polynomial._from_settled(field, nvars, width, algebra._settle(field, acc))
+            op = words[j]
+            if op not in ("+", "-") or j + 1 == count:
+                return None
+            sign = 1 if op == "+" else -1
+            j += 1
+            word = words[j]
+    except ValueError:
+        return None
+
+
+def reference_read(text: str, field: Field, nvars: int, max_degree: int | None = None) -> Polynomial:
+    """``algebra.parse_poly`` as it was, with its two readers above: the
+    scan first, the recursive parser on every text the scan declines."""
+    if nvars < 0:
+        raise ValueError("nvars must be nonnegative")
+    if nvars > algebra.MAX_NVARS:
+        raise ValueError(f"nvars {nvars} exceeds MAX_NVARS = {algebra.MAX_NVARS}")
+    if isinstance(text, str):
+        poly = reference_scan_printed(text, field, nvars, max_degree)
+        if poly is not None:
+            return poly
+    return ReferenceRecursiveParser(text, field, nvars, max_degree).parse()

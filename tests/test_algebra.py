@@ -398,17 +398,16 @@ class TestBitsBudget:
 
 
 class TestSums:
-    """A sum of two or more summands that the recursive parser reads is
-    one call of the shared sum of products, which adds every summand into
-    one dict, and no call of the matrix kernel.  The sums are written
-    without spaces, which printed output never is, so the one-scan path
-    leaves them to the recursive parser."""
+    """A sum of two or more summands that the reader reads is added into
+    one dict, settled once, with no call of the shared sum of products
+    and none of the matrix kernel: its terms are monomials.  The sums are
+    written without spaces, which printed output never is."""
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     @pytest.mark.parametrize("n", [2, 3, 50])
     def test_one_kernel_call_per_sum(self, monkeypatch, field, n):
-        sums, products = [], []
-        summing = algebra._sum_products
+        sums, products, settled = [], [], []
+        summing, settle = algebra._sum_products, algebra._settle
         kernel = Polynomial._product_rows.__func__
 
         def counting_sum(field, products):
@@ -420,12 +419,18 @@ class TestSums:
             products.append(args)
             return kernel(cls, *args)
 
+        def counting_settle(field, acc):
+            settled.append(len(acc))
+            return settle(field, acc)
+
         monkeypatch.setattr(algebra, "_sum_products", counting_sum)
         monkeypatch.setattr(Polynomial, "_product_rows", classmethod(counting_kernel))
+        monkeypatch.setattr(algebra, "_settle", counting_settle)
         text = "x0^0" + "".join(f"{'+-'[k % 2]}x{k % 3}^{k}" for k in range(1, n))
         poly = parse_poly(text, field, 3)
-        assert sums == [n]
+        assert sums == []
         assert products == []
+        assert settled == [n]
         monkeypatch.undo()
         x = [Polynomial.variable(field, 3, k) for k in range(3)]
         expected = x[0] ** 0

@@ -18,6 +18,7 @@ from mfkit.cli import MAX_DIGITS, SchemaError, document_to_mf, main, mf_to_docum
 from mfkit.graded import DegreeMultiset
 from mfkit.orlov import MAX_SHAMASH_RANK
 import test_value_class
+from _factories import reference_read
 
 FERMAT_REPORT = """\
 operation: mf fermat
@@ -415,7 +416,8 @@ class TestDocumentRoundtrip:
     @pytest.mark.parametrize("field", [QQ, QI, GF(13), GF(1282972393)], ids=str)
     def test_printed_documents_read_back_in_one_scan(self, monkeypatch, field):
         # Entries with rational, Gaussian and residue coefficients; fermat
-        # needs a square root of -1, which QQ lacks.
+        # needs a square root of -1, which QQ lacks.  Every entry is read
+        # from its words: none is read again from its tokens.
         extra = " + (1/2 - 2/3*i)*x1^2" if field == QI else ""
         u = parse_poly("1/2*x0^2 - 3*x1*x2 + 5/7*x2^2" + extra, field, 3)
         v = parse_poly("x0^2 + 2/3*x1^2 - x0*x2", field, 3)
@@ -428,9 +430,8 @@ class TestDocumentRoundtrip:
             variants += [G, mf.tensor(G, G), mf.reduce(mf.direct_sum(G, mf.trivial_one_f(G.f))),
                          mf.shift(G), mf.twist(G, -3), mf.dual(G)]
         calls = []
-        init = algebra._Parser.__init__
-        monkeypatch.setattr(algebra._Parser, "__init__",
-                            lambda parser, *args: calls.append(args) or init(parser, *args))
+        tokens = algebra._tokens
+        monkeypatch.setattr(algebra, "_tokens", lambda text: calls.append(text) or tokens(text))
         for variant in variants:
             again = document_to_mf(json.loads(json.dumps(mf_to_document(variant))))
             assert again == variant
@@ -447,7 +448,7 @@ class TestDocumentRoundtrip:
         doc["s0"][0][0] = entry
         with pytest.raises(SchemaError) as got:
             document_to_mf(doc)
-        monkeypatch.setattr(algebra, "_scan_printed", lambda *args: None)
+        monkeypatch.setattr(algebra, "parse_poly", reference_read)
         with pytest.raises(SchemaError) as want:
             document_to_mf(doc)
         assert str(got.value) == str(want.value) == message

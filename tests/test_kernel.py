@@ -55,7 +55,7 @@ from mfkit.graded import DegreeMultiset, HomogeneousMatrix, compose
 
 from _factories import (compose_validate, kernel_sum_of_products, mix_bases, packed_view,
                         partly_reducible, random_elementary, random_homogeneous,
-                        random_reduced_mf, random_valid_mf, raw, reference_codec,
+                        random_reduced_mf, random_valid_mf, raw, reference_byte_codec, reference_codec,
                         reference_repack, square_and_multiply)
 
 # GF(2^31 - 1): products of two residues come near 2^62, and the kernel
@@ -430,6 +430,28 @@ def test_codec_matches_struct_codec(width, data):
     key = pack(exps)
     assert key == ref_pack(exps)
     assert unpack(key) == tuple(ref_unpack(key)) == exps
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64, 128])
+@given(data=st.data())
+def test_struct_codec_matches_byte_codec(width, data):
+    # Fields of 1, 2, 4 and 8 bytes through struct, 16 bytes through
+    # to_bytes, against the one-bytes codec they replaced: a total degree
+    # up to the full field, edges drawn often, split among at most four
+    # of 1 to 1,024 variables.
+    nvars = data.draw(st.sampled_from([1, 2, 12, 1024]) | st.integers(1, 1024))
+    top = 2 ** width - 1
+    total = data.draw(st.sampled_from([0, 1, 2 ** (width - 1) - 1, top]) | st.integers(0, top))
+    places = data.draw(st.lists(st.integers(0, nvars - 1), min_size=1, max_size=4, unique=True))
+    cuts = sorted(data.draw(st.lists(st.sampled_from([0, total]) | st.integers(0, total),
+                                     min_size=len(places) - 1, max_size=len(places) - 1)))
+    parts = dict(zip(places, (b - a for a, b in zip([0] + cuts, cuts + [total]))))
+    exps = tuple(parts.get(k, 0) for k in range(nvars))
+    pack, unpack = algebra._codec(nvars, width)
+    ref_pack, ref_unpack = reference_byte_codec(nvars, width)
+    key = pack(exps)
+    assert key == ref_pack(exps)
+    assert unpack(key) == ref_unpack(key) == exps
 
 
 WIDTHS = [8, 16, 32, 64, 128]
@@ -1169,7 +1191,7 @@ def test_validate_matches_compose_validate(field, seed, perturb):
     assert mf.validate(F) == want
     # Read back from its document, which only a factorization whose
     # entries have their degrees can make, every entry is one that the
-    # printed-form scan packed at the width of its bound.
+    # reader packed at the width of its own degree.
     if all(problem.startswith(("s1*s0 ", "s0*s1 ")) for problem in want):
         assert mf.validate(document_to_mf(mf_to_document(F))) == want
 

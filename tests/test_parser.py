@@ -1,8 +1,11 @@
-"""The recursive parser against two references.
+"""The one expression reader against three references.
 
-``parse_poly`` evaluates an expression with the polynomial operators,
-sharing one signed sum and one power routine with them.
-``ReferenceParser`` below is an earlier parser, which built each atom by
+``parse_poly`` reads every text with one recursive-descent reader that
+evaluates on raw dicts, from the words of an ASCII text and else, or
+where a read of words fails, from its tokens; only parentheses other
+than a printed Gaussian coefficient, and powers of anything but a
+variable, go through the polynomial operators.  ``ReferenceParser``
+below is an earlier parser, which built each atom by
 ``Polynomial.from_pairs`` and made a kernel call for every operator: its
 sums, products, negations and powers run the 1 x n by n x 1 route
 through ``Polynomial._product_rows``, not the view operations under
@@ -10,17 +13,19 @@ test.  Both read the module's budgets at call time, so a lowered budget
 applies to both.  On every generated expression they must give an equal
 polynomial, or the same :class:`ParseError` message and position.
 
-``parse_poly`` reads printed text in one scan, ``_scan_printed``, and
-hands every other text to the recursive parser.  The tests after those
-compare the scan with the recursive parser alone: on printed and
-edited printed text, under degree bounds and lowered budgets, wherever
-the scan reads a text it must give the recursive parser's polynomial,
-and parse_poly's errors must stay the recursive parser's.  Two tests
-count the scan's reads of a text and check the width it packs at.  The
-last tests of that part pin, without that comparison, what both readers
-give at the interpreter's digit limit.  The last part draws expression trees
-and compares the recursive parser with the same trees evaluated with
-``+``, ``-``, ``*``, ``**`` and unary minus, at degrees past 2^31 too.
+The tests after those compare ``parse_poly`` with the pair of readers it
+replaced, kept in ``_factories``: a one-pass scan of printed text and a
+recursive parser that evaluated every atom as a ``Polynomial`` and read
+every text the scan declined.  On printed and edited printed text, under
+degree bounds and lowered budgets, both must give the same view, ``str``
+and ``repr``, or the same error, message and position, and the same
+ValueError of int() at the interpreter's digit limit.  The edits insert
+spaces, operators, digits, letters and characters outside the grammar,
+so that words which are not one token are read too.  Two tests count
+the reader's reads of a text and check the width it packs at.  The last
+part draws expression trees and compares ``parse_poly`` with the same
+trees evaluated with ``+``, ``-``, ``*``, ``**`` and unary minus, at
+degrees past 2^31 too.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ from mfkit import algebra, mf
 from mfkit.algebra import GF, MAX_EXPONENT, QI, QQ, ParseError, Polynomial, parse_poly
 from mfkit.cli import document_to_mf, mf_to_document
 
-from _factories import kernel_sum_of_products, packed_view, square_and_multiply
+from _factories import (kernel_sum_of_products, packed_view, reference_read, reference_tokenize,
+                        square_and_multiply)
 
 
 def reference_power_step_bits(poly):
@@ -56,7 +62,7 @@ class ReferenceParser:
     """The parser as it was before it evaluated on dicts."""
 
     def __init__(self, text, field, nvars, max_degree):
-        self.tokens = algebra._tokenize(text)
+        self.tokens = reference_tokenize(text)
         self.pos = 0
         self.field = field
         self.nvars = nvars
@@ -334,28 +340,32 @@ def test_budgets_are_read_at_call_time(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The one-scan path for printed text against the recursive parser alone.
+# The one reader against the two readers it replaced.
 
 
-def recursive_parse(text, field, nvars, max_degree=None):
-    # parse_poly with the one-scan path turned off: _Parser alone.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(algebra, "_scan_printed", lambda *args: None)
-        return parse_poly(text, field, nvars, max_degree)
+# The reader under test, which the operator-tree tests below compare with
+# the polynomial operators.
+recursive_parse = parse_poly
 
 
-def assert_scan_agrees(text, field, nvars, max_degree):
-    # Where the scan reads a text, the recursive parser reads it to the
-    # same view, ``str`` and ``repr``; parse_poly's outcome, error
-    # message and position included, is the recursive parser's.
-    scanned = algebra._scan_printed(text, field, nvars, max_degree)
-    want = outcome(recursive_parse, text, field, nvars, max_degree)
-    if scanned is not None:
-        assert isinstance(want, Polynomial), (text, want)
-        assert (scanned, scanned._view, str(scanned), repr(scanned)) == \
-            (want, want._view, str(want), repr(want)), text
-    assert outcome(parse_poly, text, field, nvars, max_degree) == want, text
-    return scanned
+def read_outcome(read, *args):
+    # A polynomial with its view, str and repr, or the type, message and
+    # position of the error.
+    try:
+        poly = read(*args)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+    return poly, poly._view, str(poly), repr(poly)
+
+
+def assert_readers_agree(text, field, nvars, max_degree):
+    # parse_poly reads a text as the scan and the recursive parser it
+    # replaced did: to the same view, ``str`` and ``repr``, or to the same
+    # error, message and position included.  Returns its polynomial, or
+    # None where it raises.
+    got = read_outcome(parse_poly, text, field, nvars, max_degree)
+    assert got == read_outcome(reference_read, text, field, nvars, max_degree), text
+    return got[0] if isinstance(got[0], Polynomial) else None
 
 
 SCAN_FIELDS = [QQ, QI, GF(13), GF(2), GF(1282972393)]
@@ -393,7 +403,7 @@ def edited(draw, text):
 
 @pytest.mark.parametrize("field", SCAN_FIELDS, ids=str)
 @given(data=st.data())
-def test_scan_matches_recursive_parser(field, data):
+def test_printed_text_matches_the_reference_readers(field, data):
     nvars = data.draw(st.integers(1, 4))
     text = data.draw(printed(field, nvars))
     edit = data.draw(st.booleans())
@@ -408,15 +418,16 @@ def test_scan_matches_recursive_parser(field, data):
     with pytest.MonkeyPatch.context() as patch:
         for name, value in budgets.items():
             patch.setattr(algebra, name, value)
-        scanned = assert_scan_agrees(text, field, nvars, max_degree)
+        poly = assert_readers_agree(text, field, nvars, max_degree)
     if not (edit or budgets) and max_degree is None:
-        assert scanned is not None, text
+        assert poly is not None, text
 
 
 EDGE_TEXTS = [
     "", "0", "-0", "1", "-1", "x0", "-x0", "--x0", "+x0", "x0 + x1", "x0 - x1", "x0 + -x1",
     "x0  + x1", " x0", "x0 ", "x0 +", "- x0", "x0+x1", "x0 * x1", "x1*x0", "x0*x0", "x0^0",
-    "x0^1", "x0^2^3", "x0^-1", "x0^", "2^3", "2*3", "3x0", "x0*3", "x0**x1", "x0*", "*x0",
+    "x0^1", "x0^2^3", "x0^2 ^ 3", "2*x0^2 ^ 3*x1", "x0 ^ 2", "x0^-1", "x0^", "2^3", "2*3",
+    "3x0", "x0*3", "x0**x1", "x0*", "*x0",
     "1/2", "1/0", "0/5", "1/2/3", "13/13*x0", "13*x0", "1/13", "26/13*x1", "x3", "x01", "x",
     "y0", "x٢", "٢*x0", "x0^٢", "x0\t+ x1", "i", "1*i", "x0*i",
     "(1 + 2*i)", "(1 + 2*i)*x0", "-(1 + 2*i)*x0", "(0 + 1*i)*x1^2", "(-1/2 - 3/4*i)*x0*x1",
@@ -429,23 +440,23 @@ EDGE_TEXTS = [
 
 
 @pytest.mark.parametrize("text", EDGE_TEXTS)
-def test_scan_edge_texts(text):
+def test_edge_texts_match_the_reference_readers(text):
     for budgets in ({}, {"MAX_NESTING": 0}, {"MAX_EXPONENT": 1}, {"MAX_PARSE_BITS": -1}):
         with pytest.MonkeyPatch.context() as patch:
             for name, value in budgets.items():
                 patch.setattr(algebra, name, value)
             for field in (QQ, QI, GF(13), GF(2)):
                 for max_degree in (None, -1, 0, 1, 3):
-                    assert_scan_agrees(text, field, 2, max_degree)
+                    assert_readers_agree(text, field, 2, max_degree)
 
 
 @pytest.mark.parametrize("max_degree", [-1, 2**31, 10**1000], ids=["-1", "2^31", "10^1000"])
 @pytest.mark.parametrize("text", EDGE_TEXTS)
-def test_scan_clamps_its_bound(monkeypatch, text, max_degree):
-    # Whatever its bound, the scan asks for the width of no negative
-    # degree, which would never return, packs in fields of at most 32 bits,
-    # as it hands back a term of degree 2^31 or more, and answers as the
-    # recursive parser does.
+def test_reader_widths_under_any_bound(monkeypatch, text, max_degree):
+    # Whatever its bound, the reader asks for the width of no negative
+    # degree, which would never return, packs in fields of at most 64 bits,
+    # as the widest term of these texts, (x0^1048576)^2048, has degree
+    # 2^31, and answers as the readers it replaced do.
     widths = []
     width = algebra._width
 
@@ -457,38 +468,39 @@ def test_scan_clamps_its_bound(monkeypatch, text, max_degree):
     for field in (QQ, QI, GF(13)):
         with monkeypatch.context() as patch:
             patch.setattr(algebra, "_width", recording)
-            algebra._scan_printed(text, field, 2, max_degree)
-        assert_scan_agrees(text, field, 2, max_degree)
-    assert max(widths, default=0) <= 32
+            outcome(parse_poly, text, field, 2, max_degree)
+        assert_readers_agree(text, field, 2, max_degree)
+    assert max(widths, default=0) <= 64
 
 
 @pytest.fixture
-def scans(monkeypatch):
-    """The text of every call of the scan, in order, second reads included."""
-    texts = []
-    scan = algebra._scan_printed
+def reads(monkeypatch):
+    """The tokens of every read of the reader, in order, second reads
+    included."""
+    tokens_read = []
+    init = algebra._Reader.__init__
 
-    def counting(text, *args):
-        texts.append(text)
-        return scan(text, *args)
+    def counting(reader, tokens, *args):
+        tokens_read.append(tokens)
+        init(reader, tokens, *args)
 
-    monkeypatch.setattr(algebra, "_scan_printed", counting)
-    return texts
+    monkeypatch.setattr(algebra._Reader, "__init__", counting)
+    return tokens_read
 
 
-def test_a_document_reads_each_distinct_text_once(scans):
+def test_a_document_reads_each_distinct_text_once(reads):
     # Every entry and f of a Fermat document has degree below 128, so each
     # is read once, at the narrowest width; "0" entries are not read.
     doc = mf_to_document(mf.fermat(4, 2))
     F = document_to_mf(doc)
     entries = {text for key in ("s0", "s1") for row in doc[key] for text in row if text != "0"}
-    assert sorted(scans) == sorted([doc["f"], *entries])
+    assert sorted(reads) == sorted(algebra._words(text) for text in [doc["f"], *entries])
     assert all(e._view[0] == algebra._width(e.total_degree)
                for m in (F.s0, F.s1) for row in m.rows for _, e in row)
 
 
 @pytest.mark.parametrize("max_degree", [None, 200, 10**3999], ids=["None", "200", "10^3999"])
-@pytest.mark.parametrize("text, reads, width", [
+@pytest.mark.parametrize("text, count, width", [
     # The highest degree first: read at 8 bits, then once at its own width.
     ("x0^200 + x1", 2, 16),
     # Read at 16 bits, narrowed to 8 where the top degree cancels.
@@ -496,23 +508,23 @@ def test_a_document_reads_each_distinct_text_once(scans):
     # Not canonical: each wider term has the text read again.
     ("x1 + x0^200 + x0^40000", 3, 32),
 ])
-def test_the_scan_reads_at_its_terms_width(scans, text, reads, width, max_degree):
+def test_the_reader_reads_at_its_terms_width(reads, text, count, width, max_degree):
     if max_degree == 200 and "40000" in text:
-        # The second read hands the term past the bound back to the
-        # recursive parser, which refuses it.
+        # The second read meets the term past the bound, and the text is
+        # read from its tokens at that width, which report the error.
         with pytest.raises(ParseError, match="degree 40000 exceeds the bound 200"):
             parse_poly(text, QQ, 2, max_degree)
-        assert scans == [text] * 2
+        assert reads == [algebra._words(text)] * 2 + [algebra._tokens(text)[0]]
         return
     poly = parse_poly(text, QQ, 2, max_degree)
-    assert scans == [text] * reads
+    assert reads == [algebra._words(text)] * count
     assert poly._view[0] == algebra._width(poly.total_degree) == width
 
 
-def test_oversized_literals_are_the_recursive_parsers():
-    # Past the interpreter's digit limit the scan converts nothing: the
-    # recursive parser reports a bad character after the literal, and
-    # otherwise the limit's ValueError.
+def test_oversized_literals_are_the_reference_readers():
+    # Past the interpreter's digit limit the reader reports a bad
+    # character after the literal, and otherwise the limit's ValueError,
+    # as the readers it replaced did.
     nines = "9" * 5001
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(5000)
@@ -521,15 +533,14 @@ def test_oversized_literals_are_the_recursive_parsers():
             parse_poly(f"{nines}*x0 + @", QQ, 1)
         for text in (f"{nines}*x0", f"x0^{nines}", f"x{nines}", f"1/{nines}",
                      f"({nines} + 1*i)", f"(1 + {nines}*i)*x0"):
-            assert algebra._scan_printed(text, QI, 1, None) is None
+            assert assert_readers_agree(text, QI, 1, None) is None
             with pytest.raises(ValueError) as got:
                 parse_poly(text, QI, 1)
             with pytest.raises(ValueError) as want:
-                recursive_parse(text, QI, 1)
+                reference_read(text, QI, 1)
             assert str(got.value) == str(want.value)
         sys.set_int_max_str_digits(0)
-        assert_scan_agrees(f"{nines}*x0", QQ, 1, None)
-        assert algebra._scan_printed(f"{nines}*x0", QQ, 1, None) is not None
+        assert assert_readers_agree(f"{nines}*x0", QQ, 1, None) is not None
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -575,19 +586,20 @@ DIGIT_PLACES = {"numerator": ("{n}*x0", QQ), "denominator": ("1/{n}*x0", QQ),
 @pytest.mark.parametrize("place", DIGIT_PLACES)
 @pytest.mark.parametrize("digits", [640, 641])
 def test_digit_limit_at_every_number_of_a_printed_text(digit_limit_640, place, digits):
-    # At 640 digits the scan reads a literal, and the recursive parser
-    # refuses an exponent or a variable index past its limit; at 641
-    # digits every one of them raises the interpreter's ValueError.
+    # At 640 digits the reader reads a literal and refuses an exponent or
+    # a variable index past its limit; at 641 digits every one of them
+    # raises the interpreter's ValueError.  The readers it replaced agree.
     n = "9" * digits
     template, field = DIGIT_PLACES[place]
     text = template.format(n=n)
+    got = assert_readers_agree(text, field, 1, None)
     if digits == 641:
-        assert algebra._scan_printed(text, field, 1, None) is None
+        assert got is None
         with pytest.raises(ValueError) as got:
             parse_poly(text, field, 1)
         assert type(got.value) is ValueError and str(got.value) == digit_limit_640
     elif place in ("exponent", "index"):
-        assert algebra._scan_printed(text, field, 1, None) is None
+        assert got is None
         with pytest.raises(ParseError) as got:
             parse_poly(text, field, 1)
         assert str(got.value) == {
@@ -599,12 +611,12 @@ def test_digit_limit_at_every_number_of_a_printed_text(digit_limit_640, place, d
                  "real": algebra.GaussianRational(Fraction(int(n)), Fraction(1)),
                  "imaginary": algebra.GaussianRational(Fraction(1), Fraction(int(n)))}[place]
         want = Polynomial.from_pairs(field, 1, [((1,), value)])
-        assert algebra._scan_printed(text, field, 1, None) == want
+        assert got == want
         assert parse_poly(text, field, 1) == want
 
 
 # ---------------------------------------------------------------------------
-# The recursive parser against the polynomial operators.
+# The reader against the polynomial operators.
 
 
 def operator_trees(nvars, gaussian):
