@@ -35,9 +35,9 @@ inverse of ``_raw_value``'s value as :meth:`Field.coerce` wraps that
 value; ``GaussianRational.inverse`` is ``QI.inv`` and
 ``FpElement.inverse`` inverts modulo its own p.  The GF(p) denominators
 of a Fraction or a literal go through it, and so do the pivots that
-:func:`mf.reduce` splits off, by ``Polynomial._minus_inverse``, with no
-public scalar built: the pivots +-1 over QQ and +-1 and +-i over QQ(i)
-load no fractions.
+:func:`mf.reduce` splits off, by ``_minus_inverse`` on the raw values
+of their views, with no public scalar built: the pivots +-1 over QQ and
++-1 and +-i over QQ(i) load no fractions.
 
 Sums and products of polynomials share one multiply-accumulate loop,
 ``_sum_products``.  A sum of any number of signed summands is one
@@ -50,8 +50,13 @@ one dict keyed by column and monomial (Gustavson, ACM TOMS 4(3), 1978).
 ``Polynomial._first_entry_off`` compares each yielded row with f * id
 and stops at the first that differs, for :func:`mf.validate`;
 ``Polynomial._product_rows`` sorts each row once and splits it into
-polynomials, for :func:`graded.compose` and the splits of
-:func:`mf.reduce`.  No other module reads a packed key or picks a width.
+polynomials, for :func:`graded.compose`.  The splits of
+:func:`mf.reduce` run in ``Polynomial._split_units`` on raw views: an
+entry that an update touches is kept as the settled dict {key: raw
+value} of its view at one width, each update is one ``_sum_products``
+call that starts from the entry it replaces, and only the entries left
+after the last split become polynomials.  No other module reads a
+packed key or picks a width.
 
 The loop runs on each polynomial's view.  The view packs each
 monomial into one int (Monagan and Pearce, CASC 2007): the total degree
@@ -551,12 +556,13 @@ def _repack(field: Field, nvars: int, pairs: list, width: int, new: int) -> list
     return [(move(k), value) for k, value in pairs]
 
 
-def _sum_products(field: Field, products: Iterable[tuple[Iterable, Iterable]]) -> dict:
-    # The one multiply-accumulate loop: the settled sum of left * right
-    # over ``products``, pairs of views at one width that holds the degree
-    # of the sum, each term product (k1, a) * (k2, c) added at k1 + k2.
-    # ``right`` is iterated once per pair of ``left``.
-    acc: dict = {}
+def _sum_products(field: Field, products: Iterable[tuple[Iterable, Iterable]], start: Iterable = ()) -> dict:
+    # The one multiply-accumulate loop: the settled sum of the view pairs
+    # ``start`` and of left * right over ``products``, pairs of views at
+    # one width that holds the degree of the sum, each term product (k1, a)
+    # * (k2, c) added at k1 + k2.  ``right`` is iterated once per pair of
+    # ``left``.
+    acc: dict = dict(start) if start else {}
     for left, right in products:
         for k1, a in left:
             for k2, c in right:
@@ -749,6 +755,64 @@ class Polynomial:
             yield _sum_products(field, [(left._kernel_view(width), right_terms[m]) for m, left in row])
 
     @classmethod
+    def _split_units(cls, field: Field, nvars: int, s0: dict[int, dict], s1: dict[int, dict]) -> None:
+        """The elimination of :func:`mf.reduce`, in place on the sparse
+        rows {row: {column: nonzero entry}} of s0 and s1: s0 and then s1
+        scanned once for units, resuming at the row of the last pivot, and
+        the first unit of the first row that holds one split off (the
+        policy and the deletions are those of ``mf.reduce``).  Between
+        splits an entry is the input's own polynomial until an update
+        touches it, and then the settled dict {key: raw value} of its view
+        at the width of the widest input entry, which holds every update:
+        an update keeps its entry's degree.  A split scales the pivot row
+        once by -1/u and forms each updated entry by one _sum_products
+        call; each dict left at the end becomes one polynomial, at its own
+        width.  Trusted: every entry lies in the ring (``field``,
+        ``nvars``) and both maps are homogeneous of degree 0."""
+        width = _kernel_width(*([row.items() for row in rows.values()] for rows in (s0, s1)))
+
+        def view(entry):
+            # Its view pairs at ``width``, where a dict's are already.
+            return entry.items() if type(entry) is dict else entry._kernel_view(width)
+        for a, b in ((s0, s1), (s1, s0)):
+            start, gone = 0, set()
+            while True:
+                # The units of the first row from ``start`` on that holds one:
+                # only the monomial 1 packs to keys below 2, 0 and, over QQ(i), 1.
+                for r, row in a.items():
+                    if r >= start and (units := [c for c, e in row.items() if (
+                            0 in e or 1 in e if type(e) is dict else e._view[1][-1][0] < 2)]):
+                        break
+                else:
+                    break
+                start, c, pivot = r, min(units), a.pop(r)
+                u = pivot.pop(c)
+                del b[c]
+                gone.add(r)
+                rows = [(row, q) for row in a.values() if (q := row.pop(c, None)) is not None]
+                if not (rows and pivot):
+                    continue
+                minus = list(_minus_inverse(field, dict(view(u))).items())
+                scaled = [(k, list(_sum_products(field, [(view(p), minus)]).items())) for k, p in pivot.items()]
+                for row, q in rows:
+                    q = view(q)
+                    for k, s in scaled:
+                        # q * s plus the entry that it replaces: a polynomial,
+                        # settled sums, or none.
+                        old = row.get(k, ())
+                        if sums := _sum_products(field, ((q, s),), old._kernel_view(width) if type(old) is cls else old):
+                            row[k] = sums
+                        else:
+                            row.pop(k, None)
+            # The splits of ``a`` read nothing of ``b``, whose columns of the
+            # rows deleted from ``a`` go once they are done.
+            for row in b.values():
+                for k in gone.intersection(row):
+                    del row[k]
+        for row in (*s0.values(), *s1.values()):
+            row.update({k: cls._from_settled(field, nvars, width, e) for k, e in row.items() if type(e) is dict})
+
+    @classmethod
     def _row_from_sums(cls, field: Field, nvars: int, width: int, shift: int,
                        sums: dict[int, int | Fraction]) -> list[tuple[int, "Polynomial"]]:
         # The nonzero polynomials of one row that _row_sums yields: its
@@ -881,26 +945,9 @@ class Polynomial:
         pairs = self._view[1]
         return bool(pairs) and not pairs[-1][0] >> 2 * (self.field.kind == "Qi")
 
-    def _raw_constant(self) -> int | Fraction | list:
-        # The raw value of the constant term as _raw_terms lists it, zero
-        # included: only the monomial 1 packs to the keys 0 and, over QQ(i),
-        # 1, the last keys of a view.
-        tail = dict(self._view[1][-2:])
-        return [tail.get(0, 0), tail.get(1, 0)] if self.field.kind == "Qi" else tail.get(0, 0)
-
     @property
     def constant_term(self) -> Scalar:
-        return _scalar(self.field, self._raw_constant())
-
-    def _minus_inverse(self) -> "Polynomial":
-        # The constant polynomial -1/c of the nonzero constant term c: the
-        # raw inverse of c negated and settled into a view, no public scalar
-        # built (over QQ and QQ(i) one would load fractions).
-        field = self.field
-        inverse = _inverse(self._raw_constant(), field.p)
-        halves = enumerate(inverse) if field.kind == "Qi" else ((0, inverse),)
-        settled = _settle(field, {k: -value for k, value in halves})
-        return Polynomial._from_settled(field, self.nvars, _MIN_WIDTH, settled)
+        return _scalar(self.field, _raw_constant(self.field, dict(self._view[1][-2:])))
 
     # -- arithmetic -----------------------------------------------------
 
@@ -994,6 +1041,22 @@ class Polynomial:
         # The first sign is written without its spaces, and "+" not at all.
         text = "".join(pieces)
         return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+def _raw_constant(field: Field, sums: Mapping[int, int | Fraction]) -> int | Fraction | list:
+    # The raw value of the constant term as _raw_terms lists it, zero
+    # included, of view pairs {key: value}, such as the last two of a view:
+    # only the monomial 1 packs to the keys 0 and, over QQ(i), 1.
+    return [sums.get(0, 0), sums.get(1, 0)] if field.kind == "Qi" else sums.get(0, 0)
+
+
+def _minus_inverse(field: Field, sums: Mapping[int, int | Fraction]) -> dict:
+    # The settled view of -1/c for the nonzero constant term c of ``sums``:
+    # the raw inverse of c negated, no public scalar built (over QQ and
+    # QQ(i) one would load fractions).
+    inverse = _inverse(_raw_constant(field, sums), field.p)
+    halves = enumerate(inverse) if field.kind == "Qi" else ((0, inverse),)
+    return _settle(field, {k: -value for k, value in halves})
 
 
 def _raw_terms(gaussian: bool, pairs: list) -> Iterable:

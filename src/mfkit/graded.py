@@ -147,21 +147,34 @@ class HomogeneousMatrix:
 
     def validate(self) -> list[str]:
         """Diagnostics for every entry violating the homogeneity
-        constraint; empty iff the matrix is homogeneous of degree 0."""
-        problems = []
+        constraint; empty iff the matrix is homogeneous of degree 0.  They
+        are found once per matrix, which is immutable, so that
+        :func:`mf.reduce` checks again for free what ``mf.validate``
+        checked."""
+        return list(self._problems)
+
+    @cached_property
+    def _problems(self) -> tuple[str, ...]:
+        # Each distinct entry object is read once, keyed by its id, which
+        # no other entry shares while the matrix holds them all.
+        problems, degrees = [], {}
+        source, target = self.source.degrees, self.target.degrees
         for r, row in enumerate(self.rows):
             for c, entry in row:
-                expected = self.source[c] - self.target[r]
+                expected = source[c] - target[r]
+                # The degree of a homogeneous entry, None for any other.
+                if (degree := degrees.get(id(entry), entry)) is entry:
+                    degree = degrees[id(entry)] = entry.total_degree if entry.is_homogeneous else None
                 if expected < 0:
                     problem = f"expected degree {expected} < 0, entry must be zero"
-                elif not entry.is_homogeneous:
+                elif degree is None:
                     problem = f"not homogeneous, expected degree {expected}"
-                elif entry.total_degree != expected:
-                    problem = f"degree {entry.total_degree}, expected {expected}"
+                elif degree != expected:
+                    problem = f"degree {degree}, expected {expected}"
                 else:
                     continue
                 problems.append(f"entry ({r},{c}): {problem}")
-        return problems
+        return tuple(problems)
 
     # -- operations -------------------------------------------------------
 

@@ -35,9 +35,6 @@ from ._value import Counts, value_class
 from .algebra import QI, Field, Polynomial
 from .graded import DegreeMultiset, HomogeneousMatrix, Row
 
-# A matrix under reduction: {row: {column: nonzero entry}} over the generators left.
-SparseRows = dict[int, dict[int, Polynomial]]
-
 # Largest rank that fermat(), tensor() and direct_sum() build: a document
 # holds all 2r^2 entry strings of the two maps, zeros included, so each
 # doubling of the rank costs 4x its size and the time to write and read it.
@@ -390,7 +387,17 @@ def reduce(F: MatrixFactorization) -> MatrixFactorization:
     unit (nonzero constant) entry.  Each split performs exact row/column
     elimination over the polynomial ring and deletes one generator from
     F0 and one from F1; a pivot alone in its row or its column needs the
-    deletion only.  Reduced inputs are returned unchanged.
+    deletion only.  Reduced inputs are returned unchanged.  A map that is
+    not homogeneous of degree 0 (``HomogeneousMatrix.validate``) raises
+    ValueError: an update keeps its entry's degree only in such maps.
+
+    With a = [[u, p], [q, A]] (pivot first) the matrix of the pivot and b
+    its partner, the row operations R and the column operations C that
+    clear q and p give R*a*C = diag(u, A - q*p/u) and C^-1*b*R^-1 =
+    diag(f/u, B'): C^-1 changes only the pivot row of b and R^-1 only its
+    pivot column, so B' is b without them.  Clearing p touches only the
+    pivot row of a, which is deleted too.  What remains is the Schur
+    complement A - q*p/u, formed over the nonzero entries of q and p.
 
     Each matrix is scanned once, resuming at the row of the last pivot.
     This finds the pivots, hence the output, of a scan from (0, 0) after
@@ -402,68 +409,26 @@ def reduce(F: MatrixFactorization) -> MatrixFactorization:
       units once the s1 splits begin.
     Generators keep their indices while the splits run, so row-major
     order over the generators left is that of the compacted matrices.
+
+    The splits run in :meth:`Polynomial._split_units`, on the sparse rows
+    of both maps.  Between splits an entry is the input's own polynomial
+    until an update touches it, and from then on the settled dict of its
+    packed view, {key: raw value}, at the width of the widest input entry.
+    Each update is one multiply-accumulate call, and only the entries left
+    after the last split become polynomials, once each.  This function
+    keeps the generators and assembles the result.
     """
-    s0: SparseRows = {r: dict(row) for r, row in enumerate(F.s0.rows)}
-    s1: SparseRows = {r: dict(row) for r, row in enumerate(F.s1.rows)}
-    one = Polynomial.constant(F.field, F.nvars, 1)
-    for a, b in ((s0, s1), (s1, s0)):
-        r = 0
-        while (pos := _find_unit(a, r)) is not None:
-            r, c = pos
-            _split_summand(F.field, one, a, b, r, c)
+    if problems := [f"{name} {p}" for name, m in (("s0", F.s0), ("s1", F.s1)) for p in m.validate()]:
+        raise ValueError("reduce needs maps homogeneous of degree 0: " + problems[0])
+    s0 = {r: dict(row) for r, row in enumerate(F.s0.rows)}
+    s1 = {r: dict(row) for r, row in enumerate(F.s1.rows)}
+    Polynomial._split_units(F.field, F.nvars, s0, s1)
     if len(s1) == F.rank0:
         return F
     # The rows of s1 are the F0 generators left, those of s0 the F1 ones.
     return _mk(F.f, {k: F.f0_degrees[k] for k in s1}, {k: F.f1_degrees[k] for k in s0},
                ((r, c, e) for r, row in s0.items() for c, e in row.items()),
                ((r, c, e) for r, row in s1.items() for c, e in row.items()))
-
-
-def _find_unit(rows: SparseRows, start: int) -> tuple[int, int] | None:
-    for r, row in rows.items():
-        if r >= start:
-            units = [c for c, entry in row.items() if entry._has_constant_term]
-            if units:
-                return r, min(units)
-    return None
-
-
-def _split_summand(field: Field, one: Polynomial, a: SparseRows, b: SparseRows,
-                   r: int, c: int) -> None:
-    """Split off the trivial summand at the unit pivot a[r][c] and delete
-    its generator pair: row r and column c of ``a``, row c and column r of
-    the partner ``b``.  Mutates the rows in place; ``one`` is the
-    constant 1 of the ring.
-
-    With a = [[u, p], [q, A]] (pivot first), the row operations R and the
-    column operations C that clear q and p give R*a*C = diag(u, A - q*p/u)
-    and C^-1*b*R^-1 = diag(f/u, B'): C^-1 changes only the pivot row of b
-    and R^-1 only its pivot column, so B' is b without them.  Clearing p
-    touches only the pivot row of a, which is deleted too.  What remains
-    is the Schur complement A - q*p/u, computed over the nonzero entries
-    of q and p; where q or p is zero it is A, and the split is the
-    deletion alone."""
-    pivot = a.pop(r)
-    del b[c]
-    u = pivot.pop(c)
-    for row in b.values():
-        row.pop(r, None)
-    # The rows of q, each without its entry in the pivot column.
-    rows = [(row, q) for row in a.values() if (q := row.pop(c, None)) is not None]
-    if not (rows and pivot):
-        return
-    # Row j of the update is 1 * row_j + q_j * (-pivot/u) over the pivot's
-    # columns: the pivot row is scaled once, then one kernel call updates
-    # all the rows.
-    nvars = u.nvars
-    (scaled,) = Polynomial._product_rows(field, nvars, (((0, u._minus_inverse()),),),
-                                         (tuple(pivot.items()),))
-    lefts, rights = [], [scaled]
-    for row, q in rows:
-        lefts.append(((0, q), (len(rights), one)))
-        rights.append([(k, row.pop(k)) for k in pivot if k in row])
-    for (row, _), update in zip(rows, Polynomial._product_rows(field, nvars, lefts, rights)):
-        row.update(update)
 
 
 # ---------------------------------------------------------------------------

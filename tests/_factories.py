@@ -47,7 +47,8 @@ def reference_coerce(self: Field, value):
 # ``Field.inv``, ``GaussianRational.inverse``, ``FpElement.inverse`` and
 # ``Polynomial._minus_inverse`` as they were before they shared one
 # inverse on raw values, bodies unchanged but for their calls to each
-# other, which go to these references.  Kept for the differential tests.
+# other, which go to these references, and the read of the raw constant,
+# which is ``algebra._raw_constant``'s.  Kept for the differential tests.
 
 
 def reference_inv(self: Field, value):
@@ -73,10 +74,18 @@ def reference_fp_inverse(self: FpElement) -> FpElement:
     return FpElement(pow(self.value, -1, self.p), self.p)
 
 
+def minus_inverse(u: Polynomial) -> Polynomial:
+    """The constant polynomial -1/c of the nonzero constant term c of u,
+    as the splits of ``mf.reduce`` form it: ``algebra._minus_inverse`` on
+    the raw values of u's view."""
+    return Polynomial._from_settled(u.field, u.nvars, _MIN_WIDTH,
+                                    algebra._minus_inverse(u.field, dict(u._view[1][-2:])))
+
+
 def reference_minus_inverse(self: Polynomial) -> Polynomial:
     field = self.field
     if field.kind == "Qi":
-        re, im = self._raw_constant()
+        re, im = algebra._raw_constant(field, dict(self._view[1][-2:]))
         if (re, im) in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             view = [(1, im)] if im else [(0, -re)]
             return Polynomial._from_view(field, self.nvars, _MIN_WIDTH, view)
@@ -130,6 +139,27 @@ def compose_validate(F: mf.MatrixFactorization) -> list[str]:
                 break
         else:
             break
+    return problems
+
+
+def reference_matrix_validate(self: HomogeneousMatrix) -> list[str]:
+    """``HomogeneousMatrix.validate`` as it was before it read each
+    distinct entry once, body unchanged: every cell's entry read through
+    its properties and the degrees through ``DegreeMultiset.__getitem__``.
+    Kept for the differential tests."""
+    problems = []
+    for r, row in enumerate(self.rows):
+        for c, entry in row:
+            expected = self.source[c] - self.target[r]
+            if expected < 0:
+                problem = f"expected degree {expected} < 0, entry must be zero"
+            elif not entry.is_homogeneous:
+                problem = f"not homogeneous, expected degree {expected}"
+            elif entry.total_degree != expected:
+                problem = f"degree {entry.total_degree}, expected {expected}"
+            else:
+                continue
+            problems.append(f"entry ({r},{c}): {problem}")
     return problems
 
 
@@ -280,6 +310,97 @@ def partly_reducible(field, rank, rng):
                 break
         result = mf.tensor(result, G)
     return mix_bases(result, rng, rng.randint(1, 2 * rank))
+
+
+# ``mf.reduce``, ``mf._find_unit`` and ``mf._split_summand`` as they were
+# before the elimination kept its updated entries as raw views between
+# splits, bodies unchanged: every split makes its updated rows into
+# polynomials through ``Polynomial._product_rows``.  Kept for the
+# differential tests.
+
+
+def reference_reduce(F: mf.MatrixFactorization) -> mf.MatrixFactorization:
+    s0 = {r: dict(row) for r, row in enumerate(F.s0.rows)}
+    s1 = {r: dict(row) for r, row in enumerate(F.s1.rows)}
+    one = Polynomial.constant(F.field, F.nvars, 1)
+    for a, b in ((s0, s1), (s1, s0)):
+        r = 0
+        while (pos := reference_find_unit(a, r)) is not None:
+            r, c = pos
+            reference_split_summand(F.field, one, a, b, r, c)
+    if len(s1) == F.rank0:
+        return F
+    # The rows of s1 are the F0 generators left, those of s0 the F1 ones.
+    return mf._mk(F.f, {k: F.f0_degrees[k] for k in s1}, {k: F.f1_degrees[k] for k in s0},
+                  ((r, c, e) for r, row in s0.items() for c, e in row.items()),
+                  ((r, c, e) for r, row in s1.items() for c, e in row.items()))
+
+
+def reference_find_unit(rows, start):
+    for r, row in rows.items():
+        if r >= start:
+            units = [c for c, entry in row.items() if entry._has_constant_term]
+            if units:
+                return r, min(units)
+    return None
+
+
+def reference_split_summand(field, one, a, b, r, c):
+    pivot = a.pop(r)
+    del b[c]
+    u = pivot.pop(c)
+    for row in b.values():
+        row.pop(r, None)
+    # The rows of q, each without its entry in the pivot column.
+    rows = [(row, q) for row in a.values() if (q := row.pop(c, None)) is not None]
+    if not (rows and pivot):
+        return
+    # Row j of the update is 1 * row_j + q_j * (-pivot/u) over the pivot's
+    # columns: the pivot row is scaled once, then one kernel call updates
+    # all the rows.
+    nvars = u.nvars
+    (scaled,) = Polynomial._product_rows(field, nvars, (((0, minus_inverse(u)),),),
+                                         (tuple(pivot.items()),))
+    lefts, rights = [], [scaled]
+    for row, q in rows:
+        lefts.append(((0, q), (len(rights), one)))
+        rights.append([(k, row.pop(k)) for k in pivot if k in row])
+    for (row, _), update in zip(rows, Polynomial._product_rows(field, nvars, lefts, rights)):
+        row.update(update)
+
+
+def base_changed(F: mf.MatrixFactorization, rng: random.Random) -> mf.MatrixFactorization:
+    """F plus one trivial summand (1, f) twisted to each degree of F0, in
+    the basis that a random invertible constant matrix Q of F0 makes:
+    s0*Q and Q^-1*s1.  Q is the identity outside the equal-degree blocks
+    of F0, so it is homogeneous of degree 0; inside each block of size n
+    it is a product of n^2 elementary matrices, with multipliers in
+    [1, p) over GF(p) and in {-2, -1, 1, 2} over QQ and QQ(i), which keeps
+    the coefficients small.  The result factors f, and its reduced part is
+    F's when F is reduced."""
+    field, nvars = F.field, F.nvars
+    G = F
+    for m in F.f0_degrees:
+        G = mf.direct_sum(G, mf.twist(mf.trivial_one_f(F.f), -m))
+    degrees = list(G.f0_degrees)
+    n = len(degrees)
+    q = [[int(i == j) for j in range(n)] for i in range(n)]
+    q_inv = [row[:] for row in q]
+    for m in sorted(set(degrees)):
+        block = [k for k in range(n) if degrees[k] == m]
+        for _ in range(len(block) ** 2 if len(block) > 1 else 0):
+            i, j = rng.sample(block, 2)
+            lam = rng.randrange(1, field.p) if field.p else rng.choice([-2, -1, 1, 2])
+            # Q <- Q * (1 + lam e_ij): column j += lam column i; and
+            # Q^-1 <- (1 - lam e_ij) * Q^-1: row i -= lam row j.
+            for row in q:
+                row[j] += lam * row[i]
+            q_inv[i] = [a - lam * b for a, b in zip(q_inv[i], q_inv[j])]
+
+    def constants(grid):
+        return HomogeneousMatrix(field, nvars, G.f0_degrees, G.f0_degrees,
+                                 [[Polynomial.constant(field, nvars, x) for x in row] for row in grid])
+    return mf.MatrixFactorization(F.f, compose(G.s0, constants(q)), compose(constants(q_inv), G.s1))
 
 
 def raw(q: Fraction) -> int | Fraction:

@@ -5,8 +5,9 @@ Each row of ``ci/hostile_inputs.py``'s ``CASES`` is one test, run by that
 script's own ``run``: ``python -m mfkit`` in a child under ``timeout 60``
 with RLIMIT_AS set to 1 GiB, which must exit with the row's code, with
 each of its stderr fragments and without a traceback.  One more test runs
-``ci/large_rank.py``'s ``main``: its four rank-1024 commands and its two
-pinned digests.  The children run in a temporary directory, so their
+``ci/large_rank.py``'s ``main``: its seven commands, which build,
+validate, shift, tensor and reduce factorizations of rank 1024, and its
+four pinned digests.  The children run in a temporary directory, so their
 PYTHONPATH is the absolute directory that holds the ``mfkit`` under test.
 The last tests run ``ci/code_lines.py`` on a fixed source whose code
 lines are known.

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mfkit.algebra import GF, QI, QQ, parse_poly
+from mfkit.algebra import GF, QI, QQ, Polynomial, parse_poly
 from mfkit.graded import DegreeMultiset, HomogeneousMatrix, compose
 
-from _factories import random_homogeneous_matrix
+from _factories import random_homogeneous_matrix, reference_matrix_validate
 
 
 def _matrix(field, nvars, source, target, texts):
@@ -69,6 +71,24 @@ class TestValidate:
     def test_inhomogeneous_entry(self):
         m = _matrix(QQ, 1, (2,), (0,), [["x0^2 + x0"]])
         assert any("not homogeneous" in p for p in m.validate())
+
+    @given(st.data())
+    def test_matches_the_reference_loop(self, data):
+        # Entries drawn from one pool, so that one entry object sits in
+        # several cells, valid in some and not in others: homogeneous ones
+        # of degrees 0 to 3, inhomogeneous ones, and degrees that put a
+        # negative expected degree in some cells.
+        field = data.draw(st.sampled_from([QQ, QI, GF(13)]), label="field")
+        pool = [Polynomial.zero(field, 2)] + [parse_poly(text, field, 2) for text in (
+            "1", "x0", "2*x0 - x1", "x0*x1 + x1^2", "x0^3", "x0^2 + x1", "x1^2 + 1")]
+        degrees = st.lists(st.integers(-2, 4), max_size=5).map(lambda ds: DegreeMultiset(tuple(sorted(ds))))
+        source, target = data.draw(degrees, label="source"), data.draw(degrees, label="target")
+        cells = st.lists(st.lists(st.sampled_from(pool), min_size=len(source), max_size=len(source)),
+                         min_size=len(target), max_size=len(target))
+        m = HomogeneousMatrix(field, 2, source, target, data.draw(cells, label="cells"))
+        # The diagnostics are kept per matrix; a caller's list is its own.
+        m.validate().append("entry (0,0): changed by a caller")
+        assert m.validate() == reference_matrix_validate(m)
 
 
 class TestSparseRows:

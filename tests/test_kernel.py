@@ -11,10 +11,11 @@ imaginary halves).  It builds its terms from the view on first read, and
 none.  A one-term
 power scales its exponents; matrices store sparse rows and ``compose``
 sums each row in one kernel call; ``mf.reduce`` updates only the Schur
-complement of each pivot, all rows in one kernel call, and scans each
-matrix once; ``mf.validate`` forms ``s1*s0`` alone when it is ``f*id``;
-``mf.tensor`` validates its factors, not its product; ``document_to_mf``
-parses each distinct entry string once and skips ``"0"`` cells;
+complement of each pivot, each updated entry by one multiply-accumulate
+call on raw views, and scans each matrix once; ``mf.validate`` forms
+``s1*s0`` alone when it is ``f*id``; ``mf.tensor`` validates its
+factors, not its product; ``document_to_mf`` parses each distinct entry
+string once and skips ``"0"`` cells;
 ``mf_to_document`` prints each distinct entry object once; negation is
 one shared object, negated on the view's raw values; and ``mf``
 assembles factorizations from their nonzero entries.  Each fast path is compared
@@ -23,8 +24,9 @@ public scalar operators, the tuple kernel that the packed one replaced
 (exponent tuples added with ``map(add)``), repeated products, a
 triple-loop matrix product built with ``from_pairs`` and the dense
 per-column product, a linear scan for the constant term, the original
-sort key, the original and the dense row and column elimination, a
-rescan from (0, 0) after every split, both composites on dense grids,
+sort key, the original and the dense row and column elimination, the
+split that made every updated row into polynomials, a rescan from (0, 0)
+after every split, both composites on dense grids,
 one parse per entry, one ``str()`` per cell, dense Kronecker and block
 grids, polynomials built by ``from_pairs``, a packer written out
 field by field, the printer that read ``terms``, the 1 x n by n x 1
@@ -53,10 +55,10 @@ from mfkit.algebra import (GF, MAX_EXPONENT, MAX_NVARS, QI, QQ, FpElement, Gauss
 from mfkit.cli import MF_SCHEMA, SchemaError, document_to_mf, field_to_json, mf_to_document
 from mfkit.graded import DegreeMultiset, HomogeneousMatrix, compose
 
-from _factories import (compose_validate, kernel_sum_of_products, mix_bases, packed_view,
-                        partly_reducible, random_elementary, random_homogeneous,
+from _factories import (base_changed, compose_validate, kernel_sum_of_products, mix_bases,
+                        packed_view, partly_reducible, random_elementary, random_homogeneous,
                         random_reduced_mf, random_valid_mf, raw, reference_byte_codec, reference_codec,
-                        reference_repack, square_and_multiply)
+                        reference_reduce, reference_repack, square_and_multiply)
 
 # GF(2^31 - 1): products of two residues come near 2^62, and the kernel
 # sums them unreduced.
@@ -733,6 +735,53 @@ def test_reduce_across_widths_matches_dense_elimination(field, N):
                 assert_view(entry)
 
 
+def reduced_factor(field, rng):
+    """A reduced factorization of rank 1 to 4, or over a field with i of
+    rank 2 to 8: random elementary factors tensored, or fermat(p, 2)."""
+    if field.has_sqrt_minus_one() and rng.random() < 0.5:
+        return mf.fermat(rng.choice([2, 3, 4]), 2, field=field)
+    d = rng.choice([2, 3])
+    F = random_reduced_mf(rng, field=field, d=d)
+    while rng.random() < 0.5:
+        G = random_reduced_mf(rng, field=field, d=d)
+        if not (F.f + G.f).is_zero:
+            return mf.tensor(F, G)
+    return F
+
+
+def document_or_error(F):
+    try:
+        return mf_to_document(F)
+    except ValueError as error:
+        return str(error)
+
+
+@pytest.mark.parametrize("family", ["partly_reducible", "random_valid_mf", "inflate", "base_changed"])
+@given(field=st.sampled_from(FIELDS), seed=st.integers(0, 2**32))
+def test_reduce_matches_the_reference_elimination(family, field, seed):
+    # The raw-view elimination against the one that made every updated row
+    # into polynomials: the same factorization and the same document.  On
+    # base-changed factorizations the reduced part is F's, so its Betti
+    # table is too.
+    rng = random.Random(seed)
+    if family == "partly_reducible":
+        F = partly_reducible(field, rng.choice([4, 8, 16]), rng)
+    elif family == "random_valid_mf":
+        F = random_valid_mf(rng, field)
+    elif family == "inflate":
+        F = inflate(partly_reducible(field, 8, rng), rng.choice([64, 2**14, 2**28, 2**30, 2**62]))
+    else:
+        factor = reduced_factor(field, rng)
+        F = base_changed(factor, rng)
+        assert mf.validate(F) == [] and F.rank == 2 * factor.rank <= 16
+    got, want = mf.reduce(F), reference_reduce(F)
+    assert got == want
+    # A document refuses the exponents of the widest inflations, alike.
+    assert document_or_error(got) == document_or_error(want)
+    if family == "base_changed":
+        assert mf.betti(got) == mf.betti(factor)
+
+
 # -- assembly from nonzero entries ------------------------------------------
 # Dense-grid assembly as it was before ``mf._mk`` took nonzero entries.
 
@@ -1214,23 +1263,31 @@ def test_compare_hash_and_print_build_no_terms(wrapped, field):
 
 @pytest.mark.parametrize("field", [QQ, QI, GF(13)], ids=["QQ", "QQ(i)", "GF(13)"])
 def test_reduce_builds_no_terms_for_overwritten_rows(monkeypatch, wrapped, field):
+    # The updates of reduce are formed by _sum_products, each from the
+    # settled sums of the entry it overwrites, passed as its start; an
+    # entry that a later update overwrites never becomes a polynomial.
     F = partly_reducible(field, 16, random.Random(f"lazy-{field}"))
-    outputs = []
-    kernel = Polynomial._product_rows.__func__
+    outputs, starts, built = [], [], []
+    kernel, from_view = algebra._sum_products, Polynomial._from_view.__func__
 
-    def recording(cls, *args):
-        rows = kernel(cls, *args)
-        outputs.extend(e for row in rows for _, e in row)
-        return rows
+    def recording(ring, products, start=()):
+        starts.append(start)
+        outputs.append(kernel(ring, products, start))
+        return outputs[-1]
 
-    monkeypatch.setattr(Polynomial, "_product_rows", classmethod(recording))
+    def building(cls, *args):
+        built.append(from_view(cls, *args))
+        return built[-1]
+
+    monkeypatch.setattr(algebra, "_sum_products", recording)
+    monkeypatch.setattr(Polynomial, "_from_view", classmethod(building))
     wrapped.clear()
     R = mf.reduce(F)
     kept = {id(e) for matrix in (R.s0, R.s1) for row in matrix.rows for _, e in row}
-    overwritten = [e for e in outputs if id(e) not in kept]
+    overwritten = [e for e in outputs if any(start is e for start in starts)]
     assert overwritten and R.rank < F.rank
-    assert not {id(e) for e in wrapped} & {id(e) for e in overwritten}
-    assert all("terms" not in e.__dict__ for e in overwritten)
+    assert all(id(p) in kept for p in built)
+    assert wrapped == []
 
 
 # -- the printer against the one that read terms ----------------------------

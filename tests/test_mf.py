@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from mfkit import mf
+from mfkit import algebra, mf
 from mfkit.algebra import GF, QI, QQ, Polynomial, parse_poly
 from mfkit.graded import DegreeMultiset, HomogeneousMatrix
 
@@ -254,14 +254,27 @@ class TestReduce:
         f = F.f
         padded = [mf.direct_sum(F, mf.trivial_one_f(f)), mf.direct_sum(mf.trivial_f_one(f), F),
                   mf.direct_sum(mf.direct_sum(mf.trivial_one_f(f), F), mf.trivial_f_one(f))]
+        # Every update and the scaling of a pivot row is a _sum_products
+        # call, and the scaling takes the pivot's _minus_inverse first.
         calls = []
-        product_rows = Polynomial._product_rows
-        monkeypatch.setattr(Polynomial, "_product_rows",
-                            lambda *args: calls.append(args) or product_rows(*args))
+        for name in ("_sum_products", "_minus_inverse"):
+            monkeypatch.setattr(algebra, name, lambda *args, kernel=getattr(algebra, name):
+                                calls.append(args) or kernel(*args))
         for G in padded:
             R = mf.reduce(G)
             assert mf.presentation_equivalent(R, F)
         assert calls == []
+
+    def test_maps_off_degree_zero_are_refused(self):
+        # The updates are formed at the width of the widest input entry,
+        # which holds them only where each keeps its entry's degree.
+        f = quartic()
+        one, x = Polynomial.constant(QQ, 1, 1), parse_poly("x0^100", QQ, 1)
+        D = DegreeMultiset((0, 0))
+        s0 = HomogeneousMatrix(QQ, 1, D, D, [[one, x], [x, x * x]])
+        s1 = HomogeneousMatrix(QQ, 1, D.twist(-4), D, [[one, one], [one, one]])
+        with pytest.raises(ValueError, match=r"homogeneous of degree 0: s0 entry \(0,1\): degree 100, expected 0"):
+            mf.reduce(mf.MatrixFactorization(f, s0, s1))
 
     def test_idempotent_on_random_inputs(self):
         rng = random.Random(61)
